@@ -7,7 +7,8 @@ strict reference interpreter (``mode="strict"``):
   needs to stay near-native), for both the decoded tier and the compiled
   tier (GIR compiled to Python generators),
 - steps/sec **PT-traced** (full Intel-PT-style control-flow tracing),
-- steps/sec **fully instrumented** (PT + an armed watchpoint unit),
+- steps/sec **fully instrumented** (PT + an armed watchpoint unit), again
+  for the compiled tier as well (instrumented runs run compiled too),
 - **PT decode** throughput: the table-driven decoder against the preserved
   reference decoder on each bug's real encoded stream,
 - warm end-to-end **diagnosis** wall time (full cooperative campaign with a
@@ -177,9 +178,9 @@ def _measure_bug(bug_id: str) -> dict:
             "strict_steps_per_sec": round(strict),
             "speedup": round(fast / strict, 2),
         }
-        if config == "uninstrumented":
-            # The compiled tier only engages without tracers; its headline
-            # ratio is vs the decoded tier (the PR 3 baseline).
+        if config in ("uninstrumented", "fully_instrumented"):
+            # The compiled tier's headline ratios are vs the decoded tier,
+            # plain and with every kind of instrumentation attached.
             compiled = _steps_per_sec(spec, "compiled", make_tracers)
             row[config]["compiled_steps_per_sec"] = round(compiled)
             row[config]["compiled_speedup_vs_decoded"] = round(
@@ -206,6 +207,8 @@ def _compute() -> dict:
     uninstr = [row["uninstrumented"]["speedup"] for row in bugs.values()]
     compiled = [row["uninstrumented"]["compiled_speedup_vs_decoded"]
                 for row in bugs.values()]
+    instrumented = [row["fully_instrumented"]["compiled_speedup_vs_decoded"]
+                    for row in bugs.values()]
     decode = [row["pt_decode"]["speedup"] for row in bugs.values()]
     diag = [row["warm_diagnosis"]["speedup"] for row in bugs.values()]
     summary = {
@@ -213,6 +216,8 @@ def _compute() -> dict:
             statistics.median(uninstr), 2),
         "median_compiled_speedup_vs_decoded": round(
             statistics.median(compiled), 2),
+        "median_instrumented_compiled_speedup_vs_decoded": round(
+            statistics.median(instrumented), 2),
         "median_pt_decode_speedup": round(statistics.median(decode), 2),
         "median_warm_diagnosis_speedup": round(statistics.median(diag), 2),
         "bugs_at_3x_uninstrumented": sum(1 for s in uninstr if s >= 3.0),
@@ -230,13 +235,16 @@ def _render(data: dict) -> str:
              "reference",
              "=" * 78,
              f"{'Bug':<18} {'compiled (ksteps/s)':>20} {'vs dec':>7} "
-             f"{'dec/strict':>10} {'ptdec':>6} {'diag':>6}"]
+             f"{'instr vs dec':>12} {'dec/strict':>10} {'ptdec':>6} "
+             f"{'diag':>6}"]
     for bug_id, row in data["bugs"].items():
         u = row["uninstrumented"]
+        instr = row["fully_instrumented"]
         lines.append(
             f"{bug_id:<18} "
             f"{u['compiled_steps_per_sec'] / 1e3:>20.0f} "
             f"{u['compiled_speedup_vs_decoded']:>6.2f}x "
+            f"{instr['compiled_speedup_vs_decoded']:>11.2f}x "
             f"{u['speedup']:>9.2f}x "
             f"{row['pt_decode']['speedup']:>5.2f}x "
             f"{row['warm_diagnosis']['speedup']:>5.2f}x")
@@ -244,7 +252,9 @@ def _render(data: dict) -> str:
     lines.append("-" * 78)
     lines.append(
         f"median speedup: {s['median_compiled_speedup_vs_decoded']:.2f}x "
-        f"compiled-vs-decoded, {s['median_uninstrumented_speedup']:.2f}x "
+        f"compiled-vs-decoded ("
+        f"{s['median_instrumented_compiled_speedup_vs_decoded']:.2f}x "
+        f"instrumented), {s['median_uninstrumented_speedup']:.2f}x "
         f"decoded-vs-strict, {s['median_pt_decode_speedup']:.2f}x PT "
         f"decode, {s['median_warm_diagnosis_speedup']:.2f}x warm diagnosis")
     lines.append(
@@ -272,6 +282,9 @@ def test_bench_interpreter_hotpath(benchmark):
              lambda row: row["uninstrumented"]["speedup"]),
             ("compiled_speedup_vs_decoded",
              lambda row: row["uninstrumented"]
+             ["compiled_speedup_vs_decoded"]),
+            ("instrumented_compiled_speedup_vs_decoded",
+             lambda row: row["fully_instrumented"]
              ["compiled_speedup_vs_decoded"]),
             ("pt_decode_speedup",
              lambda row: row["pt_decode"]["speedup"]),

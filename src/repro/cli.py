@@ -432,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("compiled", "decoded", "strict"),
                        default=None,
                        help="interpreter tier: 'compiled' (GIR compiled to "
-                            "Python, default), 'decoded' (pre-decoded "
-                            "streams), or 'strict' (reference dispatch); "
-                            "instrumented runs always use 'decoded'")
+                            "Python, default; instrumented runs too), "
+                            "'decoded' (pre-decoded streams), or 'strict' "
+                            "(reference dispatch)")
 
     def common_run_flags(p):
         p.add_argument("args", nargs="*", help="program arguments")

@@ -169,8 +169,8 @@ class CooperativeDeployment:
                                    interp_mode=interp_mode,
                                    detectors=self.detectors)
                         for i in range(endpoints)]
-        #: Interpreter tier for uninstrumented endpoint runs (None = the
-        #: process default; instrumented runs always take the decoded tier).
+        #: Interpreter tier for every endpoint run, monitored or not
+        #: (None = the process default).
         self.interp_mode = interp_mode
         #: Client runs executed concurrently per batch (1 = sequential).
         self.fleet_workers = fleet_workers

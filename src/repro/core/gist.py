@@ -118,7 +118,7 @@ class Gist:
         #: Optional :class:`repro.fleet.FaultPlan` injected at the
         #: transport boundary (wire transport only).
         self.fault_plan = fault_plan
-        #: Interpreter tier for uninstrumented endpoint runs
+        #: Interpreter tier for every endpoint run
         #: ("compiled"/"decoded"/"strict"; None = process default).
         self.interp_mode = interp_mode
         #: Control-plane shard count.  With the defaults below (1 shard,

@@ -169,6 +169,12 @@ class PTEncoder(Tracer):
         # run start (see :func:`repro.runtime.events.subscribes`).
         return self.config.ptwrite
 
+    @property
+    def wants_on_step(self) -> bool:
+        # Same veto for the step fan-out: on_step only opens windows under
+        # ``trace_on_start``, which is fixed for the encoder's lifetime.
+        return self.trace_on_start
+
     def on_step(self, interp, tid: int, ins) -> None:
         if self.trace_on_start and tid not in self._enabled:
             self.enable(tid, ins.uid)
@@ -226,6 +232,10 @@ class SoftwarePTEncoder(PTEncoder):
     pays a software-instrumentation cost (the paper's PIN-based Intel PT
     simulator saw 3×–5000× slowdowns).  Used by the Fig. 13 ablation.
     """
+
+    #: The per-instruction software cost accrues in on_step whenever a
+    #: window is open, so the base class's veto does not apply.
+    wants_on_step = True
 
     def __init__(self, config: Optional[PTConfig] = None,
                  trace_on_start: bool = False) -> None:

@@ -65,7 +65,7 @@ from ..lang.ir import (
     StrConst,
 )
 from .costmodel import OPCODE_COST
-from .events import BranchEvent, FlowEvent, FlowKind, MemEvent
+from .events import FlowKind
 from .failures import FailureKind
 from .memory import (
     GLOBAL_BASE,
@@ -414,15 +414,8 @@ def _compile_load(ins, addr_spec, next_index):
             value = memory.read(addr)
         if dst is not None:
             regs[dst] = value
-        subs = interp._mem_subs
-        if subs is not None:
-            interp.extra_cost += subs[0]
-            handlers = subs[1]
-            if handlers:
-                event = MemEvent(interp.global_step, tid, uid, addr,
-                                 is_write=False, value=value)
-                for fn in handlers:
-                    fn(interp, event)
+        if interp._mem_subs is not None:
+            interp._fire_mem(interp.global_step, tid, uid, addr, False, value)
         frame.index = next_index
     return run
 
@@ -443,15 +436,8 @@ def _compile_store(ins, addr_spec, value_spec, next_index):
             memory._slots[addr] = value
         else:
             memory.write(addr, value)
-        subs = interp._mem_subs
-        if subs is not None:
-            interp.extra_cost += subs[0]
-            handlers = subs[1]
-            if handlers:
-                event = MemEvent(interp.global_step, tid, uid, addr,
-                                 is_write=True, value=value)
-                for fn in handlers:
-                    fn(interp, event)
+        if interp._mem_subs is not None:
+            interp._fire_mem(interp.global_step, tid, uid, addr, True, value)
         frame.index = next_index
     return run
 
@@ -490,15 +476,9 @@ def _compile_jmp(prog, ins, fname):
         return _raiser(lambda: KeyError(label))
 
     def run(interp, tid, thread, frame):
-        subs = interp._flow_subs
-        if subs is not None:
-            interp.extra_cost += subs[0]
-            handlers = subs[1]
-            if handlers:
-                event = FlowEvent(interp.global_step, tid, uid,
-                                  FlowKind.JUMP, target=label)
-                for fn in handlers:
-                    fn(interp, event)
+        if interp._flow_subs is not None:
+            interp._fire_flow(interp.global_step, tid, uid, FlowKind.JUMP,
+                              label, -1)
         frame.block = label
         frame.index = 0
         frame.dcode = target
@@ -531,15 +511,8 @@ def _compile_br(prog, ins, cond_spec, fname):
             label, code = then_label, then_code
         else:
             label, code = else_label, else_code
-        subs = interp._branch_subs
-        if subs is not None:
-            interp.extra_cost += subs[0]
-            handlers = subs[1]
-            if handlers:
-                event = BranchEvent(interp.global_step, tid, uid,
-                                    taken, label)
-                for fn in handlers:
-                    fn(interp, event)
+        if interp._branch_subs is not None:
+            interp._fire_branch(interp.global_step, tid, uid, taken, label)
         frame.block = label
         frame.index = 0
         frame.dcode = code
@@ -558,7 +531,8 @@ def _compile_ret(ins, value_spec, fname):
         if not frames:
             # Thread exit: a PT-style tracer sees a return with no
             # resolvable target (target_pc = -1).
-            interp._fire_flow(tid, uid, FlowKind.RET, fname, -1)
+            interp._fire_flow(interp.global_step, tid, uid, FlowKind.RET,
+                              fname, -1)
             interp._finish_thread(thread, value)
             return
         caller = frames[-1]
@@ -566,16 +540,9 @@ def _compile_ret(ins, value_spec, fname):
         if return_dst is not None:
             caller.regs[return_dst.name] = value
         caller.index += 1
-        subs = interp._flow_subs
-        if subs is not None:
-            interp.extra_cost += subs[0]
-            handlers = subs[1]
-            if handlers:
-                event = FlowEvent(interp.global_step, tid, uid,
-                                  FlowKind.RET, target=fname,
-                                  target_pc=interp._current_pc(thread))
-                for fn in handlers:
-                    fn(interp, event)
+        if interp._flow_subs is not None:
+            interp._fire_flow(interp.global_step, tid, uid, FlowKind.RET,
+                              fname, interp._current_pc(thread))
     return run
 
 
@@ -596,15 +563,9 @@ def _compile_call(prog, ins, global_bases, string_bases):
 
         def run(interp, tid, thread, frame):
             args = [get(frame) for get in arg_getters]
-            subs = interp._flow_subs
-            if subs is not None:
-                interp.extra_cost += subs[0]
-                handlers = subs[1]
-                if handlers:
-                    event = FlowEvent(interp.global_step, tid, uid,
-                                      FlowKind.CALL, target=callee)
-                    for fn in handlers:
-                        fn(interp, event)
+            if interp._flow_subs is not None:
+                interp._fire_flow(interp.global_step, tid, uid,
+                                  FlowKind.CALL, callee, -1)
             memory = interp.memory
             stack_base = memory._stack_tops.get(tid)
             if stack_base is None:

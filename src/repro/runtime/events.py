@@ -15,13 +15,17 @@ Events carry the *global step number*, a monotonically increasing counter
 across all threads.  That counter is what gives watchpoint trap records their
 total order (the property the paper gets from handling watchpoint traps
 atomically, §4).
+
+Events are immutable named tuples: field access by name, positional order,
+and field-wise equality.  A monitored run builds millions of them, so the
+interpreter tiers construct them with ``tuple.__new__(cls, fields)``, which
+skips the generated keyword-handling ``__new__``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..lang.ir import Instr
@@ -39,8 +43,7 @@ class FlowKind(enum.Enum):
     THREAD_END = "tend"
 
 
-@dataclass(frozen=True)
-class BranchEvent:
+class BranchEvent(NamedTuple):
     """A retired conditional branch (one TNT bit for PT)."""
     step: int
     tid: int
@@ -49,8 +52,7 @@ class BranchEvent:
     target_label: str
 
 
-@dataclass(frozen=True)
-class FlowEvent:
+class FlowEvent(NamedTuple):
     """A retired unconditional transfer (jmp/call/ret/thread edge)."""
     step: int
     tid: int
@@ -60,8 +62,7 @@ class FlowEvent:
     target_pc: int = -1
 
 
-@dataclass(frozen=True)
-class MemEvent:
+class MemEvent(NamedTuple):
     """A retired load/store with its resolved address and value."""
     step: int
     tid: int
@@ -71,8 +72,7 @@ class MemEvent:
     value: int
 
 
-@dataclass(frozen=True)
-class SyncEvent:
+class SyncEvent(NamedTuple):
     """A completed synchronization builtin (lock, join, signal, ...)."""
     step: int
     tid: int

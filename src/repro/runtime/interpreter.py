@@ -9,20 +9,29 @@ and converts memory faults / failed assertions / deadlocks into
 :class:`~repro.runtime.failures.FailureReport` objects — the raw material of
 failure sketching.
 
-Two dispatch modes execute the same semantics:
+Three tiers execute the same semantics (``mode=``):
 
-- The **hot path** (default) steps through pre-decoded closure streams
-  (:mod:`repro.runtime.decoded`) and consults per-event-kind *subscriber
-  lists* computed at run start, so a tracer that does not implement
-  ``on_mem`` is never consulted for memory events and no event object is
-  allocated when an event kind has no subscribers at all.
-- The **strict path** (``strict_dispatch=True``, or process-wide via the
+- The **compiled** tier (default) runs every GIR function as an
+  exec-compiled Python generator (:mod:`repro.runtime.compiled`), plain and
+  instrumented runs alike: the generated code fires hooks and events
+  itself, guarded by locals sampled at run start.  A module the compiler
+  cannot lower (:class:`~repro.runtime.compiled.CompileError`) falls back
+  to the decoded tier.
+- The **decoded** tier steps through pre-decoded closure streams
+  (:mod:`repro.runtime.decoded`); ``profile=True`` runs its loop with
+  per-phase timers.
+- The **strict** tier (``strict_dispatch=True``, or process-wide via the
   ``REPRO_STRICT_DISPATCH`` environment variable) is the original
   fetch/decode/execute interpreter with unconditional tracer fan-out, kept
-  as the executable reference that the A/B equivalence suite pins the hot
-  path against.
+  as the executable reference that the A/B equivalence suite pins the fast
+  tiers against.
 
-Both modes call :meth:`Scheduler.pick` once per retired instruction — a
+The fast tiers consult per-event-kind *subscriber lists* computed at run
+start, so a tracer that does not implement ``on_mem`` is never consulted
+for memory events and no event object is allocated when an event kind has
+no subscribers at all.
+
+Every tier calls :meth:`Scheduler.pick` once per retired instruction — a
 load-bearing invariant: seeded schedulers consume RNG state per pick, so
 skipping picks (e.g. when only one thread is runnable) would change every
 downstream interleaving.
@@ -84,13 +93,44 @@ STRICT_DISPATCH_DEFAULT = \
     os.environ.get("REPRO_STRICT_DISPATCH", "") not in ("", "0")
 
 #: Process-wide default execution tier for runs that pass neither ``mode=``
-#: nor ``strict_dispatch=``: "compiled" (GIR compiled to Python source,
-#: uninstrumented runs only), "decoded" (pre-decoded closure streams), or
-#: "strict" (the reference interpreter).  Overridable via the
-#: ``REPRO_INTERP_MODE`` environment variable and the CLI ``--interp`` flag.
+#: nor ``strict_dispatch=``: "compiled" (GIR compiled to Python source),
+#: "decoded" (pre-decoded closure streams), or "strict" (the reference
+#: interpreter).  Overridable via the ``REPRO_INTERP_MODE`` environment
+#: variable and the CLI ``--interp`` flag.
 INTERP_MODE_DEFAULT = os.environ.get("REPRO_INTERP_MODE", "") or "compiled"
 
 _VALID_MODES = ("compiled", "decoded", "strict")
+
+
+#: Builds an event from its field tuple without the named tuple's
+#: keyword-handling ``__new__`` (see :mod:`repro.runtime.events`).
+_tuple_new = tuple.__new__
+
+
+def _ignore(*fields) -> None:
+    """The fan-out of an event kind nobody pays or listens for."""
+
+
+def _fanout(interp: "Interpreter", subs, event_type) -> Callable:
+    """The fan-out of one event kind for one run.
+
+    ``fire(step, tid, pc, ...)`` takes every field of an ``event_type``
+    positionally; it publishes ``step`` as ``global_step`` (compiled code
+    keeps the step counter in a local), charges the kind's per-event cost,
+    and hands each handler one event, built only when there are handlers.
+    """
+    if subs is None:
+        return _ignore
+    cost, handlers = subs
+
+    def fire(*fields) -> None:
+        interp.global_step = fields[0]
+        interp.extra_cost += cost
+        if handlers:
+            event = _tuple_new(event_type, fields)
+            for handler in handlers:
+                handler(interp, event)
+    return fire
 
 
 class _ProgramExit(Exception):
@@ -172,6 +212,11 @@ class Interpreter:
         # retired instruction dominated profiles otherwise.
         self._sched_dirty = True
         self._runnable_cache: List[int] = []
+        # Compiled-tier run state (CompiledProgram.start/settle): the
+        # packed charges committed by generated code, and the per-run
+        # locals every generated function unpacks.
+        self._charges = 0
+        self._run_locals: Optional[tuple] = None
         # Per-event-kind subscriber lists: None (nobody pays, nobody
         # listens) or (total static cost, [bound handlers]).  Computed
         # here and again at run start (events fired before run() — e.g.
@@ -251,7 +296,8 @@ class Interpreter:
     # ------------------------------------------------------------------ events
 
     def _compute_dispatch(self) -> None:
-        """Build the per-event-kind subscriber lists.
+        """Build the per-event-kind subscriber lists and the branch, flow,
+        memory and sync fan-outs over them (:func:`_fanout`).
 
         A tracer is a subscriber of an event kind when it overrides the
         kind's callback (or declares a ``wants_on_*`` veto — see
@@ -282,58 +328,10 @@ class Interpreter:
         self._mem_subs = build("cost_per_mem", "on_mem")
         self._sync_subs = build(None, "on_sync")
         self._step_subs = build("cost_per_step", "on_step")
-
-    def _fire_branch(self, tid: int, pc: int, taken: bool,
-                     target_label: str) -> None:
-        subs = self._branch_subs
-        if subs is None:
-            return
-        self.extra_cost += subs[0]
-        handlers = subs[1]
-        if handlers:
-            event = BranchEvent(self.global_step, tid, pc, taken,
-                                target_label)
-            for fn in handlers:
-                fn(self, event)
-
-    def _fire_flow(self, tid: int, pc: int, kind: FlowKind,
-                   target: str = "", target_pc: int = -1) -> None:
-        subs = self._flow_subs
-        if subs is None:
-            return
-        self.extra_cost += subs[0]
-        handlers = subs[1]
-        if handlers:
-            event = FlowEvent(self.global_step, tid, pc, kind,
-                              target=target, target_pc=target_pc)
-            for fn in handlers:
-                fn(self, event)
-
-    def _fire_mem(self, tid: int, pc: int, address: int, is_write: bool,
-                  value: int) -> None:
-        subs = self._mem_subs
-        if subs is None:
-            return
-        self.extra_cost += subs[0]
-        handlers = subs[1]
-        if handlers:
-            event = MemEvent(self.global_step, tid, pc, address,
-                             is_write=is_write, value=value)
-            for fn in handlers:
-                fn(self, event)
-
-    def _fire_sync(self, tid: int, pc: int, op: str,
-                   object_address: int = 0, other_tid: int = -1) -> None:
-        subs = self._sync_subs
-        if subs is None:
-            return
-        handlers = subs[1]
-        if handlers:
-            event = SyncEvent(self.global_step, tid, pc, op,
-                              object_address=object_address,
-                              other_tid=other_tid)
-            for fn in handlers:
-                fn(self, event)
+        self._fire_branch = _fanout(self, self._branch_subs, BranchEvent)
+        self._fire_flow = _fanout(self, self._flow_subs, FlowEvent)
+        self._fire_mem = _fanout(self, self._mem_subs, MemEvent)
+        self._fire_sync = _fanout(self, self._sync_subs, SyncEvent)
 
     # ------------------------------------------------------------------ values
 
@@ -391,12 +389,7 @@ class Interpreter:
                 self._loop_strict()
             elif self.profile:
                 self._loop_profiled()
-            elif (self._compiled is not None and not self.tracers
-                    and not self.hooks):
-                # The compiled tier runs only fully uninstrumented
-                # executions; any tracer or hook is a trace point, and the
-                # run falls back to the decoded tier so instrumentation
-                # semantics stay byte-identical (DESIGN.md §3.5).
+            elif self._compiled is not None:
                 self._loop_compiled()
             else:
                 self._loop()
@@ -511,45 +504,55 @@ class Interpreter:
     def _loop_compiled(self) -> None:
         """The compiled tier: each thread runs as an exec-compiled Python
         generator (:mod:`repro.runtime.compiled`) with the scheduler gate,
-        cost accounting, and hang check inlined into the generated source.
+        accounting, hang check, hooks, and event fan-out in the generated
+        source.
 
         The protocol: a generator yields a *tid* when its inlined gate has
         already spent a scheduler pick choosing that thread (the loop
         resumes it directly), or ``None`` when no pick was spent (blocked /
         sleeping: the loop runs a full runnable/pick cycle).  Every resume
         therefore corresponds to exactly one spent pick, preserving the
-        one-pick-per-retired-instruction contract.
+        one-pick-per-retired-instruction contract.  A resume sends the
+        scheduler state the generator mirrors in locals.
         """
         threads = self.threads
         program = self._compiled
+        program.start(self)
         gens: Dict[int, object] = {}
         pending: Optional[int] = None
-        while True:
-            if pending is None:
-                runnable = self._runnable_tids()
-                if not runnable:
-                    statuses = {t.status for t in threads.values()}
-                    if statuses <= {ThreadStatus.FINISHED}:
-                        return  # clean exit: all threads done
-                    if ThreadStatus.SLEEPING in statuses:
-                        self._advance_past_sleep()
-                        continue
-                    self._report_deadlock()
-                tid = self.scheduler.pick(runnable, self._current_tid,
-                                          self.global_step)
-                if tid not in runnable:  # defensive: scheduler bug
-                    tid = runnable[0]
-            else:
-                tid, pending = pending, None
-            self._current_tid = tid
-            gen = gens.get(tid)
-            if gen is None:
-                gens[tid] = gen = program.thread_gen(self, tid)
-            try:
-                pending = gen.send(None)
-            except StopIteration:
-                gens.pop(tid, None)
-                pending = None
+        try:
+            while True:
+                if pending is None:
+                    runnable = self._runnable_tids()
+                    if not runnable:
+                        statuses = {t.status for t in threads.values()}
+                        if statuses <= {ThreadStatus.FINISHED}:
+                            return  # clean exit: all threads done
+                        if ThreadStatus.SLEEPING in statuses:
+                            self._advance_past_sleep()
+                            continue
+                        self._report_deadlock()
+                    tid = self.scheduler.pick(runnable, self._current_tid,
+                                              self.global_step)
+                    if tid not in runnable:  # defensive: scheduler bug
+                        tid = runnable[0]
+                else:
+                    tid, pending = pending, None
+                self._current_tid = tid
+                gen = gens.get(tid)
+                try:
+                    if gen is None:
+                        gens[tid] = gen = program.thread_gen(self, tid)
+                        pending = gen.send(None)
+                    else:
+                        pending = gen.send((self.global_step,
+                                            self._sched_dirty,
+                                            self._runnable_cache))
+                except StopIteration:
+                    gens.pop(tid, None)
+                    pending = None
+        finally:
+            program.settle(self)
 
     def _loop_profiled(self) -> None:
         """The hot path with per-phase wall-clock accounting (opt-in via
@@ -736,12 +739,14 @@ class Interpreter:
             addr = self.eval_operand(tid, ins.operands[0])
             value = self.memory.read(addr)
             self._set(tid, ins.dst, value)
-            self._fire_mem(tid, ins.uid, addr, is_write=False, value=value)
+            self._fire_mem(self.global_step, tid, ins.uid, addr, False,
+                           value)
         elif op == Opcode.STORE:
             addr = self.eval_operand(tid, ins.operands[0])
             value = self.eval_operand(tid, ins.operands[1])
             self.memory.write(addr, value)
-            self._fire_mem(tid, ins.uid, addr, is_write=True, value=value)
+            self._fire_mem(self.global_step, tid, ins.uid, addr, True,
+                           value)
         elif op == Opcode.ALLOCA:
             self._set(tid, ins.dst, self.memory.stack_alloc(tid, ins.size))
         elif op == Opcode.GEP:
@@ -754,8 +759,8 @@ class Interpreter:
                 self._fail(FailureKind.ASSERTION, tid, ins.uid,
                            ins.text or "assertion failed")
         elif op == Opcode.JMP:
-            self._fire_flow(tid, ins.uid, FlowKind.JUMP,
-                            target=ins.labels[0])
+            self._fire_flow(self.global_step, tid, ins.uid, FlowKind.JUMP,
+                            ins.labels[0], -1)
             frame.block = ins.labels[0]
             frame.index = 0
             frame.code = None
@@ -764,7 +769,8 @@ class Interpreter:
             cond = self.eval_operand(tid, ins.operands[0])
             taken = cond != 0
             target = ins.labels[0] if taken else ins.labels[1]
-            self._fire_branch(tid, ins.uid, taken, target)
+            self._fire_branch(self.global_step, tid, ins.uid, taken,
+                              target)
             frame.block = target
             frame.index = 0
             frame.code = None
@@ -845,16 +851,16 @@ class Interpreter:
         if not thread.frames:
             # Thread exit: an Intel-PT-style tracer sees a return with no
             # resolvable target (target_pc = -1).
-            self._fire_flow(tid, ins.uid, FlowKind.RET,
-                            target=frame.function, target_pc=-1)
+            self._fire_flow(self.global_step, tid, ins.uid, FlowKind.RET,
+                            frame.function, -1)
             self._finish_thread(thread, value)
             return
         caller = thread.top
         if frame.return_dst is not None:
             caller.set(frame.return_dst.name, value)
         caller.index += 1
-        self._fire_flow(tid, ins.uid, FlowKind.RET, target=frame.function,
-                        target_pc=self._current_pc(thread))
+        self._fire_flow(self.global_step, tid, ins.uid, FlowKind.RET,
+                        frame.function, self._current_pc(thread))
 
     def _finish_thread(self, thread: Thread, value: int) -> None:
         self._sched_dirty = True
@@ -876,7 +882,8 @@ class Interpreter:
             func = self.module.functions[callee]
             args = [self.eval_operand(tid, a) for a in ins.operands]
             regs = dict(zip(func.params, args))
-            self._fire_flow(tid, ins.uid, FlowKind.CALL, target=callee)
+            self._fire_flow(self.global_step, tid, ins.uid, FlowKind.CALL,
+                            callee, -1)
             thread.frames.append(Frame(
                 function=callee, block=func.entry, index=0, regs=regs,
                 return_dst=ins.dst, stack_base=self._stack_top(tid),
@@ -972,7 +979,7 @@ class Interpreter:
             addr = arg(0)
             self.memory.read(addr)  # faults on NULL / UAF
             cond = self.conds.get(addr)
-            self._fire_sync(tid, ins.uid, name, addr)
+            self._fire_sync(self.global_step, tid, ins.uid, name, addr, -1)
             wake_all = name == "cond_broadcast"
             while cond.waiters:
                 waiter = cond.waiters.pop(0)
@@ -1005,7 +1012,8 @@ class Interpreter:
         if not mutex.locked:
             mutex.owner_tid = tid
             mutex.lock_count += 1
-            self._fire_sync(tid, ins.uid, "mutex_lock", addr)
+            self._fire_sync(self.global_step, tid, ins.uid, "mutex_lock",
+                            addr, -1)
             thread.top.index += 1
             return True
         # Contended (including self-deadlock): block; the call re-executes
@@ -1021,7 +1029,8 @@ class Interpreter:
         addr = self.eval_operand(tid, ins.operands[0])
         self.memory.read(addr)  # the Pbzip2 bug: unlock through NULL/freed
         mutex = self.mutexes.get(addr)
-        self._fire_sync(tid, ins.uid, "mutex_unlock", addr)
+        self._fire_sync(self.global_step, tid, ins.uid, "mutex_unlock", addr,
+                        -1)
         if mutex.owner_tid != tid:
             # Unlocking a mutex you don't hold is UB in pthreads; we make it
             # a no-op so corpus bugs fail from their memory effects instead.
@@ -1056,7 +1065,8 @@ class Interpreter:
                 mutex.owner_tid = tid
                 mutex.lock_count += 1
                 thread.cond_state = ""
-                self._fire_sync(tid, ins.uid, "cond_wait", cond_addr)
+                self._fire_sync(self.global_step, tid, ins.uid, "cond_wait",
+                                cond_addr, -1)
                 thread.top.index += 1
                 return True
             if tid not in mutex.waiters:
@@ -1101,15 +1111,17 @@ class Interpreter:
         self.threads[new_tid] = child
         self._sched_dirty = True
         self._set(tid, ins.dst, new_tid)
-        self._fire_sync(tid, ins.uid, "thread_create", other_tid=new_tid)
-        self._fire_flow(new_tid, ins.uid, FlowKind.THREAD_START,
-                        target=routine.name)
+        self._fire_sync(self.global_step, tid, ins.uid, "thread_create", 0,
+                        new_tid)
+        self._fire_flow(self.global_step, new_tid, ins.uid,
+                        FlowKind.THREAD_START, routine.name, -1)
 
     def _do_thread_join(self, tid: int, thread: Thread, ins: Instr) -> bool:
         target = self.eval_operand(tid, ins.operands[0])
         other = self.threads.get(target)
         if other is None or other.status is ThreadStatus.FINISHED:
-            self._fire_sync(tid, ins.uid, "thread_join", other_tid=target)
+            self._fire_sync(self.global_step, tid, ins.uid, "thread_join", 0,
+                            target)
             thread.top.index += 1
             return True
         self._sched_dirty = True
