@@ -2,6 +2,7 @@
 
 from .ptrace import PtraceError, PtraceSession, TraceeState
 from .watchpoints import (
+    MAX_WATCH_LENGTH,
     NUM_DEBUG_REGISTERS,
     TrapRecord,
     Watchpoint,
@@ -11,6 +12,7 @@ from .watchpoints import (
 )
 
 __all__ = [
+    "MAX_WATCH_LENGTH",
     "NUM_DEBUG_REGISTERS",
     "PtraceError",
     "PtraceSession",

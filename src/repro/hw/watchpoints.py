@@ -17,12 +17,16 @@ this, §4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..runtime.costmodel import WATCHPOINT_TRAP_COST
 from ..runtime.events import MemEvent, Tracer
 
 NUM_DEBUG_REGISTERS = 4
+
+#: The most consecutive slots one register covers: x86 debug registers
+#: watch 1, 2, 4 or 8 bytes.
+MAX_WATCH_LENGTH = 8
 
 
 class WatchpointExhausted(Exception):
@@ -66,11 +70,22 @@ class TrapRecord:
 
 @dataclass
 class WatchpointUnit(Tracer):
-    """Four debug registers plus the trap log they produce."""
+    """Four debug registers plus the trap log they produce.
+
+    ``gate_on_mem`` is the set of every address an armed register covers:
+    the memory-event gate (:func:`repro.runtime.events.gate`), so the
+    interpreter hands the unit only accesses that may trap, as hardware
+    does.  Arming and clearing keep it current in place.
+    """
 
     registers: Dict[int, Watchpoint] = field(default_factory=dict)
     trap_log: List[TrapRecord] = field(default_factory=list)
     traps_taken: int = 0
+    gate_on_mem: Set[int] = field(default_factory=set, init=False,
+                                  repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._cover()
 
     # -- arming ------------------------------------------------------------
 
@@ -79,21 +94,30 @@ class WatchpointUnit(Tracer):
                 if s not in self.registers]
 
     def watching(self, address: int) -> bool:
-        return any(wp.address <= address < wp.address + wp.length
-                   for wp in self.registers.values())
+        return address in self.gate_on_mem
+
+    def _cover(self) -> None:
+        """Recompute the covered addresses in place (registers may
+        overlap, so clearing one cannot just remove its range)."""
+        covered = self.gate_on_mem
+        covered.clear()
+        for wp in self.registers.values():
+            covered.update(range(wp.address, wp.address + wp.length))
 
     def set_watchpoint(self, address: int, length: int = 1,
                        condition: str = "rw") -> int:
         if condition not in ("w", "rw"):
             raise WatchpointError(f"bad condition {condition!r}")
-        if length < 1:
-            raise WatchpointError("length must be >= 1")
+        if not 1 <= length <= MAX_WATCH_LENGTH:
+            raise WatchpointError(
+                f"length must be 1..{MAX_WATCH_LENGTH}, got {length}")
         free = self.free_slots()
         if not free:
             raise WatchpointExhausted(
                 f"all {NUM_DEBUG_REGISTERS} debug registers in use")
         slot = free[0]
         self.registers[slot] = Watchpoint(slot, address, length, condition)
+        self.gate_on_mem.update(range(address, address + length))
         return slot
 
     def watch_if_new(self, address: int, length: int = 1,
@@ -105,19 +129,19 @@ class WatchpointUnit(Tracer):
         return self.set_watchpoint(address, length, condition)
 
     def clear(self, slot: int) -> None:
-        self.registers.pop(slot, None)
+        if self.registers.pop(slot, None) is not None:
+            self._cover()
 
     def clear_all(self) -> None:
         self.registers.clear()
+        self.gate_on_mem.clear()
 
     # -- trapping (Tracer callback) --------------------------------------------
 
     def on_mem(self, interp, event: MemEvent) -> None:
-        if not self.registers:
-            # Cheap out-of-line bail: the unit usually rides along unarmed
-            # until a mid-run hook arms a register, so it must stay
-            # *subscribed* to mem events (subscriptions are fixed at run
-            # start) but should not scan an empty register file per access.
+        if event.address not in self.gate_on_mem:
+            # Off the gate: a fan-out that honours it never gets here, but
+            # a shared or strict-tier one hands over every access.
             return
         for wp in self.registers.values():
             if wp.matches(event.address, event.is_write):

@@ -51,8 +51,7 @@ class PTDriver:
     # -- configuration (MSR analogue) -----------------------------------------
 
     def configure(self, config: PTConfig) -> None:
-        if any(self.encoder.is_enabled(tid)
-               for tid in self.encoder.buffers):
+        if self.encoder.tracing:
             raise PTDriverError("cannot reconfigure while tracing is on")
         self.encoder.config = config
 

@@ -22,7 +22,7 @@ comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..runtime.costmodel import PT_BYTE_COST
 from ..runtime.events import BranchEvent, FlowEvent, FlowKind, MemEvent, Tracer
@@ -124,6 +124,12 @@ class PTEncoder(Tracer):
     enabled/disabled per core by the driver's ioctl).  When
     ``trace_on_start`` is set, every thread begins traced from its first
     instruction — that is the "full tracing" configuration of Fig. 13.
+
+    The set of threads whose tracing is on is the encoder's branch and flow
+    gate (:func:`repro.runtime.events.gate`): PT writes nothing for a core
+    whose tracing is off, so the interpreter builds no branch or flow event
+    for such a thread.  There is no memory gate, because PTWRITE interest
+    is per thread, not per address.
     """
 
     def __init__(self, config: Optional[PTConfig] = None,
@@ -131,7 +137,8 @@ class PTEncoder(Tracer):
         self.config = config or PTConfig()
         self.trace_on_start = trace_on_start
         self.buffers: Dict[int, PTBuffer] = {}
-        self._enabled: Dict[int, bool] = {}
+        #: The threads whose tracing is on; mutated in place (it is a gate).
+        self.tracing: Set[int] = set()
 
     # -- driver-facing control ------------------------------------------------
 
@@ -141,16 +148,16 @@ class PTEncoder(Tracer):
         return self.buffers[tid]
 
     def is_enabled(self, tid: int) -> bool:
-        return self._enabled.get(tid, False)
+        return tid in self.tracing
 
     def enable(self, tid: int, at_uid: int) -> None:
-        if not self._enabled.get(tid, False):
-            self._enabled[tid] = True
+        if tid not in self.tracing:
+            self.tracing.add(tid)
             self.buffer_for(tid).pge(at_uid)
 
     def disable(self, tid: int, at_uid: int = -1) -> None:
-        if self._enabled.get(tid, False):
-            self._enabled[tid] = False
+        if tid in self.tracing:
+            self.tracing.discard(tid)
             self.buffer_for(tid).pgd(at_uid)
 
     # -- filtering ---------------------------------------------------------------
@@ -175,8 +182,16 @@ class PTEncoder(Tracer):
         # ``trace_on_start``, which is fixed for the encoder's lifetime.
         return self.trace_on_start
 
+    @property
+    def gate_on_branch(self) -> Set[int]:
+        return self.tracing
+
+    gate_on_flow = gate_on_branch
+
     def on_step(self, interp, tid: int, ins) -> None:
-        if self.trace_on_start and tid not in self._enabled:
+        # A thread has a buffer from its first window on, so this opens
+        # each thread's window once, at its first step.
+        if self.trace_on_start and tid not in self.buffers:
             self.enable(tid, ins.uid)
 
     def on_branch(self, interp, event: BranchEvent) -> None:
@@ -196,9 +211,7 @@ class PTEncoder(Tracer):
                 tsc=event.step)
 
     def on_finish(self, interp) -> None:
-        for tid in list(self._enabled):
-            if not self._enabled.get(tid):
-                continue
+        for tid in sorted(self.tracing):
             # Close the window at the thread's current pc (for a failing
             # run, the faulting instruction) so the decoder knows exactly
             # where execution stopped -- mirroring how a real decoder uses

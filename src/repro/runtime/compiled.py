@@ -57,7 +57,7 @@ Instrumentation
 ---------------
 
 One compiled program serves plain and instrumented runs alike.  The
-subscriber lists and hooks are sampled at run start into locals
+subscriber lists, gates and hooks are sampled at run start into locals
 (:meth:`CompiledProgram.start`):
 
 - ``_pre`` is ``None`` without step subscribers and hooks — plain runs pay
@@ -65,7 +65,16 @@ subscriber lists and hooks are sampled at run start into locals
   instruction needs the step fan-out and hooks (:func:`_before`);
 - ``_fb`` / ``_ff`` / ``_fm`` are the run's branch / flow / memory fan-outs
   (``Interpreter._fire_*``), or ``None`` when nobody pays or listens for
-  that kind.
+  that kind;
+- ``_gb`` / ``_gf`` / ``_gm`` are the kinds' gates: the live set of
+  traced thread ids (branch, flow) or watched addresses (memory) that the
+  kind's lone handler declared (:func:`repro.runtime.events.gate`), else
+  :data:`_UNGATED`, a range holding every key.  An event site runs
+  ``if _fm and addr in _gm:``, so a plain run still pays one truth test,
+  and an instrumented run builds no event its handler would ignore.  The
+  gate object is sampled once; its tracer mutates it in place, so a hook
+  that arms a watchpoint or opens a PT window changes what every later
+  event site sees, the hooked instruction's own included.
 
 Hooks fire before their instruction, after the step count and the step
 fan-out, once per retired instruction (each retry of a blocking builtin
@@ -240,7 +249,14 @@ def _enter(thread, tid, memory, callee):
 
 #: The per-run locals every generated function unpacks from
 #: ``interp._run_locals`` (built by :meth:`CompiledProgram.start`).
-_RUN_LOCALS = "_pick, _max_steps, _memory, _slots, _pre, _fb, _ff, _fm"
+_RUN_LOCALS = ("_pick, _max_steps, _memory, _slots, _pre, _fb, _ff, _fm, "
+               "_gb, _gf, _gm")
+
+#: The gate local of an ungated event kind: every key.  Thread ids and the
+#: address of every retired load or store (a mapped slot) are non-negative
+#: and far below 2**64, so the inline gate test is one membership check
+#: done in C whether or not the kind is gated.
+_UNGATED = range(1 << 64)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +636,7 @@ class _FunctionCompiler:
         self.emit_memfault_handler(idx, ins.uid)
         # The event goes out before the destination write: ``{a}`` may name
         # the destination register (``%p = load %p`` walking a list).
-        e.line("if _fm:")
+        e.line(f"if _fm and {a} in _gm:")
         e.line(f"    _fm(_step, tid, {ins.uid}, {a}, False, _v)")
         if ins.dst is not None:
             e.line(f"{self.reg(ins.dst.name)} = _v")
@@ -656,7 +672,7 @@ class _FunctionCompiler:
                 e.line(f"_memory.write({addr}, {v})")
         e.indent -= 1
         self.emit_memfault_handler(idx, ins.uid)
-        e.line("if _fm:")
+        e.line(f"if _fm and {a} in _gm:")
         e.line(f"    _fm(_step, tid, {ins.uid}, {a}, True, {v})")
         self.finish_straight(bb, idx, ins)
 
@@ -695,7 +711,7 @@ class _FunctionCompiler:
         if label not in self.block_ids:
             self.emit_raise(idx, lambda label=label: KeyError(label))
             return
-        self.e.line("if _ff:")
+        self.e.line("if _ff and tid in _gf:")
         self.e.line(f"    _ff(_step, tid, {ins.uid}, _JUMP, {label!r}, -1)")
         self._emit_arm(label)
 
@@ -714,7 +730,7 @@ class _FunctionCompiler:
 
         def arm(taken: bool) -> None:
             label = then_label if taken else else_label
-            e.line("if _fb:")
+            e.line("if _fb and tid in _gb:")
             e.line(f"    _fb(_step, tid, {ins.uid}, {taken}, {label!r})")
             self._emit_arm(label)
 
@@ -747,7 +763,7 @@ class _FunctionCompiler:
         # Thread exit: a PT-style tracer sees a return with no resolvable
         # target; then _finish_thread raises _ProgramExit for tid 0, else
         # marks the thread FINISHED.
-        e.line("if _ff:")
+        e.line("if _ff and tid in _gf:")
         e.line(f"    _ff(_step, tid, {ins.uid}, _RET, {self.fname!r}, -1)")
         e.line("interp._finish_thread(thread, _v)")
         self.emit_hang(site, -1)
@@ -757,7 +773,7 @@ class _FunctionCompiler:
         # index keeps _current_pc exact (the RET event's target, hang and
         # deadlock reports, PT window ends).
         e.line("_frames[-1].index += 1")
-        e.line("if _ff:")
+        e.line("if _ff and tid in _gf:")
         e.line(f"    _ff(_step, tid, {ins.uid}, _RET, {self.fname!r}, "
                f"interp._current_pc(thread))")
         self.emit_hang(site, "interp._current_pc(thread)")
@@ -780,7 +796,7 @@ class _FunctionCompiler:
         # (its RET advances the index).
         site = self.site(idx)
         e.line(f"_acc = _commit(interp, frame, _step, _acc, {site})")
-        e.line("if _ff:")
+        e.line("if _ff and tid in _gf:")
         e.line(f"    _ff(_step, tid, {ins.uid}, _CALL, {callee!r}, -1)")
         entry = self.mc.const("E", (callee, func.entry, ins.dst, ins.uid,
                                     ins.line))
@@ -938,8 +954,9 @@ class CompiledProgram:
         """Sample the run's instrumentation into the locals every generated
         function unpacks (:data:`_RUN_LOCALS`), and zero the packed charges.
 
-        Subscriber lists and hooks are fixed for a run, so this happens
-        once per run, like ``Interpreter._compute_dispatch``."""
+        Subscriber lists, gate objects and hooks are fixed for a run, so
+        this happens once per run, like ``Interpreter._compute_dispatch``;
+        a gate's contents stay live (its tracer mutates it in place)."""
         if interp._step_subs is not None:
             pre = self.uids
         else:
@@ -953,6 +970,8 @@ class CompiledProgram:
             interp._fire_branch if interp._branch_subs is not None else None,
             interp._fire_flow if interp._flow_subs is not None else None,
             interp._fire_mem if interp._mem_subs is not None else None,
+            *[_UNGATED if gate is None else gate for gate in (
+                interp._branch_gate, interp._flow_gate, interp._mem_gate)],
         )
 
     @staticmethod

@@ -16,6 +16,17 @@ across all threads.  That counter is what gives watchpoint trap records their
 total order (the property the paper gets from handling watchpoint traps
 atomically, §4).
 
+A tracer tells the interpreter what it needs, so that nothing is built for
+events it would ignore.  Per event kind it may declare:
+
+- ``wants_on_*``: a subscription veto, sampled at run start (see
+  :func:`subscribes`);
+- ``gate_on_mem`` / ``gate_on_branch`` / ``gate_on_flow``: a live *gate*,
+  the set of keys outside which its callback for that kind does nothing.
+  The key is the address for memory events and the thread id for branch
+  and flow events; the interpreter tests it before building an event (see
+  :func:`gate`).
+
 Events are immutable named tuples: field access by name, positional order,
 and field-wise equality.  A monitored run builds millions of them, so the
 interpreter tiers construct them with ``tuple.__new__(cls, fields)``, which
@@ -90,6 +101,12 @@ class Tracer:
     interpreter accumulates them into :attr:`RunOutcome.extra_cost`.  A pure
     observer used for measurement (not deployed to production) leaves them
     at zero.
+
+    Two optional attributes per event kind narrow what the interpreter
+    hands a tracer: ``wants_on_*`` vetoes a subscription for the whole run
+    (:func:`subscribes`), and ``gate_on_mem`` / ``gate_on_branch`` /
+    ``gate_on_flow`` name a live set of keys (addresses, or thread ids)
+    outside which the callback is a no-op (:func:`gate`).
     """
 
     cost_per_step: int = 0
@@ -137,9 +154,9 @@ def subscribes(tracer: Tracer, name: str) -> bool:
     off its class (e.g. it inherits an override it only sometimes needs)
     can declare a ``wants_on_mem``-style attribute/property, which takes
     precedence.  The answer is sampled once per run, at run start: a tracer
-    must not change its subscriptions mid-run (state that *toggles* mid-run,
-    like an initially-empty watchpoint register file, belongs behind an
-    early return inside the callback instead).
+    must not change its subscriptions mid-run.  Interest that *toggles*
+    mid-run, like an initially-empty watchpoint register file, belongs in a
+    gate (:func:`gate`), which the interpreter tests per event.
     """
     override = getattr(tracer, "wants_" + name, None)
     if override is not None:
@@ -147,3 +164,25 @@ def subscribes(tracer: Tracer, name: str) -> bool:
     if name in tracer.__dict__:  # instance-level handler assignment
         return True
     return getattr(type(tracer), name) is not getattr(Tracer, name)
+
+
+#: Event kinds a tracer may gate, and the event field each gate is keyed
+#: on: the address of a memory event, the thread of a branch or flow event.
+GATE_KEYS = {"on_mem": "address", "on_branch": "tid", "on_flow": "tid"}
+
+
+def gate(tracer: Tracer, name: str):
+    """The live gate ``tracer`` declares for ``name`` events, or None.
+
+    A gate (attribute ``gate_on_mem``, ``gate_on_branch`` or
+    ``gate_on_flow``) is a container of keys — see :data:`GATE_KEYS` —
+    outside which the tracer's callback for that kind does nothing, so the
+    interpreter may drop such an event before building it.  It is read like
+    the ``wants_on_*`` vetoes, once at run start, and tested per event: the
+    tracer mutates it in place as its interest changes (a watchpoint armed,
+    a PT window opened) and never rebinds it during a run.  A change made
+    by a hook is seen by every later event, the hooked instruction's own
+    included.  The interpreter honours a gate only when the tracer is the
+    kind's single handler and nobody pays a static cost for the kind.
+    """
+    return getattr(tracer, "gate_" + name, None)

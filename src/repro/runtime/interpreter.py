@@ -29,7 +29,9 @@ Three tiers execute the same semantics (``mode=``):
 The fast tiers consult per-event-kind *subscriber lists* computed at run
 start, so a tracer that does not implement ``on_mem`` is never consulted
 for memory events and no event object is allocated when an event kind has
-no subscribers at all.
+no subscribers at all.  A kind whose lone handler declares a gate (a live
+set of watched addresses or traced threads) builds events only for keys
+inside it.
 
 Every tier calls :meth:`Scheduler.pick` once per retired instruction — a
 load-bearing invariant: seeded schedulers consume RNG state per pick, so
@@ -59,12 +61,14 @@ from .compiled import CompileError, compiled_program
 from .costmodel import CostModel
 from .decoded import decoded_program
 from .events import (
+    GATE_KEYS,
     BranchEvent,
     FlowEvent,
     FlowKind,
     MemEvent,
     SyncEvent,
     Tracer,
+    gate,
     subscribes,
 )
 from .failures import (
@@ -111,17 +115,30 @@ def _ignore(*fields) -> None:
     """The fan-out of an event kind nobody pays or listens for."""
 
 
-def _fanout(interp: "Interpreter", subs, event_type) -> Callable:
+def _fanout(interp: "Interpreter", subs, event_type, live=None,
+            key: str = "") -> Callable:
     """The fan-out of one event kind for one run.
 
     ``fire(step, tid, pc, ...)`` takes every field of an ``event_type``
     positionally; it publishes ``step`` as ``global_step`` (compiled code
     keeps the step counter in a local), charges the kind's per-event cost,
     and hands each handler one event, built only when there are handlers.
+    A gated kind (one handler, no cost: see
+    :func:`repro.runtime.events.gate`) drops an event whose field ``key``
+    is outside its ``live`` gate before building it.
     """
     if subs is None:
         return _ignore
     cost, handlers = subs
+    if live is not None:
+        handler, = handlers
+        at = event_type._fields.index(key)
+
+        def fire_gated(*fields) -> None:
+            if fields[at] in live:
+                interp.global_step = fields[0]
+                handler(interp, _tuple_new(event_type, fields))
+        return fire_gated
 
     def fire(*fields) -> None:
         interp.global_step = fields[0]
@@ -307,30 +324,43 @@ class Interpreter:
         price does not depend on whether our simulation inspects the
         event.  Strict mode subscribes every tracer to everything,
         reproducing the reference fan-out bit for bit.
+
+        A kind is *gated* (``_branch_gate`` / ``_flow_gate`` /
+        ``_mem_gate``, else None) when its single handler declares a gate
+        (:func:`repro.runtime.events.gate`) and nobody pays a static cost
+        for it; several handlers, a cost or the strict tier leave it
+        ungated.
         """
         tracers = self.tracers
         strict = self.strict_dispatch
 
         def build(cost_attr, name):
             total = 0
-            handlers = []
+            subscribers = []
             for tracer in tracers:
                 if cost_attr is not None:
                     total += getattr(tracer, cost_attr)
                 if strict or subscribes(tracer, name):
-                    handlers.append(getattr(tracer, name))
-            if total == 0 and not handlers:
-                return None
-            return (total, handlers)
+                    subscribers.append(tracer)
+            if total == 0 and not subscribers:
+                return None, None
+            live = None
+            if not strict and total == 0 and len(subscribers) == 1:
+                live = gate(subscribers[0], name)
+            return (total, [getattr(t, name) for t in subscribers]), live
 
-        self._branch_subs = build("cost_per_branch", "on_branch")
-        self._flow_subs = build("cost_per_flow", "on_flow")
-        self._mem_subs = build("cost_per_mem", "on_mem")
-        self._sync_subs = build(None, "on_sync")
-        self._step_subs = build("cost_per_step", "on_step")
-        self._fire_branch = _fanout(self, self._branch_subs, BranchEvent)
-        self._fire_flow = _fanout(self, self._flow_subs, FlowEvent)
-        self._fire_mem = _fanout(self, self._mem_subs, MemEvent)
+        self._branch_subs, self._branch_gate = \
+            build("cost_per_branch", "on_branch")
+        self._flow_subs, self._flow_gate = build("cost_per_flow", "on_flow")
+        self._mem_subs, self._mem_gate = build("cost_per_mem", "on_mem")
+        self._sync_subs, _ = build(None, "on_sync")
+        self._step_subs, _ = build("cost_per_step", "on_step")
+        self._fire_branch = _fanout(self, self._branch_subs, BranchEvent,
+                                    self._branch_gate, GATE_KEYS["on_branch"])
+        self._fire_flow = _fanout(self, self._flow_subs, FlowEvent,
+                                  self._flow_gate, GATE_KEYS["on_flow"])
+        self._fire_mem = _fanout(self, self._mem_subs, MemEvent,
+                                 self._mem_gate, GATE_KEYS["on_mem"])
         self._fire_sync = _fanout(self, self._sync_subs, SyncEvent)
 
     # ------------------------------------------------------------------ values

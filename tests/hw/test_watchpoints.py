@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw import (
+    MAX_WATCH_LENGTH,
     NUM_DEBUG_REGISTERS,
     PtraceError,
     PtraceSession,
@@ -48,6 +49,27 @@ class TestRegisterBudget:
         unit = WatchpointUnit()
         with pytest.raises(WatchpointError):
             unit.set_watchpoint(0x1000, condition="x")
+
+    def test_length_bounded_by_hardware(self):
+        unit = WatchpointUnit()
+        for length in (0, MAX_WATCH_LENGTH + 1, 1 << 20):
+            with pytest.raises(WatchpointError):
+                unit.set_watchpoint(0x1000, length=length)
+        assert not unit.registers and not unit.gate_on_mem
+        unit.set_watchpoint(0x1000, length=MAX_WATCH_LENGTH)
+        assert unit.gate_on_mem == set(range(0x1000, 0x1008))
+
+    def test_covered_addresses_track_arming(self):
+        unit = WatchpointUnit()
+        a = unit.set_watchpoint(0x1000, length=4)
+        unit.set_watchpoint(0x1002, length=4)  # overlaps the first
+        gate = unit.gate_on_mem
+        unit.clear(a)
+        assert unit.gate_on_mem is gate
+        assert gate == set(range(0x1002, 0x1006))
+        assert unit.watching(0x1002) and not unit.watching(0x1001)
+        unit.clear_all()
+        assert unit.gate_on_mem is gate and not gate
 
 
 class TestTrapping:

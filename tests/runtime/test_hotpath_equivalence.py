@@ -13,6 +13,11 @@ fires hooks and events itself.  Instrumented runs carry full-trace PT, a
 watchpoint unit and an event log, or real AsT patches (PT windows toggled
 mid-run, watchpoints armed by hooks) plus each bug's detectors;
 uninstrumented runs pin the plain generators.
+
+Both fan-outs are pinned: an event log or several handlers leave every
+kind ungated, while a watchpoint unit or PT encoder alone gates its kinds
+(memory events on watched addresses, branch and flow events on traced
+threads), and the strict tier never gates.
 """
 
 import pytest
@@ -26,13 +31,21 @@ from repro.detect import RaceDetector, apply_detectors, make_detectors
 from repro.hw.watchpoints import WatchpointUnit
 from repro.instrument import InstrumentationPlanner, Patch, apply_patch
 from repro.lang.girparser import parse_gir
+from repro.lang.ir import GlobalRef, Opcode
 from repro.pt.encoder import PTConfig, PTEncoder, SoftwarePTEncoder
 from repro.runtime import compiled as compiled_mod
 from repro.runtime import decoded as decoded_mod
 from repro.runtime import interpreter as interp_mod
 from repro.runtime.compiled import CompileError, compiled_program
 from repro.runtime.decoded import decoded_program
-from repro.runtime.events import MemEvent, Tracer, subscribes
+from repro.runtime.events import (
+    BranchEvent,
+    FlowEvent,
+    MemEvent,
+    Tracer,
+    gate,
+    subscribes,
+)
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.memory import GLOBAL_BASE
 
@@ -426,6 +439,113 @@ def test_unobserved_events_allocate_nothing(monkeypatch):
         assert outcome.extra_cost > 0  # the costs were still charged
 
 
+def _pbzip2_run(mode, tracers, hooks=None):
+    spec = get_bug("pbzip2-1")
+    workload = spec.workload_factory(0)
+    interp = Interpreter(spec.module(), args=list(workload.args),
+                         scheduler=workload.make_scheduler(),
+                         tracers=tracers, hooks=hooks,
+                         max_steps=workload.max_steps, mode=mode)
+    assert interp.mode == mode
+    return interp.run()
+
+
+def test_gated_runs_build_only_watched_events(monkeypatch):
+    """A watchpoint unit armed on one global and a PT encoder whose windows
+    never open: the fast tiers build one memory event per access to that
+    global (counted from an ungated event log) and no branch or flow
+    event at all."""
+    fifo = GLOBAL_BASE  # @fifo, pbzip2's work-queue pointer
+    log = EventLog()
+    _pbzip2_run("compiled", [log])
+    accesses = sum(1 for event in log.events
+                   if isinstance(event, MemEvent) and event.address == fifo)
+    assert accesses > 0
+
+    built = {BranchEvent: 0, FlowEvent: 0, MemEvent: 0}
+    new = tuple.__new__
+
+    def spy(cls, fields):
+        built[cls] += 1
+        return new(cls, fields)
+    monkeypatch.setattr(interp_mod, "_tuple_new", spy)
+    for mode in ("compiled", "decoded"):
+        built.update(dict.fromkeys(built, 0))
+        wpu = WatchpointUnit()
+        wpu.set_watchpoint(fifo)
+        pt = PTEncoder()
+        _pbzip2_run(mode, [pt, wpu])
+        assert built == {BranchEvent: 0, FlowEvent: 0, MemEvent: accesses}, \
+            mode
+        assert wpu.traps_taken == accesses
+        assert pt.total_bytes() == 0
+
+
+def _churned_run(mode):
+    """pbzip2-1 under hooks that arm, clear and re-arm watchpoints and open
+    and close a PT window mid-run."""
+    module = get_bug("pbzip2-1").module()
+    fifo, total_out = GLOBAL_BASE, GLOBAL_BASE + 1
+    accesses = [ins for ins in module.instructions()
+                if ins.opcode in (Opcode.LOAD, Opcode.STORE)]
+    first_load = next(ins for ins in accesses
+                      if ins.operands[0] == GlobalRef("fifo"))
+    wpu, pt = WatchpointUnit(), PTEncoder()
+    fresh = []
+
+    def arm_at_first_load(interp, tid, ins):
+        if not wpu.registers and not wpu.trap_log:
+            wpu.set_watchpoint(fifo)
+            pt.enable(tid, ins.uid)
+
+    def arm_fresh(interp, tid, ins):
+        # Late in the run, watch the next access to an address that no
+        # register has covered before (a gate rebound by ``clear`` or
+        # ``clear_all`` would miss it), from the access's own hook.
+        if fresh or interp.global_step < 30_000:
+            return
+        address = interp.eval_operand(tid, ins.operands[0])
+        if address not in (fifo, total_out):
+            fresh.append(address)
+            wpu.set_watchpoint(address, length=3)
+            pt.enable(tid, ins.uid)
+
+    script = [
+        (10_000, lambda tid, ins: wpu.set_watchpoint(total_out)),
+        (20_000, lambda tid, ins: wpu.clear(0)),
+        (20_000, lambda tid, ins: pt.disable(tid, ins.uid)),
+        (25_000, lambda tid, ins: wpu.clear_all()),
+    ]
+
+    def churn(interp, tid, ins):
+        while script and interp.global_step >= script[0][0]:
+            script.pop(0)[1](tid, ins)
+
+    hooks = {ins.uid: [(churn, 0)] for ins in module.instructions()}
+    for ins in accesses:
+        hooks[ins.uid].append((arm_fresh, 0))
+    hooks[first_load.uid].insert(0, (arm_at_first_load, 0))
+    outcome = _pbzip2_run(mode, [pt, wpu], hooks)
+    return (_outcome_key(outcome), list(wpu.trap_log), wpu.traps_taken,
+            {tid: pt.raw_trace(tid) for tid in sorted(pt.buffers)},
+            first_load.uid, fresh)
+
+
+def test_gates_follow_mid_run_arming_and_clearing():
+    """Gates are live: hooks that arm a watchpoint, ``clear`` or
+    ``clear_all`` it and arm a fresh address, and open and close PT
+    windows, change what every later event sees — the hooked instruction's
+    own access included — identically on all three tiers."""
+    want = _churned_run("strict")
+    outcome, traps, _, pt_bytes, first_load, fresh = want
+    assert traps[0].pc == first_load  # the arming hook's own load traps
+    fifo, total_out = GLOBAL_BASE, GLOBAL_BASE + 1
+    assert {fifo, total_out, fresh[0]} <= {trap.address for trap in traps}
+    assert pt_bytes
+    for mode in ("compiled", "decoded"):
+        assert _churned_run(mode) == want, mode
+
+
 def test_subscription_detection():
     assert not subscribes(CostOnly(), "on_mem")
     assert subscribes(EventLog(), "on_mem")
@@ -443,3 +563,32 @@ def test_subscription_detection():
     assert not subscribes(plain, "on_branch")
     plain.on_branch = lambda interp, event: None  # instance-level handler
     assert subscribes(plain, "on_branch")
+
+    # Gates: the watched addresses, the traced threads, or none.
+    wpu = WatchpointUnit()
+    assert gate(wpu, "on_mem") is wpu.gate_on_mem
+    wpu.set_watchpoint(0x1000, length=3)
+    assert gate(wpu, "on_mem") == {0x1000, 0x1001, 0x1002}
+    pt = PTEncoder()
+    assert gate(pt, "on_branch") is pt.tracing
+    assert gate(pt, "on_flow") is pt.tracing
+    # PTWRITE interest is per thread, not per address: no memory gate.
+    assert gate(PTEncoder(PTConfig(ptwrite=True)), "on_mem") is None
+    for name in ("on_mem", "on_branch", "on_flow", "on_sync", "on_step"):
+        assert gate(EventLog(), name) is None
+    assert gate(pt, "on_step") is None
+
+    # The run-level rule: a lone, cost-free handler's gate, never strict.
+    module = get_bug("pbzip2-1").module()
+
+    def gates(*tracers, mode="compiled"):
+        interp = Interpreter(module, tracers=tracers, mode=mode)
+        return interp._mem_gate, interp._branch_gate, interp._flow_gate
+
+    for mode in ("compiled", "decoded"):
+        mem, branch, flow = gates(wpu, pt, mode=mode)
+        assert mem is wpu.gate_on_mem and branch is flow is pt.tracing
+    assert gates(wpu, pt, mode="strict") == (None, None, None)
+    assert gates(wpu, EventLog()) == (None, None, None)  # two handlers
+    assert gates(wpu, CostOnly()) == (None, None, None)  # a cost is owed
+    assert gates(pt, PTEncoder())[1:] == (None, None)
