@@ -2,9 +2,11 @@
 
 Two claims the tentpole must hold, measured over the whole corpus:
 
-1. **A/B equivalence** — with no fault plan, the wire transport's
-   campaigns are byte-identical to the pre-transport direct hand-off
-   (same statistics, same rendered sketch) for every corpus bug.
+1. **Golden equivalence** — with no fault plan, the wire transport's
+   campaigns match the recorded pre-wire reference
+   (``tests/golden/campaigns.json``: the statistics and rendered-sketch
+   digest of the pre-transport direct hand-off) for every corpus bug,
+   run at the fixture's recorded settings.
 2. **Chaos convergence** — under the standard lossy plan (5% drop + 2%
    bit-corrupt on every message class + 1 client crash per iteration),
    every bug still reaches a root-cause sketch within ≤ 2× the fault-free
@@ -15,7 +17,9 @@ counts (fault-free vs faulted) and message accounting (sent, dropped,
 corrupted, quarantined, crash losses).
 """
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,8 @@ from _shared import bench_bug_ids, emit, shared_context
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT = REPO_ROOT / "BENCH_fleet_chaos.json"
+GOLDEN = json.loads(
+    (REPO_ROOT / "tests" / "golden" / "campaigns.json").read_text())
 
 #: The benchmark's standard lossy fleet (see FaultPlan.standard_lossy).
 #: Campaigns reuse the same early (epoch, run-id) keys, so the seed picks
@@ -37,36 +43,47 @@ OUT = REPO_ROOT / "BENCH_fleet_chaos.json"
 LOSSY = FaultPlan.standard_lossy(seed=3)
 
 
-def _campaign(spec, transport, fault_plan=None):
+def _campaign(spec, fault_plan=None, endpoints=4, max_iterations=10):
     deployment = CooperativeDeployment(
-        spec.module(), spec.workload_factory, endpoints=4, bug=spec.bug_id,
-        context=shared_context(spec.bug_id), transport=transport,
-        fault_plan=fault_plan)
+        spec.module(), spec.workload_factory, endpoints=endpoints,
+        bug=spec.bug_id, context=shared_context(spec.bug_id),
+        fault_plan=fault_plan, detectors=spec.detectors)
     return deployment.run_campaign(stop_when=spec.sketch_has_root,
-                                   max_iterations=10)
+                                   max_iterations=max_iterations)
 
 
-_AB_FIELDS = ("found", "iterations", "failure_recurrences", "total_runs",
-              "monitored_runs", "bootstrap_runs", "avg_overhead_percent",
-              "max_overhead_percent")
+def _matches_golden(bug_id: str, stats) -> bool:
+    """Does a fault-free campaign reproduce the bug's recorded row?"""
+    expected = GOLDEN["bugs"][bug_id]
+    for name, value in expected.items():
+        if name == "sketch_sha256":
+            actual = (hashlib.sha256(
+                render_sketch(stats.sketch).encode()).hexdigest()
+                if stats.sketch is not None else None)
+        else:
+            actual = getattr(stats, name)
+        if name == "avg_overhead_percent":
+            # A mean of float overheads: sum() compensates rounding from
+            # Python 3.12 on, which moves the last bit for some bugs.
+            if not math.isclose(actual, value, rel_tol=1e-12):
+                return False
+        elif actual != value:
+            return False
+    return True
 
 
 def _measure_bug(bug_id: str) -> dict:
     spec = get_bug(bug_id)
 
-    direct = _campaign(spec, "direct")
-    wired = _campaign(spec, "wire")
-    ab_equal = all(getattr(direct, f) == getattr(wired, f)
-                   for f in _AB_FIELDS)
-    sketch_equal = (direct.sketch is not None and wired.sketch is not None
-                    and render_sketch(direct.sketch)
-                    == render_sketch(wired.sketch))
+    settings = GOLDEN["settings"]
+    wired = _campaign(spec, endpoints=settings["endpoints"],
+                      max_iterations=settings["max_iterations"])
 
-    chaos = _campaign(spec, "wire", fault_plan=LOSSY)
+    chaos = _campaign(spec, fault_plan=LOSSY)
     fleet = chaos.fleet or {}
     transport = fleet.get("transport", {})
     return {
-        "ab_identical": bool(ab_equal and sketch_equal),
+        "ab_identical": _matches_golden(bug_id, wired),
         "iterations_fault_free": wired.iterations,
         "iterations_faulted": chaos.iterations,
         "found_fault_free": wired.found,
@@ -108,7 +125,7 @@ def _render(data: dict) -> str:
     lines = ["Fleet transport under chaos "
              f"({data['fault_plan']})",
              "=" * 78,
-             f"{'Bug':<18} {'A/B':>4} {'iters ff/ch':>12} "
+             f"{'Bug':<18} {'ref':>4} {'iters ff/ch':>12} "
              f"{'msgs':>6} {'drop':>5} {'corr':>5} {'quar':>5} "
              f"{'crash':>6}"]
     for bug_id, row in data["bugs"].items():
@@ -122,7 +139,7 @@ def _render(data: dict) -> str:
     t = data["totals"]
     lines.append("-" * 78)
     lines.append(
-        f"A/B identical: {t['ab_identical_bugs']}/{len(data['bugs'])}   "
+        f"match reference: {t['ab_identical_bugs']}/{len(data['bugs'])}   "
         f"converged under chaos: "
         f"{t['converged_under_chaos']}/{len(data['bugs'])}   "
         f"dropped {t['messages_dropped']} + corrupted "
@@ -138,7 +155,7 @@ def test_bench_fleet_chaos(benchmark):
     print(f"wrote {OUT}")
 
     n = len(data["bugs"])
-    # Claim 1: fault-free wire is byte-identical to the direct hand-off.
+    # Claim 1: fault-free wire matches the recorded pre-wire reference.
     assert data["totals"]["ab_identical_bugs"] == n, data["bugs"]
     # Claim 2: every bug converges under the standard lossy plan, within
     # twice the fault-free iteration budget, and the faults really fired.

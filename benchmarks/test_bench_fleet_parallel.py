@@ -77,9 +77,11 @@ def _identity_row(bug_id: str) -> dict:
 def _throughput(executor: str, workers: int) -> dict:
     """Steady-state monitored-run throughput of one engine configuration.
 
-    Times only the fleet-execution phase — bootstrap, patch cutting, and
-    pool/worker-cache warm-up happen before the clock starts — which is
-    the part of a campaign an engine can actually parallelize.
+    Times only the fleet-execution phase — bootstrap, patch cutting and
+    delivery, and pool/worker-cache warm-up happen before the clock
+    starts — which is the part of a campaign an engine can actually
+    parallelize: endpoints executing monitored runs and encoding their
+    wire envelopes.
     """
     spec = get_bug(THROUGHPUT_BUG)
     engine = make_executor(executor, workers)
@@ -87,21 +89,22 @@ def _throughput(executor: str, workers: int) -> dict:
         with CooperativeDeployment(
                 spec.module(), spec.workload_factory, endpoints=8,
                 bug=spec.bug_id, context=shared_context(spec.bug_id),
-                fleet_workers=workers, engine=engine,
-                transport="direct") as deployment:
+                fleet_workers=workers, engine=engine) as deployment:
             report, _ = deployment.wait_for_failure(max_runs=400)
             assert report is not None
             campaign = deployment.server.handle_failure_report(
                 spec.bug_id, report, 4)
             campaign.begin_iteration()
             patches = campaign.make_patches(len(deployment.clients))
-            deployment._execute_batch(workers, patches=patches)  # warm up
+            for endpoint in deployment._fleet():
+                endpoint.begin_epoch(campaign.epoch, deployment._next_run)
+            deployment._deliver_patches(campaign, patches, campaign.epoch)
+            deployment._execute_batch_wire(workers)  # warm up
             executed = 0
             started = perf_counter()
             while executed < THROUGHPUT_RUNS:
                 size = min(workers, THROUGHPUT_RUNS - executed)
-                executed += len(deployment._execute_batch(size,
-                                                          patches=patches))
+                executed += len(deployment._execute_batch_wire(size))
             wall = perf_counter() - started
     finally:
         engine.close()

@@ -149,18 +149,18 @@ def _warm_diagnosis(spec):
     """
     context = AnalysisContext(spec.module())
     _campaign(spec, context)  # warm: analysis artifacts + decode + imports
-    saved = interp_mod.STRICT_DISPATCH_DEFAULT
+    saved = interp_mod.INTERP_MODE_DEFAULT
     try:
         timings = {}
         outcomes = {}
-        for label, strict in (("fast", False), ("strict", True)):
-            interp_mod.STRICT_DISPATCH_DEFAULT = strict
+        for label, mode in (("fast", saved), ("strict", "strict")):
+            interp_mod.INTERP_MODE_DEFAULT = mode
             t0 = time.perf_counter()
             stats = _campaign(spec, context)
             timings[label] = time.perf_counter() - t0
             outcomes[label] = (stats.found, stats.total_runs)
     finally:
-        interp_mod.STRICT_DISPATCH_DEFAULT = saved
+        interp_mod.INTERP_MODE_DEFAULT = saved
     # The campaigns are deterministic, so the two modes must agree on the
     # diagnosis itself — speed is the only difference being measured.
     assert outcomes["fast"] == outcomes["strict"], spec.bug_id

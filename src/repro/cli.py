@@ -81,8 +81,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                  if args.seed is not None else None)
     interp = Interpreter(module, args=_parse_args_values(args.args),
                          scheduler=scheduler, max_steps=args.max_steps,
-                         strict_dispatch=(True if args.strict_dispatch
-                                          else None),
                          mode=args.interp,
                          profile=args.profile_run)
     outcome = interp.run()
@@ -175,11 +173,6 @@ def cmd_slice(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_jobs(args: argparse.Namespace) -> int:
-    """Effective worker count: ``--jobs`` overrides ``--fleet-workers``."""
-    return args.jobs if args.jobs is not None else args.fleet_workers
-
-
 def _detectors(args: argparse.Namespace, spec=None) -> tuple:
     """Detector names for a run: ``--detectors`` wins; corpus bugs fall
     back to the detectors their spec declares."""
@@ -201,7 +194,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 detectors=_detectors(args),
                 ranker=args.ranker,
                 stats=args.stats,
-                fleet_workers=_fleet_jobs(args),
+                fleet_workers=args.fleet_workers,
                 executor=args.executor,
                 analysis_cache_dir=args.cache_dir,
                 transport=args.fleet_transport,
@@ -272,7 +265,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         with CooperativeDeployment(
                 module, spec.workload_factory,
                 endpoints=args.endpoints, bug=spec.bug_id,
-                context=context, fleet_workers=_fleet_jobs(args),
+                context=context, fleet_workers=args.fleet_workers,
                 executor=args.executor,
                 transport=args.fleet_transport,
                 fault_plan=args.fault_plan,
@@ -327,7 +320,7 @@ def _cmd_corpus_campaign(args: argparse.Namespace) -> int:
                          cohort_size=args.cohort_size,
                          cohort_share=args.cohort_share,
                          scheduler=args.scheduler, quantum=args.quantum,
-                         fleet_workers=_fleet_jobs(args),
+                         fleet_workers=args.fleet_workers,
                          executor=args.executor,
                          fault_plan=args.fault_plan,
                          transport=args.fleet_transport,
@@ -454,9 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-run", action="store_true",
                    help="print a per-phase breakdown of interpreter time "
                         "(schedule/fetch/trace/dispatch) to stderr")
-    p.add_argument("--strict-dispatch", action="store_true",
-                   help="use the reference (pre-overhaul) execution path "
-                        "instead of the pre-decoded hot path")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("trace", help="run under full Intel-PT tracing")
@@ -504,28 +494,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "'threads' (default), or 'processes' (warm "
                             "worker pool — true parallelism; results are "
                             "byte-identical across engines)")
-        p.add_argument("--jobs", type=positive_int, default=None,
-                       metavar="N",
-                       help="worker count for the chosen engine "
-                            "(overrides --fleet-workers)")
         p.add_argument("--cache-dir", default=None,
                        help="directory for the on-disk analysis-artifact "
                             "cache (repeat invocations skip cold analysis)")
         p.add_argument("--fleet-transport",
-                       choices=("wire", "socket", "direct"),
+                       choices=("wire", "socket"),
                        default="wire",
                        help="'wire' (encoded-bytes fleet transport, "
-                            "default), 'socket' (the same bytes over a "
+                            "default) or 'socket' (the same bytes over a "
                             "real Unix socket with batching and "
-                            "backpressure), or 'direct' (in-process "
-                            "hand-off)")
+                            "backpressure)")
         p.add_argument("--fault-plan", type=fault_plan, default=None,
                        metavar="SPEC",
                        help="inject transport/client/server faults: "
                             "'lossy', 'lossy:SEED', or 'drop=0.05,"
                             "corrupt=0.02,crashes=1,server_crash_every=40,"
-                            "ack_delay=0.1,seed=7' (wire-like transports "
-                            "only; server_crash_every needs --journal-dir)")
+                            "ack_delay=0.1,seed=7' (server_crash_every "
+                            "needs --journal-dir)")
         p.add_argument("--journal-dir", default=None, metavar="DIR",
                        help="write-ahead campaign journal directory: every "
                             "campaign transition is journaled before apply "

@@ -7,6 +7,14 @@ campaign; instrumentation patches go out; monitored runs come back;
 Adaptive Slice Tracking iterates until the sketch satisfies the stop
 criterion or the slice is exhausted.
 
+Every byte of client↔server traffic — failure reports, patches, acks,
+monitored runs — crosses the fleet transport (:mod:`repro.fleet`) as
+encoded wire envelopes, in process (``"wire"``) or over a real socket
+(``"socket"``), optionally through a seeded fault plan.  One loop drives
+every campaign: :class:`CampaignDriver`, the resumable AsT state machine.
+:meth:`CooperativeDeployment.run_campaign` steps it with an unbounded
+budget; the control plane steps many of them in scheduler-sized slices.
+
 Client workloads are embarrassingly parallel — each run gets its own
 interpreter, PT driver, and watchpoint unit, and all static analysis lives
 in an immutable shared :class:`~repro.analysis.context.AnalysisContext` —
@@ -32,9 +40,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, \
 
 from ..analysis.context import AnalysisContext
 from ..lang.ir import Module
-from ..runtime.failures import FailureReport, RunOutcome
+from ..runtime.failures import FailureReport
 from .adaptive import DEFAULT_SIGMA
-from .client import ClientRunResult, GistClient
+from .client import GistClient
 from .server import DiagnosisCampaign, GistServer, IterationResult
 from .sketch import FailureSketch
 from .workload import Workload, WorkloadFactory
@@ -49,14 +57,8 @@ if TYPE_CHECKING:
 #: routes everything — failure reports, patches, monitored runs, acks —
 #: through :mod:`repro.fleet` as encoded bytes; ``"socket"`` routes the
 #: same bytes over a real Unix-domain/TCP socket pair with frame batching
-#: and credit backpressure (:mod:`repro.fleet.socket_transport`);
-#: ``"direct"`` is the original in-process object hand-off, kept as the
-#: A/B reference.
-TRANSPORTS = ("wire", "socket", "direct")
-
-#: The transports that speak encoded bytes end to end — everything the
-#: fault layer, cohorts, campaign routing, and journaling require.
-WIRE_LIKE_TRANSPORTS = ("wire", "socket")
+#: and credit backpressure (:mod:`repro.fleet.socket_transport`).
+TRANSPORTS = ("wire", "socket")
 
 #: Decide whether a sketch is good enough to stop AsT.  The evaluation
 #: passes the ideal-sketch oracle; interactive use passes a developer
@@ -81,8 +83,8 @@ class CampaignStats:
     offline_seconds: float = 0.0
     sketch: Optional[FailureSketch] = None
     iteration_results: List[IterationResult] = field(default_factory=list)
-    #: Fleet/transport accounting (wire transport only): message counts,
-    #: drops, quarantines, stale discards, crash/churn losses.
+    #: Fleet/transport accounting, filled when the campaign ends: message
+    #: counts, drops, quarantines, stale discards, crash/churn losses.
     fleet: Optional[Dict] = None
     #: Bounded-memory accounting (see :mod:`repro.core.streaming`):
     #: runs' worth of per-run state held at campaign end (O(runs) exact,
@@ -129,16 +131,6 @@ class CooperativeDeployment:
             raise ValueError(f"executor must be one of {EXECUTOR_KINDS}")
         if transport not in TRANSPORTS:
             raise ValueError(f"transport must be one of {TRANSPORTS}")
-        wire_like = transport in WIRE_LIKE_TRANSPORTS
-        if fault_plan is not None and not wire_like:
-            raise ValueError("fault injection requires a wire transport")
-        if cohort_model is not None and not wire_like:
-            raise ValueError("cohort clients require a wire transport")
-        if campaign_key is not None and not wire_like:
-            raise ValueError("campaign routing requires a wire transport")
-        if journal_dir is not None and not wire_like:
-            raise ValueError("the campaign journal requires a wire "
-                             "transport (envelopes are what it records)")
         if fault_plan is not None and \
                 fault_plan.servers.crash_every_ingests > 0 and \
                 journal_dir is None:
@@ -181,7 +173,6 @@ class CooperativeDeployment:
         self._engine: Optional["FleetExecutor"] = engine
         self._owns_engine = engine is None
         self._module_wire_cache: Optional[Tuple[str, bytes]] = None
-        self.transport_mode = transport
         self.fault_plan = fault_plan
         #: Campaign routing key.  ``None`` (solo deployments) keeps every
         #: envelope untagged — byte-identical to the pre-campaign wire
@@ -191,12 +182,12 @@ class CooperativeDeployment:
         #: Cohort model (see :mod:`repro.control.cohort`): when set, each
         #: endpoint stands in for a sampled multiple of real clients.
         self.cohort_model = cohort_model
-        self.fleet_transport: Optional["FleetTransport"] = None
+        self.fleet_transport: "FleetTransport"
         if transport == "wire":
             from ..fleet.transport import FleetTransport
 
             self.fleet_transport = FleetTransport(endpoints, fault_plan)
-        elif transport == "socket":
+        else:
             from ..fleet.socket_transport import SocketFleetTransport
 
             socket_kwargs = {}
@@ -221,11 +212,9 @@ class CooperativeDeployment:
         #: next pump round instead of the one they arrived in.
         self._held_acks: List = []
         self._next_run = 0
-
-    @property
-    def wire_like(self) -> bool:
-        """True for transports that move encoded bytes (wire, socket)."""
-        return self.transport_mode in WIRE_LIKE_TRANSPORTS
+        #: Set once the bootstrap epoch (epoch 0) has opened; later
+        #: bootstrap calls resume it.
+        self._bootstrap_open = False
 
     # -- plumbing ------------------------------------------------------------
 
@@ -268,9 +257,8 @@ class CooperativeDeployment:
         if self._engine is not None and self._owns_engine:
             self._engine.close()
             self._engine = None
-        transport = self.fleet_transport
-        if transport is not None and hasattr(transport, "hub"):
-            transport.close()
+        if hasattr(self.fleet_transport, "hub"):
+            self.fleet_transport.close()
         if self.server.journal is not None:
             self.server.journal.close()
 
@@ -289,70 +277,7 @@ class CooperativeDeployment:
             self._module_wire_cache = module_payload(self.module)
         return self._module_wire_cache
 
-    def _execute_batch(
-        self, size: int, patches: Optional[Sequence] = None,
-    ) -> List[Tuple[Tuple[GistClient, Workload, int], object]]:
-        """Draw and execute up to ``size`` runs through the engine;
-        results come back in run-id order."""
-        drawn = [self._draw() for _ in range(size)]
-        engine = self._ensure_engine()
-        if engine.remote:
-            return list(zip(drawn, self._run_remote_direct(drawn, patches)))
-
-        def one(item: Tuple[GistClient, Workload, int]):
-            client, workload, run_id = item
-            patch = None
-            if patches:
-                patch = patches[client.endpoint_id % len(patches)]
-            return client.run(workload, patch=patch, run_id=run_id)
-
-        return list(zip(drawn, engine.map(one, drawn)))
-
-    def _run_remote_direct(self, drawn, patches) -> List[ClientRunResult]:
-        """Direct-transport batch on a remote engine.
-
-        Jobs carry the patch each client would have applied (after its
-        :meth:`~repro.core.client.GistClient.prepare_patch` transform,
-        which must happen before the job leaves this process); results
-        come back as wire envelopes and are decoded into the same
-        :class:`ClientRunResult` shape the in-process path returns.
-        """
-        from ..fleet import wire
-        from ..fleet.executors import RunJob
-
-        digest, blob = self._module_wire()
-        jobs = []
-        for client, workload, run_id in drawn:
-            patch = None
-            if patches:
-                patch = patches[client.endpoint_id % len(patches)]
-            patch = client.prepare_patch(patch)
-            jobs.append(RunJob(
-                run_id=run_id, endpoint_id=client.endpoint_id,
-                workload=workload, module_digest=digest, module_blob=blob,
-                patch_blob=(wire.encode_patch(patch)
-                            if patch is not None else None),
-                ptwrite=client.ptwrite,
-                extended=client.extended_predicates,
-                interp_mode=client.interp_mode,
-                detectors=client.detectors))
-        results: List[ClientRunResult] = []
-        for job_result in self._ensure_engine().run_jobs(jobs):
-            self._remote_bytes_saved += job_result.bytes_saved
-            failure = None
-            if job_result.failure_blob is not None:
-                failure = wire.decode_message(job_result.failure_blob).payload
-            monitored = None
-            if job_result.monitored_blob is not None:
-                monitored = wire.decode_message(
-                    job_result.monitored_blob).payload
-            results.append(ClientRunResult(
-                outcome=RunOutcome(failed=job_result.failed,
-                                   failure=failure),
-                monitored=monitored))
-        return results
-
-    # -- wire transport plumbing ----------------------------------------------
+    # -- fleet transport plumbing ---------------------------------------------
 
     def _fleet(self) -> List["FleetEndpoint"]:
         """The wire-speaking endpoint wrappers (built lazily so callers may
@@ -371,7 +296,7 @@ class CooperativeDeployment:
         return self._endpoints
 
     def _execute_batch_wire(self, size: int):
-        """Wire-mode batch: endpoints execute and *encode*; nothing touches
+        """One batch: endpoints execute and *encode*; nothing touches
         the transport here — the aggregation thread transmits in run-id
         order, which keeps seeded fault schedules deterministic for any
         ``fleet_workers`` value."""
@@ -389,7 +314,7 @@ class CooperativeDeployment:
         return list(zip(drawn, engine.map(one, drawn)))
 
     def _run_remote_wire(self, fleet: List["FleetEndpoint"], drawn):
-        """Wire-mode batch on a remote engine.
+        """One batch on a remote engine.
 
         Fault verdicts, patch staleness, and straggle flags are pure
         endpoint-side state, so each run's :class:`RunPlan` is resolved
@@ -653,42 +578,30 @@ class CooperativeDeployment:
 
     def wait_for_failure(self, max_runs: int = 10_000
                          ) -> Tuple[Optional[FailureReport], int]:
-        """Run the fleet uninstrumented until some run fails.
+        """Run the fleet uninstrumented until a failure report lands.
 
-        Returns the first failure in run-id order; with ``fleet_workers >
-        1`` later runs of the failing batch may already have executed, but
-        they are discarded and re-drawn, keeping the consumed run stream
-        identical to sequential execution.
+        Executes at most ``max_runs`` runs and returns ``(report,
+        runs consumed)``; ``report`` is None when none landed.  The report
+        arrives as an encoded ``failure_report`` message, so a faulty fleet
+        may take extra runs to bootstrap.  With ``fleet_workers > 1`` later
+        runs of the failing batch may already have executed, but they are
+        discarded and re-drawn, keeping the consumed run stream identical
+        to sequential execution.
 
-        Over the wire transport the failure arrives as an encoded
-        ``failure_report`` message (so a faulty fleet may take extra runs
-        to bootstrap); the direct transport hands the report over
-        in-process, exactly as before.
+        The first call opens the bootstrap epoch (epoch 0); later calls
+        resume it, which is how :class:`CampaignDriver` bootstraps in
+        budgeted slices.
         """
-        if self.wire_like:
-            return self._wait_for_failure_wire(max_runs)
-        consumed = 0
-        while consumed < max_runs:
-            size = min(self.fleet_workers, max_runs - consumed)
-            for (client, workload, run_id), result \
-                    in self._execute_batch(size):
-                consumed += 1
-                if result.outcome.failed:
-                    self._rewind(run_id + 1)
-                    return result.outcome.failure, consumed
-        return None, max_runs
-
-    def _wait_for_failure_wire(self, max_runs: int
-                               ) -> Tuple[Optional[FailureReport], int]:
         from ..fleet.endpoint import RUN_CHURNED, RUN_CRASHED
 
-        fleet = self._fleet()
-        for endpoint in fleet:
-            endpoint.begin_epoch(0, self._next_run)
+        if not self._bootstrap_open:
+            for endpoint in self._fleet():
+                endpoint.begin_epoch(0, self._next_run)
+            self._bootstrap_open = True
         consumed = 0
         while consumed < max_runs:
             size = min(self.fleet_workers, max_runs - consumed)
-            for (client, workload, run_id), (kind, messages) \
+            for (_client, _workload, run_id), (kind, messages) \
                     in self._execute_batch_wire(size):
                 consumed += 1
                 if kind == RUN_CHURNED:
@@ -708,7 +621,7 @@ class CooperativeDeployment:
                 _, _, _, report = self._pump_uplink(None, None)
                 if report is not None:
                     return report, consumed
-        return None, max_runs
+        return None, consumed
 
     # -- the AsT campaign ---------------------------------------------------------
 
@@ -722,113 +635,10 @@ class CooperativeDeployment:
         max_runs_per_iteration: int = 400,
         max_bootstrap_runs: int = 10_000,
     ) -> CampaignStats:
-        """Full pipeline: bootstrap failure → AsT iterations → sketch."""
-        stats = CampaignStats(bug=self.bug)
-        t0 = time.perf_counter()
-        runner = (self._run_campaign_wire if self.wire_like
-                  else self._run_campaign)
-        try:
-            return runner(
-                stats, initial_sigma, stop_when, max_iterations,
-                min_failing_per_iteration, min_successful_per_iteration,
-                max_runs_per_iteration, max_bootstrap_runs)
-        finally:
-            stats.wall_seconds = time.perf_counter() - t0
-            self.close()
+        """Full pipeline: bootstrap failure → AsT iterations → sketch.
 
-    def _run_campaign(
-        self,
-        stats: CampaignStats,
-        initial_sigma: int,
-        stop_when: Optional[StopPredicate],
-        max_iterations: int,
-        min_failing_per_iteration: int,
-        min_successful_per_iteration: int,
-        max_runs_per_iteration: int,
-        max_bootstrap_runs: int,
-    ) -> CampaignStats:
-        report, bootstrap_runs = self.wait_for_failure(max_bootstrap_runs)
-        stats.bootstrap_runs = bootstrap_runs
-        stats.total_runs += bootstrap_runs
-        if report is None:
-            return stats
-
-        campaign = self.server.handle_failure_report(
-            self.bug, report, initial_sigma)
-
-        overheads: List[float] = []
-        for _ in range(max_iterations):
-            campaign.begin_iteration()
-            patches = campaign.make_patches(len(self.clients))
-            failing = 0
-            successful = 0
-            attempts = 0
-            satisfied = False
-            # Monitored runs execute in concurrent batches; aggregation
-            # below stays on this (server) thread, in run-id order.
-            while attempts < max_runs_per_iteration and not satisfied:
-                size = min(self.fleet_workers,
-                           max_runs_per_iteration - attempts)
-                for (client, workload, run_id), result \
-                        in self._execute_batch(size, patches=patches):
-                    attempts += 1
-                    stats.total_runs += 1
-                    stats.monitored_runs += 1
-                    assert result.monitored is not None
-                    overheads.append(result.monitored.overhead)
-                    if campaign.ingest(result.monitored):
-                        failing += 1
-                    elif not result.outcome.failed:
-                        successful += 1
-                    if failing >= min_failing_per_iteration and \
-                            successful >= min_successful_per_iteration:
-                        self._rewind(run_id + 1)
-                        satisfied = True
-                        break
-            iteration = campaign.finish_iteration()
-            stats.iteration_results.append(iteration)
-            stats.iterations = iteration.iteration
-            sketch = iteration.sketch
-            if sketch is not None:
-                stats.sketch = sketch
-                if stop_when is None or stop_when(sketch):
-                    stats.found = True
-                    break
-            if campaign.exhausted:
-                break
-            campaign.grow()
-
-        stats.failure_recurrences = campaign.total_failure_recurrences
-        stats.tracked_runs = campaign.tracked_runs()
-        stats.peak_tracked_bytes = campaign.peak_tracked_bytes
-        stats.payload_bytes_saved = self.payload_bytes_saved()
-        if overheads:
-            stats.avg_overhead_percent = 100.0 * sum(overheads) / len(overheads)
-            stats.max_overhead_percent = 100.0 * max(overheads)
-        stats.offline_seconds = self.server.offline_analysis_seconds
-        return stats
-
-    def _run_campaign_wire(
-        self,
-        stats: CampaignStats,
-        initial_sigma: int,
-        stop_when: Optional[StopPredicate],
-        max_iterations: int,
-        min_failing_per_iteration: int,
-        min_successful_per_iteration: int,
-        max_runs_per_iteration: int,
-        max_bootstrap_runs: int,
-    ) -> CampaignStats:
-        """The campaign loop over the fleet transport.
-
-        Structurally the same pipeline as :meth:`_run_campaign`, but every
-        report, patch, and monitored run crosses the client↔server boundary
-        as encoded bytes through the (possibly faulty) transport.  The loop
-        itself lives in :class:`CampaignDriver` — stepping it with an
-        unbounded budget consumes exactly the same run stream as the old
-        monolithic loop, so with no fault plan this path still produces
-        byte-identical campaign statistics and sketches — see
-        ``tests/fleet/test_transport_equivalence.py``.
+        Steps a :class:`CampaignDriver` with an unbounded budget until it
+        is done, then closes the deployment.
         """
         driver = CampaignDriver(
             self, initial_sigma=initial_sigma, stop_when=stop_when,
@@ -836,10 +646,14 @@ class CooperativeDeployment:
             min_failing_per_iteration=min_failing_per_iteration,
             min_successful_per_iteration=min_successful_per_iteration,
             max_runs_per_iteration=max_runs_per_iteration,
-            max_bootstrap_runs=max_bootstrap_runs,
-            stats=stats)
-        while not driver.done:
-            driver.step(None)
+            max_bootstrap_runs=max_bootstrap_runs)
+        t0 = time.perf_counter()
+        try:
+            while not driver.done:
+                driver.step(None)
+        finally:
+            driver.stats.wall_seconds = time.perf_counter() - t0
+            self.close()
         return driver.stats
 
 
@@ -850,7 +664,7 @@ PHASE_DONE = "done"
 
 
 class CampaignDriver:
-    """Resumable wire-transport campaign: the AsT loop as a state machine.
+    """Resumable diagnosis campaign: the AsT loop as a state machine.
 
     Owns one diagnosis campaign end to end — bootstrap, patch delivery,
     monitored batches, iteration bookkeeping — but yields control after
@@ -862,7 +676,7 @@ class CampaignDriver:
     aggregated in run-id order and surplus runs are rewound, the stream of
     runs the campaign *consumes* is invariant to how the budget is
     partitioned: stepping with any sequence of budgets consumes the same
-    stream the one-shot loop does, which is what keeps scheduler-sliced
+    stream one unbounded step does, which is what keeps scheduler-sliced
     campaigns byte-identical to solo ones (fault-free plans; under fault
     plans only flush timing can differ, and flushes stay pinned to
     iteration boundaries here).
@@ -875,10 +689,7 @@ class CampaignDriver:
                  min_failing_per_iteration: int = 1,
                  min_successful_per_iteration: int = 3,
                  max_runs_per_iteration: int = 400,
-                 max_bootstrap_runs: int = 10_000,
-                 stats: Optional[CampaignStats] = None) -> None:
-        if not deployment.wire_like:
-            raise ValueError("CampaignDriver requires a wire transport")
+                 max_bootstrap_runs: int = 10_000) -> None:
         self.dep = deployment
         self.initial_sigma = initial_sigma
         self.stop_when = stop_when
@@ -887,13 +698,11 @@ class CampaignDriver:
         self.min_successful = min_successful_per_iteration
         self.max_runs_per_iteration = max_runs_per_iteration
         self.max_bootstrap_runs = max_bootstrap_runs
-        self.stats = stats if stats is not None \
-            else CampaignStats(bug=deployment.bug)
+        self.stats = CampaignStats(bug=deployment.bug)
         self.phase = PHASE_BOOTSTRAP
         self.campaign: Optional[DiagnosisCampaign] = None
         self._overheads: List[float] = []
         # bootstrap state
-        self._bootstrap_begun = False
         self._bootstrap_consumed = 0
         # per-iteration state (valid while ``_iter_open``)
         self._iter_open = False
@@ -948,41 +757,12 @@ class CampaignDriver:
     def _step_bootstrap(self, limit) -> int:
         """Uninstrumented runs until the first failure report lands."""
         dep = self.dep
-        from ..fleet.endpoint import RUN_CHURNED, RUN_CRASHED
-
-        if not self._bootstrap_begun:
-            for endpoint in dep._fleet():
-                endpoint.begin_epoch(0, dep._next_run)
-            self._bootstrap_begun = True
-        consumed = 0
-        while consumed < limit and \
-                self._bootstrap_consumed < self.max_bootstrap_runs:
-            size = min(dep.fleet_workers, limit - consumed,
-                       self.max_bootstrap_runs - self._bootstrap_consumed)
-            for (_client, _workload, run_id), (kind, messages) \
-                    in dep._execute_batch_wire(size):
-                consumed += 1
-                self._bootstrap_consumed += 1
-                if kind == RUN_CHURNED:
-                    dep._runs_lost_to_churn += 1
-                    continue
-                if kind == RUN_CRASHED:
-                    dep._runs_lost_to_crash += 1
-                    continue
-                dep._transmit(0, run_id, messages)
-                _, _, _, report = dep._pump_uplink(None, None)
-                if report is not None:
-                    dep._rewind(run_id + 1)
-                    self._begin_campaign(report)
-                    return consumed
-            # Bootstrap has no iteration deadline: delayed reports simply
-            # arrive with the next batch instead of being lost forever.
-            if dep.fleet_transport.flush():
-                _, _, _, report = dep._pump_uplink(None, None)
-                if report is not None:
-                    self._begin_campaign(report)
-                    return consumed
-        if self._bootstrap_consumed >= self.max_bootstrap_runs:
+        report, consumed = dep.wait_for_failure(
+            min(limit, self.max_bootstrap_runs - self._bootstrap_consumed))
+        self._bootstrap_consumed += consumed
+        if report is not None:
+            self._begin_campaign(report)
+        elif self._bootstrap_consumed >= self.max_bootstrap_runs:
             # The failure never recurred: give up without a campaign.
             self.stats.bootstrap_runs = self._bootstrap_consumed
             self.stats.total_runs += self._bootstrap_consumed

@@ -110,13 +110,12 @@ class Gist:
         #: Pre-built :class:`repro.fleet.FleetExecutor` to reuse across
         #: diagnoses (caller owns its lifecycle); overrides ``executor``.
         self.engine = engine
-        #: ``"wire"`` (encoded-bytes fleet transport, default),
+        #: ``"wire"`` (encoded-bytes fleet transport, default) or
         #: ``"socket"`` (the same bytes over a real Unix/TCP socket with
-        #: batching and backpressure), or ``"direct"`` (the pre-transport
-        #: in-process hand-off).
+        #: batching and backpressure).
         self.transport = transport
         #: Optional :class:`repro.fleet.FaultPlan` injected at the
-        #: transport boundary (wire transport only).
+        #: transport boundary.
         self.fault_plan = fault_plan
         #: Interpreter tier for every endpoint run
         #: ("compiled"/"decoded"/"strict"; None = process default).
@@ -216,8 +215,6 @@ class Gist:
         # Lazy import: repro.control imports repro.core submodules.
         from ..control import CampaignSpec, ControlPlane
 
-        if self.transport not in ("wire", "socket"):
-            raise ValueError("shards/cohorts need a wire transport")
         spec = CampaignSpec(bug=self.bug, module=self.module,
                             workload_factory=workload_factory,
                             stop_when=stop_when, context=self.context,

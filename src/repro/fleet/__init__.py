@@ -25,8 +25,9 @@ supplies that network for the simulated fleet:
   run a diagnosis as genuinely separate OS processes.
 
 With a fault-free plan the transport is an exact, byte-level loopback:
-campaign statistics and sketches are identical to the pre-transport
-in-process path (there is an A/B test and benchmark proving it).
+campaign statistics and sketches match the retired pre-transport
+in-process path, recorded in ``tests/golden/campaigns.json`` (a test and
+a benchmark pin every corpus bug to it).
 """
 
 from .faults import (

@@ -20,8 +20,7 @@ Three tiers execute the same semantics (``mode=``):
 - The **decoded** tier steps through pre-decoded closure streams
   (:mod:`repro.runtime.decoded`); ``profile=True`` runs its loop with
   per-phase timers.
-- The **strict** tier (``strict_dispatch=True``, or process-wide via the
-  ``REPRO_STRICT_DISPATCH`` environment variable) is the original
+- The **strict** tier (``mode="strict"``) is the original
   fetch/decode/execute interpreter with unconditional tracer fan-out, kept
   as the executable reference that the A/B equivalence suite pins the fast
   tiers against.
@@ -88,19 +87,13 @@ Hook = Tuple[Callable[["Interpreter", int, Instr], None], int]
 
 ArgValue = Union[int, str]
 
-#: Process-wide default dispatch mode.  ``True`` routes every run that does
-#: not pass an explicit ``strict_dispatch=`` through the reference
-#: interpreter — the lever the A/B equivalence tests and the
-#: ``REPRO_STRICT_DISPATCH=1`` environment knob use to compare whole
-#: campaigns across modes without threading a flag through every call site.
-STRICT_DISPATCH_DEFAULT = \
-    os.environ.get("REPRO_STRICT_DISPATCH", "") not in ("", "0")
-
-#: Process-wide default execution tier for runs that pass neither ``mode=``
-#: nor ``strict_dispatch=``: "compiled" (GIR compiled to Python source),
-#: "decoded" (pre-decoded closure streams), or "strict" (the reference
-#: interpreter).  Overridable via the ``REPRO_INTERP_MODE`` environment
-#: variable and the CLI ``--interp`` flag.
+#: Process-wide default execution tier for runs that pass no ``mode=``:
+#: "compiled" (GIR compiled to Python source), "decoded" (pre-decoded
+#: closure streams), or "strict" (the reference interpreter).  Overridable
+#: via the ``REPRO_INTERP_MODE`` environment variable and the CLI
+#: ``--interp`` flag — the lever the A/B equivalence tests use to compare
+#: whole campaigns across tiers without threading a flag through every call
+#: site.
 INTERP_MODE_DEFAULT = os.environ.get("REPRO_INTERP_MODE", "") or "compiled"
 
 _VALID_MODES = ("compiled", "decoded", "strict")
@@ -176,9 +169,6 @@ class Interpreter:
         max_steps: global retired-instruction budget; exceeding it reports a
             HANG failure (the paper treats hangs as failures Gist
             understands, §3.3).
-        strict_dispatch: force the reference (pre-decode-free, unconditional
-            fan-out) execution path; ``None`` defers to
-            :data:`STRICT_DISPATCH_DEFAULT`.
         profile: collect a per-phase wall-clock breakdown of the hot loop
             (schedule/fetch/trace/dispatch) into :attr:`profile_data`.
     """
@@ -192,7 +182,6 @@ class Interpreter:
         tracers: Sequence[Tracer] = (),
         hooks: Optional[Dict[int, List[Hook]]] = None,
         max_steps: int = 500_000,
-        strict_dispatch: Optional[bool] = None,
         profile: bool = False,
         mode: Optional[str] = None,
     ) -> None:
@@ -206,8 +195,7 @@ class Interpreter:
         self.tracers: List[Tracer] = list(tracers)
         self.hooks: Dict[int, List[Hook]] = hooks or {}
         self.max_steps = max_steps
-        self.mode = self._resolve_mode(mode, strict_dispatch)
-        self.strict_dispatch = (self.mode == "strict")
+        self.mode = self._resolve_mode(mode)
         self.profile = profile
         #: Filled by a profiled run: {"steps", "wall_s", "phases": {...}}.
         self.profile_data: Optional[Dict[str, object]] = None
@@ -238,7 +226,7 @@ class Interpreter:
         # listens) or (total static cost, [bound handlers]).  Computed
         # here and again at run start (events fired before run() — e.g.
         # from tests poking _do_builtin directly — still dispatch).
-        self._decoded = None if self.strict_dispatch \
+        self._decoded = None if self.mode == "strict" \
             else decoded_program(module)
         self._compiled = None
         if self.mode == "compiled":
@@ -255,26 +243,9 @@ class Interpreter:
         self._spawn_entry(list(args))
 
     @staticmethod
-    def _resolve_mode(mode: Optional[str],
-                      strict_dispatch: Optional[bool]) -> str:
-        """Resolve the execution tier from the explicit ``mode``, the legacy
-        ``strict_dispatch`` flag, and the process-wide defaults.
-
-        Precedence: explicit ``mode`` > explicit ``strict_dispatch`` >
-        :data:`STRICT_DISPATCH_DEFAULT` > :data:`INTERP_MODE_DEFAULT`.  An
-        explicit ``strict_dispatch=False`` means "any non-strict tier": it
-        resolves to the process default unless that default is itself
-        "strict", in which case it falls to "decoded".
-        """
-        if mode is None and strict_dispatch is not None:
-            if strict_dispatch:
-                mode = "strict"
-            else:
-                mode = INTERP_MODE_DEFAULT
-                if mode == "strict":
-                    mode = "decoded"
-        if mode is None:
-            mode = "strict" if STRICT_DISPATCH_DEFAULT else INTERP_MODE_DEFAULT
+    def _resolve_mode(mode: Optional[str]) -> str:
+        """The explicit ``mode``, else :data:`INTERP_MODE_DEFAULT`."""
+        mode = mode or INTERP_MODE_DEFAULT
         if mode not in _VALID_MODES:
             raise ValueError(
                 f"unknown interpreter mode {mode!r}; "
@@ -332,7 +303,7 @@ class Interpreter:
         ungated.
         """
         tracers = self.tracers
-        strict = self.strict_dispatch
+        strict = self.mode == "strict"
 
         def build(cost_attr, name):
             total = 0
@@ -415,7 +386,7 @@ class Interpreter:
         for tracer in self.tracers:
             tracer.on_start(self)
         try:
-            if self.strict_dispatch:
+            if self.mode == "strict":
                 self._loop_strict()
             elif self.profile:
                 self._loop_profiled()
@@ -1168,11 +1139,10 @@ def run_program(
     hooks: Optional[Dict[int, List[Hook]]] = None,
     entry: str = "main",
     max_steps: int = 500_000,
-    strict_dispatch: Optional[bool] = None,
     mode: Optional[str] = None,
 ) -> RunOutcome:
     """One-shot convenience wrapper: build an interpreter and run it."""
     interp = Interpreter(module, entry=entry, args=args, scheduler=scheduler,
                          tracers=tracers, hooks=hooks, max_steps=max_steps,
-                         strict_dispatch=strict_dispatch, mode=mode)
+                         mode=mode)
     return interp.run()

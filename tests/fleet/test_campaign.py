@@ -1,28 +1,48 @@
-"""End-to-end fleet-transport campaigns: A/B equivalence and chaos.
+"""End-to-end fleet-transport campaigns: the golden reference and chaos.
 
-The contract the tentpole stands on: with no fault plan, the wire
-transport produces *byte-identical* campaign results to the pre-transport
-direct hand-off; with the standard lossy plan, diagnosis still converges
-to a root-cause sketch and the server never crashes.
+The contract the tentpole stands on: with no fault plan, every corpus
+bug's wire campaign reproduces ``tests/golden/campaigns.json`` — the
+campaign statistics and rendered-sketch digest recorded from the
+pre-transport direct hand-off, which the wire transport matched on every
+bug under two hash seeds before the direct path was retired; with the
+standard lossy plan, diagnosis still converges to a root-cause sketch and
+the server never crashes.
+
+Running this module as a script prints the fixture from live fault-free
+wire campaigns; redirect it into ``tests/golden/campaigns.json`` to
+re-record after an intended behaviour change::
+
+    PYTHONPATH=src python tests/fleet/test_campaign.py \\
+        > tests/golden/campaigns.json
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.core.cooperative import CooperativeDeployment
+from repro.core.cooperative import TRANSPORTS, CooperativeDeployment
 from repro.core.render import render_sketch
-from repro.corpus import get_bug
+from repro.corpus import all_bug_ids, get_bug
 from repro.fleet import ClientFaults, FaultPlan, MessageFaults
 
 FAST_BUGS = ("transmission-1818", "apache-21285")
 
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "campaigns.json"
+#: The campaign settings the fixture was recorded at: every bug runs with
+#: its declared detectors and stops at its ``sketch_has_root`` oracle.
+GOLDEN_SETTINGS = {"endpoints": 4, "max_iterations": 6,
+                   "detectors": "declared", "stop_when": "sketch_has_root"}
 
-def campaign(bug_id, transport="wire", fault_plan=None, fleet_workers=1,
-             max_iterations=6):
+
+def campaign(bug_id, fault_plan=None, fleet_workers=1, max_iterations=6,
+             endpoints=4, detectors=()):
     spec = get_bug(bug_id)
     deployment = CooperativeDeployment(
-        spec.module(), spec.workload_factory, endpoints=4, bug=spec.bug_id,
-        fleet_workers=fleet_workers, transport=transport,
-        fault_plan=fault_plan)
+        spec.module(), spec.workload_factory, endpoints=endpoints,
+        bug=spec.bug_id, fleet_workers=fleet_workers, fault_plan=fault_plan,
+        detectors=detectors)
     stats = deployment.run_campaign(stop_when=spec.sketch_has_root,
                                     max_iterations=max_iterations)
     return spec, stats
@@ -33,29 +53,82 @@ COMPARED = ("found", "iterations", "failure_recurrences", "total_runs",
             "max_overhead_percent")
 
 
-@pytest.mark.parametrize("bug_id", FAST_BUGS)
-def test_fault_free_wire_is_identical_to_direct(bug_id):
-    _, direct = campaign(bug_id, transport="direct")
-    _, wired = campaign(bug_id, transport="wire")
-    for name in COMPARED:
-        assert getattr(wired, name) == getattr(direct, name), name
-    assert direct.sketch is not None and wired.sketch is not None
-    assert render_sketch(wired.sketch) == render_sketch(direct.sketch)
-    # and the wire run carries its fleet accounting
-    assert wired.fleet is not None and direct.fleet is None
-    assert wired.fleet["transport"]["dropped"] == {}
-    assert wired.fleet["quarantined"] == 0
+def golden_campaign(bug_id):
+    """One fault-free wire campaign at the fixture's settings, as a
+    fixture row (the compared statistics + the rendered sketch's SHA-256)
+    and the stats it came from."""
+    _, stats = campaign(bug_id,
+                        max_iterations=GOLDEN_SETTINGS["max_iterations"],
+                        endpoints=GOLDEN_SETTINGS["endpoints"],
+                        detectors=get_bug(bug_id).detectors)
+    row = {name: getattr(stats, name) for name in COMPARED}
+    row["sketch_sha256"] = (
+        hashlib.sha256(render_sketch(stats.sketch).encode()).hexdigest()
+        if stats.sketch is not None else None)
+    return row, stats
+
+
+def record() -> dict:
+    return {"settings": GOLDEN_SETTINGS,
+            "bugs": {bug_id: golden_campaign(bug_id)[0]
+                     for bug_id in all_bug_ids(include_extra=True)}}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_the_corpus(golden):
+    assert golden["settings"] == GOLDEN_SETTINGS
+    assert sorted(golden["bugs"]) == all_bug_ids(include_extra=True)
+
+
+@pytest.mark.parametrize("bug_id", all_bug_ids(include_extra=True))
+def test_fault_free_wire_matches_golden(bug_id, golden):
+    expected = dict(golden["bugs"][bug_id])
+    row, stats = golden_campaign(bug_id)
+    # A mean of float overheads: sum() compensates rounding from Python
+    # 3.12 on, which moves the last bit for some bugs.
+    assert row.pop("avg_overhead_percent") == pytest.approx(
+        expected.pop("avg_overhead_percent"), rel=1e-12, abs=0)
+    assert row == expected
+    # and the fault-free run carries clean fleet accounting
+    assert stats.fleet["transport"]["dropped"] == {}
+    assert stats.fleet["quarantined"] == 0
 
 
 def test_transport_validation():
     spec = get_bug(FAST_BUGS[0])
-    with pytest.raises(ValueError, match="transport"):
-        CooperativeDeployment(spec.module(), spec.workload_factory,
-                              transport="carrier-pigeon")
-    with pytest.raises(ValueError, match="fault"):
-        CooperativeDeployment(spec.module(), spec.workload_factory,
-                              transport="direct",
-                              fault_plan=FaultPlan.standard_lossy())
+    for transport in ("carrier-pigeon", "direct"):
+        with pytest.raises(ValueError, match="transport") as err:
+            CooperativeDeployment(spec.module(), spec.workload_factory,
+                                  transport=transport)
+        assert str(TRANSPORTS) in str(err.value)
+    assert TRANSPORTS == ("wire", "socket")
+
+
+@pytest.mark.parametrize("fleet_workers", (1, 3))
+def test_wait_for_failure_is_the_campaign_bootstrap(fleet_workers):
+    """``wait_for_failure`` and a campaign's bootstrap phase are one loop:
+    under a lossy plan (whose client crash doubles this bug's bootstrap)
+    they consume the same runs and land the same failure."""
+    spec = get_bug(FAST_BUGS[1])
+
+    def deployment():
+        return CooperativeDeployment(
+            spec.module(), spec.workload_factory, endpoints=4,
+            bug=spec.bug_id, fleet_workers=fleet_workers,
+            fault_plan=FaultPlan.standard_lossy(seed=1))
+
+    with deployment() as waiting:
+        report, runs = waiting.wait_for_failure()
+    campaigning = deployment()
+    stats = campaigning.run_campaign(max_iterations=1)
+    [diagnosis] = campaigning.server.campaigns.values()
+    assert report is not None
+    assert report.identity() == diagnosis.identity
+    assert runs == stats.bootstrap_runs
 
 
 def test_lossy_fleet_still_converges():
@@ -110,3 +183,7 @@ def test_fault_schedule_is_deterministic_across_fleet_workers():
         par.fleet["transport"]["dropped"]
     assert seq.fleet["runs_lost_to_crash"] == \
         par.fleet["runs_lost_to_crash"]
+
+
+if __name__ == "__main__":
+    print(json.dumps(record(), indent=2, sort_keys=True))

@@ -36,13 +36,12 @@ BUG = "pbzip2-1"
 ENGINES = [("serial", 1), ("threads", 4), ("processes", 2)]
 
 
-def run_campaign(executor: str, workers: int, transport: str = "wire",
-                 fault_plan=None):
+def run_campaign(executor: str, workers: int, fault_plan=None):
     spec = get_bug(BUG)
     deployment = CooperativeDeployment(
         spec.module(), spec.workload_factory,
         endpoints=4, bug=spec.bug_id, fleet_workers=workers,
-        executor=executor, transport=transport, fault_plan=fault_plan)
+        executor=executor, fault_plan=fault_plan)
     with deployment:
         stats = deployment.run_campaign(stop_when=spec.sketch_has_root,
                                         max_iterations=4)
@@ -100,13 +99,6 @@ def test_processes_identical_under_faults():
     assert processes.found == serial.found
     assert processes.total_runs == serial.total_runs
     assert processes.failure_recurrences == serial.failure_recurrences
-    assert render_sketch(processes.sketch) == render_sketch(serial.sketch)
-
-
-def test_processes_identical_on_direct_transport():
-    _, serial = run_campaign("serial", 1, transport="direct")
-    _, processes = run_campaign("processes", 2, transport="direct")
-    assert processes.total_runs == serial.total_runs
     assert render_sketch(processes.sketch) == render_sketch(serial.sketch)
 
 

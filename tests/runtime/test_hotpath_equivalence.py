@@ -337,12 +337,7 @@ def test_campaign_sketches_identical_across_dispatch_modes(
     spec = get_bug(bug_id)
     results = {}
     for active in (mode, "strict"):
-        if active == "strict":
-            monkeypatch.setattr(interp_mod, "STRICT_DISPATCH_DEFAULT", True)
-        else:
-            monkeypatch.setattr(interp_mod, "STRICT_DISPATCH_DEFAULT",
-                                False)
-            monkeypatch.setattr(interp_mod, "INTERP_MODE_DEFAULT", active)
+        monkeypatch.setattr(interp_mod, "INTERP_MODE_DEFAULT", active)
         ev = evaluate_bug(spec, mode="full", endpoints=2, max_iterations=4,
                           max_runs_per_iteration=60,
                           context=AnalysisContext(spec.module()))

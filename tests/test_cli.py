@@ -193,14 +193,22 @@ class TestVersionAndFleetFlags:
                      "--fault-plan", "lossy"]) == 0
         assert "accuracy" in capsys.readouterr().out
 
-    def test_corpus_diagnose_direct_transport(self, capsys):
-        assert main(["corpus", "diagnose", "transmission-1818",
-                     "--fleet-transport", "direct"]) == 0
-        assert "accuracy" in capsys.readouterr().out
-
     def test_bad_fault_plan_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["corpus", "diagnose", "transmission-1818",
                   "--fault-plan", "bogus=1"])
         assert exc.value.code == 2
         assert "unknown fault-plan key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["corpus", "diagnose", "transmission-1818",
+         "--fleet-transport", "direct"],
+        ["corpus", "diagnose", "transmission-1818", "--jobs", "2"],
+        ["run", "prog.minic", "--strict-dispatch"],
+    ])
+    def test_retired_spellings_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert flag in capsys.readouterr().err
