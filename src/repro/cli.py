@@ -421,13 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def interp_flag(p):
-        p.add_argument("--interp",
-                       choices=("compiled", "decoded", "strict"),
+        p.add_argument("--interp", choices=("compiled", "decoded"),
                        default=None,
                        help="interpreter tier: 'compiled' (GIR compiled to "
-                            "Python, default; instrumented runs too), "
-                            "'decoded' (pre-decoded streams), or 'strict' "
-                            "(reference dispatch)")
+                            "Python, default; instrumented runs too) or "
+                            "'decoded' (pre-decoded streams)")
 
     def common_run_flags(p):
         p.add_argument("args", nargs="*", help="program arguments")

@@ -51,7 +51,7 @@ class GistClient:
         #: §6 future work: also extract range/inequality value predicates
         #: (must match the server's setting so fleet statistics line up).
         self.extended_predicates = extended_predicates
-        #: Interpreter tier ("compiled"/"decoded"/"strict") of every run,
+        #: Interpreter tier ("compiled"/"decoded") of every run,
         #: monitored or not; None defers to the process default.
         self.interp_mode = interp_mode
         #: Detection-subsystem tracers attached to every run of this

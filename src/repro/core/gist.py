@@ -118,7 +118,7 @@ class Gist:
         #: transport boundary.
         self.fault_plan = fault_plan
         #: Interpreter tier for every endpoint run
-        #: ("compiled"/"decoded"/"strict"; None = process default).
+        #: ("compiled"/"decoded"; None = process default).
         self.interp_mode = interp_mode
         #: Control-plane shard count.  With the defaults below (1 shard,
         #: cohort of 1) diagnosis takes the classic single-campaign path,

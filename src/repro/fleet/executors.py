@@ -61,7 +61,7 @@ class RunJob:
     patch_epoch: Optional[int] = None
     ptwrite: bool = False
     extended: bool = False
-    #: Interpreter tier for the worker ("compiled"/"decoded"/"strict";
+    #: Interpreter tier for the worker ("compiled"/"decoded";
     #: None = the worker process's default).
     interp_mode: Optional[str] = None
     #: Cohort multiplicity, resolved main-side: the worker stamps it onto

@@ -27,7 +27,8 @@ Handshake (CONTROL frames, JSON):
 - server → client ``{"op": "welcome"}`` (plus the current iteration's
   patches down each registered channel when one is in flight);
 - server → client ``{"op": "done", "found": ..., "sketch": ...}`` ends
-  the session.
+  the session; once the campaign has ended it is also the answer to any
+  later hello, until the server exits.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ from .socket_transport import (
     SocketPeer,
 )
 from .transport import TransportClosed
+
+#: How often a client re-dials a server it cannot reach (a refused dial
+#: on a local socket costs next to nothing).
+REDIAL_SECONDS = 0.05
 
 
 def parse_address(spec: str) -> Tuple:
@@ -122,6 +127,8 @@ class FleetServer:
         self.server = None
         self.campaign = None
         self._iter_open = False
+        #: The ``done`` message, once the campaign has ended.
+        self._done: Optional[Dict] = None
 
     # -- connection plumbing (hub loop thread) -------------------------------
 
@@ -140,7 +147,15 @@ class FleetServer:
                              DEFAULT_STALL_TIMEOUT)
             group.down_chans[base + i] = chan
         with self._groups_lock:
-            self._groups.append(group)
+            done = self._done
+            if done is None:
+                self._groups.append(group)
+        self.log(f"[serve] hello from base {base}: {count} endpoints")
+        if done is not None:
+            # A hello after the verdict (a client that reconnected late)
+            # gets the verdict, not a welcome into a finished campaign.
+            peer.send_control(done)
+            return
         # ``fresh`` tells a reconnecting client whether its installed
         # patches survive: a server that lost the campaign (no journal)
         # needs raw failure reports again, not monitored runs.
@@ -207,10 +222,12 @@ class FleetServer:
                 self._send_patches(group, patches, epoch)
 
     def _broadcast_done(self, found: bool, sketch_text: str) -> None:
+        done = {"op": "done", "found": found, "sketch": sketch_text}
+        with self._groups_lock:
+            self._done = done  # every later hello gets the verdict
         for group in self._live_groups():
             try:
-                group.peer.send_control({"op": "done", "found": found,
-                                         "sketch": sketch_text})
+                group.peer.send_control(done)
             except TransportClosed:
                 pass
 
@@ -370,7 +387,9 @@ class FleetServer:
         found = sketch is not None and self.spec.sketch_has_root(sketch)
         text = render_sketch(sketch) if sketch is not None else ""
         self._broadcast_done(found, text)
-        time.sleep(0.3)  # let the done frames drain before teardown
+        # Let the done frames drain before teardown; a client re-dialing
+        # meanwhile is answered with the verdict.
+        time.sleep(0.3)
         if sketch is not None:
             self.log(text)
         self.log(f"[serve] campaign {'converged' if found else 'ended'}: "
@@ -427,7 +446,7 @@ class FleetClientProcess:
                                    name=f"client-base{self.base}",
                                    **self.batch_opts)
             except (OSError, ConnectionError, TimeoutError):
-                time.sleep(0.2)
+                time.sleep(REDIAL_SECONDS)
                 continue
             self._peer = peer
             self._gate = peer.open_sender(CHAN_UPLINK, self.credit_window,
@@ -438,18 +457,37 @@ class FleetClientProcess:
             peer.send_control({"op": "hello", "base": self.base,
                                "count": self.endpoints,
                                "bug": self.bug_id})
-            try:
-                obj = self._control.get(timeout=5.0)
-            except queue.Empty:
+            obj = self._await_reply(peer, time.monotonic() + 5.0)
+            if obj is None:
                 peer.close()
                 continue
             if obj.get("op") == "welcome":
                 self._server_fresh = bool(obj.get("fresh"))
+                self.log(f"[client {self.base}] connected "
+                         f"(fresh={self._server_fresh})")
                 return True
             if obj.get("op") == "done":
                 self._control.put(obj)
                 return True
         return False
+
+    def _await_reply(self, peer: SocketPeer,
+                     deadline: float) -> Optional[Dict]:
+        """The server's answer to our hello, or None once ``deadline``
+        passes or the connection drops first.  A re-dial right after a
+        server dies can land in the dead listener's backlog; that
+        connection only ever ends in EOF, so waiting out the deadline on
+        it would let a restarted server finish without us."""
+        while True:
+            # Read EOF before polling: the reader queues a reply before it
+            # marks EOF, so a reply that preceded EOF is seen here.
+            dropped = peer.eof
+            try:
+                return self._control.get(block=not dropped,
+                                         timeout=REDIAL_SECONDS)
+            except queue.Empty:
+                if dropped or time.monotonic() >= deadline:
+                    return None
 
     def _send_up(self, blob: bytes) -> None:
         self._gate.acquire(f"uplink-base{self.base}")
@@ -468,6 +506,7 @@ class FleetClientProcess:
         run_seq = 0
         runs_done = 0
         try:
+            self.log(f"[client {self.base}] dialing {self.address}")
             if not self._connect(hub, deadline):
                 self.log(f"[client {self.base}] could not reach server")
                 return 1

@@ -108,27 +108,15 @@ def encode_control(obj: Dict) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def _pack_data_frame(channel: int, blobs: List[bytes]) -> bytes:
-    """One DATA frame as contiguous bytes — the wire-format reference.
-
-    The writer itself assembles frames as *segment lists* (see
-    :func:`_data_frame_segments`) so envelope bytes are never copied per
-    frame; the equivalence test pins the joined segments to these bytes.
-    """
-    payload = b"".join(_BLOB_LEN.pack(len(b)) + b for b in blobs)
-    return FRAME_HEADER.pack(FRAME_MAGIC, KIND_DATA, channel, len(blobs),
-                             len(payload)) + payload
-
-
 def _data_frame_segments(channel: int, blobs: List[bytes]) -> List:
     """One DATA frame as zero-copy segments.
 
     Envelopes were already encoded once (canonical wire bytes); wrapping
     them in :class:`memoryview` lets the writer splice them into the
     outgoing byte stream without a per-enqueue copy — only the tiny
-    header and per-blob length prefixes are fresh allocations.  The
-    segments joined in order are byte-identical to
-    :func:`_pack_data_frame`.
+    header and per-blob length prefixes are fresh allocations.  Joined in
+    order, the segments are the frame: the header, then each blob behind
+    its u32 length prefix (recorded frame bytes in the tests pin this).
     """
     payload_len = sum(len(b) + _BLOB_LEN.size for b in blobs)
     segments: List = [FRAME_HEADER.pack(FRAME_MAGIC, KIND_DATA, channel,
@@ -406,9 +394,9 @@ class SocketPeer:
         prefixes, and :class:`memoryview` slices over the pre-encoded
         envelope blobs — which the writer joins (or writes vectored)
         without ever re-copying envelope payloads into a per-frame
-        ``bytes``.  ``b"".join`` of a frame's segments is byte-identical
-        to the old contiguous assembly (pinned by the frame-format test
-        against :func:`_pack_data_frame`).
+        ``bytes``.  ``b"".join`` of a frame's segments is the frame's
+        on-wire bytes (pinned by the frame-format test against recorded
+        frames).
         """
         frames: List[List] = []
         i = 0

@@ -141,7 +141,7 @@ class WatchpointUnit(Tracer):
     def on_mem(self, interp, event: MemEvent) -> None:
         if event.address not in self.gate_on_mem:
             # Off the gate: a fan-out that honours it never gets here, but
-            # a shared or strict-tier one hands over every access.
+            # a shared one (several handlers) hands over every access.
             return
         for wp in self.registers.values():
             if wp.matches(event.address, event.is_write):

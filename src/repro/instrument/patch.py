@@ -1,16 +1,17 @@
 """Instrumentation patches: distribution and client-side application.
 
 Gist ships instrumentation to production machines as binary patch files
-(bsdiff in the prototype, §4).  Here a patch is the serialized form of an
-:class:`~repro.instrument.planner.InstrumentationPlan` — a compact binary
-blob a server can hand to clients — and applying it to a run means
-installing interpreter hooks that drive the PT driver and the watchpoint
-unit, charging the same costs the real instrumentation would.
+(bsdiff in the prototype, §4).  Here a patch is an
+:class:`~repro.instrument.planner.InstrumentationPlan`'s hooks plus the
+client's watchpoint assignment and evidence slice; it travels as the
+fleet wire's JSON patch body (:func:`repro.fleet.wire.patch_to_body`),
+and applying it to a run means installing interpreter hooks that drive
+the PT driver and the watchpoint unit, charging the same costs the real
+instrumentation would.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -21,10 +22,6 @@ from ..pt.driver import PT_IOC_DISABLE, PT_IOC_ENABLE, PTDriver
 from ..runtime.costmodel import IOCTL_TOGGLE_COST
 from .planner import HookSpec, InstrumentationPlan
 
-_MAGIC = b"GISTPATCH\x01"
-_ACTIONS = {"pt_start": 1, "pt_stop": 2, "watch": 3}
-_ACTIONS_REV = {v: k for k, v in _ACTIONS.items()}
-
 #: Cost of the inlined instrumentation stub itself (a predicted-not-taken
 #: flag check), charged on every execution of a hooked instruction even
 #: when nothing toggles.
@@ -32,7 +29,7 @@ STUB_COST = 1
 
 
 class PatchError(Exception):
-    """Malformed patch bytes or a patch/module mismatch."""
+    """A patch that does not fit the module it is applied to."""
     pass
 
 
@@ -51,75 +48,8 @@ class Patch:
     #: run's executed sequences and predictor set down to this slice (plus
     #: hook uids and trapped pcs) before reporting.  Empty (the default)
     #: means no slicing — and is encoded as *absence*, so exact-mode patch
-    #: bytes are unchanged from the pre-slicing format.
+    #: envelopes are unchanged from the pre-slicing format.
     slice_uids: frozenset = frozenset()
-
-    # -- serialization (the bsdiff stand-in) -----------------------------------
-
-    def to_bytes(self) -> bytes:
-        name = self.program.encode()
-        out = bytearray(_MAGIC)
-        out += struct.pack("<H", len(name))
-        out += name
-        out += struct.pack("<I", len(self.hooks))
-        for hook in self.hooks:
-            note = hook.note.encode()[:255]
-            out += struct.pack("<iBB", hook.uid, _ACTIONS[hook.action],
-                               len(note))
-            out += note
-        assignment = sorted(self.watch_assignment)
-        out += struct.pack("<I", len(assignment))
-        for uid in assignment:
-            out += struct.pack("<i", uid)
-        if self.slice_uids:
-            # Optional trailing section: old encoders simply stopped here,
-            # so a sliceless patch is byte-identical to the legacy format
-            # and legacy blobs decode with an empty slice.
-            slice_sorted = sorted(self.slice_uids)
-            out += struct.pack("<I", len(slice_sorted))
-            for uid in slice_sorted:
-                out += struct.pack("<i", uid)
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Patch":
-        if not blob.startswith(_MAGIC):
-            raise PatchError("bad patch magic")
-        pos = len(_MAGIC)
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        program = blob[pos:pos + name_len].decode()
-        pos += name_len
-        (nhooks,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        hooks: List[HookSpec] = []
-        for _ in range(nhooks):
-            uid, action_code, note_len = struct.unpack_from("<iBB", blob, pos)
-            pos += 6
-            note = blob[pos:pos + note_len].decode()
-            pos += note_len
-            action = _ACTIONS_REV.get(action_code)
-            if action is None:
-                raise PatchError(f"unknown action code {action_code}")
-            hooks.append(HookSpec(uid, action, note))
-        (nassign,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        assignment = []
-        for _ in range(nassign):
-            (uid,) = struct.unpack_from("<i", blob, pos)
-            pos += 4
-            assignment.append(uid)
-        slice_uids: List[int] = []
-        if pos < len(blob):
-            (nslice,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            for _ in range(nslice):
-                (uid,) = struct.unpack_from("<i", blob, pos)
-                pos += 4
-                slice_uids.append(uid)
-        return cls(program=program, hooks=tuple(hooks),
-                   watch_assignment=frozenset(assignment),
-                   slice_uids=frozenset(slice_uids))
 
     @classmethod
     def from_plan(cls, program: str, plan: InstrumentationPlan,
@@ -219,7 +149,9 @@ def apply_patch(patch: Patch, module: Module,
             if assignment and spec.uid not in assignment:
                 continue  # another cooperative client covers this access
             fn = watch_hook
-        else:  # pragma: no cover - from_bytes validates
+        else:
+            # The wire body admits any action string; refuse what no
+            # hook implements.
             raise PatchError(f"unknown action {spec.action!r}")
         applied.hooks.setdefault(spec.uid, []).append((fn, STUB_COST))
     return applied

@@ -8,7 +8,6 @@ from .decoder import (
     DecodedTrace,
     DecodeError,
     PTDecoder,
-    ReferencePTDecoder,
     TraceWindow,
 )
 from .driver import PT_IOC_DISABLE, PT_IOC_ENABLE, PTDriver, PTDriverError
@@ -30,7 +29,6 @@ from .packets import (
     TIPPGD,
     TIPPGE,
     TNT,
-    parse_stream,
 )
 
 __all__ = [
@@ -51,12 +49,10 @@ __all__ = [
     "PTW",
     "Packet",
     "PacketError",
-    "ReferencePTDecoder",
     "SoftwarePTEncoder",
     "TIP",
     "TIPPGD",
     "TIPPGE",
     "TNT",
     "TraceWindow",
-    "parse_stream",
 ]

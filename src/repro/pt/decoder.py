@@ -10,29 +10,28 @@ The output is a list of :class:`TraceWindow` objects (one per PGE..PGD
 span), each holding the executed instruction uids in order.  Gist's slice
 refinement intersects these with the static slice (§3.2.2).
 
-Two decoders share these semantics:
+:class:`PTDecoder` is table-driven: per-module successor tables (plain
+successor / BR taken / BR not-taken, indexed by uid) are precomputed once
+per module epoch, the packet cursor (the one implementation of the packet
+grammar) scans bytes in a single pass with a memoized one-packet
+lookahead, and pending TNT bits live in a packed integer.  PT decode sits
+on the diagnosis path for every monitored run, so it is built for speed;
+``tests/golden/tiers.json`` pins its windows on every corpus stream to
+digests recorded when it agreed with the original object-walking
+decoder.
 
-- :class:`PTDecoder` (default) is table-driven: per-module successor
-  tables (plain successor / BR taken / BR not-taken, indexed by uid) are
-  precomputed once per module epoch, the packet cursor scans bytes in a
-  single pass with a memoized one-packet lookahead, and pending TNT bits
-  live in a packed integer.  PT decode dominates the diagnosis path once
-  the interpreter itself is compiled, so this path is built for speed.
-- :class:`ReferencePTDecoder` is the original object-walking decoder,
-  preserved verbatim as the executable reference the equivalence tests
-  pin the table-driven decoder against.
-
-Byte-level corruption (a truncated packet, an unknown opcode byte) and
-stream/program mismatches (a missing TNT bit) raise :class:`DecodeError`
-carrying the byte offset of the offending packet — a trace is never
-silently truncated.
+Byte-level corruption (a truncated packet, an unknown opcode byte),
+stream/program mismatches (a missing TNT bit) and packets naming
+instructions the program does not have (a window start or return target
+outside the uid range) raise :class:`DecodeError` carrying the byte offset
+of the offending packet — a trace is never silently truncated.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..lang.ir import Module, Opcode
 from . import packets as P
@@ -90,11 +89,6 @@ class DecodedTrace:
         for window in self.windows:
             out.extend(window.mem_events)
         return out
-
-
-# ---------------------------------------------------------------------------
-# The table-driven decoder (default)
-# ---------------------------------------------------------------------------
 
 
 class _PacketCursor:
@@ -206,7 +200,7 @@ class _PacketCursor:
 _K_STRAIGHT = 0   # plain / JMP / user CALL: one statically known successor
 _K_BR = 1         # conditional: needs a TNT bit
 _K_RET = 2        # return: needs a TIP packet
-_K_DYNAMIC = 3    # malformed IR: resolve lazily to reproduce reference errors
+_K_DYNAMIC = 3    # malformed IR: resolve lazily, failing where the walk does
 
 #: Per-module successor tables, invalidated by analysis-epoch bumps.
 _TABLE_CACHE: "weakref.WeakKeyDictionary[Module, Tuple[int, tuple]]" = \
@@ -219,8 +213,10 @@ def _build_tables(module: Module):
     ``kind[uid]`` selects the walk action; ``succ[uid]`` is the fall-through
     successor for straight-line kinds, ``taken[uid]``/``nottaken[uid]`` the
     BR arms.  Instructions whose successor cannot be statically resolved
-    (malformed labels, terminatorless blocks) are marked ``_K_DYNAMIC`` so
-    the walk reproduces the reference decoder's exact failure behavior.
+    (malformed labels, terminatorless blocks — ``Module.finalize`` does not
+    verify, so hand-built or parsed GIR can carry them) are marked
+    ``_K_DYNAMIC``: the walk resolves them through the module when it
+    reaches them, so a malformed successor fails only if it is followed.
     """
     instrs = list(module.instructions())
     n = max((ins.uid for ins in instrs), default=-1) + 1
@@ -278,8 +274,7 @@ def _module_tables(module: Module):
 class PTDecoder:
     """Reconstructs executed-instruction sequences from raw PT buffers.
 
-    Table-driven: see the module docstring.  Equivalent, packet for packet,
-    to :class:`ReferencePTDecoder`.
+    Table-driven: see the module docstring.
     """
 
     def __init__(self, module: Module) -> None:
@@ -289,7 +284,7 @@ class PTDecoder:
         self._kind, self._succ, self._taken, self._nottaken = \
             _module_tables(module)
 
-    # -- reference-parity helpers (dynamic successor resolution) -----------
+    # -- dynamic successor resolution (malformed IR) ------------------------
 
     def _entry_uid(self, func_name: str) -> int:
         func = self.module.functions[func_name]
@@ -304,8 +299,8 @@ class PTDecoder:
         return bb.instrs[ins.index_in_block + 1].uid
 
     def _resolve_dynamic(self, uid: int) -> int:
-        """Successor of a uid the tables could not resolve statically —
-        raises exactly what the reference decoder would."""
+        """Successor of a uid the tables could not resolve statically
+        (raises the module's lookup error when there is none)."""
         ins = self.module.instr(uid)
         op = ins.opcode
         if op == Opcode.JMP:
@@ -328,6 +323,10 @@ class PTDecoder:
             if tp is P.PSB or tp is P.OVF:
                 continue
             if tp is P.TIPPGE:
+                if not 0 <= pkt.uid < len(self._kind):
+                    raise DecodeError(f"window start uid {pkt.uid} is "
+                                      f"outside the program",
+                                      offset=cursor.offset)
                 window = TraceWindow(start_uid=pkt.uid)
                 budget = self._walk(window, cursor, budget)
                 trace.windows.append(window)
@@ -460,6 +459,11 @@ class PTDecoder:
                 return None
             tp = type(pkt)
             if tp is P.TIP:
+                # A negative target is a thread exit; the walk ends there.
+                if pkt.uid >= len(self._kind):
+                    raise DecodeError(f"return target uid {pkt.uid} is "
+                                      f"outside the program",
+                                      offset=cursor.offset)
                 return pkt.uid
             if tp is P.PTW:
                 window.mem_events.append(pkt)
@@ -500,199 +504,6 @@ class PTDecoder:
                 if ins.opcode in (Opcode.BR, Opcode.RET):
                     break
                 uid = self._resolve_dynamic(uid)
-            guard += 1
-            if guard > 100_000:
-                raise DecodeError("PGD landing point unreachable")
-            window.executed.append(uid)
-        window.end_uid = pgd_uid
-
-
-# ---------------------------------------------------------------------------
-# The reference decoder (preserved pre-rewrite implementation)
-# ---------------------------------------------------------------------------
-
-
-class _IterPacketCursor:
-    """Pull-based packet reader over :func:`packets.parse_stream` with a
-    memoized one-packet lookahead (the reference decoder's cursor)."""
-
-    def __init__(self, raw: bytes) -> None:
-        self._iter: Iterator[P.Packet] = P.parse_stream(raw)
-        self._peeked: Optional[P.Packet] = None
-        self.exhausted = False
-
-    def peek(self) -> Optional[P.Packet]:
-        if self._peeked is None and not self.exhausted:
-            try:
-                self._peeked = next(self._iter)
-            except StopIteration:
-                self.exhausted = True
-        return self._peeked
-
-    def pop(self) -> Optional[P.Packet]:
-        pkt = self.peek()
-        self._peeked = None
-        return pkt
-
-
-class ReferencePTDecoder:
-    """The original object-walking decoder, preserved as the executable
-    reference the table-driven :class:`PTDecoder` is pinned against."""
-
-    def __init__(self, module: Module) -> None:
-        if not module.finalized:
-            raise ValueError("module must be finalized")
-        self.module = module
-
-    # -- helpers ------------------------------------------------------------
-
-    def _entry_uid(self, func_name: str) -> int:
-        func = self.module.functions[func_name]
-        return func.blocks[func.entry].instrs[0].uid
-
-    def _block_first_uid(self, func_name: str, label: str) -> int:
-        return self.module.functions[func_name].blocks[label].instrs[0].uid
-
-    def _next_uid(self, uid: int) -> int:
-        ins = self.module.instr(uid)
-        bb = self.module.block_of(ins)
-        return bb.instrs[ins.index_in_block + 1].uid
-
-    # -- decoding -----------------------------------------------------------
-
-    def decode(self, raw: bytes) -> DecodedTrace:
-        trace = DecodedTrace()
-        cursor = _IterPacketCursor(raw)
-        budget = MAX_DECODE_STEPS
-        while True:
-            pkt = cursor.pop()
-            if pkt is None:
-                return trace
-            if isinstance(pkt, (P.PSB, P.OVF)):
-                continue
-            if isinstance(pkt, P.TIPPGE):
-                window = TraceWindow(start_uid=pkt.uid)
-                budget = self._walk(window, cursor, budget)
-                trace.windows.append(window)
-                continue
-            # A dangling TNT/TIP/PGD outside any window: tolerated (can
-            # happen after an overflow resync); skip to the next PGE.
-
-    def _walk(self, window: TraceWindow, cursor: _IterPacketCursor,
-              budget: int) -> int:
-        """Follow control flow from the window start, consuming packets."""
-        tnt_bits: List[bool] = []
-        uid = window.start_uid
-        while True:
-            budget -= 1
-            if budget <= 0:
-                raise DecodeError("decode budget exhausted "
-                                  "(runaway reconstruction)")
-            nxt_pkt = cursor.peek()
-            while isinstance(nxt_pkt, P.PTW):
-                window.mem_events.append(cursor.pop())
-                nxt_pkt = cursor.peek()
-            if isinstance(nxt_pkt, P.TIPPGD) and nxt_pkt.uid == uid and \
-                    not tnt_bits:
-                cursor.pop()
-                window.executed.append(uid)
-                window.end_uid = uid
-                return budget
-            ins = self.module.instr(uid)
-            window.executed.append(uid)
-            op = ins.opcode
-            if op == Opcode.BR:
-                bit = self._need_tnt(tnt_bits, cursor, window, uid)
-                if bit is None:
-                    return budget
-                label = ins.labels[0] if bit else ins.labels[1]
-                uid = self._block_first_uid(ins.func_name, label)
-            elif op == Opcode.JMP:
-                uid = self._block_first_uid(ins.func_name, ins.labels[0])
-            elif op == Opcode.CALL and ins.callee in self.module.functions:
-                uid = self._entry_uid(ins.callee)
-            elif op == Opcode.RET:
-                target = self._need_tip(tnt_bits, cursor, window, uid)
-                if target is None or target < 0:
-                    if window.end_uid == -1:
-                        window.end_uid = uid
-                    return budget
-                uid = target
-            else:
-                uid = self._next_uid(uid)
-
-    # -- packet needs -------------------------------------------------------
-
-    def _need_tnt(self, tnt_bits: List[bool], cursor: _IterPacketCursor,
-                  window: TraceWindow, at_uid: int) -> Optional[bool]:
-        while not tnt_bits:
-            pkt = cursor.pop()
-            if pkt is None:
-                window.end_uid = at_uid
-                return None
-            if isinstance(pkt, P.TNT):
-                tnt_bits.extend(pkt.bits)
-            elif isinstance(pkt, P.PTW):
-                window.mem_events.append(pkt)
-            elif isinstance(pkt, P.TIPPGD):
-                self._finish_window(window, pkt.uid, at_uid)
-                return None
-            elif isinstance(pkt, P.OVF):
-                window.truncated_by_overflow = True
-                window.end_uid = at_uid
-                return None
-            elif isinstance(pkt, P.PSB):
-                continue
-            else:
-                raise DecodeError(
-                    f"expected TNT at uid {at_uid}, got {pkt!r}")
-        return tnt_bits.pop(0)
-
-    def _need_tip(self, tnt_bits: List[bool], cursor: _IterPacketCursor,
-                  window: TraceWindow, at_uid: int) -> Optional[int]:
-        if tnt_bits:
-            raise DecodeError(f"unconsumed TNT bits before return "
-                              f"at uid {at_uid}")
-        while True:
-            pkt = cursor.pop()
-            if pkt is None:
-                window.end_uid = at_uid
-                return None
-            if isinstance(pkt, P.TIP):
-                return pkt.uid
-            if isinstance(pkt, P.PTW):
-                window.mem_events.append(pkt)
-                continue
-            if isinstance(pkt, P.TIPPGD):
-                self._finish_window(window, pkt.uid, at_uid)
-                return None
-            if isinstance(pkt, P.OVF):
-                window.truncated_by_overflow = True
-                window.end_uid = at_uid
-                return None
-            if isinstance(pkt, P.PSB):
-                continue
-            raise DecodeError(f"expected TIP at uid {at_uid}, got {pkt!r}")
-
-    def _finish_window(self, window: TraceWindow, pgd_uid: int,
-                       at_uid: int) -> None:
-        """Close a window on PGD (see :meth:`PTDecoder._finish_window`)."""
-        if pgd_uid < 0:
-            window.end_uid = at_uid
-            return
-        uid = at_uid
-        guard = 0
-        while uid != pgd_uid:
-            ins = self.module.instr(uid)
-            if ins.opcode in (Opcode.BR, Opcode.RET):
-                break  # cannot cross without packets; stop here
-            if ins.opcode == Opcode.JMP:
-                uid = self._block_first_uid(ins.func_name, ins.labels[0])
-            elif ins.opcode == Opcode.CALL and \
-                    ins.callee in self.module.functions:
-                uid = self._entry_uid(ins.callee)
-            else:
-                uid = self._next_uid(uid)
             guard += 1
             if guard > 100_000:
                 raise DecodeError("PGD landing point unreachable")

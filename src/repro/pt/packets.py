@@ -24,14 +24,16 @@ instruction"):
   could eliminate the need for hardware watchpoints and the complexity of
   a cooperative approach."  (Intel later did ship PTWRITE.)
 
-All encoders return ``bytes``; the stream parser consumes a ``bytes`` buffer
-and yields typed packet objects.
+All encoders return ``bytes``.  The decoder's packet cursor
+(:class:`repro.pt.decoder._PacketCursor`) is the one parser: it reads a
+``bytes`` buffer into these typed packet objects with the field decoders
+below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple, Union
+from typing import List, Tuple, Union
 
 # Single-byte headers (values chosen to echo the real encoding).
 _PAD = 0x00
@@ -218,51 +220,3 @@ def _decode_tnt_byte(byte: int) -> TNT:
         raise PacketError(f"TNT bit count out of range: {nbits}")
     bits = tuple(bool(byte & (1 << (i + 1))) for i in range(nbits))
     return TNT(bits)
-
-
-def parse_stream(buf: bytes) -> Iterator[Packet]:
-    """Parse a raw buffer into packets."""
-    pos = 0
-    while pos < len(buf):
-        byte = buf[pos]
-        if byte == _PAD:
-            pos += 1
-            continue
-        if byte == _PSB0 and pos + 1 < len(buf):
-            nxt = buf[pos + 1]
-            if nxt == _PSB1:
-                yield PSB()
-                pos += 2
-                continue
-            if nxt == _OVF1:
-                yield OVF()
-                pos += 2
-                continue
-            raise PacketError(f"unknown extended packet 0x02 {nxt:#x}")
-        if byte == _TIP:
-            uid, pos = decode_uleb128(buf, pos + 1)
-            yield TIP(uid)
-            continue
-        if byte == _TIP_PGE:
-            uid, pos = decode_uleb128(buf, pos + 1)
-            yield TIPPGE(uid)
-            continue
-        if byte == _TIP_PGD:
-            uid, pos = decode_uleb128(buf, pos + 1)
-            yield TIPPGD(uid)
-            continue
-        if byte == _PTW:
-            if pos + 1 >= len(buf):
-                raise PacketError("truncated PTW packet")
-            is_write = bool(buf[pos + 1])
-            uid, pos = decode_uleb128(buf, pos + 2)
-            address, pos = decode_uleb128(buf, pos)
-            value, pos = decode_zigzag(buf, pos)
-            tsc, pos = decode_uleb128(buf, pos)
-            yield PTW(uid, address, value, is_write, tsc)
-            continue
-        if not byte & 1:
-            yield _decode_tnt_byte(byte)
-            pos += 1
-            continue
-        raise PacketError(f"unknown packet header {byte:#x} at {pos}")

@@ -839,7 +839,7 @@ class _FunctionCompiler:
         if blocking:
             # Re-execute on every wakeup until the builtin advances the
             # frame — each attempt is one retired instruction, exactly as
-            # in the strict and decoded tiers.
+            # in the decoded tier.
             e.line("while True:")
             e.indent += 1
             attempt()

@@ -70,23 +70,19 @@ RR_MEM_COST = 40
 
 @dataclass
 class CostModel:
-    """Accumulates base cost and per-opcode counts for one run."""
+    """Accumulates base cost and per-opcode counts for one run.
+
+    Each retired instruction adds its :data:`OPCODE_COST` to ``base_cost``
+    and one to ``counts`` under the opcode's value string (``"load"``,
+    ...).  NOTE: both interpreter tiers do this accounting themselves —
+    the decoded tier per step from each pre-decoded record's (cost, key)
+    pair, the compiled tier from packed per-opcode counters at run end
+    (``CompiledProgram.settle``) — so any change to it must be made in
+    both.
+    """
 
     base_cost: int = 0
     counts: Dict[str, int] = field(default_factory=dict)
-
-    def charge(self, opcode: Opcode) -> None:
-        # Keyed by the opcode's value string: its hash is cached in the
-        # interned str, unlike Enum.__hash__ which rehashes the name on
-        # every lookup (this is the interpreter's hottest line).
-        # NOTE: the interpreter's hot path inlines this method against the
-        # pre-decoded (cost, key) pair — ``base_cost += record[1]`` plus a
-        # try/except counter bump — so any semantic change here must be
-        # mirrored in Interpreter._loop/_loop_profiled.
-        self.base_cost += OPCODE_COST[opcode]
-        key = opcode.value
-        counts = self.counts
-        counts[key] = counts.get(key, 0) + 1
 
     def instructions_retired(self) -> int:
         return sum(self.counts.values())

@@ -27,11 +27,12 @@ thread, index a list, call a closure.
 
 Semantics contract: a decoded program must be *observationally identical*
 to the reference path — same events in the same order, same failure
-reports, same cost totals, same stdout.  Decode-time resolution failures
-(an unknown global, a ``FuncRef`` used as a value, an out-of-range string
-index) therefore compile to closures that raise the same exception the
-reference interpreter would have raised, at execution time, instead of
-failing the decode.
+reports, same cost totals, same stdout (``tests/golden/tiers.json`` holds
+digests of what the retired reference interpreter produced).  Decode-time
+resolution failures (an unknown global, a ``FuncRef`` used as a value, an
+out-of-range string index) therefore compile to closures that raise the
+same exception :meth:`Interpreter.eval_operand` raises, at execution time,
+instead of failing the decode.
 
 Address pre-binding is sound because :class:`~repro.runtime.memory.Memory`
 allocates global and string bases by deterministic bump allocation in

@@ -9,7 +9,7 @@ and converts memory faults / failed assertions / deadlocks into
 :class:`~repro.runtime.failures.FailureReport` objects — the raw material of
 failure sketching.
 
-Three tiers execute the same semantics (``mode=``):
+Two tiers execute the same semantics (``mode=``):
 
 - The **compiled** tier (default) runs every GIR function as an
   exec-compiled Python generator (:mod:`repro.runtime.compiled`), plain and
@@ -20,12 +20,12 @@ Three tiers execute the same semantics (``mode=``):
 - The **decoded** tier steps through pre-decoded closure streams
   (:mod:`repro.runtime.decoded`); ``profile=True`` runs its loop with
   per-phase timers.
-- The **strict** tier (``mode="strict"``) is the original
-  fetch/decode/execute interpreter with unconditional tracer fan-out, kept
-  as the executable reference that the A/B equivalence suite pins the fast
-  tiers against.
 
-The fast tiers consult per-event-kind *subscriber lists* computed at run
+Both are pinned to digests of the retired reference interpreter's events,
+PT buffers, trap logs, outcomes and cost accounting
+(``tests/golden/tiers.json``).
+
+Both tiers consult per-event-kind *subscriber lists* computed at run
 start, so a tracer that does not implement ``on_mem`` is never consulted
 for memory events and no event object is allocated when an event kind has
 no subscribers at all.  A kind whose lone handler declares a gate (a live
@@ -51,7 +51,6 @@ from ..lang.ir import (
     Instr,
     Module,
     NullPtr,
-    Opcode,
     Operand,
     Register,
     StrConst,
@@ -88,15 +87,14 @@ Hook = Tuple[Callable[["Interpreter", int, Instr], None], int]
 ArgValue = Union[int, str]
 
 #: Process-wide default execution tier for runs that pass no ``mode=``:
-#: "compiled" (GIR compiled to Python source), "decoded" (pre-decoded
-#: closure streams), or "strict" (the reference interpreter).  Overridable
-#: via the ``REPRO_INTERP_MODE`` environment variable and the CLI
-#: ``--interp`` flag — the lever the A/B equivalence tests use to compare
-#: whole campaigns across tiers without threading a flag through every call
-#: site.
+#: "compiled" (GIR compiled to Python source) or "decoded" (pre-decoded
+#: closure streams).  Overridable via the ``REPRO_INTERP_MODE`` environment
+#: variable and the CLI ``--interp`` flag — the lever the equivalence tests
+#: use to run whole campaigns on the decoded tier without threading a flag
+#: through every call site.
 INTERP_MODE_DEFAULT = os.environ.get("REPRO_INTERP_MODE", "") or "compiled"
 
-_VALID_MODES = ("compiled", "decoded", "strict")
+_VALID_MODES = ("compiled", "decoded")
 
 
 #: Builds an event from its field tuple without the named tuple's
@@ -226,8 +224,7 @@ class Interpreter:
         # listens) or (total static cost, [bound handlers]).  Computed
         # here and again at run start (events fired before run() — e.g.
         # from tests poking _do_builtin directly — still dispatch).
-        self._decoded = None if self.mode == "strict" \
-            else decoded_program(module)
+        self._decoded = decoded_program(module)
         self._compiled = None
         if self.mode == "compiled":
             try:
@@ -293,17 +290,14 @@ class Interpreter:
         contribution is owed regardless: attaching a tracer with
         ``cost_per_branch = 5`` models deployed instrumentation whose
         price does not depend on whether our simulation inspects the
-        event.  Strict mode subscribes every tracer to everything,
-        reproducing the reference fan-out bit for bit.
+        event.
 
         A kind is *gated* (``_branch_gate`` / ``_flow_gate`` /
         ``_mem_gate``, else None) when its single handler declares a gate
         (:func:`repro.runtime.events.gate`) and nobody pays a static cost
-        for it; several handlers, a cost or the strict tier leave it
-        ungated.
+        for it; several handlers or a cost leave it ungated.
         """
         tracers = self.tracers
-        strict = self.mode == "strict"
 
         def build(cost_attr, name):
             total = 0
@@ -311,12 +305,12 @@ class Interpreter:
             for tracer in tracers:
                 if cost_attr is not None:
                     total += getattr(tracer, cost_attr)
-                if strict or subscribes(tracer, name):
+                if subscribes(tracer, name):
                     subscribers.append(tracer)
             if total == 0 and not subscribers:
                 return None, None
             live = None
-            if not strict and total == 0 and len(subscribers) == 1:
+            if total == 0 and len(subscribers) == 1:
                 live = gate(subscribers[0], name)
             return (total, [getattr(t, name) for t in subscribers]), live
 
@@ -386,9 +380,7 @@ class Interpreter:
         for tracer in self.tracers:
             tracer.on_start(self)
         try:
-            if self.mode == "strict":
-                self._loop_strict()
-            elif self.profile:
+            if self.profile:
                 self._loop_profiled()
             elif self._compiled is not None:
                 self._loop_compiled()
@@ -438,8 +430,8 @@ class Interpreter:
         Everything loop-invariant is bound to locals; per-step work is
         scheduler pick → list index → inline cost/count update →
         (subscriber-gated) step fan-out → hook probe → closure dispatch.
-        Observable behaviour is pinned to :meth:`_loop_strict` by the A/B
-        equivalence suite.
+        Observable behaviour is pinned to the recorded reference digests
+        (``tests/golden/tiers.json``) by the equivalence suite.
         """
         threads = self.threads
         pick = self.scheduler.pick
@@ -640,31 +632,6 @@ class Interpreter:
                 "phases": phases,
             }
 
-    def _loop_strict(self) -> None:
-        """The reference loop: per-step fetch/decode through the module's
-        IR objects (the pre-overhaul interpreter, preserved verbatim)."""
-        while True:
-            runnable = self._runnable_tids()
-            if not runnable:
-                statuses = {t.status for t in self.threads.values()}
-                if statuses <= {ThreadStatus.FINISHED}:
-                    return  # clean exit: all threads done
-                if ThreadStatus.SLEEPING in statuses:
-                    self._advance_past_sleep()
-                    continue
-                self._report_deadlock()
-            tid = self.scheduler.pick(runnable, self._current_tid,
-                                      self.global_step)
-            if tid not in runnable:  # defensive: scheduler bug
-                tid = runnable[0]
-            self._current_tid = tid
-            self._step(tid)
-            if self.global_step > self.max_steps:
-                thread = self.threads[tid]
-                pc = self._current_pc(thread)
-                self._fail(FailureKind.HANG, tid, pc,
-                           f"exceeded {self.max_steps} steps")
-
     def _advance_past_sleep(self) -> None:
         wake = min(t.wake_at_step for t in self.threads.values()
                    if t.status is ThreadStatus.SLEEPING)
@@ -697,171 +664,7 @@ class Interpreter:
         idx = min(frame.index, len(bb.instrs) - 1)
         return bb.instrs[idx].uid
 
-    # ------------------------------------------------------------------ stepping
-
-    def _fetch(self, thread: Thread) -> Instr:
-        frame = thread.top
-        code = frame.code
-        if code is None:
-            code = self.module.functions[frame.function] \
-                .blocks[frame.block].instrs
-            frame.code = code
-        return code[frame.index]
-
-    def _step(self, tid: int) -> None:
-        thread = self.threads[tid]
-        ins = self._fetch(thread)
-        self.global_step += 1
-        self.cost.charge(ins.opcode)
-        for tracer in self.tracers:
-            self.extra_cost += tracer.cost_per_step
-            tracer.on_step(self, tid, ins)
-        for hook, hook_cost in self.hooks.get(ins.uid, ()):  # instrumentation
-            self.extra_cost += hook_cost
-            hook(self, tid, ins)
-        try:
-            self._execute(tid, thread, ins)
-        except MemoryFault as fault:
-            self._fail(fault.kind, tid, ins.uid, fault.detail, fault.address)
-
-    def _execute(self, tid: int, thread: Thread, ins: Instr) -> None:
-        op = ins.opcode
-        frame = thread.top
-        if op in (Opcode.CONST, Opcode.MOVE):
-            self._set(tid, ins.dst, self.eval_operand(tid, ins.operands[0]))
-        elif op == Opcode.BINOP:
-            a = self.eval_operand(tid, ins.operands[0])
-            b = self.eval_operand(tid, ins.operands[1])
-            self._set(tid, ins.dst, self._binop(tid, ins, a, b))
-        elif op == Opcode.UNOP:
-            a = self.eval_operand(tid, ins.operands[0])
-            self._set(tid, ins.dst, self._unop(ins.op, a))
-        elif op == Opcode.LOAD:
-            addr = self.eval_operand(tid, ins.operands[0])
-            value = self.memory.read(addr)
-            self._set(tid, ins.dst, value)
-            self._fire_mem(self.global_step, tid, ins.uid, addr, False,
-                           value)
-        elif op == Opcode.STORE:
-            addr = self.eval_operand(tid, ins.operands[0])
-            value = self.eval_operand(tid, ins.operands[1])
-            self.memory.write(addr, value)
-            self._fire_mem(self.global_step, tid, ins.uid, addr, True,
-                           value)
-        elif op == Opcode.ALLOCA:
-            self._set(tid, ins.dst, self.memory.stack_alloc(tid, ins.size))
-        elif op == Opcode.GEP:
-            base = self.eval_operand(tid, ins.operands[0])
-            offset = self.eval_operand(tid, ins.operands[1])
-            self._set(tid, ins.dst, base + offset)
-        elif op == Opcode.ASSERT:
-            cond = self.eval_operand(tid, ins.operands[0])
-            if cond == 0:
-                self._fail(FailureKind.ASSERTION, tid, ins.uid,
-                           ins.text or "assertion failed")
-        elif op == Opcode.JMP:
-            self._fire_flow(self.global_step, tid, ins.uid, FlowKind.JUMP,
-                            ins.labels[0], -1)
-            frame.block = ins.labels[0]
-            frame.index = 0
-            frame.code = None
-            return
-        elif op == Opcode.BR:
-            cond = self.eval_operand(tid, ins.operands[0])
-            taken = cond != 0
-            target = ins.labels[0] if taken else ins.labels[1]
-            self._fire_branch(self.global_step, tid, ins.uid, taken,
-                              target)
-            frame.block = target
-            frame.index = 0
-            frame.code = None
-            return
-        elif op == Opcode.RET:
-            self._do_ret(tid, thread, ins)
-            return
-        elif op == Opcode.CALL:
-            advanced = self._do_call(tid, thread, ins)
-            if advanced:
-                return
-        else:  # pragma: no cover
-            raise RuntimeError(f"unknown opcode {op}")
-        frame.index += 1
-
-    # ------------------------------------------------------------------ arithmetic
-
-    def _binop(self, tid: int, ins: Instr, a: int, b: int) -> int:
-        op = ins.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op in ("/", "%"):
-            if b == 0:
-                self._fail(FailureKind.DIV_BY_ZERO, tid, ins.uid,
-                           "division by zero")
-            # C semantics: truncate toward zero.
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            if op == "/":
-                return q
-            return a - q * b
-        if op == "==":
-            return int(a == b)
-        if op == "!=":
-            return int(a != b)
-        if op == "<":
-            return int(a < b)
-        if op == "<=":
-            return int(a <= b)
-        if op == ">":
-            return int(a > b)
-        if op == ">=":
-            return int(a >= b)
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
-        if op == "<<":
-            return a << (b & 63)
-        if op == ">>":
-            return a >> (b & 63)
-        raise RuntimeError(f"unknown binary operator {op!r}")
-
-    @staticmethod
-    def _unop(op: str, a: int) -> int:
-        if op == "-":
-            return -a
-        if op == "!":
-            return int(a == 0)
-        if op == "~":
-            return ~a
-        raise RuntimeError(f"unknown unary operator {op!r}")
-
-    # ------------------------------------------------------------------ calls
-
-    def _do_ret(self, tid: int, thread: Thread, ins: Instr) -> None:
-        value = (self.eval_operand(tid, ins.operands[0])
-                 if ins.operands else 0)
-        frame = thread.frames.pop()
-        self.memory.stack_release(tid, frame.stack_base)
-        if not thread.frames:
-            # Thread exit: an Intel-PT-style tracer sees a return with no
-            # resolvable target (target_pc = -1).
-            self._fire_flow(self.global_step, tid, ins.uid, FlowKind.RET,
-                            frame.function, -1)
-            self._finish_thread(thread, value)
-            return
-        caller = thread.top
-        if frame.return_dst is not None:
-            caller.set(frame.return_dst.name, value)
-        caller.index += 1
-        self._fire_flow(self.global_step, tid, ins.uid, FlowKind.RET,
-                        frame.function, self._current_pc(thread))
+    # ------------------------------------------------------------------ threads
 
     def _finish_thread(self, thread: Thread, value: int) -> None:
         self._sched_dirty = True
@@ -874,24 +677,6 @@ class Interpreter:
         if thread.tid == 0:
             # main returning terminates the process, as in C.
             raise _ProgramExit(value)
-
-    def _do_call(self, tid: int, thread: Thread, ins: Instr) -> bool:
-        """Execute a CALL.  Returns True if control flow was redirected
-        (user call pushed a frame) and the caller must not advance."""
-        callee = ins.callee
-        if callee in self.module.functions:
-            func = self.module.functions[callee]
-            args = [self.eval_operand(tid, a) for a in ins.operands]
-            regs = dict(zip(func.params, args))
-            self._fire_flow(self.global_step, tid, ins.uid, FlowKind.CALL,
-                            callee, -1)
-            thread.frames.append(Frame(
-                function=callee, block=func.entry, index=0, regs=regs,
-                return_dst=ins.dst, stack_base=self._stack_top(tid),
-                call_pc=ins.uid, call_line=ins.line))
-            return True
-        blocked = self._do_builtin(tid, thread, ins)
-        return blocked
 
     # ------------------------------------------------------------------ builtins
 

@@ -31,9 +31,6 @@ class Frame:
     stack_base: int = 0              # memory watermark for frame teardown
     call_pc: int = -1                # uid of the CALL that created this frame
     call_line: int = 0
-    #: Cached instruction list of the current block (perf: avoids two dict
-    #: lookups per step).  Invalidated (set to None) on every jump.
-    code: Optional[list] = None
     #: Cached pre-decoded step records of the current block (hot-path
     #: dispatch; see :mod:`repro.runtime.decoded`).  Jump/branch closures
     #: swap it directly to the pre-linked target block's records.

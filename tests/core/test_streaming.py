@@ -27,6 +27,7 @@ from repro.core.streaming import (
     slice_monitored_run,
 )
 from repro.detect.invariants import ErrorInvariantRanker
+from repro.fleet import wire
 from repro.hw.watchpoints import TrapRecord
 from repro.instrument.patch import Patch
 from repro.instrument.planner import HookSpec
@@ -356,18 +357,22 @@ class TestEvidenceSlicing:
         assert run.executed == {0: [1, 2, 3]}
 
     def test_patch_slice_round_trip_and_legacy_bytes(self):
-        decoded = Patch.from_bytes(self._patch({5, 3, 8}).to_bytes())
+        decoded = wire.decode_message(
+            wire.encode_patch(self._patch({5, 3, 8}))).payload
         assert decoded.slice_uids == frozenset({3, 5, 8})
-        # The slice section is a pure suffix: a sliceless patch is
-        # byte-identical to the legacy format (the sliced encoding of the
-        # same patch merely appends), and legacy blobs decode with an
-        # empty slice.
+        # The slice section is a pure addition: a sliceless patch's body is
+        # the legacy body (the sliced body of the same patch merely adds a
+        # "slice" key), and legacy bodies decode with an empty slice.
         plain = Patch(program="p", hooks=(HookSpec(1, "watch", "x"),))
         sliced = Patch(program="p", hooks=plain.hooks,
                        slice_uids=frozenset({4}))
-        assert sliced.to_bytes().startswith(plain.to_bytes())
-        assert len(sliced.to_bytes()) > len(plain.to_bytes())
-        assert Patch.from_bytes(plain.to_bytes()).slice_uids == frozenset()
+        plain_body = wire.patch_to_body(plain)
+        sliced_body = wire.patch_to_body(sliced)
+        assert "slice" not in plain_body
+        assert {k: v for k, v in sliced_body.items() if k != "slice"} == \
+            plain_body
+        assert len(wire.encode_patch(sliced)) > len(wire.encode_patch(plain))
+        assert wire.patch_from_body(plain_body).slice_uids == frozenset()
 
 
 def _report(identity, pc=7):

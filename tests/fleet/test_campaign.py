@@ -84,9 +84,9 @@ def test_golden_covers_the_corpus(golden):
     assert sorted(golden["bugs"]) == all_bug_ids(include_extra=True)
 
 
-@pytest.mark.parametrize("bug_id", all_bug_ids(include_extra=True))
-def test_fault_free_wire_matches_golden(bug_id, golden):
-    expected = dict(golden["bugs"][bug_id])
+def assert_golden_campaign(bug_id, expected):
+    """One fault-free wire campaign reproduces its fixture row."""
+    expected = dict(expected)
     row, stats = golden_campaign(bug_id)
     # A mean of float overheads: sum() compensates rounding from Python
     # 3.12 on, which moves the last bit for some bugs.
@@ -96,6 +96,11 @@ def test_fault_free_wire_matches_golden(bug_id, golden):
     # and the fault-free run carries clean fleet accounting
     assert stats.fleet["transport"]["dropped"] == {}
     assert stats.fleet["quarantined"] == 0
+
+
+@pytest.mark.parametrize("bug_id", all_bug_ids(include_extra=True))
+def test_fault_free_wire_matches_golden(bug_id, golden):
+    assert_golden_campaign(bug_id, golden["bugs"][bug_id])
 
 
 def test_transport_validation():

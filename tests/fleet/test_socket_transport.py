@@ -45,18 +45,33 @@ COMPARED = ("found", "iterations", "failure_recurrences", "total_runs",
             "monitored_runs", "bootstrap_runs")
 
 
+#: DATA frames on the wire: (channel, blobs, frame bytes as hex).  The hex
+#: is header (magic a7, kind 01, u32 channel, u16 count, u32 payload
+#: length) then one u32 length prefix per blob before its bytes.
+FRAMES = [
+    (5, [], "a70100000005" "0000" "00000000"),
+    (5, [b""], "a70100000005" "0001" "00000004" "00000000"),
+    (5, [b"one"], "a70100000005" "0001" "00000007" "00000003" "6f6e65"),
+    (5, [b"a" * 7, b"bb", b"c" * 4096],
+     "a70100000005" "0003" "00001015" "00000007" + "61" * 7 + "00000002"
+     "6262" "00001000" + "63" * 4096),
+    (3, [b"envelope-a", b"envelope-b"],
+     "a70100000003" "0002" "0000001c" "0000000a" + b"envelope-a".hex()
+     + "0000000a" + b"envelope-b".hex()),
+]
+
+
 class TestZeroCopyFrames:
     """The writer assembles DATA frames as memoryview segment lists; the
-    joined segments must be byte-identical to the contiguous reference
-    assembly (the on-wire format is pinned, only the copies moved)."""
+    joined segments must be byte-identical to the recorded frame bytes
+    (the on-wire format is pinned, only the copies moved)."""
 
     def test_segments_join_to_reference_bytes(self):
-        from repro.fleet.socket_transport import _data_frame_segments, \
-            _pack_data_frame
+        from repro.fleet.socket_transport import _data_frame_segments
 
-        for blobs in ([], [b""], [b"one"], [b"a" * 7, b"bb", b"c" * 4096]):
-            segments = _data_frame_segments(5, blobs)
-            assert b"".join(segments) == _pack_data_frame(5, blobs)
+        for channel, blobs, frame in FRAMES[:4]:
+            segments = _data_frame_segments(channel, blobs)
+            assert b"".join(segments) == bytes.fromhex(frame)
             # Envelope payloads ride as zero-copy views over the original
             # blobs, not fresh bytes.
             views = [seg for seg in segments
@@ -66,19 +81,18 @@ class TestZeroCopyFrames:
                 assert view.obj is blob
 
     def test_builder_emits_segment_lists(self):
-        from repro.fleet.socket_transport import SocketPeer, \
-            _pack_data_frame
+        from repro.fleet.socket_transport import SocketPeer
 
+        channel, blobs, frame = FRAMES[4]
         peer = SocketPeer.__new__(SocketPeer)
         peer.batch_messages = 16
         peer.batch_bytes = 1 << 20
         peer.credit_frames_sent = 0
         peer.messages_sent = 0
         peer.max_frame_messages = 0
-        blobs = [b"envelope-a", b"envelope-b"]
-        frames = peer._build_frames([("data", 3, b) for b in blobs])
+        frames = peer._build_frames([("data", channel, b) for b in blobs])
         assert len(frames) == 1
-        assert b"".join(frames[0]) == _pack_data_frame(3, blobs)
+        assert b"".join(frames[0]) == bytes.fromhex(frame)
         assert peer.messages_sent == 2
 
 

@@ -128,6 +128,7 @@ def patches():
         program=_text,
         hooks=hooks,
         watch_assignment=st.frozensets(_uid, max_size=4),
+        slice_uids=st.frozensets(_uid, max_size=8),
     )
 
 
@@ -164,6 +165,10 @@ def test_patch_round_trip(patch, epoch):
     msg = wire.decode_message(wire.encode_patch(patch, epoch=epoch))
     assert msg.type == wire.MSG_PATCH
     assert msg.payload == patch
+    # The slice is an optional section: a sliceless patch's body has no
+    # "slice" key, so exact-mode patch envelopes keep their pre-slicing
+    # bytes and digests.
+    assert ("slice" in wire.patch_to_body(patch)) == bool(patch.slice_uids)
 
 
 @settings(max_examples=60, deadline=None)

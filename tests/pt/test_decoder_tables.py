@@ -1,29 +1,34 @@
-"""The table-driven PT decoder: reference parity, malformed streams,
+"""The table-driven PT decoder: recorded windows, malformed streams,
 single-pass cursor.
 
 ``PTDecoder`` (successor tables + byte-scanning cursor) must decode every
-stream to the exact windows ``ReferencePTDecoder`` (the preserved original
-implementation) produces, and must reject corrupt streams loudly — a
+corpus stream to the windows recorded in ``tests/golden/tiers.json``
+(digests from when it and the retired object-walking reference decoder
+agreed on all of them), and must reject corrupt streams loudly — a
 :class:`DecodeError` carrying the byte offset of the offending packet,
 never a silently truncated trace.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.corpus import all_bug_ids, get_bug
-from repro.lang import compile_source
+from repro.lang import Opcode, compile_source
 from repro.pt import (
     DecodeError,
     PTConfig,
     PTDecoder,
     PTEncoder,
-    ReferencePTDecoder,
 )
 from repro.pt import packets as P
 from repro.pt.decoder import _PacketCursor
 from repro.runtime import Interpreter
+from tests.digest import digest
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "tiers.json"
 
 LOOPY = """
 int work(int n) {
@@ -49,8 +54,9 @@ def _traced_module(n=13):
     return module, encoder.raw_trace(0)
 
 
-def _spec_streams(spec):
-    """All (module, raw) PT streams for one corpus bug's workloads."""
+def _spec_streams(spec, mode=None):
+    """All (module, raw) PT streams for one corpus bug's workloads, traced
+    on tier ``mode`` (default: the process default tier)."""
     out = []
     workloads = [spec.workload_factory(0), spec.workload_factory(1)]
     if spec.failing_probe is not None:
@@ -61,21 +67,27 @@ def _spec_streams(spec):
         interp = Interpreter(module, args=list(workload.args),
                              scheduler=workload.make_scheduler(),
                              tracers=[pt], max_steps=workload.max_steps,
-                             mode="strict")
+                             mode=mode)
         interp.run()
         for tid in sorted(pt.buffers):
             out.append((module, pt.raw_trace(tid)))
     return out
 
 
+def window_digests(spec, mode=None):
+    """One digest of the decoded windows per stream of ``spec``."""
+    return [digest(dataclasses.asdict(PTDecoder(module).decode(raw)))
+            for module, raw in _spec_streams(spec, mode)]
+
+
 class TestReferenceParity:
     @pytest.mark.parametrize("bug_id", all_bug_ids())
     def test_identical_windows_on_corpus_streams(self, bug_id):
-        spec = get_bug(bug_id)
-        for module, raw in _spec_streams(spec):
-            new = PTDecoder(module).decode(raw)
-            ref = ReferencePTDecoder(module).decode(raw)
-            assert dataclasses.asdict(new) == dataclasses.asdict(ref)
+        golden = json.loads(GOLDEN.read_text())["decoded_windows"]
+        got = window_digests(get_bug(bug_id))
+        assert len(got) == len(golden[bug_id]), bug_id
+        for index, (g, w) in enumerate(zip(got, golden[bug_id])):
+            assert g == w, f"{bug_id}: stream {index} windows diverged"
 
     def test_tables_cached_per_module_and_epoch(self):
         module, raw = _traced_module()
@@ -150,6 +162,29 @@ class TestMalformedStreams:
         with pytest.raises(DecodeError) as err:
             PTDecoder(module).decode(bad)
         assert err.value.offset == len(padded)
+
+    @pytest.mark.parametrize("uid", [10 ** 6, -1])
+    def test_window_start_outside_program(self, uid):
+        module, _ = _traced_module()
+        with pytest.raises(DecodeError) as err:
+            PTDecoder(module).decode(P.encode_tip_pge(uid))
+        assert err.value.offset == 0
+        assert f"window start uid {uid}" in str(err.value)
+
+    def test_return_target_outside_program(self):
+        """A TIP at or above the instruction count names no instruction
+        (a negative one is a thread exit and ends the window)."""
+        module, _ = _traced_module()
+        ret = next(ins.uid for ins in module.instructions()
+                   if ins.opcode is Opcode.RET)
+        start = P.encode_tip_pge(ret)
+        n = module.num_instructions()
+        with pytest.raises(DecodeError) as err:
+            PTDecoder(module).decode(start + P.encode_tip(n))
+        assert err.value.offset == len(start)
+        assert f"return target uid {n}" in str(err.value)
+        exits = PTDecoder(module).decode(start + P.encode_tip(-1))
+        assert exits.windows[0].executed == [ret]
 
     def test_well_formed_stream_has_no_offset_error(self):
         module, raw = _traced_module()

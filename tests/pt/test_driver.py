@@ -45,12 +45,15 @@ class TestIoctl:
         driver.ioctl(PT_IOC_ENABLE, tid=0, uid=3)
         raw = driver.read_trace(0)
         # Only one PGE got emitted.
-        from repro.pt import TIPPGE, parse_stream
+        from repro.pt import TIPPGE
+        from repro.pt.decoder import _PacketCursor
 
         driver.ioctl(PT_IOC_DISABLE, tid=0, uid=4)
-        pges = [p for p in parse_stream(driver.read_trace(0))
-                if isinstance(p, TIPPGE)]
-        assert len(pges) == 1
+        cursor = _PacketCursor(driver.read_trace(0))
+        pges = 0
+        while (pkt := cursor.pop()) is not None:
+            pges += isinstance(pkt, TIPPGE)
+        assert pges == 1
 
 
 class TestConfiguration:

@@ -1,20 +1,37 @@
-"""PT packet encode/decode tests, including property-based roundtrips."""
+"""PT packet encode/decode tests, including property-based roundtrips.
+
+Streams are parsed by the decoder's packet cursor, the one implementation
+of the packet grammar.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.pt import DecodeError
 from repro.pt import packets as P
+from repro.pt.decoder import _PacketCursor
+
+
+def _parse(raw):
+    """Every packet in ``raw``, in order."""
+    cursor = _PacketCursor(raw)
+    packets = []
+    while True:
+        pkt = cursor.pop()
+        if pkt is None:
+            return packets
+        packets.append(pkt)
 
 
 class TestTNT:
     def test_single_bit(self):
-        (pkt,) = list(P.parse_stream(P.encode_tnt([True])))
+        (pkt,) = _parse(P.encode_tnt([True]))
         assert isinstance(pkt, P.TNT)
         assert pkt.bits == (True,)
 
     def test_six_bits(self):
         bits = [True, False, True, True, False, False]
-        (pkt,) = list(P.parse_stream(P.encode_tnt(bits)))
+        (pkt,) = _parse(P.encode_tnt(bits))
         assert pkt.bits == tuple(bits)
 
     def test_too_many_bits_rejected(self):
@@ -31,7 +48,7 @@ class TestTNT:
     @given(st.lists(st.booleans(), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, bits):
-        (pkt,) = list(P.parse_stream(P.encode_tnt(bits)))
+        (pkt,) = _parse(P.encode_tnt(bits))
         assert pkt.bits == tuple(bits)
 
 
@@ -63,7 +80,7 @@ class TestTIPFamily:
     ])
     def test_roundtrip(self, encode, cls):
         for uid in (0, 1, 127, 128, 100_000, -1):
-            (pkt,) = list(P.parse_stream(encode(uid)))
+            (pkt,) = _parse(encode(uid))
             assert isinstance(pkt, cls)
             assert pkt.uid == uid
 
@@ -72,7 +89,7 @@ class TestStream:
     def test_psb_ovf_pad(self):
         raw = P.encode_pad() + P.encode_psb() + P.encode_ovf() + \
             P.encode_pad()
-        pkts = list(P.parse_stream(raw))
+        pkts = _parse(raw)
         assert isinstance(pkts[0], P.PSB)
         assert isinstance(pkts[1], P.OVF)
 
@@ -80,7 +97,7 @@ class TestStream:
         raw = (P.encode_psb() + P.encode_tip_pge(10)
                + P.encode_tnt([True, False]) + P.encode_tip(55)
                + P.encode_tip_pgd(60))
-        pkts = list(P.parse_stream(raw))
+        pkts = _parse(raw)
         kinds = [type(p).__name__ for p in pkts]
         assert kinds == ["PSB", "TIPPGE", "TNT", "TIP", "TIPPGD"]
         assert pkts[1].uid == 10
@@ -88,8 +105,9 @@ class TestStream:
         assert pkts[4].uid == 60
 
     def test_garbage_header_raises(self):
-        with pytest.raises(P.PacketError):
-            list(P.parse_stream(bytes([0x03])))  # odd, not a known header
+        with pytest.raises(DecodeError) as err:
+            _parse(bytes([0x03]))  # odd, not a known header
+        assert err.value.offset == 0
 
     @given(st.lists(st.one_of(
         st.tuples(st.just("tnt"),
@@ -113,7 +131,7 @@ class TestStream:
                 raw += P.encode_tip_pgd(arg)
             else:
                 raw += P.encode_psb()
-        pkts = list(P.parse_stream(bytes(raw)))
+        pkts = _parse(bytes(raw))
         assert len(pkts) == len(items)
         for (kind, arg), pkt in zip(items, pkts):
             if kind == "tnt":

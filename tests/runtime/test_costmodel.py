@@ -4,27 +4,13 @@ import pytest
 
 from repro.lang import Opcode, compile_source
 from repro.runtime import run_program
-from repro.runtime.costmodel import (
-    CostModel,
-    OPCODE_COST,
-    overhead_percent,
-)
+from repro.runtime.costmodel import OPCODE_COST, overhead_percent
 
 
 class TestCostModel:
     def test_every_opcode_priced(self):
         assert set(OPCODE_COST) == set(Opcode)
         assert all(cost >= 1 for cost in OPCODE_COST.values())
-
-    def test_charge_accumulates(self):
-        model = CostModel()
-        model.charge(Opcode.LOAD)
-        model.charge(Opcode.LOAD)
-        model.charge(Opcode.BINOP)
-        assert model.base_cost == 2 * OPCODE_COST[Opcode.LOAD] + \
-            OPCODE_COST[Opcode.BINOP]
-        assert model.instructions_retired() == 3
-        assert model.counts["load"] == 2
 
     def test_memory_ops_cost_more_than_alu(self):
         assert OPCODE_COST[Opcode.LOAD] > OPCODE_COST[Opcode.BINOP]

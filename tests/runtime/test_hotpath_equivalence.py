@@ -1,12 +1,15 @@
-"""Three-way equivalence: compiled == decoded == strict.
+"""Tier equivalence: compiled == decoded == the recorded reference.
 
-The interpreter tiers are pure speed changes; these tests pin the compiled
-tier (GIR compiled to Python generators) and the decoded tier (pre-decoded
-closure streams + subscriber-list dispatch + memory fast paths) to the
-preserved reference interpreter (``mode="strict"``) across the whole
-corpus: identical event sequences, byte-identical PT buffers, identical
-watchpoint trap logs, identical outcomes and cost accounting, and
-identical end-to-end diagnosis sketches.
+The interpreter tiers are pure speed changes.  ``tests/golden/tiers.json``
+holds per-part digests (:mod:`tests.digest`) of what the retired strict
+reference interpreter produced across the whole corpus — event
+sequences, PT buffers, watchpoint trap logs, outcomes and cost
+accounting, race reports and null-origin chains — recorded when the
+strict, decoded and compiled tiers all agreed on every part under two
+hash seeds.  The compiled tier (GIR compiled to Python generators) and
+the decoded tier (pre-decoded closure streams + subscriber-list dispatch
++ memory fast paths) must each reproduce every row, and decoded-tier
+campaigns must reproduce ``tests/golden/campaigns.json``.
 
 The compiled tier runs instrumented executions too: its generated code
 fires hooks and events itself.  Instrumented runs carry full-trace PT, a
@@ -17,16 +20,24 @@ uninstrumented runs pin the plain generators.
 Both fan-outs are pinned: an event log or several handlers leave every
 kind ungated, while a watchpoint unit or PT encoder alone gates its kinds
 (memory events on watched addresses, branch and flow events on traced
-threads), and the strict tier never gates.
+threads).
+
+Running this module prints the fixture from live compiled-tier runs;
+redirect it into ``tests/golden/tiers.json`` to re-record after an
+intended behaviour change::
+
+    PYTHONPATH=src python -m tests.runtime.test_hotpath_equivalence \\
+        > tests/golden/tiers.json
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import BackwardSlicer
 from repro.analysis.context import AnalysisContext
-from repro.core.render import render_sketch
 from repro.corpus import all_bug_ids, get_bug
-from repro.corpus.evaluation import evaluate_bug
 from repro.detect import RaceDetector, apply_detectors, make_detectors
 from repro.hw.watchpoints import WatchpointUnit
 from repro.instrument import InstrumentationPlanner, Patch, apply_patch
@@ -48,8 +59,39 @@ from repro.runtime.events import (
 )
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.memory import GLOBAL_BASE
+from tests.digest import DIGEST_CHARS, digest
 
-MODES = ("compiled", "decoded", "strict")
+TIERS = ("compiled", "decoded")
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "tiers.json"
+#: What the fixture was recorded at.
+GOLDEN_SETTINGS = {
+    "digest": f"sha256 of canonical JSON, first {DIGEST_CHARS} hex chars",
+    "run_bugs": "all_bug_ids()",
+    "run_workloads": ["seed0", "seed1", "probe"],
+    "patched_bugs": "all_bug_ids(include_extra=True)",
+    "patched_workloads": ["failing", "seed0"],
+    "sigmas": [2, 4, 8],
+    "pt_streams": "full-trace PT of each run_workload, per thread",
+}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def _digests(parts, values):
+    return {part: digest(value) for part, value in zip(parts, values)}
+
+
+def _assert_rows_match(row, parts, values, where):
+    """Every part of one live case against its fixture row; a mismatch
+    names the case (``where``) and the part."""
+    got = _digests(parts, values)
+    assert set(row) == set(parts), f"{where}: fixture parts {sorted(row)}"
+    for part in parts:
+        assert got[part] == row[part], f"{where}: {part} diverged"
 
 
 class EventLog(Tracer):
@@ -126,32 +168,33 @@ def _run_uninstrumented(spec, workload, mode):
 
 _PARTS = ("outcome", "op counts", "event log", "pt buffers",
           "trap log", "traps taken")
+_PLAIN_PARTS = ("outcome", "op counts")
 
 
 @pytest.mark.parametrize("bug_id", all_bug_ids())
-def test_bug_runs_identical_across_dispatch_modes(bug_id):
-    """Instrumented three-way matrix: full-trace PT (a step subscriber),
-    a watchpoint and an event log on every tier."""
+def test_bug_runs_identical_across_dispatch_modes(bug_id, golden):
+    """Instrumented matrix: full-trace PT (a step subscriber), a
+    watchpoint and an event log on every tier."""
     spec = get_bug(bug_id)
     for label, workload in _workloads(spec):
-        want = _run(spec, workload, mode="strict")
-        for mode in ("compiled", "decoded"):
-            got = _run(spec, workload, mode=mode)
-            for part, g, w in zip(_PARTS, got, want):
-                assert g == w, f"{bug_id}/{label}/{mode}: {part} diverged"
+        row = golden["runs"][f"{bug_id}/{label}"]
+        for mode in TIERS:
+            _assert_rows_match(row, _PARTS, _run(spec, workload, mode),
+                               f"{bug_id}/{label}/{mode}")
 
 
 @pytest.mark.parametrize("bug_id", all_bug_ids())
-def test_uninstrumented_runs_identical_across_modes(bug_id):
-    """Uninstrumented three-way matrix: no tracers, so ``compiled`` really
-    runs the exec-compiled generators — outcomes, step counts, and cost
-    accounting must match the reference byte for byte."""
+def test_uninstrumented_runs_identical_across_modes(bug_id, golden):
+    """Uninstrumented matrix: no tracers, so ``compiled`` really runs the
+    exec-compiled generators — outcomes, step counts, and cost accounting
+    must match the reference byte for byte."""
     spec = get_bug(bug_id)
     for label, workload in _workloads(spec):
-        want = _run_uninstrumented(spec, workload, mode="strict")
-        for mode in ("compiled", "decoded"):
-            got = _run_uninstrumented(spec, workload, mode=mode)
-            assert got == want, f"{bug_id}/{label}/{mode} diverged"
+        row = golden["uninstrumented_runs"][f"{bug_id}/{label}"]
+        for mode in TIERS:
+            _assert_rows_match(row, _PLAIN_PARTS,
+                               _run_uninstrumented(spec, workload, mode),
+                               f"{bug_id}/{label}/{mode}")
 
 
 #: A list walk whose loads overwrite their own address register, which
@@ -182,34 +225,35 @@ done:
 """
 
 
-def test_self_addressed_load_events_identical_across_tiers():
+def _self_addressed_run(mode):
+    module = parse_gir(_SELF_ADDRESSED_LOAD_GIR)
+    log = EventLog()
+    pt = PTEncoder(PTConfig(ptwrite=True), trace_on_start=True)
+    wpu = WatchpointUnit()
+    wpu.set_watchpoint(GLOBAL_BASE, length=3, condition="rw")
+    interp = Interpreter(module, tracers=[log, pt, wpu], mode=mode)
+    assert interp.mode == mode
+    outcome = interp.run()
+    pt_bytes = {tid: pt.raw_trace(tid) for tid in sorted(pt.buffers)}
+    return (_outcome_key(outcome), log.events, pt_bytes, list(wpu.trap_log))
+
+
+_SELF_ADDRESSED_PARTS = ("outcome", "event log", "pt buffers", "trap log")
+
+
+def test_self_addressed_load_events_identical_across_tiers(golden):
     """``%p = load %p``: the memory event carries the address read, not the
     loaded value, on every tier, and so do the watchpoint traps and PTWRITE
     packets fed from it."""
-    module = parse_gir(_SELF_ADDRESSED_LOAD_GIR)
-    results = {}
-    for mode in MODES:
-        log = EventLog()
-        pt = PTEncoder(PTConfig(ptwrite=True), trace_on_start=True)
-        wpu = WatchpointUnit()
-        wpu.set_watchpoint(GLOBAL_BASE, length=3, condition="rw")
-        interp = Interpreter(module, tracers=[log, pt, wpu], mode=mode)
-        assert interp.mode == mode
-        outcome = interp.run()
-        pt_bytes = {tid: pt.raw_trace(tid) for tid in sorted(pt.buffers)}
-        results[mode] = (_outcome_key(outcome), log.events, pt_bytes,
-                         list(wpu.trap_log))
-    loads = [(event.address, event.value)
-             for event in results["strict"][1]
-             if isinstance(event, MemEvent) and not event.is_write]
     a, b, c = GLOBAL_BASE, GLOBAL_BASE + 1, GLOBAL_BASE + 2
-    assert loads == [(a, b), (b, c), (c, 0)]
-    assert results["strict"][0][1] == 3
-    for mode in ("compiled", "decoded"):
-        for part, got, want in zip(("outcome", "event log", "pt buffers",
-                                    "trap log"),
-                                   results[mode], results["strict"]):
-            assert got == want, f"{mode}: {part} diverged"
+    for mode in TIERS:
+        result = _self_addressed_run(mode)
+        loads = [(event.address, event.value) for event in result[1]
+                 if isinstance(event, MemEvent) and not event.is_write]
+        assert loads == [(a, b), (b, c), (c, 0)], mode
+        assert result[0][1] == 3, mode
+        _assert_rows_match(golden["self_addressed_load"],
+                           _SELF_ADDRESSED_PARTS, result, mode)
 
 
 #: Slice-window sizes (σ) the patched-run matrix plans AsT patches for.
@@ -260,14 +304,9 @@ _PATCHED_PARTS = ("outcome", "null-origin chain", "op counts",
                   "pt buffers", "trap log", "arming failures", "races")
 
 
-@pytest.mark.parametrize("bug_id", all_bug_ids(include_extra=True))
-def test_patched_runs_identical_across_tiers(bug_id):
-    """Monitored runs as a campaign makes them: AsT patches planned from
-    the bug's failure slice at several σ (mid-run PT start/stop toggles and
-    watchpoint arming by hooks), the bug's detectors attached (race reports
-    and null-origin chains).  Outcomes and every piece of evidence match
-    across the three tiers."""
-    spec = get_bug(bug_id)
+def _patched_cases(spec):
+    """(σ, workload label, workload, patch) for every patched-run case of
+    one bug."""
     module = spec.module()
     failing, pc = _failing_run(spec)
     slicer = BackwardSlicer(module)
@@ -278,12 +317,23 @@ def test_patched_runs_identical_across_tiers(bug_id):
         patch = Patch.from_plan(module.name, plan)
         for label, workload in (("failing", failing),
                                 ("seed0", spec.workload_factory(0))):
-            want = _patched_run(spec, workload, patch, "strict")
-            for mode in ("compiled", "decoded"):
-                got = _patched_run(spec, workload, patch, mode)
-                for part, g, w in zip(_PATCHED_PARTS, got, want):
-                    assert g == w, \
-                        f"{bug_id}/σ={sigma}/{label}/{mode}: {part} diverged"
+            yield sigma, label, workload, patch
+
+
+@pytest.mark.parametrize("bug_id", all_bug_ids(include_extra=True))
+def test_patched_runs_identical_across_tiers(bug_id, golden):
+    """Monitored runs as a campaign makes them: AsT patches planned from
+    the bug's failure slice at several σ (mid-run PT start/stop toggles and
+    watchpoint arming by hooks), the bug's detectors attached (race reports
+    and null-origin chains).  Outcomes and every piece of evidence match
+    the reference on both tiers."""
+    spec = get_bug(bug_id)
+    for sigma, label, workload, patch in _patched_cases(spec):
+        row = golden["patched_runs"][f"{bug_id}/sigma={sigma}/{label}"]
+        for mode in TIERS:
+            _assert_rows_match(row, _PATCHED_PARTS,
+                               _patched_run(spec, workload, patch, mode),
+                               f"{bug_id}/{label}/σ={sigma}/{mode}")
 
 
 def test_compiled_tier_runs_instrumented(monkeypatch):
@@ -327,25 +377,27 @@ def test_compiled_tier_runs_instrumented(monkeypatch):
     assert decoded_outcome == compiled_outcome
 
 
-@pytest.mark.parametrize("bug_id", ["pbzip2-1", "curl-965"])
-@pytest.mark.parametrize("mode", ["compiled", "decoded"])
-def test_campaign_sketches_identical_across_dispatch_modes(
-        bug_id, mode, monkeypatch):
+def test_unknown_modes_rejected():
+    """Two tiers; the retired strict tier is an unknown mode."""
+    module = get_bug("pbzip2-1").module()
+    for mode in ("strict", "bogus"):
+        with pytest.raises(ValueError, match="unknown interpreter mode"):
+            Interpreter(module, mode=mode)
+
+
+@pytest.mark.parametrize("bug_id", all_bug_ids(include_extra=True))
+def test_decoded_campaigns_match_golden(bug_id, monkeypatch):
     """Whole diagnosis campaigns (clients construct their own interpreters)
-    produce the same sketch under every tier, toggled the way operators
-    would: via the process-wide default."""
-    spec = get_bug(bug_id)
-    results = {}
-    for active in (mode, "strict"):
-        monkeypatch.setattr(interp_mod, "INTERP_MODE_DEFAULT", active)
-        ev = evaluate_bug(spec, mode="full", endpoints=2, max_iterations=4,
-                          max_runs_per_iteration=60,
-                          context=AnalysisContext(spec.module()))
-        assert ev.best is not None and ev.best.sketch is not None
-        results[active] = (render_sketch(ev.best.sketch), ev.found,
-                           ev.recurrences, ev.total_runs,
-                           ev.iterations_used)
-    assert results[mode] == results["strict"]
+    on the decoded tier, toggled the way operators would — via the
+    process-wide default — reproduce ``tests/golden/campaigns.json`` at its
+    settings.  The compiled tier is pinned there by the wire-transport
+    test in ``tests/fleet/test_campaign.py``."""
+    from tests.fleet.test_campaign import GOLDEN as CAMPAIGNS
+    from tests.fleet.test_campaign import assert_golden_campaign
+
+    monkeypatch.setattr(interp_mod, "INTERP_MODE_DEFAULT", "decoded")
+    expected = json.loads(CAMPAIGNS.read_text())["bugs"][bug_id]
+    assert_golden_campaign(bug_id, expected)
 
 
 def test_decoded_stream_cached_per_module_and_epoch():
@@ -526,19 +578,25 @@ def _churned_run(mode):
             first_load.uid, fresh)
 
 
-def test_gates_follow_mid_run_arming_and_clearing():
+_CHURNED_PARTS = ("outcome", "trap log", "traps taken", "pt buffers",
+                  "first load", "fresh address")
+
+
+def test_gates_follow_mid_run_arming_and_clearing(golden):
     """Gates are live: hooks that arm a watchpoint, ``clear`` or
     ``clear_all`` it and arm a fresh address, and open and close PT
     windows, change what every later event sees — the hooked instruction's
-    own access included — identically on all three tiers."""
-    want = _churned_run("strict")
-    outcome, traps, _, pt_bytes, first_load, fresh = want
-    assert traps[0].pc == first_load  # the arming hook's own load traps
+    own access included — identically on both tiers and the reference."""
     fifo, total_out = GLOBAL_BASE, GLOBAL_BASE + 1
-    assert {fifo, total_out, fresh[0]} <= {trap.address for trap in traps}
-    assert pt_bytes
-    for mode in ("compiled", "decoded"):
-        assert _churned_run(mode) == want, mode
+    for mode in TIERS:
+        result = _churned_run(mode)
+        outcome, traps, _, pt_bytes, first_load, fresh = result
+        assert traps[0].pc == first_load, mode  # the arming load traps
+        assert {fifo, total_out, fresh[0]} <= \
+            {trap.address for trap in traps}, mode
+        assert pt_bytes, mode
+        _assert_rows_match(golden["churned_run"], _CHURNED_PARTS, result,
+                           mode)
 
 
 def test_subscription_detection():
@@ -573,17 +631,60 @@ def test_subscription_detection():
         assert gate(EventLog(), name) is None
     assert gate(pt, "on_step") is None
 
-    # The run-level rule: a lone, cost-free handler's gate, never strict.
+    # The run-level rule: a lone, cost-free handler's gate.
     module = get_bug("pbzip2-1").module()
 
     def gates(*tracers, mode="compiled"):
         interp = Interpreter(module, tracers=tracers, mode=mode)
         return interp._mem_gate, interp._branch_gate, interp._flow_gate
 
-    for mode in ("compiled", "decoded"):
+    for mode in TIERS:
         mem, branch, flow = gates(wpu, pt, mode=mode)
         assert mem is wpu.gate_on_mem and branch is flow is pt.tracing
-    assert gates(wpu, pt, mode="strict") == (None, None, None)
     assert gates(wpu, EventLog()) == (None, None, None)  # two handlers
     assert gates(wpu, CostOnly()) == (None, None, None)  # a cost is owed
     assert gates(pt, PTEncoder())[1:] == (None, None)
+
+
+def record(mode="compiled") -> dict:
+    """The fixture, from live runs on tier ``mode``."""
+    from tests.pt.test_decoder_tables import window_digests
+
+    fixture = {"settings": GOLDEN_SETTINGS, "runs": {},
+               "uninstrumented_runs": {}, "patched_runs": {},
+               "decoded_windows": {}}
+    for bug_id in all_bug_ids():
+        spec = get_bug(bug_id)
+        for label, workload in _workloads(spec):
+            key = f"{bug_id}/{label}"
+            fixture["runs"][key] = _digests(
+                _PARTS, _run(spec, workload, mode))
+            fixture["uninstrumented_runs"][key] = _digests(
+                _PLAIN_PARTS, _run_uninstrumented(spec, workload, mode))
+        fixture["decoded_windows"][bug_id] = window_digests(spec, mode)
+    for bug_id in all_bug_ids(include_extra=True):
+        spec = get_bug(bug_id)
+        for sigma, label, workload, patch in _patched_cases(spec):
+            fixture["patched_runs"][f"{bug_id}/sigma={sigma}/{label}"] = \
+                _digests(_PATCHED_PARTS,
+                         _patched_run(spec, workload, patch, mode))
+    fixture["churned_run"] = _digests(_CHURNED_PARTS, _churned_run(mode))
+    fixture["self_addressed_load"] = _digests(
+        _SELF_ADDRESSED_PARTS, _self_addressed_run(mode))
+    return fixture
+
+
+def test_golden_covers_the_corpus(golden):
+    assert golden["settings"] == GOLDEN_SETTINGS
+    runs = {f"{bug_id}/{label}" for bug_id in all_bug_ids()
+            for label, _ in _workloads(get_bug(bug_id))}
+    assert set(golden["runs"]) == set(golden["uninstrumented_runs"]) == runs
+    assert sorted(golden["decoded_windows"]) == all_bug_ids()
+    patched = {f"{bug_id}/sigma={sigma}/{label}"
+               for bug_id in all_bug_ids(include_extra=True)
+               for sigma in _SIGMAS for label in ("failing", "seed0")}
+    assert set(golden["patched_runs"]) == patched
+
+
+if __name__ == "__main__":
+    print(json.dumps(record(), indent=2, sort_keys=True))

@@ -205,6 +205,7 @@ class TestVersionAndFleetFlags:
          "--fleet-transport", "direct"],
         ["corpus", "diagnose", "transmission-1818", "--jobs", "2"],
         ["run", "prog.minic", "--strict-dispatch"],
+        ["run", "prog.minic", "--interp", "strict"],
     ])
     def test_retired_spellings_are_argparse_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
