@@ -341,13 +341,9 @@ def _cmd_corpus_campaign(args: argparse.Namespace) -> int:
           f"{result.total_runs} total runs, {result.wall_seconds:.2f}s")
     print(f"cross-shard merge verified: {result.merge_verified}")
     if args.stats == "streaming":
-        tracked = sum(s.tracked_runs for s in result.stats.values())
         peak = max((s.peak_tracked_bytes for s in result.stats.values()),
                    default=0)
-        saved = sum(s.payload_bytes_saved for s in result.stats.values())
-        print(f"streaming stats: {tracked} runs tracked, peak state "
-              f"{peak:,} bytes, evidence slicing saved {saved:,} "
-              f"payload bytes")
+        print(f"streaming stats: peak state {peak:,} bytes")
     all_found = True
     for bug_id in bug_ids:
         stats = result.stats[bug_id]
@@ -538,10 +534,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "paper's F-measure, default) or 'invariants' "
                             "(error-invariant recall x specificity)")
         p.add_argument("--stats", choices=STATS_KINDS, default="exact",
-                       help="statistics mode: 'exact' (reference; holds "
-                            "every run, default) or 'streaming' (bounded "
-                            "memory — sketched ranking, rolling-window "
-                            "F-measures, client-side evidence slicing)")
+                       help="statistics mode: 'exact' (unbounded "
+                            "predictor counts, default) or 'streaming' "
+                            "(bounded memory — sketched predictor counts, "
+                            "windowed recurrences for the budget "
+                            "scheduler, capped failure-identity "
+                            "histograms)")
 
     def control_flags(p):
         from .control import SCHEDULER_KINDS

@@ -139,7 +139,6 @@ class ControlPlane:
             raise ValueError("campaign ids must be unique")
         self.specs = list(specs)
         self.ring = ConsistentHashRing(shards)
-        self.stats_kind = stats
         self.shards = [ShardServer(i, stats=stats) for i in range(shards)]
         self.scheduler = BudgetScheduler(scheduler, endpoints=endpoints,
                                          quantum=quantum)
@@ -252,20 +251,21 @@ class ControlPlane:
             body = message.payload
             clusters.merge(FailureClusterer.from_state(body["clusters"]))
             for entry in body["campaigns"]:
+                direct = self.drivers[entry["key"]].campaign.ranker()
                 merged: Optional[PredictorRanker] = None
                 for stripe_state in entry["stripes"]:
                     # Dispatch on the state's "kind": sketched stripes
                     # (streaming mode) rebuild as SketchRankers so the
                     # fold exercises mergeable-summaries merge; exact
-                    # stripes take the classic path unchanged.
-                    partial = ranker_from_state(stripe_state)
+                    # stripes take the classic path unchanged.  States
+                    # carry counts, not the score: name the campaign's.
+                    partial = ranker_from_state(stripe_state,
+                                                score=direct.score)
                     if merged is None:
                         merged = partial
                     else:
                         merged.merge(partial)
-                driver = self.drivers[entry["key"]]
-                direct = driver.campaign.ranker().state()
-                if merged is None or merged.state() != direct:
+                if merged is None or merged.state() != direct.state():
                     verified = False
         result.clusters = clusters
         result.merge_verified = verified

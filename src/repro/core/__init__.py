@@ -37,6 +37,7 @@ from .refinement import (
     MonitoredRun,
     OrderedEvent,
     RefinementResult,
+    RunningRefinement,
     global_event_order,
     refine,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "kendall_tau_distance",
     "mixed_factory",
     "refine",
+    "RunningRefinement",
     "render_compact",
     "render_html",
     "render_sketch",

@@ -24,8 +24,29 @@ from ..runtime.failures import RunOutcome
 from ..runtime.interpreter import Interpreter
 from .predictors import extract_all
 from .refinement import MonitoredRun
-from .streaming import slice_monitored_run
 from .workload import Workload
+
+
+def slice_monitored_run(run: MonitoredRun, patch: Patch) -> None:
+    """Client-side evidence slicing (*Slicing Event Traces*, PAPERS.md).
+
+    Prunes ``run``'s executed sequences in place down to the patch's
+    slice: each thread keeps only uids in the slice ∪ hook uids ∪ this
+    run's trapped pcs (order and multiplicity preserved).  Trap records
+    and the extracted predictor set are never touched — traps carry the
+    global order and the discovered statements, and predictors (extracted
+    from the full trace before pruning) feed the ranking verbatim.
+
+    Sound for refinement by construction: the AsT window is a subset of
+    the static slice, so ``window ∩ executed`` — the only thing
+    :func:`~repro.core.refinement.refine` reads of executed sequences —
+    is unchanged.
+    """
+    keep = set(patch.slice_uids)
+    keep.update(hook.uid for hook in patch.hooks)
+    keep.update(trap.pc for trap in run.traps)
+    run.executed = {tid: [uid for uid in seq if uid in keep]
+                    for tid, seq in run.executed.items()}
 
 
 @dataclass
@@ -58,12 +79,6 @@ class GistClient:
         #: endpoint (see :mod:`repro.detect`): fresh instances per run,
         #: and their verdicts amend the outcome before it is reported.
         self.detectors = validate_detectors(detectors)
-        #: Evidence-slicing accounting (streaming statistics mode): wire
-        #: body bytes this endpoint pruned before reporting, and the bytes
-        #: it actually reported for sliced runs.  Both stay 0 when patches
-        #: carry no slice (exact mode).
-        self.payload_bytes_saved = 0
-        self.payload_bytes_sent = 0
 
     def prepare_patch(self, patch: Optional[Patch]) -> Optional[Patch]:
         """Transform a server patch before applying it (identity here).
@@ -149,12 +164,12 @@ class GistClient:
             # walks its own traces in parallel and the server's single
             # aggregation thread ingests ready-made predictor sets.
             # Extraction runs over the *full* trace, so predictor facts are
-            # exact even when slicing below prunes the shipped evidence.
+            # exact even though slicing below prunes the shipped evidence.
             monitored.predictors = frozenset(extract_all(
                 monitored, self.module,
                 extended=self.extended_predicates))
+            # A sliceless patch (hand-built, or from an older server) must
+            # not prune: an empty slice would drop nearly everything.
             if patch.slice_uids:
-                saved, sent = slice_monitored_run(monitored, patch)
-                self.payload_bytes_saved += saved
-                self.payload_bytes_sent += sent
+                slice_monitored_run(monitored, patch)
         return ClientRunResult(outcome=outcome, monitored=monitored)

@@ -86,14 +86,10 @@ class CampaignStats:
     #: Fleet/transport accounting, filled when the campaign ends: message
     #: counts, drops, quarantines, stale discards, crash/churn losses.
     fleet: Optional[Dict] = None
-    #: Bounded-memory accounting (see :mod:`repro.core.streaming`):
-    #: runs' worth of per-run state held at campaign end (O(runs) exact,
-    #: O(1) streaming), the high-water mark of the tracked statistics
-    #: footprint, and wire body bytes client-side evidence slicing pruned
-    #: before they ever hit the uplink (0 in exact mode).
-    tracked_runs: int = 0
+    #: High-water mark of the campaign's tracked statistics and
+    #: refinement-evidence footprint (bounded in streaming mode, see
+    #: :mod:`repro.core.streaming`).
     peak_tracked_bytes: int = 0
-    payload_bytes_saved: int = 0
 
 
 class CooperativeDeployment:
@@ -147,13 +143,6 @@ class CooperativeDeployment:
                                  extended_predicates=extended_predicates,
                                  context=context, stripes=ranker_stripes,
                                  ranker=ranker, stats=stats)
-        #: Statistics mode (validated by the server above): ``"exact"`` or
-        #: ``"streaming"`` — see :mod:`repro.core.streaming`.
-        self.stats_kind = stats
-        #: Evidence-slicing bytes saved by clients living in *worker
-        #: processes* (their counters can't be read directly; each
-        #: JobResult carries the per-run delta instead).
-        self._remote_bytes_saved = 0
         # Clients extract predictors endpoint-side, so their extended flag
         # must match the server's for the fleet statistics to line up.
         self.clients = [GistClient(module, endpoint_id=i, ptwrite=ptwrite,
@@ -357,7 +346,6 @@ class CooperativeDeployment:
                 results.append((plan.kind, []))
                 continue
             job_result = next(job_results)
-            self._remote_bytes_saved += job_result.bytes_saved
             results.append(endpoint.package(
                 plan, job_result.failed, job_result.failure_blob,
                 job_result.monitored_blob))
@@ -533,16 +521,6 @@ class CooperativeDeployment:
                         ack, msg_type=wire.MSG_PATCH_ACK,
                         key=(epoch, endpoint.endpoint_id, "ack", attempt))
             self._pump_uplink(campaign, epoch)
-
-    def payload_bytes_saved(self) -> int:
-        """Wire body bytes evidence slicing pruned fleet-wide.
-
-        Local clients are summed directly; clients living in worker
-        processes reported per-job deltas on their :class:`JobResult`
-        envelopes instead (accumulated in ``_remote_bytes_saved``).
-        """
-        return (sum(c.payload_bytes_saved for c in self.clients)
-                + self._remote_bytes_saved)
 
     def _fleet_report(self,
                       campaign: Optional[DiagnosisCampaign]) -> Dict:
@@ -865,9 +843,7 @@ class CampaignDriver:
         stats = self.stats
         campaign = self.campaign = self.dep._live_campaign(self.campaign)
         stats.failure_recurrences = campaign.total_failure_recurrences
-        stats.tracked_runs = campaign.tracked_runs()
         stats.peak_tracked_bytes = campaign.peak_tracked_bytes
-        stats.payload_bytes_saved = self.dep.payload_bytes_saved()
         if self._overheads:
             stats.avg_overhead_percent = \
                 100.0 * sum(self._overheads) / len(self._overheads)

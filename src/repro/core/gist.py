@@ -143,9 +143,11 @@ class Gist:
         self.detectors = tuple(detectors)
         #: Predictor ranking engine: ``"fmeasure"`` | ``"invariants"``.
         self.ranker = ranker
-        #: Statistics mode: ``"exact"`` (reference, holds every run) or
-        #: ``"streaming"`` (bounded memory — sketched ranking, windowed
-        #: F-measures, sliced evidence; see :mod:`repro.core.streaming`).
+        #: Statistics mode: ``"exact"`` (unbounded predictor counts) or
+        #: ``"streaming"`` (bounded memory — sketched predictor counts,
+        #: windowed recurrences, capped failure-identity histograms; see
+        #: :mod:`repro.core.streaming`).  Both modes slice evidence and
+        #: refine identically.
         self.stats = stats
 
     @classmethod

@@ -24,7 +24,7 @@ failure sketch").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..hw.watchpoints import TrapRecord
 from ..runtime.failures import FailureReport
@@ -150,10 +150,34 @@ class RefinementResult:
         return (self.window_uids & self.executed_uids) | self.discovered_uids
 
 
+class RunningRefinement:
+    """All :func:`refine` reads of an iteration's runs, folded run by run:
+    the executed-uid union and the trap ``(pc, is_write)`` pairs — both
+    bounded by program size, never by run count."""
+
+    __slots__ = ("runs", "executed_uids", "trap_pairs")
+
+    def __init__(self) -> None:
+        #: How many runs were folded in.
+        self.runs = 0
+        self.executed_uids: Set[int] = set()
+        self.trap_pairs: Set[Tuple[int, bool]] = set()
+
+    def add(self, run: MonitoredRun) -> None:
+        self.runs += 1
+        self.executed_uids |= run.executed_uids()
+        for trap in run.traps:
+            self.trap_pairs.add((trap.pc, trap.is_write))
+
+    def tracked_bytes(self) -> int:
+        return (len(self.executed_uids) + len(self.trap_pairs)) * 32
+
+
 def refine(window_uids: Set[int],
-           runs: Sequence[MonitoredRun],
+           evidence: RunningRefinement,
            slice_uids: Optional[Set[int]] = None) -> RefinementResult:
-    """Refine a window against the monitored runs (failing + successful).
+    """Refine a window against the runs (failing + successful) folded
+    into ``evidence``.
 
     ``slice_uids`` — the full static slice.  Watchpoint traps land on every
     access to a watched address, including statements with no dependence on
@@ -166,14 +190,11 @@ def refine(window_uids: Set[int],
     to predictors and ordering — they just don't add sketch statements.
     """
     result = RefinementResult(window_uids=set(window_uids))
-    for run in runs:
-        executed = run.executed_uids()
-        result.executed_uids |= executed
-        for trap in run.traps:
-            if trap.pc in window_uids:
-                continue
-            if trap.is_write or slice_uids is None or \
-                    trap.pc in slice_uids:
-                result.discovered_uids.add(trap.pc)
+    result.executed_uids = set(evidence.executed_uids)
+    for pc, is_write in evidence.trap_pairs:
+        if pc in window_uids:
+            continue
+        if is_write or slice_uids is None or pc in slice_uids:
+            result.discovered_uids.add(pc)
     result.removed_uids = result.window_uids - result.executed_uids
     return result

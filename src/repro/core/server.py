@@ -17,9 +17,9 @@ the first report to the finished sketch:
 from __future__ import annotations
 
 import time
-import zlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.context import AnalysisContext
 from ..analysis.slicing import StaticSlice
@@ -31,17 +31,11 @@ from ..lang.ir import Module
 from ..runtime.failures import FailureReport
 from .adaptive import AdaptiveSliceTracker, AstIteration, DEFAULT_SIGMA
 from .predictors import extract_all
-from .refinement import MonitoredRun, RefinementResult, refine
+from .refinement import (MonitoredRun, RefinementResult, RunningRefinement,
+                         refine)
 from .sketch import FailureSketch, build_sketch
 from .stats import PredictorRanker
-from .streaming import (STATS_KINDS, ReservoirSample, RollingWindowStats,
-                        RunningRefinement, make_stream_ranker)
-
-#: Rough per-retained-run / per-log-entry footprints for the campaign's
-#: memory accounting (``tracked_state_bytes``): a MonitoredRun object with
-#: its executed sequences, and one ``_predictor_log`` tuple.
-_RUN_BYTES = 512
-_LOG_ENTRY_BYTES = 160
+from .streaming import DEFAULT_WINDOWS, STATS_KINDS
 
 
 @dataclass
@@ -90,15 +84,17 @@ class DiagnosisCampaign:
         self.total_failure_recurrences = 1  # the bootstrap failure
         self._current: Optional[AstIteration] = None
         self._current_plan: Optional[InstrumentationPlan] = None
-        self._runs: List[MonitoredRun] = []
+        #: What refinement reads of the current iteration's runs, folded in
+        #: as they are ingested (reset at every iteration).
+        self._evidence = RunningRefinement()
         #: Predictor statistics for the whole campaign, maintained
         #: *incrementally*: every ingested run's predictor set is added
         #: exactly once and carries over across AsT iterations (predictor
         #: identity is structural, so facts observed under a σ=2 window
         #: stay valid when the window doubles).  The paper leans on exactly
         #: this accumulation — "Gist's refinement uses multiple failure
-        #: recurrences" — and :meth:`rebuild_ranker` is the from-scratch
-        #: reference the incremental path is tested against.
+        #: recurrences" — and ``tests/golden/rankers.json`` pins the result
+        #: for every corpus bug.
         #:
         #: The counts live in ``stripes`` partial rankers, one per ingest
         #: shard: a sharded control plane distributes monitored-run
@@ -108,35 +104,20 @@ class DiagnosisCampaign:
         #: With ``stripes=1`` (the default, and the whole single-campaign
         #: path) there is exactly one partial and merge is the identity.
         self.stripes = stripes
-        #: Statistics mode, inherited from the server: ``"exact"`` keeps
-        #: the byte-identical reference behaviour; ``"streaming"`` swaps
-        #: in bounded-memory sketched rankers, reservoir run retention,
-        #: an incremental refinement aggregate, and sliced patches.
+        #: Statistics mode, inherited from the server.  It picks two
+        #: things: the count store — the bounded sketch ranker in
+        #: ``"streaming"`` mode — and the recurrence total the budget
+        #: scheduler reads (:meth:`windowed_recurrences`).
         self.stats_kind = server.stats_kind
-        if self.stats_kind == "streaming":
-            self._stripe_rankers = [
-                make_stream_ranker(server.ranker_kind,
-                                   failure_pc=first_report.pc)
-                for _ in range(stripes)]
-        else:
-            self._stripe_rankers = [make_ranker(server.ranker_kind,
-                                                failure_pc=first_report.pc)
-                                    for _ in range(stripes)]
+        self._stripe_rankers = [self._new_ranker() for _ in range(stripes)]
         self._merged_ranker: Optional[PredictorRanker] = None
-        #: Per-ingest (predictor set, recurrence, weight) log, in ingest
-        #: order — what :meth:`rebuild_ranker` replays.  Exact mode only:
-        #: the log is O(runs), exactly what streaming mode exists to shed.
-        self._predictor_log: List[Tuple[FrozenSet, bool, int]] = []
-        #: Streaming-mode bounded evidence: a seeded reservoir of retained
-        #: runs (campaign lifetime), the rolling recency window ring, and
-        #: the per-iteration exact refinement aggregate.
-        self.retained_runs: Optional[ReservoirSample] = None
-        self.recent: Optional[RollingWindowStats] = None
-        self._refinement_agg: Optional[RunningRefinement] = None
-        if self.stats_kind == "streaming":
-            self.retained_runs = ReservoirSample(
-                seed=zlib.crc32(self.key.encode()))
-            self.recent = RollingWindowStats(failure_pc=first_report.pc)
+        #: Streaming mode's recurrence windows: failing-run totals of the
+        #: last AsT iterations (the open one last), and how many windows
+        #: have aged out of the ring.
+        self.recent: Optional[Deque[int]] = (
+            deque([0], maxlen=DEFAULT_WINDOWS)
+            if self.stats_kind == "streaming" else None)
+        self.windows_dropped = 0
         #: High-water mark of :meth:`tracked_state_bytes` across ingests.
         self.peak_tracked_bytes = 0
         self._last_failing_run: Optional[MonitoredRun] = None
@@ -160,11 +141,7 @@ class DiagnosisCampaign:
         self._current = self.tracker.begin_iteration()
         self._current_plan = self.server.planner.plan_window(
             self.slice, self._current.window_uids)
-        self._runs = []
-        if self.stats_kind == "streaming":
-            # The refinement aggregate is per-iteration (like ``_runs``);
-            # the reservoir and the window ring span the whole campaign.
-            self._refinement_agg = RunningRefinement()
+        self._evidence = RunningRefinement()
         # The ranker deliberately survives: predictor statistics carry
         # over across iterations instead of being rebuilt from scratch,
         # so runs ingested under earlier windows keep contributing.
@@ -183,12 +160,9 @@ class DiagnosisCampaign:
         """
         assert self._current_plan is not None, "begin_iteration first"
         plan = self._current_plan
-        # Streaming mode stamps the static slice into every patch so
-        # endpoints slice their evidence client-side before reporting;
-        # exact-mode patches stay byte-identical to the legacy format.
-        slice_uids: Tuple[int, ...] = ()
-        if self.stats_kind == "streaming":
-            slice_uids = tuple(self.slice.uids)
+        # Every patch carries the static slice, so endpoints slice their
+        # evidence client-side before reporting.
+        slice_uids = tuple(self.slice.uids)
         candidates = plan.watch_candidates
         if len(candidates) <= NUM_DEBUG_REGISTERS:
             return [Patch.from_plan(self.server.module.name, plan,
@@ -218,19 +192,12 @@ class DiagnosisCampaign:
 
         ``run.cohort`` is the cohort multiplicity: the run stands for that
         many real clients, and the statistics (recurrence totals, predictor
-        counts) fold it in, while trace-shaped state (refinement run list,
+        counts) fold it in, while trace-shaped state (refinement evidence,
         last failing run) counts the representative execution once.
         """
         assert self._current is not None, "begin_iteration first"
         weight = max(1, run.cohort)
-        streaming = self.stats_kind == "streaming"
-        if streaming:
-            # Bounded retention: fold the run into the exact refinement
-            # aggregate and the seeded reservoir instead of holding it.
-            self._refinement_agg.add(run)
-            self.retained_runs.add(run)
-        else:
-            self._runs.append(run)
+        self._evidence.add(run)
         recurrence = bool(
             run.failed and run.failure is not None
             and run.failure.identity() == self.identity)
@@ -238,13 +205,11 @@ class DiagnosisCampaign:
             self._current.failing_runs_seen += weight
             self.total_failure_recurrences += weight
             self._last_failing_run = run
+            if self.recent is not None:
+                self.recent[-1] += weight
         elif not run.failed:
             self._current.successful_runs_seen += weight
         predictors = self.server.predictors_of(run, digest=digest)
-        if streaming:
-            self.recent.add(predictors, recurrence, weight=weight)
-        else:
-            self._predictor_log.append((predictors, recurrence, weight))
         stripe = run.endpoint_id % self.stripes
         self._stripe_rankers[stripe].add_run(predictors, failed=recurrence,
                                              weight=weight)
@@ -253,6 +218,10 @@ class DiagnosisCampaign:
                                       self.tracked_state_bytes())
         return recurrence
 
+    def _new_ranker(self) -> PredictorRanker:
+        return make_ranker(self.server.ranker_kind, self.stats_kind,
+                           failure_pc=self.first_report.pc)
+
     def ranker(self) -> PredictorRanker:
         """The campaign's predictor statistics: the stripe partials folded
         through :meth:`PredictorRanker.merge` (cached until the next
@@ -260,12 +229,7 @@ class DiagnosisCampaign:
         if self.stripes == 1:
             return self._stripe_rankers[0]
         if self._merged_ranker is None:
-            if self.stats_kind == "streaming":
-                merged = make_stream_ranker(self.server.ranker_kind,
-                                            failure_pc=self.first_report.pc)
-            else:
-                merged = make_ranker(self.server.ranker_kind,
-                                     failure_pc=self.first_report.pc)
+            merged = self._new_ranker()
             for partial in self._stripe_rankers:
                 merged.merge(partial)
             self._merged_ranker = merged
@@ -276,45 +240,14 @@ class DiagnosisCampaign:
         what a shard exports over the wire for cross-shard merging."""
         return [r.state() for r in self._stripe_rankers]
 
-    def rebuild_ranker(self) -> PredictorRanker:
-        """A from-scratch ranker over every run ingested so far — the
-        reference the incrementally maintained one must equal.  Built with
-        the campaign's ranking-engine class, so invariants campaigns are
-        replay-checked against invariants scoring.
-
-        Exact mode only: streaming mode keeps no per-run predictor log
-        (that O(runs) log is exactly what it sheds), so there is nothing
-        to replay."""
-        if self.stats_kind == "streaming":
-            raise RuntimeError("streaming statistics keep no predictor "
-                               "log to rebuild from")
-        return type(self._stripe_rankers[0]).from_runs(
-            self._predictor_log, failure_pc=self.first_report.pc)
-
     # -- bounded-memory accounting -------------------------------------------
 
-    def tracked_runs(self) -> int:
-        """How many runs' worth of per-run state the campaign holds right
-        now: the predictor log in exact mode (O(runs) for the campaign's
-        lifetime), the reservoir in streaming mode (bounded)."""
-        if self.stats_kind == "streaming":
-            return len(self.retained_runs)
-        return len(self._predictor_log)
-
     def tracked_state_bytes(self) -> int:
-        """Rough footprint of all per-run/per-predictor tracked state —
-        O(stripes) to ask, so it can run on every ingest to maintain
-        :attr:`peak_tracked_bytes`."""
-        total = sum(r.tracked_bytes() for r in self._stripe_rankers)
-        if self.stats_kind == "streaming":
-            total += len(self.retained_runs) * _RUN_BYTES
-            total += self.recent.tracked_bytes()
-            if self._refinement_agg is not None:
-                total += self._refinement_agg.tracked_bytes()
-        else:
-            total += len(self._predictor_log) * _LOG_ENTRY_BYTES
-            total += len(self._runs) * _RUN_BYTES
-        return total
+        """Rough footprint of the tracked statistics and refinement
+        evidence — O(stripes) to ask, so it can run on every ingest to
+        maintain :attr:`peak_tracked_bytes`."""
+        return (sum(r.tracked_bytes() for r in self._stripe_rankers)
+                + self._evidence.tracked_bytes())
 
     def windowed_recurrences(self) -> int:
         """Failure recurrences over the rolling recency window (streaming
@@ -326,8 +259,8 @@ class DiagnosisCampaign:
         total's starting value of 1)."""
         if self.recent is None:
             return self.total_failure_recurrences
-        bootstrap = 1 if self.recent.dropped == 0 else 0
-        return self.recent.recurrences() + bootstrap
+        bootstrap = 1 if self.windows_dropped == 0 else 0
+        return sum(self.recent) + bootstrap
 
     def ingest_wire(self, message) -> Optional[Tuple[bool, MonitoredRun]]:
         """Epoch and idempotency gate in front of :meth:`ingest`.
@@ -383,13 +316,8 @@ class DiagnosisCampaign:
             # Iteration boundaries are the journal's durability points:
             # this append also fsyncs everything buffered so far.
             self.server.journal.append_finish_iteration(self.wire_key)
-        if self.stats_kind == "streaming":
-            # The streaming aggregate is exact — same result, O(1) runs.
-            refinement = self._refinement_agg.result(
-                self._current.window_uids, slice_uids=self.slice.uids)
-        else:
-            refinement = refine(self._current.window_uids, self._runs,
-                                slice_uids=self.slice.uids)
+        refinement = refine(self._current.window_uids, self._evidence,
+                            slice_uids=self.slice.uids)
         sketch: Optional[FailureSketch] = None
         if self._last_failing_run is not None:
             sketch = build_sketch(
@@ -414,8 +342,11 @@ class DiagnosisCampaign:
         )
         self.iterations.append(result)
         if self.recent is not None:
-            # One recency window per AsT iteration.
-            self.recent.advance()
+            # One recency window per AsT iteration; appending to a full
+            # ring drops its oldest window.
+            if len(self.recent) == self.recent.maxlen:
+                self.windows_dropped += 1
+            self.recent.append(0)
         return result
 
     def grow(self) -> int:
@@ -458,7 +389,7 @@ class GistServer:
                  stats: str = "exact") -> None:
         if ranker not in RANKER_KINDS:
             raise ValueError(f"unknown ranker kind {ranker!r} "
-                             f"(expected one of {RANKER_KINDS})")
+                             f"(expected one of {tuple(RANKER_KINDS)})")
         if stats not in STATS_KINDS:
             raise ValueError(f"unknown stats kind {stats!r} "
                              f"(expected one of {STATS_KINDS})")
@@ -468,9 +399,9 @@ class GistServer:
         #: invariants`).  A plain string so job descriptors and journal
         #: recovery can carry it across process boundaries.
         self.ranker_kind = ranker
-        #: Statistics mode: ``"exact"`` (unbounded dicts + run logs, the
-        #: byte-identical reference) or ``"streaming"`` (sketched bounded
-        #: state — see :mod:`repro.core.streaming`).
+        #: Statistics mode: ``"exact"`` (unbounded count store, lifetime
+        #: recurrences) or ``"streaming"`` (bounded count store, windowed
+        #: recurrences — see :mod:`repro.core.streaming`).
         self.stats_kind = stats
         #: All static artifacts live here; pass one context to many servers
         #: (or many diagnoses) and nothing is ever rebuilt.

@@ -9,14 +9,16 @@ and ranks by the F-measure ``F_β = (1 + β²)·P·R / (β²·P + R)`` with
 **β = 0.5**, deliberately favouring precision: "its primary aim is to not
 confuse the developers with potentially erroneous failure predictors".
 The β ablation test shows rankings flip at β = 2 exactly as that design
-choice predicts.
+choice predicts.  The score is a :class:`PredictorRanker` argument; the
+error-invariant alternative lives in :mod:`repro.detect.invariants`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, \
+    Sequence, Tuple
 
 from .predictors import Predictor
 
@@ -47,21 +49,33 @@ def f_measure(precision: float, recall: float,
     return (1.0 + b2) * precision * recall / denom
 
 
-class PredictorRanker:
-    """Accumulates per-run predictor sets and ranks by F-measure.
+#: A ranking score: ``(precision, recall, specificity, beta) -> score``.
+Score = Callable[[float, float, float, float], float]
 
-    ``failure_pc`` breaks F-measure ties by proximity to the failing
+
+def f_measure_score(precision: float, recall: float, specificity: float,
+                    beta: float) -> float:
+    """The paper's score (§3.3): F_β of precision and recall."""
+    return f_measure(precision, recall, beta)
+
+
+class PredictorRanker:
+    """Accumulates per-run predictor sets and ranks them by ``score``.
+
+    ``failure_pc`` breaks score ties by proximity to the failing
     instruction: when two predictors correlate equally, the one nearest the
     failure is shown (the paper leans on the same locality observation —
     "root causes of most bugs are close to the failure locations", §3.2.1).
     """
 
     def __init__(self, beta: float = DEFAULT_BETA,
-                 failure_pc: Optional[int] = None) -> None:
+                 failure_pc: Optional[int] = None,
+                 score: Score = f_measure_score) -> None:
         if beta <= 0:
             raise ValueError("beta must be positive")
         self.beta = beta
         self.failure_pc = failure_pc
+        self.score = score
         self.total_failing = 0
         self.total_successful = 0
         # Counters, not plain dicts: merge folds whole shard partials with
@@ -100,24 +114,27 @@ class PredictorRanker:
         Rankers are pure occurrence counters, so accumulation is
         associative: a campaign may shard extraction across workers (or
         AsT iterations) and merge the partial counts without changing any
-        score.  ``beta``/``failure_pc`` must match — merging rankers with
-        different scoring parameters is a bug, not a union.
+        score.  ``beta``/``failure_pc``/``score`` must match — merging
+        rankers with different scoring parameters is a bug, not a union.
         """
-        if other.beta != self.beta or other.failure_pc != self.failure_pc:
-            raise ValueError("cannot merge rankers with different "
-                             "beta/failure_pc")
+        self._check_mergeable(other)
         self.total_failing += other.total_failing
         self.total_successful += other.total_successful
         self._failing_counts.update(other._failing_counts)
         self._successful_counts.update(other._successful_counts)
 
+    def _check_mergeable(self, other: "PredictorRanker") -> None:
+        if (other.beta != self.beta or other.failure_pc != self.failure_pc
+                or other.score is not self.score):
+            raise ValueError("cannot merge rankers with different "
+                             "beta/failure_pc/score")
+
     @classmethod
     def from_runs(cls, runs: Sequence[Tuple],
                   beta: float = DEFAULT_BETA,
                   failure_pc: Optional[int] = None) -> "PredictorRanker":
-        """Rebuild a ranker from scratch out of ``(predictors, failed)`` or
-        ``(predictors, failed, weight)`` tuples — the reference the
-        incremental path is tested against."""
+        """Build a ranker from scratch out of ``(predictors, failed)`` or
+        ``(predictors, failed, weight)`` tuples."""
         ranker = cls(beta=beta, failure_pc=failure_pc)
         for entry in runs:
             predictors, failed = entry[0], entry[1]
@@ -126,15 +143,17 @@ class PredictorRanker:
         return ranker
 
     @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "PredictorRanker":
+    def from_state(cls, state: Dict[str, Any],
+                   score: Score = f_measure_score) -> "PredictorRanker":
         """Reconstruct a ranker from a :meth:`state` snapshot.
 
         The inverse of :meth:`state`: cross-shard merging round-trips each
         shard's partial counts through this pair (serialized over the
         canonical wire, see :mod:`repro.fleet.wire`) before folding them
-        with :meth:`merge`.
+        with :meth:`merge`.  Snapshots carry no score: the caller names it.
         """
-        ranker = cls(beta=state["beta"], failure_pc=state["failure_pc"])
+        ranker = cls(beta=state["beta"], failure_pc=state["failure_pc"],
+                     score=score)
         ranker.total_failing = state["total_failing"]
         ranker.total_successful = state["total_successful"]
         ranker._failing_counts = Counter(state["failing"])
@@ -142,8 +161,8 @@ class PredictorRanker:
         return ranker
 
     def state(self) -> Dict[str, Any]:
-        """A comparable snapshot of the accumulated counts (test support:
-        incrementally maintained == rebuilt from scratch)."""
+        """A comparable snapshot of the accumulated counts — what shard
+        exports and the recorded ranker fixture carry."""
         return {
             "beta": self.beta,
             "failure_pc": self.failure_pc,
@@ -164,18 +183,21 @@ class PredictorRanker:
     # -- scoring ------------------------------------------------------------------
 
     def stats_for(self, predictor: Predictor) -> PredictorStats:
+        # Whatever ``score`` computes rides in the ``f_measure`` slot.
         f_with = self._failing_counts.get(predictor, 0)
         s_with = self._successful_counts.get(predictor, 0)
         held = f_with + s_with
         precision = f_with / held if held else 0.0
         recall = f_with / self.total_failing if self.total_failing else 0.0
+        specificity = (1.0 - s_with / self.total_successful
+                       if self.total_successful else 0.0)
         return PredictorStats(
             predictor=predictor,
             failing_with=f_with,
             successful_with=s_with,
             precision=precision,
             recall=recall,
-            f_measure=f_measure(precision, recall, self.beta),
+            f_measure=self.score(precision, recall, specificity, self.beta),
         )
 
     def _distance(self, predictor: Predictor) -> int:

@@ -1,46 +1,31 @@
-"""Bounded-memory streaming statistics (§3.3 at production traffic).
+"""Bounded-memory statistics: what ``--stats streaming`` selects (§3.3).
 
-The exact statistics layer (:mod:`repro.core.stats`) keeps one dict entry
-per distinct predictor and one log entry per ingested run — at the
-ROADMAP's "millions of users" that is O(runs) memory on every shard.  This
-module is the bounded counterpart, selected with ``--stats streaming``:
+Both modes slice evidence on the client and refine from one running
+aggregate.  The exact count store keeps one entry per distinct predictor,
+which at "millions of users" grows without bound on every shard, so
+``--stats streaming`` swaps in exactly three bounded pieces:
 
-- :class:`CountMinSketch` — the classic conservative overestimating
-  counter array, here with sparse rows and ``crc32``-based row hashing so
-  two processes (or two shards) sketch identically regardless of
-  ``PYTHONHASHSEED``.
-- :class:`SketchRanker` — a drop-in :class:`PredictorRanker` whose
-  resident per-predictor counts are a Space-Saving style top-K table
-  (evicted tails spill into the sketch), with exact outcome totals, a
-  per-entry :meth:`SketchRanker.error_bound`, and a mergeable
-  :meth:`SketchRanker.state` that rides the same ``shard_state`` wire
-  envelopes as the exact ranker.
-- :class:`RollingWindowStats` — a ring of per-window count deltas so long
-  campaigns rank on *recent* behaviour: a predictor that stopped
-  recurring ages out after ``windows`` AsT iterations, and the windowed
-  recurrence total is what feeds the budget scheduler's infogain signal.
-- :class:`ReservoirSample` — seeded Algorithm R; the campaign's retained
-  run evidence in streaming mode (replacing the hold-everything lists).
-- :class:`RunningRefinement` — the streaming form of
-  :func:`repro.core.refinement.refine`: refinement only ever consumes the
-  executed-uid union and the trap ``(pc, is_write)`` pairs of a run list,
-  both bounded by program size, so this aggregate is *exact* — streaming
-  campaigns refine byte-identically while retaining O(1) runs.
-
-Exact mode stays the byte-identical reference; nothing here changes any
-``--stats exact`` code path.
+- :class:`SketchRanker` — a :class:`PredictorRanker` (same scores) whose
+  resident counts are a Space-Saving top-K table, evicted tails spilling
+  into a :class:`CountMinSketch` (``crc32`` rows, so processes and shards
+  sketch identically whatever ``PYTHONHASHSEED``), with exact outcome
+  totals, per-entry error bounds, and a mergeable ``state`` that rides the
+  same ``shard_state`` envelopes as the exact ranker;
+- windowed recurrences — failing-run totals of the last
+  :data:`DEFAULT_WINDOWS` AsT iterations, the signal the budget scheduler
+  weighs campaigns by (``DiagnosisCampaign.windowed_recurrences``);
+- capped failure-identity histograms in each shard's clusterer
+  (:data:`repro.core.clustering.DEFAULT_MAX_IDENTITIES`).
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import Counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
-from ..detect.invariants import ErrorInvariantRanker
 from .predictors import Predictor, predictor_sort_key
-from .refinement import MonitoredRun, RefinementResult
-from .stats import DEFAULT_BETA, PredictorRanker
+from .stats import DEFAULT_BETA, PredictorRanker, Score, f_measure_score
 
 #: Statistics modes a deployment can run in.
 STATS_KINDS = ("exact", "streaming")
@@ -53,10 +38,8 @@ DEFAULT_SKETCH_WIDTH = 512
 DEFAULT_SKETCH_DEPTH = 3
 #: Default Space-Saving table capacity (resident predictors per stripe).
 DEFAULT_CAPACITY = 128
-#: Default rolling-window ring length (AsT iterations of recency).
+#: Recurrence-window ring length (AsT iterations of recency).
 DEFAULT_WINDOWS = 8
-#: Default retained-run reservoir size per campaign.
-DEFAULT_RESERVOIR = 64
 
 
 def predictor_key_bytes(predictor: Predictor) -> bytes:
@@ -152,12 +135,13 @@ class SketchRanker(PredictorRanker):
 
     def __init__(self, beta: float = DEFAULT_BETA,
                  failure_pc: Optional[int] = None,
+                 score: Score = f_measure_score,
                  capacity: int = DEFAULT_CAPACITY,
                  sketch_width: int = DEFAULT_SKETCH_WIDTH,
                  sketch_depth: int = DEFAULT_SKETCH_DEPTH) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        super().__init__(beta=beta, failure_pc=failure_pc)
+        super().__init__(beta=beta, failure_pc=failure_pc, score=score)
         self.capacity = capacity
         self._cms_failing = CountMinSketch(sketch_width, sketch_depth)
         self._cms_successful = CountMinSketch(sketch_width, sketch_depth)
@@ -239,9 +223,7 @@ class SketchRanker(PredictorRanker):
         if not isinstance(other, SketchRanker):
             raise ValueError("cannot merge a non-sketch ranker into a "
                              "SketchRanker")
-        if other.beta != self.beta or other.failure_pc != self.failure_pc:
-            raise ValueError("cannot merge rankers with different "
-                             "beta/failure_pc")
+        self._check_mergeable(other)
         if other.capacity != self.capacity:
             raise ValueError("cannot merge sketch rankers with different "
                              "capacity")
@@ -268,12 +250,13 @@ class SketchRanker(PredictorRanker):
         return state
 
     @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "SketchRanker":
+    def from_state(cls, state: Dict[str, Any],
+                   score: Score = f_measure_score) -> "SketchRanker":
         if state.get("kind") != "sketch":
             raise ValueError("not a sketch-ranker state")
         cms = CountMinSketch.from_state(state["cms_failing"])
         ranker = cls(beta=state["beta"], failure_pc=state["failure_pc"],
-                     capacity=state["capacity"],
+                     score=score, capacity=state["capacity"],
                      sketch_width=cms.width, sketch_depth=cms.depth)
         ranker.total_failing = state["total_failing"]
         ranker.total_successful = state["total_successful"]
@@ -293,215 +276,11 @@ class SketchRanker(PredictorRanker):
         return approx
 
 
-class InvariantSketchRanker(SketchRanker, ErrorInvariantRanker):
-    """Sketched accumulation with error-invariant scoring: the MRO takes
-    residency/merging from :class:`SketchRanker` and ``stats_for`` from
-    :class:`ErrorInvariantRanker`."""
-
-
-def make_stream_ranker(kind: str, beta: float = DEFAULT_BETA,
-                       failure_pc: Optional[int] = None,
-                       capacity: int = DEFAULT_CAPACITY) -> SketchRanker:
-    """The streaming-mode counterpart of
-    :func:`repro.detect.invariants.make_ranker`."""
-    if kind == "fmeasure":
-        return SketchRanker(beta=beta, failure_pc=failure_pc,
-                            capacity=capacity)
-    if kind == "invariants":
-        return InvariantSketchRanker(beta=beta, failure_pc=failure_pc,
-                                     capacity=capacity)
-    raise ValueError(f"unknown ranker kind {kind!r}")
-
-
-def ranker_from_state(state: Dict[str, Any]) -> PredictorRanker:
+def ranker_from_state(state: Dict[str, Any],
+                      score: Score = f_measure_score) -> PredictorRanker:
     """Reconstruct a ranker snapshot of either statistics mode: sketch
     states carry ``"kind": "sketch"``; exact states have no kind key (the
     pre-streaming wire shape, preserved byte-for-byte)."""
     if state.get("kind") == "sketch":
-        return SketchRanker.from_state(state)
-    return PredictorRanker.from_state(state)
-
-
-def _canonical_len(body: Any) -> int:
-    # Mirrors the wire layer's canonical encoding (sorted keys, compact
-    # separators), so the byte accounting below is exact for the section
-    # bytes a sliced run saves on the uplink.
-    import json
-
-    return len(json.dumps(body, sort_keys=True, separators=(",", ":")))
-
-
-def slice_monitored_run(run: MonitoredRun, patch) -> Tuple[int, int]:
-    """Client-side evidence slicing (*Slicing Event Traces*, PAPERS.md).
-
-    Prunes ``run``'s executed sequences in place down to the patch's
-    slice: each thread keeps only uids in the slice ∪ hook uids ∪ this
-    run's trapped pcs (order and multiplicity preserved).  Trap records
-    and the extracted predictor set are never touched — traps carry the
-    global order and the discovered statements, and predictors (already
-    distilled client-side, a few dozen entries against executed
-    sequences' thousands) feed the ranking verbatim so the streaming
-    sketch stays byte-identical to the exact reference.
-
-    Sound for refinement by construction: the AsT window is a subset of
-    the static slice, so ``window ∩ executed`` — the only thing
-    :func:`refine` reads from executed sequences — is unchanged.
-
-    Returns ``(bytes_saved, bytes_after)`` measured over the canonical
-    wire body, so payload accounting reflects real uplink bytes.
-    """
-    from ..fleet.wire import monitored_run_to_body  # local: layering
-
-    keep = set(patch.slice_uids)
-    keep.update(hook.uid for hook in patch.hooks)
-    keep.update(trap.pc for trap in run.traps)
-    before = _canonical_len(monitored_run_to_body(run))
-    run.executed = {tid: [uid for uid in seq if uid in keep]
-                    for tid, seq in run.executed.items()}
-    after = _canonical_len(monitored_run_to_body(run))
-    return before - after, after
-
-
-class RollingWindowStats:
-    """A ring of per-window predictor-count deltas (recency weighting).
-
-    One window per AsT iteration: :meth:`advance` seals the current window
-    and drops the oldest beyond ``windows``.  Scores computed over the
-    ring's sums are F-measures of the *recent* campaign only, so a
-    predictor that has converged (stopped recurring) ages out of the
-    infogain signal instead of coasting on stale counts forever.
-    """
-
-    __slots__ = ("windows", "beta", "failure_pc", "dropped", "_ring")
-
-    def __init__(self, windows: int = DEFAULT_WINDOWS,
-                 beta: float = DEFAULT_BETA,
-                 failure_pc: Optional[int] = None) -> None:
-        if windows < 1:
-            raise ValueError("need at least one window")
-        self.windows = windows
-        self.beta = beta
-        self.failure_pc = failure_pc
-        #: Windows that have aged out of the ring so far.
-        self.dropped = 0
-        # Each entry: [failing Counter, successful Counter, tf, ts].
-        self._ring: List[List[Any]] = [[Counter(), Counter(), 0, 0]]
-
-    def add(self, predictors: Iterable[Predictor], failed: bool,
-            weight: int = 1) -> None:
-        current = self._ring[-1]
-        seen = set(predictors)
-        if failed:
-            current[2] += weight
-            counter = current[0]
-        else:
-            current[3] += weight
-            counter = current[1]
-        for p in seen:
-            counter[p] += weight
-
-    def advance(self) -> None:
-        """Seal the current window and open a fresh one."""
-        self._ring.append([Counter(), Counter(), 0, 0])
-        if len(self._ring) > self.windows:
-            del self._ring[0]
-            self.dropped += 1
-
-    def recurrences(self) -> int:
-        """Failing-run total across the ring — the windowed recurrence
-        signal the budget scheduler weighs campaigns by."""
-        return sum(entry[2] for entry in self._ring)
-
-    def totals(self) -> Tuple[int, int]:
-        return (sum(entry[2] for entry in self._ring),
-                sum(entry[3] for entry in self._ring))
-
-    def ranker(self, ranker_cls=PredictorRanker) -> PredictorRanker:
-        """An exact ranker over the ring's summed counts — windowed
-        F-measures with the full scoring/tie-break machinery."""
-        failing: Counter = Counter()
-        successful: Counter = Counter()
-        for entry in self._ring:
-            failing.update(entry[0])
-            successful.update(entry[1])
-        tf, ts = self.totals()
-        return ranker_cls.from_state({
-            "beta": self.beta, "failure_pc": self.failure_pc,
-            "total_failing": tf, "total_successful": ts,
-            "failing": failing, "successful": successful,
-        })
-
-    def tracked_bytes(self) -> int:
-        approx = 0
-        for entry in self._ring:
-            approx += (len(entry[0]) + len(entry[1])) * 120 + 64
-        return approx
-
-
-class ReservoirSample:
-    """Seeded Algorithm R: a uniform bounded sample of a stream."""
-
-    __slots__ = ("capacity", "seen", "_rng", "_items")
-
-    def __init__(self, capacity: int = DEFAULT_RESERVOIR,
-                 seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        import random
-
-        self.capacity = capacity
-        self.seen = 0
-        self._rng = random.Random(seed)
-        self._items: List[Any] = []
-
-    def add(self, item: Any) -> None:
-        self.seen += 1
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            return
-        slot = self._rng.randrange(self.seen)
-        if slot < self.capacity:
-            self._items[slot] = item
-
-    def items(self) -> List[Any]:
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class RunningRefinement:
-    """Streaming aggregate of exactly what :func:`refine` reads per run.
-
-    ``refine`` folds each run into (a) the union of executed uids and
-    (b) the set of trap ``(pc, is_write)`` pairs — both bounded by program
-    size, never by run count — so a streaming campaign accumulates them
-    run-by-run and produces a :class:`RefinementResult` identical to the
-    exact mode's hold-every-run computation.
-    """
-
-    __slots__ = ("executed_uids", "_trap_pairs")
-
-    def __init__(self) -> None:
-        self.executed_uids: set = set()
-        self._trap_pairs: set = set()
-
-    def add(self, run: MonitoredRun) -> None:
-        self.executed_uids |= run.executed_uids()
-        for trap in run.traps:
-            self._trap_pairs.add((trap.pc, trap.is_write))
-
-    def result(self, window_uids: set,
-               slice_uids: Optional[set] = None) -> RefinementResult:
-        result = RefinementResult(window_uids=set(window_uids))
-        result.executed_uids = set(self.executed_uids)
-        for pc, is_write in self._trap_pairs:
-            if pc in window_uids:
-                continue
-            if is_write or slice_uids is None or pc in slice_uids:
-                result.discovered_uids.add(pc)
-        result.removed_uids = result.window_uids - result.executed_uids
-        return result
-
-    def tracked_bytes(self) -> int:
-        return (len(self.executed_uids) + len(self._trap_pairs)) * 32
+        return SketchRanker.from_state(state, score=score)
+    return PredictorRanker.from_state(state, score=score)

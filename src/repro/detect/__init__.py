@@ -29,7 +29,7 @@ from typing import List, Sequence
 
 from ..runtime.events import Tracer
 from ..runtime.failures import RunOutcome
-from .invariants import ErrorInvariantRanker, RANKER_KINDS, make_ranker
+from .invariants import RANKER_KINDS, error_invariant_score, make_ranker
 from .nullorigin import NullOriginTracer
 from .races import RaceDetector
 from .vectorclock import VectorClock
@@ -79,11 +79,11 @@ def apply_detectors(outcome: RunOutcome,
 __all__ = [
     "DETECTOR_KINDS",
     "RANKER_KINDS",
-    "ErrorInvariantRanker",
     "NullOriginTracer",
     "RaceDetector",
     "VectorClock",
     "apply_detectors",
+    "error_invariant_score",
     "make_detectors",
     "make_ranker",
     "validate_detectors",

@@ -1,4 +1,4 @@
-"""Error-invariant ranking: an alternative scoring engine for predictors.
+"""Error-invariant ranking: an alternative score for failure predictors.
 
 Error Invariants for Concurrent Traces (PAPERS.md) characterize each point
 of a failing trace by a formula that (i) holds on every error trace and
@@ -13,59 +13,46 @@ them statistically: a predictor is invariant-like to the degree that it
   passing runs: specificity, the "inconsistent with correct executions"
   half).
 
-:class:`ErrorInvariantRanker` scores ``recall × specificity`` — the
-product form keeps a predictor that is vacuously true everywhere (the
-classic F-measure failure mode on skewed run mixes) at score ~0, because
-its specificity collapses.  Everything else — the occurrence counters,
-``merge``/``state``/``from_state`` used by the control plane's shard-state
-fold, cohort weights — is inherited unchanged from
-:class:`~repro.core.stats.PredictorRanker`, so an invariants campaign
+:func:`error_invariant_score` is ``recall × specificity`` — the product
+form keeps a predictor that is vacuously true everywhere (the classic
+F-measure failure mode on skewed run mixes) at score ~0, because its
+specificity collapses.  It is only a score: the count stores, and with
+them ``merge``/``state``/``from_state`` for the control plane's shard-state
+fold and cohort weights, are the F-measure ones, so an invariants campaign
 shards, journals, and merges exactly like an F-measure one.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
-from ..core.predictors import Predictor
-from ..core.stats import DEFAULT_BETA, PredictorRanker, PredictorStats
-
-RANKER_KINDS = ("fmeasure", "invariants")
+from ..core.stats import PredictorRanker, Score, f_measure_score
+from ..core.streaming import STATS_KINDS, SketchRanker
 
 
-class ErrorInvariantRanker(PredictorRanker):
-    """Rank predictors by interpolant-approximate error-invariant score.
-
-    The score is reported through :attr:`PredictorStats.f_measure` so
-    ranking, tie-breaks, sketch highlighting, and the ``best_per_kind``
-    contract are shared with the F-measure engine verbatim — only the
-    number in the slot changes meaning.
-    """
-
-    def stats_for(self, predictor: Predictor) -> PredictorStats:
-        f_with = self._failing_counts.get(predictor, 0)
-        s_with = self._successful_counts.get(predictor, 0)
-        held = f_with + s_with
-        precision = f_with / held if held else 0.0
-        recall = f_with / self.total_failing if self.total_failing else 0.0
-        specificity = (1.0 - s_with / self.total_successful
-                       if self.total_successful else 0.0)
-        return PredictorStats(
-            predictor=predictor,
-            failing_with=f_with,
-            successful_with=s_with,
-            precision=precision,
-            recall=recall,
-            f_measure=recall * specificity,
-        )
+def error_invariant_score(precision: float, recall: float,
+                          specificity: float, beta: float) -> float:
+    """Interpolant-approximate error-invariant score."""
+    return recall * specificity
 
 
-def make_ranker(kind: str, beta: float = DEFAULT_BETA,
+#: Ranking engines by ``--ranker`` name, each one score function.
+RANKER_KINDS: Dict[str, Score] = {
+    "fmeasure": f_measure_score,
+    "invariants": error_invariant_score,
+}
+
+
+def make_ranker(kind: str, stats: str = "exact",
                 failure_pc: Optional[int] = None) -> PredictorRanker:
-    """Instantiate a ranking engine by name (``--ranker`` flag values)."""
-    if kind == "fmeasure":
-        return PredictorRanker(beta=beta, failure_pc=failure_pc)
-    if kind == "invariants":
-        return ErrorInvariantRanker(beta=beta, failure_pc=failure_pc)
-    raise ValueError(f"unknown ranker kind {kind!r} "
-                     f"(expected one of {RANKER_KINDS})")
+    """The ``--stats`` count store (:class:`PredictorRanker` or the bounded
+    :class:`~repro.core.streaming.SketchRanker`) with the ``--ranker``
+    score."""
+    if kind not in RANKER_KINDS:
+        raise ValueError(f"unknown ranker kind {kind!r} "
+                         f"(expected one of {tuple(RANKER_KINDS)})")
+    if stats not in STATS_KINDS:
+        raise ValueError(f"unknown stats kind {stats!r} "
+                         f"(expected one of {STATS_KINDS})")
+    store = SketchRanker if stats == "streaming" else PredictorRanker
+    return store(failure_pc=failure_pc, score=RANKER_KINDS[kind])

@@ -143,14 +143,6 @@ class FleetEndpoint:
                 return True
         return False
 
-    @property
-    def payload_bytes_saved(self) -> int:
-        """Wire body bytes this endpoint pruned via evidence slicing
-        before :meth:`package` ever encoded them (slicing happens inside
-        :meth:`GistClient.run <repro.core.client.GistClient.run>` when
-        the installed patch carries slice uids; 0 in exact mode)."""
-        return self.client.payload_bytes_saved
-
     # -- patch delivery -----------------------------------------------------
 
     def poll_patches(self) -> List[bytes]:

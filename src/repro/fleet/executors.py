@@ -90,9 +90,6 @@ class JobResult:
     failed: bool
     failure_blob: Optional[bytes] = None
     monitored_blob: Optional[bytes] = None
-    #: Wire body bytes the worker's client pruned via evidence slicing
-    #: (streaming statistics mode); 0 for exact-mode/unmonitored runs.
-    bytes_saved: int = 0
 
 
 class FleetExecutor:

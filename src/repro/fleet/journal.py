@@ -20,7 +20,7 @@ log layered under :meth:`DiagnosisCampaign.ingest_wire
   :class:`~repro.core.server.GistServer`.  Because campaign state is a
   deterministic fold over *applied* envelopes (the epoch gate and digest
   gate were applied before journaling, so only applied envelopes are ever
-  recorded), replay reconstructs ranker counts, refinement run lists,
+  recorded), replay reconstructs ranker counts, refinement evidence,
   seen-digest sets, patch epochs, and AsT window state byte-for-byte.
 
 **Recovery invariant.** For any prefix of the journal ending at an

@@ -104,8 +104,7 @@ def _worker_run(job: RunJob) -> JobResult:
             campaign=job.campaign_key)
     return JobResult(run_id=job.run_id, failed=result.outcome.failed,
                      failure_blob=failure_blob,
-                     monitored_blob=monitored_blob,
-                     bytes_saved=client.payload_bytes_saved)
+                     monitored_blob=monitored_blob)
 
 
 # ---------------------------------------------------------------------------

@@ -346,7 +346,7 @@ class FleetServer:
             self._broadcast_patches(patches, epoch)
             failing = campaign._current.failing_runs_seen
             successful = campaign._current.successful_runs_seen
-            ingested = len(campaign._runs)
+            ingested = campaign._evidence.runs
             iter_deadline = time.monotonic() + self.iteration_seconds
             while not (failing >= self.min_failing
                        and successful >= self.min_successful) \

@@ -312,9 +312,9 @@ def patch_to_body(patch: Patch) -> Dict[str, Any]:
         "hooks": [[h.uid, h.action, h.note] for h in patch.hooks],
         "watch": sorted(patch.watch_assignment),
     }
-    # Evidence-slicing uids (streaming statistics mode) travel as an
-    # optional section, absent when unset — exact-mode patch envelopes
-    # keep their legacy bytes and digests.
+    # Evidence-slicing uids travel as an optional section, absent when
+    # unset, so a sliceless patch keeps the legacy body.  Servers stamp
+    # the slice into every patch they cut.
     if patch.slice_uids:
         body["slice"] = sorted(patch.slice_uids)
     return body

@@ -43,12 +43,12 @@ class Patch:
     #: needs more than 4 watchpoints, the server splits candidates across
     #: clients cooperatively (§3.2.3); an empty set means "arm everything".
     watch_assignment: frozenset = frozenset()
-    #: Static-slice uids for client-side evidence slicing (streaming
-    #: statistics mode): when non-empty, the endpoint prunes its monitored
-    #: run's executed sequences and predictor set down to this slice (plus
-    #: hook uids and trapped pcs) before reporting.  Empty (the default)
-    #: means no slicing — and is encoded as *absence*, so exact-mode patch
-    #: envelopes are unchanged from the pre-slicing format.
+    #: Static-slice uids for client-side evidence slicing: when
+    #: non-empty, the endpoint prunes its monitored run's executed
+    #: sequences down to this slice (plus hook uids and trapped pcs)
+    #: before reporting.  Every server-cut patch carries one.  Empty (the
+    #: default) means no slicing and is encoded as *absence*, so a
+    #: sliceless patch keeps the pre-slicing wire body.
     slice_uids: frozenset = frozenset()
 
     @classmethod

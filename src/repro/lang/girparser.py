@@ -51,6 +51,14 @@ class GirParseError(Exception):
         self.lineno = lineno
 
 
+def _literal(text: str, lineno: int):
+    """``ast.literal_eval`` with its errors typed as :class:`GirParseError`."""
+    try:
+        return ast.literal_eval(text)
+    except (SyntaxError, ValueError):
+        raise GirParseError(f"bad literal {text!r}", lineno) from None
+
+
 def _parse_operand(text: str, lineno: int) -> Operand:
     text = text.strip()
     if text == "null":
@@ -137,7 +145,7 @@ def _parse_instr(text: str, lineno: int) -> Instr:
     if opcode == Opcode.ASSERT:
         match = _ASSERT_MSG.search(rest)
         if match:
-            instr.text = ast.literal_eval(match.group(1))
+            instr.text = _literal(match.group(1), lineno)
             rest = rest[: match.start()]
         instr.operands = _split_operands(rest, lineno)
         return instr
@@ -168,14 +176,13 @@ def parse_gir(text: str) -> Module:
             match = _GLOBAL.match(stripped)
             if match:
                 name, size, init_text = match.groups()
-                init = tuple(ast.literal_eval(init_text)) if init_text else ()
+                init = tuple(_literal(init_text, lineno)) if init_text else ()
                 module.add_global(GlobalVar(name, size=int(size), init=init))
                 continue
             match = _STRING.match(stripped)
             if match:
                 expected_strings.append(
-                    (int(match.group(1)),
-                     ast.literal_eval(match.group(2))))
+                    (int(match.group(1)), _literal(match.group(2), lineno)))
                 continue
         match = _FUNC.match(stripped)
         if match:
@@ -196,7 +203,10 @@ def parse_gir(text: str) -> Module:
             continue
         match = _LABEL.match(stripped)
         if match and func is not None:
-            block = func.add_block(match.group(1))
+            try:
+                block = func.add_block(match.group(1))
+            except ValueError as err:
+                raise GirParseError(str(err), lineno) from None
             continue
         if func is None or block is None:
             raise GirParseError(f"unexpected content {stripped!r}", lineno)

@@ -187,6 +187,11 @@ class Lexer:
                 return out
             if c.isdigit():
                 text = self._scan_number()
+                try:
+                    int(text, 0)  # rejects "09" and a bare "0x"
+                except ValueError:
+                    raise LexError(f"malformed integer literal {text!r}",
+                                   line, col) from None
                 out.append(Token(TokKind.INT, text, line, col))
             elif c.isalpha() or c == "_":
                 text = self._scan_ident()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import MonitoredRun, global_event_order, refine
+from repro.core import (MonitoredRun, RunningRefinement,
+                        global_event_order, refine)
 from repro.hw.watchpoints import TrapRecord
 
 
@@ -11,23 +12,31 @@ def trap(seq, tid, pc, addr=0x1000, write=False, value=0):
                       is_write=write, value=value, slot=0)
 
 
+def evidence(*runs):
+    """The refinement aggregate of ``runs``."""
+    agg = RunningRefinement()
+    for run in runs:
+        agg.add(run)
+    return agg
+
+
 class TestRefine:
     def test_removes_unexecuted_window_statements(self):
         run = MonitoredRun(run_id=0, executed={0: [1, 2, 3]})
-        result = refine({1, 2, 3, 4, 5}, [run])
+        result = refine({1, 2, 3, 4, 5}, evidence(run))
         assert result.removed_uids == {4, 5}
         assert result.refined_uids() == {1, 2, 3}
 
     def test_union_across_runs(self):
         a = MonitoredRun(run_id=0, executed={0: [1, 2]})
         b = MonitoredRun(run_id=1, executed={0: [3]})
-        result = refine({1, 2, 3, 4}, [a, b])
+        result = refine({1, 2, 3, 4}, evidence(a, b))
         assert result.removed_uids == {4}
 
     def test_write_traps_always_discovered(self):
         run = MonitoredRun(run_id=0, executed={0: [1]},
                            traps=[trap(1, 0, 99, write=True)])
-        result = refine({1}, [run], slice_uids={1})
+        result = refine({1}, evidence(run), slice_uids={1})
         assert 99 in result.discovered_uids
 
     def test_read_traps_filtered_by_slice(self):
@@ -35,21 +44,30 @@ class TestRefine:
             run_id=0, executed={0: [1]},
             traps=[trap(1, 0, 50, write=False),
                    trap(2, 0, 60, write=False)])
-        result = refine({1}, [run], slice_uids={1, 50})
+        result = refine({1}, evidence(run), slice_uids={1, 50})
         assert 50 in result.discovered_uids
         assert 60 not in result.discovered_uids
 
     def test_no_slice_filter_keeps_all(self):
         run = MonitoredRun(run_id=0, executed={0: [1]},
                            traps=[trap(1, 0, 60, write=False)])
-        result = refine({1}, [run], slice_uids=None)
+        result = refine({1}, evidence(run), slice_uids=None)
         assert 60 in result.discovered_uids
 
     def test_window_members_not_rediscovered(self):
         run = MonitoredRun(run_id=0, executed={0: [1]},
                            traps=[trap(1, 0, 1, write=True)])
-        result = refine({1}, [run], slice_uids={1})
+        result = refine({1}, evidence(run), slice_uids={1})
         assert result.discovered_uids == set()
+
+    def test_aggregate_does_not_grow_with_runs(self):
+        run = MonitoredRun(run_id=0, executed={0: [1, 2], 1: [3]},
+                           traps=[trap(1, 0, 2, write=True)])
+        once = evidence(run)
+        many = evidence(*[run] * 50)
+        assert many.tracked_bytes() == once.tracked_bytes()
+        assert refine({1, 4}, many).refined_uids() == \
+            refine({1, 4}, once).refined_uids() == {1, 2}
 
 
 class TestGlobalEventOrder:

@@ -89,6 +89,33 @@ class TestCampaign:
         assert not campaign.ingest(other)
         assert campaign.total_failure_recurrences == 2  # bootstrap + 1
 
+    @pytest.mark.parametrize("stats", ("exact", "streaming"))
+    def test_windowed_recurrences_age_out_on_time(self, stats):
+        from repro.core import MonitoredRun
+        from repro.core.streaming import DEFAULT_WINDOWS
+
+        module = compile_source(MANY_VARS)
+        report = bootstrap(module, Workload(args=(100,)))
+        server = GistServer(module, stats=stats)
+        campaign = server.handle_failure_report("bug", report)
+        seen = []
+        for run_id in range(DEFAULT_WINDOWS + 2):
+            campaign.begin_iteration()
+            assert campaign.ingest(MonitoredRun(
+                run_id=run_id, failed=True, failure=report,
+                predictors=frozenset()))
+            campaign.finish_iteration()
+            seen.append(campaign.windowed_recurrences())
+        if stats == "exact":
+            # The lifetime total: the bootstrap report plus every run.
+            assert seen == list(range(2, DEFAULT_WINDOWS + 4))
+            return
+        # One recurrence per iteration.  The ring holds the open window
+        # and the last DEFAULT_WINDOWS - 1 sealed ones, and the bootstrap
+        # report counts until the first window ages out.
+        assert seen == list(range(2, DEFAULT_WINDOWS + 1)) + \
+            [DEFAULT_WINDOWS - 1] * 3
+
     def test_offline_analysis_time_recorded(self):
         module = compile_source(RACY)
         report = bootstrap(module, Workload(args=(3,), switch_prob=0.05))

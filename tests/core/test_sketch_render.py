@@ -6,6 +6,7 @@ from repro.core import (
     MonitoredRun,
     Predictor,
     PredictorStats,
+    RunningRefinement,
     build_sketch,
     refine,
     render_compact,
@@ -57,7 +58,9 @@ def make_inputs(module):
                        is_write=False, value=5, slot=0),
         ])
     window = {load.uid, failing_ins.uid}
-    refinement = refine(window, [run],
+    evidence = RunningRefinement()
+    evidence.add(run)
+    refinement = refine(window, evidence,
                         slice_uids={load.uid, failing_ins.uid, store.uid})
     predictors = {
         "value": PredictorStats(Predictor("value", (load.uid, 5)),

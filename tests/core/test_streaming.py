@@ -2,8 +2,8 @@
 
 Pins the contracts the streaming mode rests on: sketch-vs-exact agreement
 below capacity, Space-Saving error bounds past it, shard-merge
-commutativity, window aging, reservoir determinism, exact streaming
-refinement, evidence-slicing soundness, and bounded clustering.
+commutativity, the score argument on both count stores, recurrence-window
+aging, evidence-slicing soundness, and bounded clustering.
 """
 
 import random
@@ -12,21 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Predictor, PredictorRanker
+from repro.core.client import slice_monitored_run
 from repro.core.clustering import FailureClusterer
-from repro.core.refinement import MonitoredRun, refine
+from repro.core.refinement import MonitoredRun, RunningRefinement, refine
 from repro.core.streaming import (
+    DEFAULT_WINDOWS,
     CountMinSketch,
-    InvariantSketchRanker,
-    ReservoirSample,
-    RollingWindowStats,
-    RunningRefinement,
     SketchRanker,
-    make_stream_ranker,
     predictor_key_bytes,
     ranker_from_state,
-    slice_monitored_run,
 )
-from repro.detect.invariants import ErrorInvariantRanker
+from repro.detect.invariants import error_invariant_score, make_ranker
 from repro.fleet import wire
 from repro.hw.watchpoints import TrapRecord
 from repro.instrument.patch import Patch
@@ -188,6 +184,12 @@ class TestSketchRankerMerge:
         with pytest.raises(ValueError):
             SketchRanker(capacity=4).merge(SketchRanker(capacity=8))
 
+    @pytest.mark.parametrize("stats", ("exact", "streaming"))
+    def test_merge_rejects_score_mismatch(self, stats):
+        with pytest.raises(ValueError, match="score"):
+            make_ranker("fmeasure", stats).merge(
+                make_ranker("invariants", stats))
+
 
 class TestStateDispatch:
     def test_round_trip_preserves_state(self):
@@ -217,69 +219,76 @@ class TestStateDispatch:
         restored = ranker_state_from_body(body)
         assert SketchRanker.from_state(restored).state() == sketch.state()
 
-    def test_invariant_sketch_mro(self):
-        ranker = make_stream_ranker("invariants")
-        assert isinstance(ranker, InvariantSketchRanker)
-        assert isinstance(ranker, SketchRanker)
-        # Scoring comes from the invariant ranker, accumulation from the
-        # sketch — stats_for must resolve to the invariant implementation.
-        assert type(ranker).stats_for is ErrorInvariantRanker.stats_for
-
     def test_make_stream_ranker_rejects_unknown(self):
         with pytest.raises(ValueError):
-            make_stream_ranker("bogus")
+            make_ranker("bogus", "streaming")
+        with pytest.raises(ValueError):
+            make_ranker("fmeasure", "bogus")
+
+
+class TestScoreArgument:
+    """The score is a constructor argument of both count stores.
+
+    10 failing and 10 successful runs: A holds in 10 failing and 5
+    successful runs, B in 4 failing and none.  F0.5 favours B's precision
+    (1.0 against 0.67); recall x specificity favours A's coverage (0.5
+    against 0.4)."""
+
+    A, B = P(1), P(2)
+
+    def _ranker(self, kind, stats):
+        ranker = make_ranker(kind, stats, failure_pc=0)
+        for i in range(10):
+            ranker.add_run({self.A} | ({self.B} if i < 4 else set()),
+                           failed=True)
+            ranker.add_run({self.A} if i < 5 else set(), failed=False)
+        return ranker
+
+    @pytest.mark.parametrize("stats", ("exact", "streaming"))
+    def test_scores_order_two_predictors_oppositely(self, stats):
+        fmeasure = self._ranker("fmeasure", stats)
+        invariants = self._ranker("invariants", stats)
+        store = SketchRanker if stats == "streaming" else PredictorRanker
+        assert type(fmeasure) is store and type(invariants) is store
+        assert invariants.score is error_invariant_score
+        assert [s.predictor for s in fmeasure.ranked()] == [self.B, self.A]
+        assert [s.predictor for s in invariants.ranked()] == \
+            [self.A, self.B]
+        assert invariants.stats_for(self.A).f_measure == \
+            pytest.approx(0.5)
+        assert invariants.stats_for(self.B).f_measure == \
+            pytest.approx(0.4)
+
+    @pytest.mark.parametrize("stats", ("exact", "streaming"))
+    def test_score_survives_state_round_trip(self, stats):
+        ranker = self._ranker("invariants", stats)
+        clone = ranker_from_state(ranker.state(), score=ranker.score)
+        assert clone.state() == ranker.state()
+        assert clone.ranked() == ranker.ranked()
 
 
 class TestRollingWindowStats:
+    """The recurrence-window ring behind ``windowed_recurrences``."""
+
     def test_aging_drops_old_windows(self):
-        ring = RollingWindowStats(windows=2)
-        ring.add({P(1)}, failed=True)
-        ring.advance()
-        ring.add({P(2)}, failed=True)
-        ring.advance()  # ring now: [window(P2), fresh]; window(P1) dropped
-        assert ring.dropped == 1
-        assert ring.recurrences() == 1
-        ranker = ring.ranker()
-        assert P(1) not in ranker._failing_counts
-        assert ranker._failing_counts[P(2)] == 1
+        from repro.core import GistServer, MonitoredRun, Workload
+        from repro.lang import compile_source
+        from tests.core.test_server_cooperative import MANY_VARS, bootstrap
 
-    def test_ranker_matches_exact_over_recent_windows(self):
-        ring = RollingWindowStats(windows=4)
-        exact = PredictorRanker()
-        for i in range(3):
-            ring.add({P(i)}, failed=True, weight=2)
-            ring.add({P(i + 10)}, failed=False)
-            exact.add_run({P(i)}, failed=True, weight=2)
-            exact.add_run({P(i + 10)}, failed=False)
-            ring.advance()
-        assert ring.ranker().state() == exact.state()
-
-    def test_tracked_bytes_bounded_by_ring(self):
-        ring = RollingWindowStats(windows=2)
-        for i in range(100):
-            ring.add({P(i % 5)}, failed=True)
-            ring.advance()
-        # State never grows past `windows` windows' worth of counters.
-        assert ring.tracked_bytes() <= 2 * (5 * 120 + 64)
-
-
-class TestReservoirSample:
-    def test_bounded_and_deterministic(self):
-        a = ReservoirSample(capacity=8, seed=42)
-        b = ReservoirSample(capacity=8, seed=42)
-        for i in range(1000):
-            a.add(i)
-            b.add(i)
-        assert len(a) == 8
-        assert a.seen == 1000
-        assert a.items() == b.items()
-        assert all(0 <= item < 1000 for item in a.items())
-
-    def test_below_capacity_keeps_everything(self):
-        sample = ReservoirSample(capacity=10, seed=0)
-        for i in range(5):
-            sample.add(i)
-        assert sample.items() == [0, 1, 2, 3, 4]
+        module = compile_source(MANY_VARS)
+        report = bootstrap(module, Workload(args=(100,)))
+        campaign = GistServer(module, stats="streaming") \
+            .handle_failure_report("bug", report)
+        for run_id in range(DEFAULT_WINDOWS):
+            campaign.begin_iteration()
+            campaign.ingest(MonitoredRun(run_id=run_id, failed=True,
+                                         failure=report,
+                                         predictors=frozenset()))
+            campaign.finish_iteration()
+        # The ring now holds the last DEFAULT_WINDOWS - 1 sealed windows
+        # and a fresh one; the first window has aged out.
+        assert campaign.windows_dropped == 1
+        assert sum(campaign.recent) == DEFAULT_WINDOWS - 1
 
 
 def _random_run(rng, run_id):
@@ -293,24 +302,11 @@ def _random_run(rng, run_id):
     return MonitoredRun(run_id=run_id, executed=executed, traps=traps)
 
 
-class TestRunningRefinement:
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_batch_refine(self, seed, n_runs):
-        rng = random.Random(seed)
-        runs = [_random_run(rng, i) for i in range(n_runs)]
-        window = set(rng.sample(range(50), 12))
-        slice_uids = window | set(rng.sample(range(60), 20))
-        agg = RunningRefinement()
-        for run in runs:
-            agg.add(run)
-        batch = refine(window, runs, slice_uids=slice_uids)
-        streamed = agg.result(window, slice_uids=slice_uids)
-        assert streamed.window_uids == batch.window_uids
-        assert streamed.executed_uids == batch.executed_uids
-        assert streamed.removed_uids == batch.removed_uids
-        assert streamed.discovered_uids == batch.discovered_uids
-        assert streamed.refined_uids() == batch.refined_uids()
+def _evidence(*runs):
+    evidence = RunningRefinement()
+    for run in runs:
+        evidence.add(run)
+    return evidence
 
 
 class TestEvidenceSlicing:
@@ -331,20 +327,23 @@ class TestEvidenceSlicing:
             slice_uids = set(rng.sample(range(50), 15))
             window = set(rng.sample(sorted(slice_uids), 6))
             patch = self._patch(slice_uids, hook_uids=(1, 2))
-            saved, after = slice_monitored_run(run, patch)
-            assert saved >= 0 and after > 0
+            slice_monitored_run(run, patch)
+            keep = slice_uids | {1, 2} | {t.pc for t in run.traps}
+            assert run.executed == {
+                tid: [uid for uid in seq if uid in keep]
+                for tid, seq in pristine.executed.items()}
             # The AsT window is always a subset of the slice, so the only
             # executed-set reads refine() performs are unchanged.
-            assert refine(window, [run], slice_uids=slice_uids).\
+            assert refine(window, _evidence(run), slice_uids=slice_uids).\
                 refined_uids() == \
-                refine(window, [pristine], slice_uids=slice_uids).\
+                refine(window, _evidence(pristine), slice_uids=slice_uids).\
                 refined_uids()
             assert run.traps == pristine.traps  # traps never pruned
 
     def test_predictors_survive_slicing(self):
         # Predictors feed the ranker and the rendered sketch verbatim —
-        # including ones anchored outside the slice (exact mode renders
-        # those too, and the streaming sketch must stay byte-identical).
+        # including ones anchored outside the slice: they were extracted
+        # from the full trace, and slicing must not lose them.
         predictors = frozenset({
             Predictor("value", (2, 0)),          # anchored in slice
             Predictor("value", (9, 1)),          # anchored outside

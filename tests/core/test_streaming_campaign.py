@@ -2,8 +2,8 @@
 
 The streaming statistics mode must change the memory story, not the
 diagnosis: on real corpus bugs the sketch, accuracy, and convergence are
-pinned against the exact reference, while the bounded-state counters and
-payload-slicing savings must actually engage.
+pinned against the exact mode for both ranking scores, both modes put the
+same sliced evidence on the wire, and the bounded-state counter engages.
 """
 
 import pytest
@@ -31,19 +31,24 @@ def test_streaming_matches_exact_diagnosis(bug_id):
     assert streaming.stats.total_runs == exact.stats.total_runs
 
 
+def test_invariants_streaming_matches_exact_diagnosis():
+    # The error-invariant score on the bounded count store.
+    bug = get_bug("pbzip2-1")
+    exact = _diagnose(bug, "exact", ranker="invariants")
+    streaming = _diagnose(bug, "streaming", ranker="invariants")
+    assert exact.found and streaming.found
+    assert streaming.rendered() == exact.rendered()
+
+
 def test_streaming_counters_engage():
     bug = get_bug("pbzip2-1")
     exact = _diagnose(bug, "exact")
     streaming = _diagnose(bug, "streaming")
-    # Exact mode never slices; streaming prunes the dominant `executed`
-    # wire section down to the slice and reports what it saved.
-    assert exact.stats.payload_bytes_saved == 0
-    assert streaming.stats.payload_bytes_saved > 0
+    # One evidence path: both modes ship the same sliced patches and
+    # evidence, so the wire carries byte-identical traffic.
+    assert exact.stats.fleet["transport"]["bytes_sent"] == \
+        streaming.stats.fleet["transport"]["bytes_sent"]
     assert streaming.stats.peak_tracked_bytes > 0
-    # The reservoir bounds retained runs regardless of campaign length.
-    from repro.core.streaming import DEFAULT_RESERVOIR
-
-    assert streaming.stats.tracked_runs <= DEFAULT_RESERVOIR
 
 
 def test_streaming_sharded_merge_verifies():

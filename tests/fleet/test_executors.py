@@ -8,9 +8,11 @@ trajectories and byte-identical final sketches — including over the wire
 transport with a seeded fault plan, where jobs cross a real process
 boundary as encoded envelopes.
 
-Also here: the incrementally maintained campaign ranker must equal a
-from-scratch rebuild, engine lifecycle (close / context manager /
-injected engines), and the shared context's predictor-set cache.
+Also here: the incrementally maintained campaign ranker must equal the
+recorded ranker state (``tests/golden/rankers.json``, checked against a
+from-scratch rebuild when recorded), engine lifecycle (close / context
+manager / injected engines), and the shared context's predictor-set
+cache.
 """
 
 import dataclasses
@@ -103,7 +105,7 @@ def test_processes_identical_under_faults():
 
 
 # ---------------------------------------------------------------------------
-# Incremental ranker == rebuilt-from-scratch ranker
+# Incremental ranker == recorded ranker
 # ---------------------------------------------------------------------------
 
 
@@ -114,16 +116,18 @@ def campaign_of(deployment):
 
 
 def test_incremental_ranker_equals_rebuilt():
+    import json
+
+    from tests.core.test_golden_rankers import GOLDEN, ranker_digest
+
     deployment, stats = run_campaign("serial", 1)
     campaign = campaign_of(deployment)
-    assert campaign._predictor_log  # every ingested run is logged
-    rebuilt = campaign.rebuild_ranker()
-    assert campaign.ranker().state() == rebuilt.state()
-    incremental = [(s.predictor, s.f_measure, s.precision, s.recall)
-                   for s in campaign.ranker().ranked()]
-    reference = [(s.predictor, s.f_measure, s.precision, s.recall)
-                 for s in rebuilt.ranked()]
-    assert incremental == reference
+    assert deployment.server.ingests_applied > 0
+    # The fixture's pbzip2-1 campaign differs only in allowing six
+    # iterations instead of four: one that converges stops at the same one.
+    assert stats.found
+    expected = json.loads(GOLDEN.read_text())["bugs"][BUG]["exact"]
+    assert ranker_digest(campaign.ranker()) == expected
 
 
 def test_ranker_carries_over_across_iterations():
@@ -140,12 +144,11 @@ def test_ranker_carries_over_across_iterations():
     # One campaign-lifetime ranker: its totals cover *every* ingested run,
     # not just the final iteration's.
     ranker = campaign.ranker()
-    assert ranker.total_failing + ranker.total_successful == \
-        len(campaign._predictor_log)
+    ingested = deployment.server.ingests_applied
+    assert ranker.total_failing + ranker.total_successful == ingested
     last_iteration = stats.iteration_results[-1]
-    assert len(campaign._predictor_log) > \
+    assert ingested > \
         last_iteration.failing_runs + last_iteration.successful_runs
-    assert ranker.state() == campaign.rebuild_ranker().state()
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +223,7 @@ def _monitored_run_without_predictors():
     payload, plus its campaign's failing pc and module."""
     deployment, _ = run_campaign("serial", 1)
     campaign = campaign_of(deployment)
-    run = campaign._runs[-1]
+    run = campaign._last_failing_run
     assert run.predictors is not None
     return dataclasses.replace(run, predictors=None), deployment.module
 

@@ -113,3 +113,19 @@ class TestErrors:
     def test_content_outside_function(self):
         with pytest.raises(GirParseError):
             parse_gir("  %a = const 1\n")
+
+    def test_duplicate_block_label(self):
+        with pytest.raises(GirParseError) as err:
+            parse_gir("def f() {\nentry:\n  ret\nentry:\n  ret\n}")
+        assert err.value.lineno == 4
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("@g : [1] = [3 +]", 1),                   # global initializer
+        ("str#0 = 'hi' + x", 1),                   # not a literal
+        ("str#0 = '\\x'", 1),                      # bad escape
+        ("def f() {\nentry:\n  assert %c !'\\x'\n}", 3),  # assert message
+    ])
+    def test_bad_literal(self, text, lineno):
+        with pytest.raises(GirParseError) as err:
+            parse_gir(text)
+        assert err.value.lineno == lineno

@@ -142,6 +142,14 @@ class TestPositions:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("literal", ["09", "0x"])
+    def test_malformed_integer_literal(self, literal):
+        from repro.lang import compile_source
+
+        with pytest.raises(LexError) as err:
+            compile_source(f"int main() {{\n  return {literal};\n}}")
+        assert (err.value.line, err.value.col) == (2, 10)
+
     def test_unknown_character(self):
         with pytest.raises(LexError) as err:
             tokenize("a $ b")
