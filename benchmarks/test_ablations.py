@@ -20,7 +20,6 @@ from repro.core import (
     GistClient,
     GistServer,
     PredictorRanker,
-    extract_all,
 )
 from repro.corpus import get_bug
 
@@ -75,9 +74,9 @@ def test_ablation_beta_favours_precision(benchmark):
         for beta in (0.5, 1.0, 2.0):
             ranker = PredictorRanker(beta=beta)
             for run in failing:
-                ranker.add_run(extract_all(run, module), failed=True)
+                ranker.add_run(run.predictors, failed=True)
             for run in successful:
-                ranker.add_run(extract_all(run, module), failed=False)
+                ranker.add_run(run.predictors, failed=False)
             rankers[beta] = ranker
         return rankers
 

@@ -51,11 +51,6 @@ from .icfg import ICFG, build_icfg, build_ticfg
 
 _DISK_VERSION = 1
 
-#: Artifact kinds tracked by :class:`CacheStats`.
-KINDS = ("cfg", "domtree", "postdomtree", "reaching_defs", "stores",
-         "callgraph", "icfg", "ticfg", "store_symbols", "slice", "decoded",
-         "compiled", "predictors")
-
 
 # ---------------------------------------------------------------------------
 # Fingerprints
@@ -164,8 +159,6 @@ class AnalysisContext:
         self._module_artifacts: Dict[str, Any] = {}
         #: (failing_uid, include_control_deps, use_must_alias) -> slice
         self._slices: Dict[Tuple[int, bool, bool], Any] = {}
-        #: (monitored-run content digest, extended flag) -> predictor set
-        self._predictor_sets: Dict[Tuple[str, bool], Any] = {}
         self._slicers: Dict[bool, Any] = {}
         self._planner: Any = None
         self._disk: Optional[Dict[str, Any]] = None
@@ -208,10 +201,6 @@ class AnalysisContext:
             if self._slices:
                 self.stats.record("slice", "evictions", len(self._slices))
                 self._slices.clear()
-            if self._predictor_sets:
-                self.stats.record("predictors", "evictions",
-                                  len(self._predictor_sets))
-                self._predictor_sets.clear()
             self._module_print = new_print
             self._disk = None
             if self.cache_dir is not None:
@@ -227,13 +216,9 @@ class AnalysisContext:
                 self.stats.record(kind, "evictions")
             if self._slices:
                 self.stats.record("slice", "evictions", len(self._slices))
-            if self._predictor_sets:
-                self.stats.record("predictors", "evictions",
-                                  len(self._predictor_sets))
             self._func_artifacts.clear()
             self._module_artifacts.clear()
             self._slices.clear()
-            self._predictor_sets.clear()
 
     # -- generic memoization -------------------------------------------------
 
@@ -312,39 +297,6 @@ class AnalysisContext:
         return self._module_artifact("ticfg",
                                      lambda: build_ticfg(self.module))
 
-    def decoded_program(self):
-        """The module's pre-decoded instruction stream (the interpreter hot
-        path's step-record lists; see :mod:`repro.runtime.decoded`).
-
-        Delegates to the module-identity weak cache that every
-        ``Interpreter`` construction consults, so a campaign that touches
-        the context first and then runs thousands of interpreters still
-        performs exactly one decode — the context adds its hit/miss
-        accounting on top.  Closure streams are never persisted to disk
-        (``_encode_module_artifact`` returns None for unknown kinds):
-        rebuilding from the in-process module is cheaper than any codec.
-        """
-        from ..runtime.decoded import decoded_program as _decoded
-
-        return self._module_artifact(
-            "decoded", lambda: _decoded(self.module))
-
-    def compiled_program(self):
-        """The module's GIR-to-Python compiled program (the compiled
-        execution tier's generator functions; see
-        :mod:`repro.runtime.compiled`).
-
-        Mirrors :meth:`decoded_program`: delegates to the module-level
-        bounded LRU that ``Interpreter`` construction consults, adding the
-        context's hit/miss accounting on top.  Compiled programs hold
-        exec'd code objects and are never persisted to disk — rebuilding
-        from source is cheap and version-proof.
-        """
-        from ..runtime.compiled import compiled_program as _compiled
-
-        return self._module_artifact(
-            "compiled", lambda: _compiled(self.module))
-
     def store_symbols(self) -> List[Tuple[Instr, Tuple]]:
         """Every STORE with a resolvable symbolic location (module-wide),
         the must-alias index the slicer links loads against."""
@@ -413,38 +365,6 @@ class AnalysisContext:
         """Failing uids with a memoized slice, in first-request order."""
         with self._lock:
             return tuple(dict.fromkeys(k[0] for k in self._slices))
-
-    # -- per-run predictor sets ------------------------------------------------
-
-    def predictors_for(self, digest: str, extended: bool,
-                       build: Callable[[], Any]) -> Any:
-        """Memoized failure-predictor set of one monitored run.
-
-        Keyed by the run's wire content digest (plus the extended-
-        predicate flag, which changes the extracted set): a fleet retry,
-        a duplicated payload, or a second campaign re-ingesting the same
-        run is a dictionary hit instead of a full trace walk.  Never
-        persisted to disk — run digests are session-scoped.
-        """
-        with self._lock:
-            self._validate()
-            key = (digest, extended)
-            cached = self._predictor_sets.get(key)
-            if cached is not None:
-                self.stats.record("predictors", "hits")
-                return cached
-            self.stats.record("predictors", "misses")
-            predictors = build()
-            self._predictor_sets[key] = predictors
-            return predictors
-
-    def store_predictors(self, digest: str, extended: bool,
-                         predictors: Any) -> None:
-        """Publish a client-extracted predictor set (no counter traffic:
-        storing is not a lookup)."""
-        with self._lock:
-            self._validate()
-            self._predictor_sets.setdefault((digest, extended), predictors)
 
     # -- on-disk cache ---------------------------------------------------------
 

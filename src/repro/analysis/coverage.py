@@ -108,24 +108,14 @@ def coverage_from_traces(module: Module,
     """Fold decoded PT traces (any threads, any runs) into coverage.
 
     ``traces`` yields :class:`~repro.pt.decoder.DecodedTrace` objects; the
-    executed sequences determine statement coverage, and consecutive-pair
-    inspection recovers which branch arms were taken.
+    executed sequences determine statement coverage, and the decoder's
+    branch facts say which arms were taken.
     """
     report = CoverageReport(module=module)
     for trace in traces:
         for window in trace.windows:
-            seq = window.executed
-            report.executed_uids.update(seq)
-            for uid, nxt in zip(seq, seq[1:]):
-                ins = module.instr(uid)
-                if ins.opcode is not Opcode.BR:
-                    continue
-                target = module.instr(nxt)
-                if target.func_name != ins.func_name or \
-                        target.index_in_block != 0:
-                    continue
-                if target.block_label == ins.labels[0]:
-                    report.branch_arms.setdefault(uid, set()).add("taken")
-                elif target.block_label == ins.labels[1]:
-                    report.branch_arms.setdefault(uid, set()).add("fall")
+            report.executed_uids.update(window.executed)
+        for uid, taken in trace.branches:
+            report.branch_arms.setdefault(uid, set()).add(
+                "taken" if taken else "fall")
     return report

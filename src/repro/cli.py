@@ -469,6 +469,15 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be a positive integer")
         return n
 
+    def frame_bytes(value: str) -> int:
+        from .fleet.socket_transport import MAX_FRAME_BYTES
+
+        n = positive_int(value)
+        if n > MAX_FRAME_BYTES:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {MAX_FRAME_BYTES} (the frame cap)")
+        return n
+
     def fault_plan(value: str):
         from .fleet import parse_fault_plan
 
@@ -509,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write-ahead campaign journal directory: every "
                             "campaign transition is journaled before apply "
                             "so a killed server resumes mid-campaign")
-        p.add_argument("--batch-bytes", type=positive_int, default=None,
+        p.add_argument("--batch-bytes", type=frame_bytes, default=None,
                        metavar="N",
                        help="socket transport: coalesce up to N payload "
                             "bytes per write (default 262144)")
@@ -634,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--batch-messages", type=positive_int, default=256,
                         help="coalesce up to N envelopes per socket write "
                              "(1 = unbatched)")
-        fp.add_argument("--batch-bytes", type=positive_int, default=None,
+        fp.add_argument("--batch-bytes", type=frame_bytes, default=None,
                         metavar="N", help="batch payload-byte cap")
         fp.add_argument("--batch-ms", type=float, default=None,
                         metavar="MS", help="batch linger window in ms")

@@ -122,8 +122,6 @@ class ControlPlane:
                  extended_predicates: bool = False,
                  initial_sigma: int = DEFAULT_SIGMA,
                  max_iterations: int = 10,
-                 min_failing_per_iteration: int = 1,
-                 min_successful_per_iteration: int = 3,
                  max_runs_per_iteration: int = 400,
                  max_bootstrap_runs: int = 10_000,
                  ranker: str = "fmeasure",
@@ -167,8 +165,6 @@ class ControlPlane:
                 deployment, initial_sigma=initial_sigma,
                 stop_when=spec.stop_when,
                 max_iterations=max_iterations,
-                min_failing_per_iteration=min_failing_per_iteration,
-                min_successful_per_iteration=min_successful_per_iteration,
                 max_runs_per_iteration=max_runs_per_iteration,
                 max_bootstrap_runs=max_bootstrap_runs)
             self.drivers[spec.bug] = driver

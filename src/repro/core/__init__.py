@@ -26,7 +26,6 @@ from .predictors import (
     RACE_PATTERNS,
     VALUE_RELATIONS,
     extract_all,
-    extract_branch_predictors,
     extract_order_predictors,
     extract_range_predictors,
     extract_value_predictors,
@@ -78,7 +77,6 @@ __all__ = [
     "build_sketch",
     "constant_factory",
     "extract_all",
-    "extract_branch_predictors",
     "extract_order_predictors",
     "extract_range_predictors",
     "extract_value_predictors",

@@ -34,8 +34,9 @@ def slice_monitored_run(run: MonitoredRun, patch: Patch) -> None:
     slice: each thread keeps only uids in the slice ∪ hook uids ∪ this
     run's trapped pcs (order and multiplicity preserved).  Trap records
     and the extracted predictor set are never touched — traps carry the
-    global order and the discovered statements, and predictors (extracted
-    from the full trace before pruning) feed the ranking verbatim.
+    global order and the discovered statements, and predictors (the
+    decoder's branch facts over the full trace, plus the traps') feed the
+    ranking verbatim.
 
     Sound for refinement by construction: the AsT window is a subset of
     the static slice, so ``window ∩ executed`` — the only thing
@@ -70,7 +71,7 @@ class GistClient:
         #: §6 future-hardware mode: data flow rides in the PT stream.
         self.ptwrite = ptwrite
         #: §6 future work: also extract range/inequality value predicates
-        #: (must match the server's setting so fleet statistics line up).
+        #: (every endpoint of a fleet must agree, so statistics line up).
         self.extended_predicates = extended_predicates
         #: Interpreter tier ("compiled"/"decoded") of every run,
         #: monitored or not; None defers to the process default.
@@ -160,14 +161,15 @@ class GistClient:
                 overhead=outcome.overhead,
                 trace_bytes=applied.driver.encoder.total_bytes(),
             )
-            # Extract failure predictors here, on the endpoint: the fleet
-            # walks its own traces in parallel and the server's single
-            # aggregation thread ingests ready-made predictor sets.
-            # Extraction runs over the *full* trace, so predictor facts are
-            # exact even though slicing below prunes the shipped evidence.
+            # Extract failure predictors here, on the endpoint: the server
+            # ranks the set a run ships and never re-extracts.  Branch
+            # facts come from the decoder's walk over the *full* trace, so
+            # they are exact even though slicing below prunes the shipped
+            # evidence.
+            branches = set().union(*(trace.branches
+                                     for trace in decoded.values()))
             monitored.predictors = frozenset(extract_all(
-                monitored, self.module,
-                extended=self.extended_predicates))
+                monitored, branches, extended=self.extended_predicates))
             # A sliceless patch (hand-built, or from an older server) must
             # not prune: an empty slice would drop nearly everything.
             if patch.slice_uids:

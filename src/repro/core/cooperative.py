@@ -60,6 +60,12 @@ if TYPE_CHECKING:
 #: and credit backpressure (:mod:`repro.fleet.socket_transport`).
 TRANSPORTS = ("wire", "socket")
 
+#: Evidence an AsT iteration waits for before it closes: this many
+#: recurrences of the campaign's failure and this many successful runs
+#: (or ``max_runs_per_iteration`` attempts, whichever comes first).
+MIN_FAILING_PER_ITERATION = 1
+MIN_SUCCESSFUL_PER_ITERATION = 3
+
 #: Decide whether a sketch is good enough to stop AsT.  The evaluation
 #: passes the ideal-sketch oracle; interactive use passes a developer
 #: callback.  ``None`` means "stop at the first sketch produced".
@@ -112,7 +118,6 @@ class CooperativeDeployment:
                  journal_dir: Optional[str] = None,
                  batch_bytes: Optional[int] = None,
                  batch_ms: Optional[float] = None,
-                 socket_family: str = "unix",
                  detectors: Sequence[str] = (),
                  ranker: str = "fmeasure",
                  stats: str = "exact") -> None:
@@ -139,12 +144,9 @@ class CooperativeDeployment:
         #: run of this deployment (:mod:`repro.detect`), canonicalized so
         #: job descriptors carry one spelling.
         self.detectors = validate_detectors(detectors)
-        self.server = GistServer(module,
-                                 extended_predicates=extended_predicates,
-                                 context=context, stripes=ranker_stripes,
-                                 ranker=ranker, stats=stats)
-        # Clients extract predictors endpoint-side, so their extended flag
-        # must match the server's for the fleet statistics to line up.
+        self.server = GistServer(module, context=context,
+                                 stripes=ranker_stripes, ranker=ranker,
+                                 stats=stats)
         self.clients = [GistClient(module, endpoint_id=i, ptwrite=ptwrite,
                                    extended_predicates=extended_predicates,
                                    interp_mode=interp_mode,
@@ -185,8 +187,7 @@ class CooperativeDeployment:
             if batch_ms is not None:
                 socket_kwargs["batch_ms"] = batch_ms
             self.fleet_transport = SocketFleetTransport(
-                endpoints, fault_plan, family=socket_family,
-                **socket_kwargs)
+                endpoints, fault_plan, **socket_kwargs)
         #: Directory for the write-ahead campaign journal (None = off).
         #: The journal file itself opens lazily when a campaign starts.
         self.journal_dir = journal_dir
@@ -397,9 +398,8 @@ class CooperativeDeployment:
         path = old.journal.path
         old.journal.close()
         state = recover_server(
-            path, self.module, context=old.context,
-            extended_predicates=old.extended_predicates,
-            stripes=old.stripes)
+            path, self.module, context=old.context, stripes=old.stripes,
+            ranker=old.ranker_kind, stats=old.stats_kind)
         server = state.server
         server.journal = CampaignJournal(path, fresh=False)
         self.server = server
@@ -608,8 +608,6 @@ class CooperativeDeployment:
         initial_sigma: int = DEFAULT_SIGMA,
         stop_when: Optional[StopPredicate] = None,
         max_iterations: int = 10,
-        min_failing_per_iteration: int = 1,
-        min_successful_per_iteration: int = 3,
         max_runs_per_iteration: int = 400,
         max_bootstrap_runs: int = 10_000,
     ) -> CampaignStats:
@@ -621,8 +619,6 @@ class CooperativeDeployment:
         driver = CampaignDriver(
             self, initial_sigma=initial_sigma, stop_when=stop_when,
             max_iterations=max_iterations,
-            min_failing_per_iteration=min_failing_per_iteration,
-            min_successful_per_iteration=min_successful_per_iteration,
             max_runs_per_iteration=max_runs_per_iteration,
             max_bootstrap_runs=max_bootstrap_runs)
         t0 = time.perf_counter()
@@ -664,16 +660,12 @@ class CampaignDriver:
                  initial_sigma: int = DEFAULT_SIGMA,
                  stop_when: Optional[StopPredicate] = None,
                  max_iterations: int = 10,
-                 min_failing_per_iteration: int = 1,
-                 min_successful_per_iteration: int = 3,
                  max_runs_per_iteration: int = 400,
                  max_bootstrap_runs: int = 10_000) -> None:
         self.dep = deployment
         self.initial_sigma = initial_sigma
         self.stop_when = stop_when
         self.max_iterations = max_iterations
-        self.min_failing = min_failing_per_iteration
-        self.min_successful = min_successful_per_iteration
         self.max_runs_per_iteration = max_runs_per_iteration
         self.max_bootstrap_runs = max_bootstrap_runs
         self.stats = CampaignStats(bug=deployment.bug)
@@ -807,8 +799,9 @@ class CampaignDriver:
                     self._successful += s_add
                     self._overheads.extend(run_overheads)
                     self.stats.monitored_runs += len(run_overheads)
-                    if self._failing >= self.min_failing and \
-                            self._successful >= self.min_successful:
+                    if self._failing >= MIN_FAILING_PER_ITERATION and \
+                            self._successful >= \
+                            MIN_SUCCESSFUL_PER_ITERATION:
                         dep._rewind(run_id + 1)
                         self._satisfied = True
                         break

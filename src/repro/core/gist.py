@@ -165,7 +165,6 @@ class Gist:
         stop_when: Optional[StopPredicate] = None,
         max_iterations: int = 10,
         max_runs_per_iteration: int = 400,
-        min_successful_per_iteration: int = 3,
     ) -> DiagnosisResult:
         """Run a full cooperative diagnosis campaign.
 
@@ -181,8 +180,7 @@ class Gist:
             return self._diagnose_via_plane(
                 workload_factory, initial_sigma=initial_sigma,
                 stop_when=stop_when, max_iterations=max_iterations,
-                max_runs_per_iteration=max_runs_per_iteration,
-                min_successful_per_iteration=min_successful_per_iteration)
+                max_runs_per_iteration=max_runs_per_iteration)
         deployment = CooperativeDeployment(
             self.module, workload_factory,
             endpoints=self.endpoints, bug=self.bug, ptwrite=self.ptwrite,
@@ -199,7 +197,6 @@ class Gist:
             stop_when=stop_when,
             max_iterations=max_iterations,
             max_runs_per_iteration=max_runs_per_iteration,
-            min_successful_per_iteration=min_successful_per_iteration,
         )
         self.context.save()
         return DiagnosisResult(stats=stats)
@@ -211,7 +208,6 @@ class Gist:
         stop_when: Optional[StopPredicate],
         max_iterations: int,
         max_runs_per_iteration: int,
-        min_successful_per_iteration: int,
     ) -> DiagnosisResult:
         """Run this Gist's single campaign through the control plane."""
         # Lazy import: repro.control imports repro.core submodules.
@@ -232,7 +228,6 @@ class Gist:
             extended_predicates=self.extended_predicates,
             initial_sigma=initial_sigma, max_iterations=max_iterations,
             max_runs_per_iteration=max_runs_per_iteration,
-            min_successful_per_iteration=min_successful_per_iteration,
             ranker=self.ranker, stats=self.stats)
         result = plane.run()
         self.context.save()

@@ -6,7 +6,8 @@ correlates them with run outcomes:
 
 - **Branch predictors** — a conditional branch in the tracked region taking
   a particular direction (sequential bugs, e.g. Curl's unbalanced-brace
-  loop).
+  loop).  These are the PT decoder's TNT facts
+  (:attr:`repro.pt.decoder.DecodedTrace.branches`), taken as they are.
 - **Value predictors** — a tracked memory location holding a particular
   value at a particular statement (e.g. ``urls->current == 0``,
   ``obj->refcnt == 0``).
@@ -24,7 +25,7 @@ endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .refinement import MonitoredRun
 
@@ -151,30 +152,6 @@ def predictor_counts_from_body(body: List[List]) -> Dict["Predictor", int]:
 # ---------------------------------------------------------------------------
 
 
-def extract_branch_predictors(run: MonitoredRun,
-                              module) -> Set[Predictor]:
-    """(branch_uid, taken) facts from the decoded control flow."""
-    from ..lang.ir import Opcode
-
-    out: Set[Predictor] = set()
-    for tid, seq in run.executed.items():
-        for i, uid in enumerate(seq):
-            ins = module.instr(uid)
-            if ins.opcode is not Opcode.BR or i + 1 >= len(seq):
-                continue
-            nxt_uid = seq[i + 1]
-            nxt = module.instr(nxt_uid)
-            if nxt.block_label == ins.labels[0] and \
-                    nxt.index_in_block == 0 and \
-                    nxt.func_name == ins.func_name:
-                out.add(Predictor("branch", (uid, True)))
-            elif nxt.block_label == ins.labels[1] and \
-                    nxt.index_in_block == 0 and \
-                    nxt.func_name == ins.func_name:
-                out.add(Predictor("branch", (uid, False)))
-    return out
-
-
 def extract_value_predictors(run: MonitoredRun) -> Set[Predictor]:
     """(access_uid, value) facts from watchpoint traps."""
     return {Predictor("value", (trap.pc, trap.value))
@@ -239,13 +216,15 @@ def _letter(trap) -> str:
     return "W" if trap.is_write else "R"
 
 
-def extract_all(run: MonitoredRun, module,
+def extract_all(run: MonitoredRun, branches: Iterable[Tuple[int, bool]],
                 extended: bool = False) -> Set[Predictor]:
-    """Every predictor present in one run.
+    """Every predictor present in one run: ``branches`` — the PT decoder's
+    ``(branch uid, taken)`` facts for the run's threads — plus the
+    predictors of ``run``'s traps.
 
     ``extended`` additionally emits the §6 range/inequality predicates.
     """
-    out = extract_branch_predictors(run, module)
+    out = {Predictor("branch", fact) for fact in branches}
     out |= extract_value_predictors(run)
     out |= extract_order_predictors(run)
     if extended:

@@ -30,6 +30,7 @@ import enum
 import hashlib
 
 from ..hw.watchpoints import TrapRecord
+from .predictors import extract_range_predictors, extract_value_predictors
 from .refinement import MonitoredRun
 
 
@@ -100,11 +101,15 @@ class Anonymizer:
 
         Control flow, ordering (sequence numbers), addresses-as-grouping,
         and the failure report are untouched: the paper's concurrency
-        diagnosis needs orders, not raw payloads.
+        diagnosis needs orders, not raw payloads.  The value-derived
+        predictors (``value``, and ``vrange`` when the run has any) are
+        re-derived from the anonymized traps, so no predictor computed
+        from a raw value leaves the endpoint; branch and order predictors
+        carry over unchanged.
         """
         if self.policy is ValuePolicy.RAW:
             return run
-        return MonitoredRun(
+        out = MonitoredRun(
             run_id=run.run_id,
             endpoint_id=run.endpoint_id,
             failed=run.failed,
@@ -115,6 +120,13 @@ class Anonymizer:
             trace_bytes=run.trace_bytes,
             cohort=run.cohort,
         )
+        predictors = {p for p in run.predictors
+                      if p.kind not in ("value", "vrange")}
+        predictors |= extract_value_predictors(out)
+        if any(p.kind == "vrange" for p in run.predictors):
+            predictors |= extract_range_predictors(out)
+        out.predictors = frozenset(predictors)
+        return out
 
 
 def information_shipped(run: MonitoredRun) -> int:

@@ -54,12 +54,11 @@ class MonitoredRun:
     #: counts.  1 (the default) is an ordinary single client.
     cohort: int = 1
     #: Failure predictors extracted *on the endpoint* (a frozenset of
-    #: :class:`repro.core.predictors.Predictor`), so the server ingests
-    #: pre-extracted predictor sets instead of re-walking every trace on
-    #: its single aggregation thread.  ``None`` means "not extracted
-    #: client-side" (legacy payloads, hand-built runs, anonymized copies)
-    #: and makes the server fall back to its own extraction.
-    predictors: Optional[frozenset] = None
+    #: :class:`repro.core.predictors.Predictor`): the set the server
+    #: ranks this run by.  Clients extract it before slicing prunes
+    #: ``executed``, so it is the only complete copy — the server never
+    #: re-extracts.
+    predictors: frozenset = frozenset()
 
     def executed_uids(self) -> Set[int]:
         out: Set[int] = set()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..analysis.context import AnalysisContext
 from ..analysis.slicing import StaticSlice
@@ -30,7 +30,6 @@ from ..instrument.planner import InstrumentationPlan, InstrumentationPlanner
 from ..lang.ir import Module
 from ..runtime.failures import FailureReport
 from .adaptive import AdaptiveSliceTracker, AstIteration, DEFAULT_SIGMA
-from .predictors import extract_all
 from .refinement import (MonitoredRun, RefinementResult, RunningRefinement,
                          refine)
 from .sketch import FailureSketch, build_sketch
@@ -179,16 +178,13 @@ class DiagnosisCampaign:
                         for i in range(n_variants)]
         return variants
 
-    def ingest(self, run: MonitoredRun,
-               digest: Optional[str] = None) -> bool:
+    def ingest(self, run: MonitoredRun) -> bool:
         """Absorb one monitored run.  Returns True when the run recurs the
         campaign's failure (same identity, §3 footnote 1).
 
-        Predictor statistics prefer the run's *client-extracted* predictor
-        set; when it is absent (legacy payloads, hand-built runs) the
-        server extracts — through the shared context's digest-keyed cache
-        when ``digest`` is known, so a re-ingested duplicate run never
-        pays extraction twice.
+        Predictor statistics add the run's *client-extracted* predictor
+        set, ``run.predictors``; the server never re-extracts (the shipped
+        executed sequences are pruned to the slice, so it could not).
 
         ``run.cohort`` is the cohort multiplicity: the run stands for that
         many real clients, and the statistics (recurrence totals, predictor
@@ -209,9 +205,9 @@ class DiagnosisCampaign:
                 self.recent[-1] += weight
         elif not run.failed:
             self._current.successful_runs_seen += weight
-        predictors = self.server.predictors_of(run, digest=digest)
         stripe = run.endpoint_id % self.stripes
-        self._stripe_rankers[stripe].add_run(predictors, failed=recurrence,
+        self._stripe_rankers[stripe].add_run(run.predictors,
+                                             failed=recurrence,
                                              weight=weight)
         self._merged_ranker = None
         self.peak_tracked_bytes = max(self.peak_tracked_bytes,
@@ -298,7 +294,7 @@ class DiagnosisCampaign:
                                           campaign=message.campaign))
         self._seen_digests.add(message.digest)
         self.server.ingests_applied += 1
-        return self.ingest(run, digest=message.digest), run
+        return self.ingest(run), run
 
     def note_ack(self, endpoint_id: int, epoch: Optional[int]) -> None:
         """Record a patch acknowledgement for the current epoch."""
@@ -382,7 +378,6 @@ class GistServer:
     """The centralized (or distributable) analysis side of Gist."""
 
     def __init__(self, module: Module,
-                 extended_predicates: bool = False,
                  context: Optional[AnalysisContext] = None,
                  stripes: int = 1,
                  ranker: str = "fmeasure",
@@ -414,8 +409,6 @@ class GistServer:
         #: statistics accumulate in per-shard partials (merged on demand).
         self.stripes = stripes
         self.offline_analysis_seconds = 0.0
-        #: §6 future work: also rank range/inequality value predicates.
-        self.extended_predicates = extended_predicates
         #: Wire front door accounting: payloads that failed to decode or
         #: failed their digest check are quarantined, never parsed further.
         self.messages_received = 0
@@ -455,29 +448,6 @@ class GistServer:
             return None
         self.messages_received += 1
         return message
-
-    def predictors_of(self, run: MonitoredRun,
-                      digest: Optional[str] = None) -> FrozenSet:
-        """The predictor set of one monitored run.
-
-        Client-extracted predictors ride in ``run.predictors`` and are
-        used as-is (and published to the shared context cache when the
-        run's content digest is known).  Otherwise the server extracts —
-        via the context's digest-keyed memo when possible, so fleet
-        retries and duplicated payloads skip re-extraction.
-        """
-        extended = self.extended_predicates
-        if run.predictors is not None:
-            predictors = frozenset(run.predictors)
-            if digest is not None:
-                self.context.store_predictors(digest, extended, predictors)
-            return predictors
-        if digest is not None:
-            return self.context.predictors_for(
-                digest, extended,
-                lambda: frozenset(extract_all(run, self.module,
-                                              extended=extended)))
-        return frozenset(extract_all(run, self.module, extended=extended))
 
     def handle_failure_report(self, bug: str, report: FailureReport,
                               initial_sigma: int = DEFAULT_SIGMA,

@@ -140,7 +140,6 @@ def evaluate_bug(
     initial_sigma: int = 2,
     max_iterations: int = 8,
     max_runs_per_iteration: int = 120,
-    min_successful_per_iteration: int = 3,
     max_bootstrap_runs: int = 400,
     context: Optional["AnalysisContext"] = None,
     fleet_workers: int = 1,
@@ -184,7 +183,6 @@ def evaluate_bug(
         stop_when=(lambda sketch: False),  # explore; select best post hoc
         max_iterations=max_iterations,
         max_runs_per_iteration=max_runs_per_iteration,
-        min_successful_per_iteration=min_successful_per_iteration,
         max_bootstrap_runs=max_bootstrap_runs,
     )
     result.total_runs = stats.total_runs

@@ -274,8 +274,7 @@ class RecoveredState:
 
 
 def recover_server(path: os.PathLike, module, *,
-                   context=None, extended_predicates: bool = False,
-                   stripes: int = 1, ranker: str = "fmeasure",
+                   context=None, stripes: int = 1, ranker: str = "fmeasure",
                    stats: str = "exact") -> RecoveredState:
     """Rebuild a :class:`~repro.core.server.GistServer` from its journal.
 
@@ -287,9 +286,8 @@ def recover_server(path: os.PathLike, module, *,
     from ..core.server import GistServer
     from . import wire
 
-    server = GistServer(module, extended_predicates=extended_predicates,
-                        context=context, stripes=stripes, ranker=ranker,
-                        stats=stats)
+    server = GistServer(module, context=context, stripes=stripes,
+                        ranker=ranker, stats=stats)
     state = RecoveredState(server=server)
     for rec_type, payload in iter_records(path):
         state.records_replayed += 1

@@ -48,6 +48,7 @@ from .socket_transport import (
     DEFAULT_STALL_TIMEOUT,
     SocketHub,
     SocketPeer,
+    SocketProtocolError,
 )
 from .transport import TransportClosed
 
@@ -94,8 +95,6 @@ class FleetServer:
                  journal_dir: Optional[str] = None,
                  initial_sigma: int = 2,
                  max_iterations: int = 10,
-                 min_failing_per_iteration: int = 1,
-                 min_successful_per_iteration: int = 3,
                  max_runs_per_iteration: int = 400,
                  iteration_seconds: float = 30.0,
                  timeout: float = 300.0,
@@ -112,8 +111,6 @@ class FleetServer:
         self.journal_dir = journal_dir
         self.initial_sigma = initial_sigma
         self.max_iterations = max_iterations
-        self.min_failing = min_failing_per_iteration
-        self.min_successful = min_successful_per_iteration
         self.max_runs_per_iteration = max_runs_per_iteration
         self.iteration_seconds = iteration_seconds
         self.timeout = timeout
@@ -135,8 +132,11 @@ class FleetServer:
     def _on_control(self, obj: Dict, peer: SocketPeer) -> None:
         if obj.get("op") != "hello":
             return
-        base = int(obj["base"])
-        count = int(obj["count"])
+        base = obj.get("base")
+        count = obj.get("count")
+        if not all(type(v) is int and v >= 0 for v in (base, count)):
+            raise SocketProtocolError(
+                "hello needs non-negative integer base and count")
         group = _ClientGroup(peer=peer, base=base, count=count)
         # Runs on the reader task *before* any later frame from this peer
         # is processed, so the uplink receiver exists before uplink data.
@@ -311,6 +311,8 @@ class FleetServer:
                     pass
 
     def _campaign_loop(self, deadline: float) -> int:
+        from ..core.cooperative import (MIN_FAILING_PER_ITERATION,
+                                        MIN_SUCCESSFUL_PER_ITERATION)
         from ..core.render import render_sketch
 
         # Phase 1: bootstrap — wait for the first failure report (skipped
@@ -348,8 +350,8 @@ class FleetServer:
             successful = campaign._current.successful_runs_seen
             ingested = campaign._evidence.runs
             iter_deadline = time.monotonic() + self.iteration_seconds
-            while not (failing >= self.min_failing
-                       and successful >= self.min_successful) \
+            while not (failing >= MIN_FAILING_PER_ITERATION
+                       and successful >= MIN_SUCCESSFUL_PER_ITERATION) \
                     and ingested < self.max_runs_per_iteration \
                     and time.monotonic() < min(iter_deadline, deadline):
                 # Late joiners get the in-flight iteration's patches.

@@ -89,6 +89,16 @@ DEFAULT_BATCH_MESSAGES = 256
 DEFAULT_BATCH_BYTES = 256 * 1024
 DEFAULT_BATCH_MS = 0.0
 
+#: Largest frame payload a reader accepts.  A header announces its payload
+#: length (a u32) before the payload arrives, so without a cap one corrupt
+#: or hostile header would have the reader buffer up to 4 GiB.  A DATA
+#: frame carries at most ``batch_bytes`` of envelopes (or one envelope on
+#: its own), so peers refuse a larger ``batch_bytes``.  The largest
+#: envelope measured over all 15 corpus bugs at ``repro corpus diagnose``'s
+#: settings was a 6,317-byte monitored run (pbzip2-1); the cap is 64x the
+#: default ``batch_bytes`` and holds a 1 MiB envelope many times over.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
 #: Per-channel flow-control window (envelopes in flight before a sender
 #: blocks).  Both sides of a connection must agree on it.
 DEFAULT_CREDIT_WINDOW = 4096
@@ -99,7 +109,8 @@ DEFAULT_STALL_TIMEOUT = 30.0
 
 
 class SocketProtocolError(Exception):
-    """A malformed frame arrived (bad magic, unknown kind)."""
+    """A malformed frame arrived (bad magic, unknown kind, oversized
+    payload, a CONTROL payload that is not a JSON object)."""
     pass
 
 
@@ -264,6 +275,9 @@ class SocketPeer:
                  on_control: Optional[Callable] = None,
                  on_eof: Optional[Callable] = None,
                  name: str = "peer") -> None:
+        if batch_bytes > MAX_FRAME_BYTES:
+            raise ValueError(f"batch_bytes {batch_bytes} exceeds the "
+                             f"{MAX_FRAME_BYTES}-byte frame cap")
         self.hub = hub
         self.name = name
         self.batch_messages = max(1, min(int(batch_messages), 0xFFFF))
@@ -500,6 +514,10 @@ class SocketPeer:
                 if magic != FRAME_MAGIC:
                     raise SocketProtocolError(
                         f"bad frame magic 0x{magic:02x}")
+                if length > MAX_FRAME_BYTES:
+                    raise SocketProtocolError(
+                        f"frame payload of {length} bytes exceeds the "
+                        f"{MAX_FRAME_BYTES}-byte cap")
                 payload = await reader.readexactly(length) if length else b""
                 self.frames_received += 1
                 if kind == KIND_DATA:
@@ -515,9 +533,17 @@ class SocketPeer:
                     if gate is not None:
                         gate.grant(count)
                 elif kind == KIND_CONTROL:
+                    try:
+                        obj = json.loads(payload.decode("utf-8"))
+                    except ValueError as exc:  # bad UTF-8 or bad JSON
+                        raise SocketProtocolError(
+                            f"CONTROL payload is not UTF-8 JSON: {exc}")
+                    if not isinstance(obj, dict):
+                        raise SocketProtocolError(
+                            "CONTROL payload is not a JSON object")
                     if self._on_control is not None:
-                        self._on_control(
-                            json.loads(payload.decode("utf-8")), self)
+                        # May raise SocketProtocolError on a bad message.
+                        self._on_control(obj, self)
                 else:
                     raise SocketProtocolError(f"unknown frame kind {kind}")
         except (asyncio.IncompleteReadError, ConnectionResetError,

@@ -250,12 +250,10 @@ def monitored_run_to_body(run: MonitoredRun) -> Dict[str, Any]:
         "traps": [trap_record_to_body(t) for t in run.traps],
         "overhead": run.overhead,
         "trace_bytes": run.trace_bytes,
+        # Client-extracted predictors: a compact, canonically sorted
+        # section every run carries, because the server ranks by it.
+        "predictors": predictors_to_body(run.predictors),
     }
-    # Client-extracted predictors travel as a compact, canonically sorted
-    # section; absent entirely when the endpoint did not extract, so
-    # pre-extraction payloads stay byte-for-byte encodable and decodable.
-    if run.predictors is not None:
-        body["predictors"] = predictors_to_body(run.predictors)
     # Cohort multiplicity: absent for ordinary single clients, so every
     # pre-cohort payload keeps its exact bytes (and digest).
     if run.cohort > 1:
@@ -279,13 +277,11 @@ def monitored_run_from_body(body: Dict[str, Any]) -> MonitoredRun:
             raise WireError("malformed executed sequence")
         executed[tid] = list(seq)
     overhead = _require(body, "overhead", (int, float))
-    predictors = None
-    if "predictors" in body:
-        try:
-            predictors = predictors_from_body(
-                _require(body, "predictors", list))
-        except ValueError as err:
-            raise WireError(str(err))
+    try:
+        predictors = predictors_from_body(
+            _require(body, "predictors", list))
+    except ValueError as err:
+        raise WireError(str(err))
     cohort = 1
     if "cohort" in body:
         cohort = _require(body, "cohort", int)

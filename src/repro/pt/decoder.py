@@ -8,7 +8,11 @@ consuming any packets, which is exactly why the trace is so compact.
 
 The output is a list of :class:`TraceWindow` objects (one per PGE..PGD
 span), each holding the executed instruction uids in order.  Gist's slice
-refinement intersects these with the static slice (§3.2.2).
+refinement intersects these with the static slice (§3.2.2).  The walk also
+records every conditional branch outcome it consumes, as a
+``(branch uid, taken)`` fact per TNT bit: those facts are the branch
+failure predictors (§3.3) and the branch arms of PT coverage, so nothing
+re-derives them from the executed sequences.
 
 :class:`PTDecoder` is table-driven: per-module successor tables (plain
 successor / BR taken / BR not-taken, indexed by uid) are precomputed once
@@ -71,6 +75,9 @@ class DecodedTrace:
     """All windows recovered from one thread's packet buffer."""
 
     windows: List[TraceWindow] = field(default_factory=list)
+    #: ``(branch uid, taken)`` for every TNT bit the walk consumed.  A BR
+    #: whose window closed before its bit arrived records nothing.
+    branches: Set[Tuple[int, bool]] = field(default_factory=set)
 
     def executed_uids(self) -> Set[int]:
         out: Set[int] = set()
@@ -328,19 +335,21 @@ class PTDecoder:
                                       f"outside the program",
                                       offset=cursor.offset)
                 window = TraceWindow(start_uid=pkt.uid)
-                budget = self._walk(window, cursor, budget)
+                budget = self._walk(window, cursor, budget, trace.branches)
                 trace.windows.append(window)
                 continue
             # A dangling TNT/TIP/PGD outside any window: tolerated (can
             # happen after an overflow resync); skip to the next PGE.
 
     def _walk(self, window: TraceWindow, cursor: _PacketCursor,
-              budget: int) -> int:
+              budget: int, branches: Set[Tuple[int, bool]]) -> int:
         """Follow control flow from the window start, consuming packets.
 
         Pending TNT bits are a packed integer (oldest outcome at the least
         significant bit); the successor tables turn the per-instruction
         work into two list indexes for the straight-line common case.
+        Each consumed bit adds its ``(branch uid, taken)`` fact to
+        ``branches``.
         """
         kind = self._kind
         succ = self._succ
@@ -348,6 +357,7 @@ class PTDecoder:
         nottaken = self._nottaken
         executed = window.executed
         append = executed.append
+        add_branch = branches.add
         mem_events = window.mem_events
         peek = cursor.peek
         pop = cursor.pop
@@ -382,7 +392,9 @@ class PTDecoder:
                     if refilled is None:
                         return budget
                     tnt_val, tnt_len = refilled
-                uid = taken[uid] if tnt_val & 1 else nottaken[uid]
+                bit = tnt_val & 1
+                add_branch((uid, bit == 1))
+                uid = taken[uid] if bit else nottaken[uid]
                 tnt_val >>= 1
                 tnt_len -= 1
             elif k == _K_RET:
@@ -402,7 +414,9 @@ class PTDecoder:
                         if refilled is None:
                             return budget
                         tnt_val, tnt_len = refilled
-                    label = ins.labels[0] if tnt_val & 1 else ins.labels[1]
+                    bit = tnt_val & 1
+                    add_branch((uid, bit == 1))
+                    label = ins.labels[0] if bit else ins.labels[1]
                     tnt_val >>= 1
                     tnt_len -= 1
                     uid = self._block_first_uid(ins.func_name, label)

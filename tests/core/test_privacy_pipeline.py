@@ -13,7 +13,6 @@ from repro.core import (
     GistServer,
     PredictorRanker,
     ValuePolicy,
-    extract_all,
 )
 from repro.corpus import get_bug
 
@@ -49,15 +48,17 @@ def campaign_runs():
 
 
 def _top_value(module, failing, successful, anonymizer=None):
+    """The top value predictor, ranked from the predictor sets the runs
+    ship (anonymized first when ``anonymizer`` is given)."""
     ranker = PredictorRanker(failure_pc=failing[0].failure.pc)
     for run in failing:
         if anonymizer:
             run = anonymizer.anonymize_run(run)
-        ranker.add_run(extract_all(run, module), failed=True)
+        ranker.add_run(run.predictors, failed=True)
     for run in successful:
         if anonymizer:
             run = anonymizer.anonymize_run(run)
-        ranker.add_run(extract_all(run, module), failed=False)
+        ranker.add_run(run.predictors, failed=False)
     return ranker.best("value")
 
 
@@ -86,8 +87,25 @@ class TestAnonymizedDiagnosis:
         module, failing, successful = campaign_runs
         anon = Anonymizer(ValuePolicy.HASH)
         for run in failing:
-            raw_orders = {p for p in extract_all(run, module)
-                          if p.kind == "order"}
-            anon_orders = {p for p in extract_all(
-                anon.anonymize_run(run), module) if p.kind == "order"}
-            assert raw_orders == anon_orders
+            raw_orders = {p for p in run.predictors if p.kind == "order"}
+            anon_orders = {p for p in anon.anonymize_run(run).predictors
+                           if p.kind == "order"}
+            assert raw_orders and raw_orders == anon_orders
+
+    def test_hash_policy_ships_no_raw_value(self, campaign_runs):
+        """No predictor computed from a raw non-zero value leaves the
+        endpoint: value predictors carry hashed values, and everything
+        not derived from values carries over unchanged."""
+        module, failing, successful = campaign_runs
+        anon = Anonymizer(ValuePolicy.HASH, salt=b"k")
+        runs = failing + successful
+        assert any(t.value != 0 for run in runs for t in run.traps)
+        for run in runs:
+            raw = {t.value for t in run.traps if t.value != 0}
+            shipped = anon.anonymize_run(run).predictors
+            values = {p.detail[1] for p in shipped if p.kind == "value"}
+            assert values == {anon.anonymize_value(t.value)
+                              for t in run.traps}
+            assert not values & raw
+            assert {p for p in shipped if p.kind != "value"} == \
+                {p for p in run.predictors if p.kind != "value"}

@@ -10,18 +10,13 @@ boundary as encoded envelopes.
 
 Also here: the incrementally maintained campaign ranker must equal the
 recorded ranker state (``tests/golden/rankers.json``, checked against a
-from-scratch rebuild when recorded), engine lifecycle (close / context
-manager / injected engines), and the shared context's predictor-set
-cache.
+from-scratch rebuild when recorded) and engine lifecycle (close / context
+manager / injected engines).
 """
-
-import dataclasses
 
 import pytest
 
-from repro.analysis.context import AnalysisContext
 from repro.core import CooperativeDeployment, render_sketch
-from repro.core.server import GistServer
 from repro.corpus import get_bug
 from repro.fleet import parse_fault_plan
 from repro.fleet.executors import (
@@ -211,66 +206,6 @@ def test_injected_engine_survives_deployment_close():
         assert render_sketch(results[0].sketch) == \
             render_sketch(results[1].sketch)
     assert engine.live_pool is None
-
-
-# ---------------------------------------------------------------------------
-# Shared-context predictor cache
-# ---------------------------------------------------------------------------
-
-
-def _monitored_run_without_predictors():
-    """A real monitored run, stripped back to a legacy (no-predictors)
-    payload, plus its campaign's failing pc and module."""
-    deployment, _ = run_campaign("serial", 1)
-    campaign = campaign_of(deployment)
-    run = campaign._last_failing_run
-    assert run.predictors is not None
-    return dataclasses.replace(run, predictors=None), deployment.module
-
-
-def test_predictor_cache_hit_miss_counters():
-    legacy_run, module = _monitored_run_without_predictors()
-    context = AnalysisContext(module)
-    server = GistServer(module, context=context)
-    digest = "feedface00000001"
-    assert context.stats.by_kind.get("predictors") is None
-    first = server.predictors_of(legacy_run, digest=digest)
-    assert context.stats.by_kind["predictors"]["misses"] == 1
-    second = server.predictors_of(legacy_run, digest=digest)
-    assert second == first
-    assert context.stats.by_kind["predictors"]["hits"] == 1
-    assert context.stats.by_kind["predictors"]["misses"] == 1
-
-
-def test_client_extracted_predictors_seed_the_shared_cache():
-    legacy_run, module = _monitored_run_without_predictors()
-    context = AnalysisContext(module)
-    ingest_server = GistServer(module, context=context)
-    full_run = dataclasses.replace(legacy_run)
-    full_run.predictors = frozenset(
-        GistServer(module).predictors_of(legacy_run))
-    digest = "feedface00000002"
-    # Client-extracted predictors are published under the run's digest...
-    assert ingest_server.predictors_of(full_run, digest=digest) == \
-        full_run.predictors
-    # ...so a second server sharing the context never re-extracts the
-    # same payload, even when it arrives without predictors.
-    other_server = GistServer(module, context=context)
-    assert other_server.predictors_of(legacy_run, digest=digest) == \
-        full_run.predictors
-    assert context.stats.by_kind["predictors"]["hits"] == 1
-    assert context.stats.by_kind["predictors"].get("misses", 0) == 0
-
-
-def test_predictor_cache_cleared_with_context():
-    legacy_run, module = _monitored_run_without_predictors()
-    context = AnalysisContext(module)
-    server = GistServer(module, context=context)
-    server.predictors_of(legacy_run, digest="feedface00000003")
-    context.clear()
-    assert context.stats.by_kind["predictors"]["evictions"] >= 1
-    server.predictors_of(legacy_run, digest="feedface00000003")
-    assert context.stats.by_kind["predictors"]["misses"] == 2
 
 
 def test_executor_kinds_constant():

@@ -245,3 +245,40 @@ class TestRecoveryInvariant:
             replay_records(state.server, dict(state.campaigns),
                            records[suffix_from:])
             assert canonical_state(state.server) == journaled["final"]
+
+
+class TestCrashRecoveryKeepsServerSettings:
+    def test_recovered_server_keeps_ranker_and_stats(self, tmp_path):
+        """A simulated server crash rebuilds the server from its journal
+        with the same ranking score and statistics mode, so a crashed
+        campaign ends in exactly the crash-free campaign's state."""
+        from repro.core.render import render_sketch
+        from repro.core.streaming import SketchRanker
+        from repro.detect.invariants import error_invariant_score
+        from repro.fleet import parse_fault_plan
+
+        spec = get_bug("pbzip2-1")
+
+        def run(**kwargs):
+            deployment = CooperativeDeployment(
+                spec.module(), spec.workload_factory, endpoints=4,
+                bug=spec.bug_id, ranker="invariants", stats="streaming",
+                **kwargs)
+            stats = deployment.run_campaign(stop_when=spec.sketch_has_root,
+                                            max_iterations=6)
+            (campaign,) = deployment.server.campaigns.values()
+            return deployment.server, campaign.ranker(), stats
+
+        _, ranker, clean = run()
+        server, recovered, crashed = run(
+            journal_dir=str(tmp_path),
+            fault_plan=parse_fault_plan("server_crash_every=2,seed=1"))
+        assert crashed.fleet["server_crashes"] == 2
+        assert (server.ranker_kind, server.stats_kind) == \
+            ("invariants", "streaming")
+        assert type(recovered) is type(ranker) is SketchRanker
+        assert recovered.score is ranker.score is error_invariant_score
+        assert wire.body_digest(wire.ranker_state_to_body(
+            recovered.state())) == wire.body_digest(
+                wire.ranker_state_to_body(ranker.state()))
+        assert render_sketch(crashed.sketch) == render_sketch(clean.sketch)

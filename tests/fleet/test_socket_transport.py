@@ -14,6 +14,8 @@ The headline contracts:
   same sketch.
 """
 
+import json
+import socket
 import threading
 import time
 
@@ -24,8 +26,14 @@ from repro.core.render import render_sketch
 from repro.corpus import get_bug
 from repro.fleet import parse_fault_plan
 from repro.fleet.socket_transport import (
+    FRAME_HEADER,
+    FRAME_MAGIC,
+    KIND_CONTROL,
+    KIND_DATA,
+    MAX_FRAME_BYTES,
     SocketFleetTransport,
     SocketHub,
+    SocketPeer,
 )
 
 BUG = "transmission-1818"
@@ -225,6 +233,65 @@ class TestSocketHubLifecycle:
             assert t.uplink.recv() == b"over-tcp"
         finally:
             t.close()
+
+
+def _frame(kind, payload, count=1, length=None):
+    length = len(payload) if length is None else length
+    return FRAME_HEADER.pack(FRAME_MAGIC, kind, 0, count, length) + payload
+
+
+class TestMalformedFrames:
+    """A malformed frame stops the reader with a typed protocol error on
+    the peer — never an exception escaping the reader task, never an
+    unbounded wait for a payload no peer may send."""
+
+    def _feed(self, raw, **peer_opts):
+        """The peer state once ``raw`` has been read (before the far end
+        closes, which would read as a clean EOF)."""
+        hub = SocketHub(name="t-hub").start()
+        ours, theirs = socket.socketpair()
+        try:
+            peer = hub.adopt_socket(theirs, name="t", **peer_opts)
+            ours.sendall(raw)
+            deadline = time.monotonic() + 5.0
+            while not peer.eof and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return peer.eof, peer.protocol_errors, peer.protocol_error
+        finally:
+            ours.close()
+            hub.close()
+
+    def test_control_payload_not_utf8(self):
+        eof, errors, reason = self._feed(_frame(KIND_CONTROL, b"\xff\xfe{"))
+        assert (eof, errors) == (True, 1)
+        assert "not UTF-8 JSON" in reason
+
+    def test_control_payload_not_an_object(self):
+        eof, errors, reason = self._feed(_frame(KIND_CONTROL, b"[1,2]"))
+        assert (eof, errors) == (True, 1)
+        assert "not a JSON object" in reason
+
+    def test_hello_without_base(self, tmp_path):
+        from repro.fleet.serve import FleetServer
+
+        server = FleetServer("pbzip2-1", ("unix", str(tmp_path / "s")),
+                             log=lambda line: None)
+        hello = json.dumps({"op": "hello", "count": 2}).encode("utf-8")
+        eof, errors, reason = self._feed(_frame(KIND_CONTROL, hello),
+                                         **server.peer_opts)
+        assert (eof, errors) == (True, 1)
+        assert "base and count" in reason
+        assert server._groups == []
+
+    def test_oversized_length(self):
+        eof, errors, reason = self._feed(
+            _frame(KIND_DATA, b"", length=3 << 30))
+        assert (eof, errors) == (True, 1)
+        assert "exceeds" in reason
+
+    def test_batch_bytes_above_the_frame_cap_is_refused(self):
+        with pytest.raises(ValueError, match="frame cap"):
+            SocketPeer(None, batch_bytes=MAX_FRAME_BYTES + 1)
 
 
 class TestCampaignEquivalence:

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.predictors import Predictor
 from repro.core.refinement import MonitoredRun
 from repro.fleet import wire
 from repro.hw.watchpoints import TrapRecord
@@ -101,6 +102,14 @@ def trap_records():
     )
 
 
+def predictors():
+    return st.one_of(
+        st.builds(Predictor, kind=st.just("branch"),
+                  detail=st.tuples(_uid, st.booleans())),
+        st.builds(Predictor, kind=st.just("value"),
+                  detail=st.tuples(_uid, st.integers(-2 ** 31, 2 ** 31))))
+
+
 def monitored_runs():
     return st.builds(
         MonitoredRun,
@@ -114,6 +123,7 @@ def monitored_runs():
         overhead=st.floats(min_value=0.0, max_value=10.0,
                            allow_nan=False, allow_infinity=False),
         trace_bytes=st.integers(0, 10 ** 6),
+        predictors=st.frozensets(predictors(), max_size=6),
     )
 
 
@@ -333,3 +343,44 @@ class TestKindForwardCompat:
         blob = wire.encode_failure_report(report)
         assert b'"race"' not in blob
         assert b'"origin"' not in blob
+
+
+class TestPredictorsSection:
+    """The server ranks a run by the predictors it ships, so a
+    ``monitored_run`` body must carry the section."""
+
+    def _run(self):
+        return MonitoredRun(run_id=7, endpoint_id=1, failed=True,
+                            executed={0: [1, 2, 3]},
+                            predictors=frozenset({
+                                Predictor("branch", (2, True)),
+                                Predictor("value", (3, 0))}))
+
+    def test_empty_set_still_ships_the_section(self):
+        body = wire.monitored_run_to_body(MonitoredRun(run_id=1))
+        assert body["predictors"] == []
+        assert wire.monitored_run_from_body(body).predictors == frozenset()
+
+    def test_body_without_predictors_is_rejected(self):
+        body = wire.monitored_run_to_body(self._run())
+        del body["predictors"]
+        with pytest.raises(wire.WireError, match="predictors"):
+            wire.monitored_run_from_body(body)
+
+    def test_server_quarantines_a_run_without_predictors(self):
+        import json
+
+        from repro.core.server import GistServer
+        from repro.corpus import get_bug
+
+        blob = wire.encode_monitored_run(self._run(), epoch=1)
+        envelope = json.loads(blob.decode("utf-8"))
+        del envelope["body"]["predictors"]
+        envelope["digest"] = wire.body_digest(envelope["body"])
+        stripped = json.dumps(envelope).encode("utf-8")
+
+        server = GistServer(get_bug("evloop-1").module())
+        assert server.receive(stripped) is None
+        assert server.quarantined_count == 1
+        assert "predictors" in server.quarantine[0].reason
+        assert server.receive(blob).payload == self._run()

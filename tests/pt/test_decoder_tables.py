@@ -1,10 +1,11 @@
-"""The table-driven PT decoder: recorded windows, malformed streams,
-single-pass cursor.
+"""The table-driven PT decoder: recorded windows, branch facts, malformed
+streams, single-pass cursor.
 
 ``PTDecoder`` (successor tables + byte-scanning cursor) must decode every
 corpus stream to the windows recorded in ``tests/golden/tiers.json``
 (digests from when it and the retired object-walking reference decoder
-agreed on all of them), and must reject corrupt streams loudly — a
+agreed on all of them), must record exactly the ``(branch uid, taken)``
+facts its windows show, and must reject corrupt streams loudly — a
 :class:`DecodeError` carrying the byte offset of the offending packet,
 never a silently truncated trace.
 """
@@ -74,10 +75,42 @@ def _spec_streams(spec, mode=None):
     return out
 
 
+def _window_prefix(raw):
+    """Bytes up to and including the first TIP.PGE packet."""
+    cursor = _PacketCursor(raw)
+    while True:
+        pkt = cursor.pop()
+        assert pkt is not None, "stream has no PGE"
+        if type(pkt) is P.TIPPGE:
+            return raw[:cursor._pos]
+
+
 def window_digests(spec, mode=None):
-    """One digest of the decoded windows per stream of ``spec``."""
-    return [digest(dataclasses.asdict(PTDecoder(module).decode(raw)))
-            for module, raw in _spec_streams(spec, mode)]
+    """One digest of the decoded windows per stream of ``spec`` (the
+    ``{"windows": ...}`` dict alone: branch facts are checked against
+    :func:`window_facts` instead)."""
+    return [digest({"windows": [dataclasses.asdict(window)
+                                for window in trace.windows]})
+            for trace in (PTDecoder(module).decode(raw)
+                          for module, raw in _spec_streams(spec, mode))]
+
+
+def window_facts(module, trace):
+    """``(branch uid, taken)`` re-derived from each window's BR-successor
+    pairs and the module's labels.  A BR that ends its window has no
+    successor there (its bit never arrived) and yields nothing."""
+    facts = set()
+    for window in trace.windows:
+        seq = window.executed
+        for uid, nxt in zip(seq, seq[1:]):
+            ins = module.instr(uid)
+            if ins.opcode is not Opcode.BR:
+                continue
+            blocks = module.functions[ins.func_name].blocks
+            arms = [blocks[label].instrs[0].uid for label in ins.labels]
+            assert nxt in arms, f"uid {nxt} follows BR {uid}"
+            facts.add((uid, nxt == arms[0]))
+    return facts
 
 
 class TestReferenceParity:
@@ -89,6 +122,17 @@ class TestReferenceParity:
         for index, (g, w) in enumerate(zip(got, golden[bug_id])):
             assert g == w, f"{bug_id}: stream {index} windows diverged"
 
+    @pytest.mark.parametrize("bug_id", all_bug_ids())
+    def test_branch_facts_match_windows_on_corpus_streams(self, bug_id):
+        recorded = 0
+        for index, (module, raw) in enumerate(
+                _spec_streams(get_bug(bug_id))):
+            trace = PTDecoder(module).decode(raw)
+            assert trace.branches == window_facts(module, trace), \
+                f"{bug_id}: stream {index} branch facts diverged"
+            recorded += len(trace.branches)
+        assert recorded, f"{bug_id}: no branch facts at all"
+
     def test_tables_cached_per_module_and_epoch(self):
         module, raw = _traced_module()
         first = PTDecoder(module)
@@ -99,24 +143,66 @@ class TestReferenceParity:
         assert third._kind is not first._kind
 
 
+class TestBranchFacts:
+    """A BR whose window closes before its TNT bit arrives ends the window
+    and records no fact — by stream end, by PGD, or by PGD landing on the
+    BR itself."""
+
+    def _first_br(self, module, raw):
+        """The window prefix and the first BR its walk reaches."""
+        prefix = _window_prefix(raw)
+        straight = PTDecoder(module).decode(prefix)
+        (window,) = straight.windows
+        return prefix, window.executed[-1]
+
+    def test_full_trace_records_both_arms(self):
+        module, raw = _traced_module()
+        trace = PTDecoder(module).decode(raw)
+        assert trace.branches == window_facts(module, trace)
+        assert {taken for _uid, taken in trace.branches} == {True, False}
+
+    @pytest.mark.parametrize("close", ["stream end", "pgd elsewhere",
+                                       "pgd on the br"])
+    def test_br_ending_a_window_records_nothing(self, close):
+        module, raw = _traced_module()
+        prefix, br = self._first_br(module, raw)
+        ins = module.instr(br)
+        assert ins.opcode is Opcode.BR
+        # Tracing off at the taken arm: a landing point the walk cannot
+        # reach without the BR's bit.
+        arm = module.functions[ins.func_name].blocks[ins.labels[0]]
+        tail = {"stream end": b"",
+                "pgd elsewhere": P.encode_tip_pgd(arm.instrs[0].uid),
+                "pgd on the br": P.encode_tip_pgd(br)}[close]
+        trace = PTDecoder(module).decode(prefix + tail)
+        assert trace.windows[-1].executed[-1] == br
+        assert trace.branches == window_facts(module, trace) == set()
+
+    def test_next_window_at_an_arm_pairs_nothing_across(self):
+        """A bitless BR, then a window that starts at the BR's taken arm:
+        the flattened sequence puts the arm right after the BR, yet no
+        bit said the branch was taken, so there is no fact."""
+        module, raw = _traced_module()
+        prefix, br = self._first_br(module, raw)
+        ins = module.instr(br)
+        arm = module.functions[ins.func_name].blocks[ins.labels[0]]
+        stream = (prefix + P.encode_tip_pgd(br) +
+                  P.encode_tip_pge(arm.instrs[0].uid))
+        trace = PTDecoder(module).decode(stream)
+        flat = trace.executed_sequence()
+        assert flat[flat.index(br) + 1] == arm.instrs[0].uid
+        assert trace.branches == window_facts(module, trace) == set()
+
+
 class TestMalformedStreams:
     """Corrupt bytes raise DecodeError with the window offset — a trace is
     never silently truncated."""
-
-    def _window_prefix(self, raw):
-        """Bytes up to and including the first TIP.PGE packet."""
-        cursor = _PacketCursor(raw)
-        while True:
-            pkt = cursor.pop()
-            assert pkt is not None, "stream has no PGE"
-            if type(pkt) is P.TIPPGE:
-                return raw[:cursor._pos]
 
     def test_truncated_packet(self):
         module, raw = _traced_module()
         # Chop the stream mid-ULEB128 of some multi-byte packet: scan for
         # a TIP header and keep only its first byte.
-        prefix = self._window_prefix(raw)
+        prefix = _window_prefix(raw)
         bad = prefix + P.encode_tip(1 << 20)[:1]
         with pytest.raises(DecodeError) as err:
             PTDecoder(module).decode(bad)
@@ -125,7 +211,7 @@ class TestMalformedStreams:
 
     def test_unknown_opcode_byte(self):
         module, raw = _traced_module()
-        prefix = self._window_prefix(raw)
+        prefix = _window_prefix(raw)
         bad = prefix + bytes([0x7F])  # odd, unassigned header
         with pytest.raises(DecodeError) as err:
             PTDecoder(module).decode(bad)
@@ -134,7 +220,7 @@ class TestMalformedStreams:
 
     def test_unknown_extended_packet(self):
         module, raw = _traced_module()
-        prefix = self._window_prefix(raw)
+        prefix = _window_prefix(raw)
         bad = prefix + bytes([0x02, 0x55])
         with pytest.raises(DecodeError) as err:
             PTDecoder(module).decode(bad)
@@ -144,7 +230,7 @@ class TestMalformedStreams:
         """A conditional branch with no TNT bits buffered and a non-TNT
         packet next: the decoder must refuse, naming the uid and offset."""
         module, raw = _traced_module()
-        prefix = self._window_prefix(raw)
+        prefix = _window_prefix(raw)
         # The window starts at a straight-line entry; walking reaches the
         # loop's BR with an empty TNT queue and finds a TIP instead.
         bad = prefix + P.encode_tip(3)
@@ -156,7 +242,7 @@ class TestMalformedStreams:
     def test_error_offsets_skip_leading_packets(self):
         """The offset names the bad packet, not the stream start."""
         module, raw = _traced_module()
-        prefix = self._window_prefix(raw)
+        prefix = _window_prefix(raw)
         padded = prefix + P.encode_pad() * 3
         bad = padded + bytes([0x7F])
         with pytest.raises(DecodeError) as err:

@@ -36,7 +36,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import BackwardSlicer
-from repro.analysis.context import AnalysisContext
 from repro.corpus import all_bug_ids, get_bug
 from repro.detect import RaceDetector, apply_detectors, make_detectors
 from repro.hw.watchpoints import WatchpointUnit
@@ -408,11 +407,6 @@ def test_decoded_stream_cached_per_module_and_epoch():
     rebuilt = decoded_program(module)
     assert rebuilt is not first
     assert rebuilt.epoch == module.analysis_epoch
-    ctx = AnalysisContext(module)
-    assert ctx.decoded_program() is decoded_program(module)
-    assert ctx.stats.by_kind["decoded"]["hits"] == 0
-    ctx.decoded_program()
-    assert ctx.stats.by_kind["decoded"]["hits"] == 1
 
 
 def test_compiled_program_cached_per_module_and_epoch():
@@ -423,21 +417,6 @@ def test_compiled_program_cached_per_module_and_epoch():
     rebuilt = compiled_program(module)
     assert rebuilt is not first
     assert rebuilt.epoch == module.analysis_epoch
-
-
-def test_compiled_program_context_counters():
-    """cold miss -> warm hit, mirroring the decoded artifact counters."""
-    module = get_bug("pbzip2-1").module()
-    ctx = AnalysisContext(module)
-    assert "compiled" not in ctx.stats.by_kind or \
-        ctx.stats.by_kind["compiled"]["hits"] == 0
-    first = ctx.compiled_program()
-    assert first is compiled_program(module)
-    assert ctx.stats.by_kind["compiled"]["misses"] == 1
-    assert ctx.stats.by_kind["compiled"]["hits"] == 0
-    assert ctx.compiled_program() is first
-    assert ctx.stats.by_kind["compiled"]["hits"] == 1
-    assert ctx.stats.by_kind["compiled"]["misses"] == 1
 
 
 def test_compiled_cache_evicts_under_cap(monkeypatch):

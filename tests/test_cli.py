@@ -200,6 +200,15 @@ class TestVersionAndFleetFlags:
         assert exc.value.code == 2
         assert "unknown fault-plan key" in capsys.readouterr().err
 
+    def test_batch_bytes_above_the_frame_cap_is_an_argparse_error(
+            self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "diagnose", "transmission-1818",
+                  "--fleet-transport", "socket",
+                  "--batch-bytes", str(20 * 1024 * 1024)])
+        assert exc.value.code == 2
+        assert "frame cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["corpus", "diagnose", "transmission-1818",
          "--fleet-transport", "direct"],
