@@ -440,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     common_run_flags(p)
     p.add_argument("--profile-run", action="store_true",
                    help="print a per-phase breakdown of interpreter time "
-                        "(schedule/fetch/trace/dispatch) to stderr")
+                        "(schedule/fetch/trace/dispatch) to stderr; it "
+                        "times the decoded loop, whose schedule phase is "
+                        "a per-step pick the compiled tier draws inline")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("trace", help="run under full Intel-PT tracing")

@@ -281,6 +281,11 @@ def recover_server(path: os.PathLike, module, *,
     The replayed server journals nothing (its ``journal`` stays ``None``);
     the caller re-attaches a :class:`CampaignJournal` opened in append
     mode afterwards, so replayed records are never re-appended.
+
+    A record that passes its CRC but whose payload does not decode — not
+    UTF-8 JSON, not an object, a missing or mistyped field, a bad
+    envelope, or a campaign key no earlier record started — raises
+    :class:`JournalError` naming ``path`` and the record's index.
     """
     # Lazy import: fleet ↔ core layering (same pattern as server.receive).
     from ..core.server import GistServer
@@ -289,42 +294,97 @@ def recover_server(path: os.PathLike, module, *,
     server = GistServer(module, context=context, stripes=stripes,
                         ranker=ranker, stats=stats)
     state = RecoveredState(server=server)
-    for rec_type, payload in iter_records(path):
+    for index, (rec_type, payload) in enumerate(iter_records(path)):
+        where = f"{path}: record {index}"
         state.records_replayed += 1
-        if rec_type == REC_CAMPAIGN_START:
-            meta = json.loads(payload.decode("utf-8"))
-            report = wire.decode_message(
-                bytes.fromhex(meta["report_hex"])).payload
-            campaign = server.handle_failure_report(
-                meta["bug"], report, meta["sigma"], key=meta["key"])
-            if campaign.stripes != meta["stripes"]:
-                raise JournalError(
-                    f"{path}: journal recorded {meta['stripes']} ingest "
-                    f"stripes but recovery was configured with "
-                    f"{campaign.stripes}")
-            state.campaigns[meta["key"]] = campaign
-            state.open_iterations[meta["key"]] = False
-        elif rec_type == REC_BEGIN_ITERATION:
-            key = json.loads(payload.decode("utf-8"))["key"]
-            state.campaigns[key].begin_iteration()
-            state.open_iterations[key] = True
-        elif rec_type == REC_INGEST:
-            envelope = payload[_DIGEST_LEN:]
-            message = wire.decode_message(envelope)
-            campaign = state.campaigns[message.campaign]
+        if rec_type == REC_INGEST:
+            message = _envelope(where, payload[_DIGEST_LEN:],
+                                wire.MSG_MONITORED_RUN)
+            campaign = _campaign(state, where, message.campaign)
             if campaign.ingest_wire(message) is None:
                 raise JournalError(
-                    f"{path}: journaled ingest was rejected on replay "
+                    f"{where}: journaled ingest was rejected on replay "
                     "(epoch or digest gate) — journal out of order")
             state.ingests_replayed += 1
+            continue
+        meta = _control_record(where, rec_type, payload)
+        key = meta["key"]
+        if rec_type == REC_CAMPAIGN_START:
+            try:
+                blob = bytes.fromhex(meta["report_hex"])
+            except ValueError as exc:
+                raise JournalError(f"{where}: bad report_hex ({exc})") \
+                    from exc
+            report = _envelope(where, blob, wire.MSG_FAILURE_REPORT).payload
+            campaign = server.handle_failure_report(
+                meta["bug"], report, meta["sigma"], key=key)
+            if campaign.stripes != meta["stripes"]:
+                raise JournalError(
+                    f"{where}: journal recorded {meta['stripes']} ingest "
+                    f"stripes but recovery was configured with "
+                    f"{campaign.stripes}")
+            state.campaigns[key] = campaign
+            state.open_iterations[key] = False
+            continue
+        campaign = _campaign(state, where, key)
+        if rec_type == REC_BEGIN_ITERATION:
+            campaign.begin_iteration()
+            state.open_iterations[key] = True
         elif rec_type == REC_FINISH_ITERATION:
-            key = json.loads(payload.decode("utf-8"))["key"]
-            state.campaigns[key].finish_iteration()
+            campaign.finish_iteration()
             state.open_iterations[key] = False
         elif rec_type == REC_GROW:
-            key = json.loads(payload.decode("utf-8"))["key"]
-            state.campaigns[key].grow()
+            campaign.grow()
     return state
+
+
+#: The fields of a campaign-start record besides ``key``, and their types.
+_START_FIELDS = (("bug", str), ("sigma", int), ("stripes", int),
+                 ("report_hex", str))
+
+
+def _control_record(where: str, rec_type: int, payload: bytes) -> Dict:
+    """A control record's canonical-JSON object, its fields checked: a
+    string or null ``key``, plus :data:`_START_FIELDS` on a campaign
+    start."""
+    try:
+        meta = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise JournalError(f"{where}: payload is not UTF-8 JSON ({exc})") \
+            from exc
+    if not isinstance(meta, dict):
+        raise JournalError(f"{where}: payload is not a JSON object")
+    if "key" not in meta or not (meta["key"] is None
+                                 or isinstance(meta["key"], str)):
+        raise JournalError(f"{where}: no string or null 'key'")
+    if rec_type == REC_CAMPAIGN_START:
+        for name, kind in _START_FIELDS:
+            value = meta.get(name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise JournalError(
+                    f"{where}: no {kind.__name__} {name!r}")
+    return meta
+
+
+def _envelope(where: str, blob: bytes, msg_type: str):
+    """The wire message in ``blob``, which must be a ``msg_type``."""
+    from . import wire
+
+    try:
+        message = wire.decode_message(blob)
+    except wire.WireError as exc:
+        raise JournalError(f"{where}: bad envelope ({exc})") from exc
+    if message.type != msg_type:
+        raise JournalError(
+            f"{where}: envelope is a {message.type}, not a {msg_type}")
+    return message
+
+
+def _campaign(state: RecoveredState, where: str, key: Optional[str]):
+    campaign = state.campaigns.get(key)
+    if campaign is None:
+        raise JournalError(f"{where}: no campaign started for key {key!r}")
+    return campaign
 
 
 def prefix_journal(src: os.PathLike, dst: os.PathLike,

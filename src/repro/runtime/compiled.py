@@ -12,22 +12,28 @@ Execution protocol
 ------------------
 
 Compiled functions are Python *generators* so that the scheduler contract
-(one :meth:`~repro.runtime.scheduler.Scheduler.pick` per retired
-instruction, including single-thread runs) survives compilation:
+(its state advances as one
+:meth:`~repro.runtime.scheduler.Scheduler.pick` per retired instruction
+would advance it, including single-thread runs) survives compilation:
 
-- After every retired instruction the generated code runs an inline *gate*:
-  it calls ``pick`` and, when the scheduler keeps the current thread,
-  simply falls through to the next statement.  When the pick selects a
-  different thread the generator commits its local accounting and yields
-  the chosen tid; :meth:`Interpreter._loop_compiled` resumes that thread's
-  generator directly (the pick has already been consumed).
-- ``yield None`` means *no* pick was consumed (the thread blocked or went
-  to sleep); the main loop runs a full runnable/pick cycle.
+- After every retired instruction the generated code runs an inline *gate*
+  over the halves of the scheduler's decision
+  (:meth:`~repro.runtime.scheduler.Scheduler.split_pick`):
+  ``if _rand() < _p and (_t := _consult(_rn, tid)) != tid:``.  For the
+  random scheduler ``_rand`` is its RNG's C-level ``random``, so a step
+  that keeps the current thread costs one draw and one float compare and
+  calls no Python scheduler code; schedulers that do not split their
+  decision consult ``pick`` on every step through the same line.  When the consult selects a different thread the generator commits
+  its local accounting and yields the chosen tid;
+  :meth:`Interpreter._loop_compiled` resumes that thread's generator
+  directly (the step's decision has already been consumed).
+- ``yield None`` means *no* decision was consumed (the thread blocked or
+  went to sleep); the main loop runs a full runnable/pick cycle.
 - Every resume of a generator — including the first — therefore means one
-  pick has already been spent on this thread, and the generator executes
-  the next instruction body with no preceding gate.  A resume sends the
-  interpreter's ``(global_step, _sched_dirty, _runnable_cache)``, which the
-  generator mirrors in locals.
+  decision has already been spent on this thread, and the generator
+  executes the next instruction body with no preceding gate.  A resume
+  sends the interpreter's ``(global_step, _sched_dirty,
+  _runnable_cache)``, which the generator mirrors in locals.
 - User calls are linked by ``yield from``, so a context switch deep in a
   call chain suspends/resumes the whole chain in one step.
 
@@ -249,8 +255,8 @@ def _enter(thread, tid, memory, callee):
 
 #: The per-run locals every generated function unpacks from
 #: ``interp._run_locals`` (built by :meth:`CompiledProgram.start`).
-_RUN_LOCALS = ("_pick, _max_steps, _memory, _slots, _pre, _fb, _ff, _fm, "
-               "_gb, _gf, _gm")
+_RUN_LOCALS = ("_rand, _p, _consult, _max_steps, _memory, _slots, _pre, "
+               "_fb, _ff, _fm, _gb, _gf, _gm")
 
 #: The gate local of an ungated event kind: every key.  Thread ids and the
 #: address of every retired load or store (a mapped slot) are non-negative
@@ -421,7 +427,9 @@ class _FunctionCompiler:
                     f"{pc_expr})")
 
     def emit_gate(self, site: str) -> None:
-        """The scheduler gate: one pick per retired instruction.  Falls
+        """The scheduler gate: one decision per retired instruction — a
+        draw, and a consult only when the draw is below the threshold
+        (:meth:`~repro.runtime.scheduler.Scheduler.split_pick`).  Falls
         through when the current thread keeps running; commits and yields
         the chosen tid on a context switch (a scheduler answer outside the
         runnable set means its first thread, as in the other tiers).
@@ -430,12 +438,13 @@ class _FunctionCompiler:
         ``interp._runnable_cache``: between resume points only this thread
         executes, so the mirrors are refreshed only after yields, calls,
         and builtins — the hot gate touches no interpreter attributes.
+        The current thread is always in ``_rn`` here, which is what makes
+        the split decision consume the scheduler's state as ``pick`` would.
         """
         e = self.e
         e.line("if _dirty:")
         e.line("    _rn, _dirty = _refresh(interp, _step)")
-        e.line("_t = _pick(_rn, tid, _step)")
-        e.line("if _t != tid:")
+        e.line("if _rand() < _p and (_t := _consult(_rn, tid)) != tid:")
         e.line(f"    _acc = _commit(interp, frame, _step, _acc, {site})")
         e.line("    _step, _dirty, _rn = yield _t if _t in _rn else _rn[0]")
 
@@ -965,8 +974,8 @@ class CompiledProgram:
         memory = interp.memory
         interp._charges = 0
         interp._run_locals = (
-            interp.scheduler.pick, interp.max_steps, memory, memory._slots,
-            pre,
+            *interp.scheduler.split_pick(), interp.max_steps, memory,
+            memory._slots, pre,
             interp._fire_branch if interp._branch_subs is not None else None,
             interp._fire_flow if interp._flow_subs is not None else None,
             interp._fire_mem if interp._mem_subs is not None else None,

@@ -32,10 +32,14 @@ no subscribers at all.  A kind whose lone handler declares a gate (a live
 set of watched addresses or traced threads) builds events only for keys
 inside it.
 
-Every tier calls :meth:`Scheduler.pick` once per retired instruction — a
-load-bearing invariant: seeded schedulers consume RNG state per pick, so
-skipping picks (e.g. when only one thread is runnable) would change every
-downstream interleaving.
+Every tier advances the scheduler's state exactly as one
+:meth:`Scheduler.pick` per retired instruction would — a load-bearing
+invariant: seeded schedulers consume RNG state per decision, so skipping
+decisions (e.g. when only one thread is runnable) would change every
+downstream interleaving.  The decoded tier calls ``pick`` on every step;
+the compiled tier's generated gate draws inline and consults the
+scheduler only when the draw says "switch"
+(:meth:`Scheduler.split_pick`).
 """
 
 from __future__ import annotations
@@ -452,7 +456,7 @@ class Interpreter:
                     self._advance_past_sleep()
                     continue
                 self._report_deadlock()
-            tid = pick(runnable, self._current_tid, self.global_step)
+            tid = pick(runnable, self._current_tid)
             if tid not in runnable:  # defensive: scheduler bug
                 tid = runnable[0]
             self._current_tid = tid
@@ -501,12 +505,12 @@ class Interpreter:
         source.
 
         The protocol: a generator yields a *tid* when its inlined gate has
-        already spent a scheduler pick choosing that thread (the loop
-        resumes it directly), or ``None`` when no pick was spent (blocked /
-        sleeping: the loop runs a full runnable/pick cycle).  Every resume
-        therefore corresponds to exactly one spent pick, preserving the
-        one-pick-per-retired-instruction contract.  A resume sends the
-        scheduler state the generator mirrors in locals.
+        already spent the step's scheduler decision choosing that thread
+        (the loop resumes it directly), or ``None`` when no decision was
+        spent (blocked / sleeping: the loop runs a full runnable/pick
+        cycle).  Every resume therefore corresponds to exactly one spent
+        decision, preserving the scheduler's state-stream contract.  A
+        resume sends the scheduler state the generator mirrors in locals.
         """
         threads = self.threads
         program = self._compiled
@@ -525,8 +529,7 @@ class Interpreter:
                             self._advance_past_sleep()
                             continue
                         self._report_deadlock()
-                    tid = self.scheduler.pick(runnable, self._current_tid,
-                                              self.global_step)
+                    tid = self.scheduler.pick(runnable, self._current_tid)
                     if tid not in runnable:  # defensive: scheduler bug
                         tid = runnable[0]
                 else:
@@ -548,9 +551,11 @@ class Interpreter:
             program.settle(self)
 
     def _loop_profiled(self) -> None:
-        """The hot path with per-phase wall-clock accounting (opt-in via
-        ``--profile-run``; the timers roughly double per-step overhead, so
-        this is never the default)."""
+        """The decoded hot path with per-phase wall-clock accounting (opt-in
+        via ``--profile-run``; the timers roughly double per-step overhead,
+        so this is never the default).  Its ``schedule`` phase times the
+        decoded loop's per-step ``pick``, which the default compiled tier
+        replaces with an inline draw."""
         threads = self.threads
         pick = self.scheduler.pick
         hooks = self.hooks
@@ -575,7 +580,7 @@ class Interpreter:
                         self._advance_past_sleep()
                         continue
                     self._report_deadlock()
-                tid = pick(runnable, self._current_tid, self.global_step)
+                tid = pick(runnable, self._current_tid)
                 if tid not in runnable:
                     tid = runnable[0]
                 self._current_tid = tid

@@ -13,29 +13,55 @@ so scheduling is a first-class, *seeded* concern:
 Schedulers decide at every instruction boundary, and are additionally
 consulted at *yield points* (blocking sync ops, usleep), which is where real
 preemption is most likely and where races interleave.
+
+A scheduler's per-step decision comes in two forms: :meth:`Scheduler.pick`
+answers it in one call, and :meth:`Scheduler.split_pick` hands out its two
+halves — a draw that decides whether to switch and a consult that chooses
+the next thread — so the compiled tier's generated gate can draw inline
+and call back into Python only when the draw says "switch".
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+#: ``consult(runnable, current)``: the thread that runs next.
+Consult = Callable[[Sequence[int], Optional[int]], int]
 
 
 class Scheduler:
     """Picks which runnable thread executes the next instruction.
 
-    Contract: the interpreter calls :meth:`pick` exactly once per retired
-    instruction, *including* when only one thread is runnable.  Stateful
-    schedulers (seeded RNGs, quantum counters) advance their state per
-    pick, so an "optimized" loop that skipped single-thread picks would
-    desync every interleaving downstream of the first spawn.  Both
-    interpreter dispatch modes preserve this, and the hot-path A/B
-    equivalence tests depend on it.
+    Contract, on the scheduler's *state stream*: over a run, the
+    scheduler's state (seeded RNGs, quantum and step counters) advances
+    exactly as one :meth:`pick` per retired instruction would advance it —
+    *including* steps where only one thread is runnable.  An "optimized"
+    loop that skipped single-thread picks would desync every interleaving
+    downstream of the first spawn.
+
+    The decoded tier and every full pick of the interpreter's main loop
+    call :meth:`pick` itself.  The compiled tier's per-instruction gate
+    instead runs :meth:`split_pick`'s halves: ``draw() < threshold`` and,
+    only when that holds, ``consult(runnable, current)``; the current
+    thread keeps running when the draw fails or the consult names it.  At a
+    gate the current thread is always runnable, so a scheduler whose
+    ``pick`` is exactly "keep ``current`` unless ``draw() < threshold``,
+    else ``consult``" consumes the same state either way.  The tier
+    equivalence and scheduler-stream tests pin both tiers to one stream.
     """
 
-    def pick(self, runnable: Sequence[int], current: Optional[int],
-             step: int) -> int:
+    def pick(self, runnable: Sequence[int], current: Optional[int]) -> int:
         raise NotImplementedError
+
+    def split_pick(self) -> Tuple[Callable[[], float], float, Consult]:
+        """``(draw, threshold, consult)``: the per-step decision in two
+        halves, for a caller whose current thread is runnable.
+
+        The default never skips a consult — ``float()`` draws 0.0, below
+        the threshold 1.0 — and consults :meth:`pick`, so a scheduler that
+        does not split its decision still sees every step."""
+        return float, 1.0, self.pick
 
     def describe(self) -> str:
         return type(self).__name__
@@ -50,8 +76,7 @@ class RoundRobinScheduler(Scheduler):
         self.quantum = quantum
         self._remaining = quantum
 
-    def pick(self, runnable: Sequence[int], current: Optional[int],
-             step: int) -> int:
+    def pick(self, runnable: Sequence[int], current: Optional[int]) -> int:
         if current in runnable and self._remaining > 0:
             self._remaining -= 1
             return current  # type: ignore[return-value]
@@ -84,10 +109,17 @@ class RandomScheduler(Scheduler):
         self.switch_prob = switch_prob
         self._rng = random.Random(seed)
 
-    def pick(self, runnable: Sequence[int], current: Optional[int],
-             step: int) -> int:
+    def pick(self, runnable: Sequence[int], current: Optional[int]) -> int:
         if current in runnable and self._rng.random() >= self.switch_prob:
             return current  # type: ignore[return-value]
+        return self._consult(runnable, current)
+
+    def split_pick(self) -> Tuple[Callable[[], float], float, Consult]:
+        """One C-level draw per step; Python code only on a switch."""
+        return self._rng.random, self.switch_prob, self._consult
+
+    def _consult(self, runnable: Sequence[int],
+                 current: Optional[int]) -> int:
         return runnable[self._rng.randrange(len(runnable))]
 
     def describe(self) -> str:
@@ -132,8 +164,7 @@ class PCTScheduler(Scheduler):
                 self.depth, self.depth + 100)
         return self._priorities[tid]
 
-    def pick(self, runnable: Sequence[int], current: Optional[int],
-             step: int) -> int:
+    def pick(self, runnable: Sequence[int], current: Optional[int]) -> int:
         self._steps += 1
         chosen = max(runnable, key=self._priority)
         if self._next_change < len(self._change_points) and \
@@ -162,8 +193,7 @@ class FixedScheduler(Scheduler):
         self._index = 0
         self._used = 0
 
-    def pick(self, runnable: Sequence[int], current: Optional[int],
-             step: int) -> int:
+    def pick(self, runnable: Sequence[int], current: Optional[int]) -> int:
         while self._index < len(self.plan):
             tid, steps = self.plan[self._index]
             if self._used >= steps:

@@ -282,3 +282,43 @@ class TestCrashRecoveryKeepsServerSettings:
             recovered.state())) == wire.body_digest(
                 wire.ranker_state_to_body(ranker.state()))
         assert render_sketch(crashed.sketch) == render_sketch(clean.sketch)
+
+
+def _start_meta(**fields) -> bytes:
+    meta = {"bug": BUG, "key": None, "sigma": 2, "stripes": 1,
+            "report_hex": "00"}
+    meta.update(fields)
+    return json.dumps(meta).encode("utf-8")
+
+
+#: One CRC-valid record with a malformed payload per case, each of which
+#: once escaped recovery as an untyped exception.
+_MALFORMED = {
+    "non-utf8": (REC_BEGIN_ITERATION, b"\xff\xfe{}"),
+    "json-array": (REC_BEGIN_ITERATION, b"[1, 2]"),
+    "empty-object": (REC_BEGIN_ITERATION, b"{}"),
+    "unknown-campaign-key": (REC_BEGIN_ITERATION, b'{"key": "nope"}'),
+    "bad-report-hex": (REC_CAMPAIGN_START, _start_meta(report_hex="zz")),
+    "garbage-ingest-envelope": (REC_INGEST, b"0badc0ffee15dead" + b"\x00{"),
+    "short-ingest-envelope": (REC_INGEST, b"0badc0ffee"),
+}
+
+
+class TestMalformedPayloads:
+    """A record that passes its CRC but carries a malformed payload is a
+    :class:`JournalError` naming the journal and the record's index."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_recovery_raises_journal_error(self, case, journaled,
+                                           tmp_path):
+        rec_type, payload = _MALFORMED[case]
+        start = journaled["records"][0]
+        assert start[0] == REC_CAMPAIGN_START
+        path = tmp_path / "bad.wal"
+        with CampaignJournal(path, fresh=True) as journal:
+            journal.append(*start)
+            journal.append(rec_type, payload)
+        assert len(list(iter_records(path, strict=True))) == 2
+        with pytest.raises(JournalError) as raised:
+            recover_server(path, journaled["spec"].module())
+        assert str(raised.value).startswith(f"{path}: record 1: ")

@@ -10,13 +10,13 @@ class TestMechanics:
     def test_deterministic_per_seed(self):
         a = PCTScheduler(seed=5, depth=3, expected_steps=100)
         b = PCTScheduler(seed=5, depth=3, expected_steps=100)
-        pa = [a.pick([0, 1, 2], None, i) for i in range(100)]
-        pb = [b.pick([0, 1, 2], None, i) for i in range(100)]
+        pa = [a.pick([0, 1, 2], None) for i in range(100)]
+        pb = [b.pick([0, 1, 2], None) for i in range(100)]
         assert pa == pb
 
     def test_highest_priority_runs_until_change_point(self):
         sched = PCTScheduler(seed=1, depth=1, expected_steps=100)
-        picks = {sched.pick([0, 1], None, i) for i in range(50)}
+        picks = {sched.pick([0, 1], None) for i in range(50)}
         # depth=1 means no change points: one thread monopolizes.
         assert len(picks) == 1
 
@@ -24,18 +24,18 @@ class TestMechanics:
         sched = PCTScheduler(seed=3, depth=4, expected_steps=30)
         seen = set()
         for i in range(200):
-            seen.add(sched.pick([0, 1], None, i))
+            seen.add(sched.pick([0, 1], None))
         # With several change points inside the horizon, both threads run.
         assert seen == {0, 1}
 
     def test_only_runnable_returned(self):
         sched = PCTScheduler(seed=7, depth=3, expected_steps=50)
         for i in range(100):
-            assert sched.pick([4, 9], None, i) in (4, 9)
+            assert sched.pick([4, 9], None) in (4, 9)
 
     def test_unknown_tids_get_priorities(self):
         sched = PCTScheduler(seed=2, depth=2, max_threads=2)
-        assert sched.pick([40, 41], None, 0) in (40, 41)
+        assert sched.pick([40, 41], None) in (40, 41)
 
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
