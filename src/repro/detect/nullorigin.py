@@ -40,6 +40,10 @@ class NullOriginTracer(Tracer):
     """Track null creation and propagation; reclassify null-page faults."""
 
     wants_on_mem = True
+    #: Globals and the heap, as for the race detector: a constant gate
+    #: that spares a run every stack access; ``on_mem`` still skips the
+    #: string data inside it.
+    gate_on_mem = range(GLOBAL_BASE, STACK_BASE)
 
     def __init__(self) -> None:
         self._interp = None

@@ -86,6 +86,11 @@ class RaceDetector(Tracer):
 
     wants_on_mem = True
     wants_on_sync = True
+    #: Globals and the heap: the stacks are thread-private and the null
+    #: page faults before any event.  A constant gate, so a run whose only
+    #: memory handler is this detector builds no event for a stack access;
+    #: ``on_mem`` still skips the string data inside it.
+    gate_on_mem = range(GLOBAL_BASE, STACK_BASE)
 
     def __init__(self) -> None:
         self._interp = None

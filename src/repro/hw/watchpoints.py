@@ -139,10 +139,8 @@ class WatchpointUnit(Tracer):
     # -- trapping (Tracer callback) --------------------------------------------
 
     def on_mem(self, interp, event: MemEvent) -> None:
-        if event.address not in self.gate_on_mem:
-            # Off the gate: a fan-out that honours it never gets here, but
-            # a shared one (several handlers) hands over every access.
-            return
+        # The interpreter hands over only accesses inside the gate; the
+        # register scan is the trap condition itself.
         for wp in self.registers.values():
             if wp.matches(event.address, event.is_write):
                 self.traps_taken += 1

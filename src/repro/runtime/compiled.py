@@ -72,15 +72,18 @@ subscriber lists, gates and hooks are sampled at run start into locals
 - ``_fb`` / ``_ff`` / ``_fm`` are the run's branch / flow / memory fan-outs
   (``Interpreter._fire_*``), or ``None`` when nobody pays or listens for
   that kind;
-- ``_gb`` / ``_gf`` / ``_gm`` are the kinds' gates: the live set of
-  traced thread ids (branch, flow) or watched addresses (memory) that the
-  kind's lone handler declared (:func:`repro.runtime.events.gate`), else
+- ``_gb`` / ``_gf`` / ``_gm`` are the kinds' gates: the gate the kind's
+  lone, cost-free handler declared (:func:`repro.runtime.events.gate`) —
+  the live set of traced thread ids (branch, flow) or watched addresses,
+  or a detector's constant global-and-heap range (memory) — else
   :data:`_UNGATED`, a range holding every key.  An event site runs
-  ``if _fm and addr in _gm:``, so a plain run still pays one truth test,
-  and an instrumented run builds no event its handler would ignore.  The
-  gate object is sampled once; its tracer mutates it in place, so a hook
-  that arms a watchpoint or opens a PT window changes what every later
-  event site sees, the hooked instruction's own included.
+  ``if _fm and addr in _gm:``, so a plain run still pays one truth test
+  and a lone gated handler costs no Python call outside its gate; with
+  several handlers the fan-out tests each handler's gate and builds no
+  event none of them takes.  The gate object is sampled once; its tracer
+  mutates it in place, so a hook that arms a watchpoint or opens a PT
+  window changes what every later event site sees, the hooked
+  instruction's own included.
 
 Hooks fire before their instruction, after the step count and the step
 fan-out, once per retired instruction (each retry of a blocking builtin
@@ -258,7 +261,8 @@ def _enter(thread, tid, memory, callee):
 _RUN_LOCALS = ("_rand, _p, _consult, _max_steps, _memory, _slots, _pre, "
                "_fb, _ff, _fm, _gb, _gf, _gm")
 
-#: The gate local of an ungated event kind: every key.  Thread ids and the
+#: The gate local of an event kind without a lone gated handler (its
+#: fan-out tests any per-handler gates): every key.  Thread ids and the
 #: address of every retired load or store (a mapped slot) are non-negative
 #: and far below 2**64, so the inline gate test is one membership check
 #: done in C whether or not the kind is gated.
@@ -622,19 +626,10 @@ class _FunctionCompiler:
         a = self._expr(spec)
         e.line("try:")
         e.indent += 1
-        if spec[0] == "reg":
-            # Fast path: a mapped global/string/stack slot cannot fault on
-            # a read; heap reads always go through Memory.read (freed
-            # blocks keep their slots — a dict hit would hide UAF).
-            e.line(f"if {GLOBAL_BASE} <= {a} < {HEAP_BASE} "
-                   f"or {a} >= {STACK_BASE}:")
-            e.line("    try:")
-            e.line(f"        _v = _slots[{a}]")
-            e.line("    except KeyError:")
-            e.line(f"        _v = _memory.read({a})")
-            e.line("else:")
-            e.line(f"    _v = _memory.read({a})")
-        elif GLOBAL_BASE <= spec[1] < HEAP_BASE or spec[1] >= STACK_BASE:
+        if spec[0] == "reg" or spec[1] >= GLOBAL_BASE:
+            # Fast path: a mapped slot cannot fault on a read (free unmaps
+            # a heap block, and nothing below GLOBAL_BASE is ever mapped),
+            # so a hit skips Memory.read; a miss faults there.
             e.line("try:")
             e.line(f"    _v = _slots[{a}]")
             e.line("except KeyError:")
@@ -662,17 +657,16 @@ class _FunctionCompiler:
         e.line("try:")
         e.indent += 1
         if specs[0][0] == "reg":
-            # Fast path mirrors Memory.write: mapped global/stack slots
-            # cannot fault on a write; strings (read-only) and heap slots
-            # (liveness checks) always go through Memory.write.
-            e.line(f"if ({GLOBAL_BASE} <= {a} < {STRING_BASE} "
-                   f"or {a} >= {STACK_BASE}) and {a} in _slots:")
+            # Fast path mirrors Memory.write: a mapped slot outside the
+            # read-only string data cannot fault on a write.
+            e.line(f"if ({a} < {STRING_BASE} or {a} >= {HEAP_BASE}) "
+                   f"and {a} in _slots:")
             e.line(f"    _slots[{a}] = {v}")
             e.line("else:")
             e.line(f"    _memory.write({a}, {v})")
         else:
             addr = specs[0][1]
-            if GLOBAL_BASE <= addr < STRING_BASE or addr >= STACK_BASE:
+            if not STRING_BASE <= addr < HEAP_BASE:
                 e.line(f"if {addr} in _slots:")
                 e.line(f"    _slots[{addr}] = {v}")
                 e.line("else:")

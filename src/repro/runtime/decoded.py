@@ -69,7 +69,6 @@ from .costmodel import OPCODE_COST
 from .events import FlowKind
 from .failures import FailureKind
 from .memory import (
-    GLOBAL_BASE,
     HEAP_BASE,
     STACK_BASE,
     STACK_STRIDE,
@@ -404,14 +403,10 @@ def _compile_load(ins, addr_spec, next_index):
         else:
             addr = const_addr
         memory = interp.memory
-        # Fast path: a mapped global/string/stack slot cannot fault on a
-        # read.  Heap reads always go through Memory.read — freed blocks
-        # keep their slots, so a dict hit there would hide use-after-free.
-        if GLOBAL_BASE <= addr < HEAP_BASE or addr >= STACK_BASE:
-            value = memory._slots.get(addr)
-            if value is None:
-                value = memory.read(addr)
-        else:
+        # Fast path: a mapped slot cannot fault on a read (free unmaps a
+        # heap block), so a hit skips Memory.read; a miss faults there.
+        value = memory._slots.get(addr)
+        if value is None:
             value = memory.read(addr)
         if dst is not None:
             regs[dst] = value
@@ -429,10 +424,9 @@ def _compile_store(ins, addr_spec, value_spec, next_index):
         addr = get_addr(frame)
         value = get_value(frame)
         memory = interp.memory
-        # Fast path mirrors Memory.write: mapped global/stack slots cannot
-        # fault on a write.  Strings (read-only) and heap slots (liveness
-        # checks) always go through Memory.write.
-        if (GLOBAL_BASE <= addr < STRING_BASE or addr >= STACK_BASE) \
+        # Fast path mirrors Memory.write: a mapped slot outside the
+        # read-only string data cannot fault on a write.
+        if (addr < STRING_BASE or addr >= HEAP_BASE) \
                 and addr in memory._slots:
             memory._slots[addr] = value
         else:

@@ -21,11 +21,12 @@ events it would ignore.  Per event kind it may declare:
 
 - ``wants_on_*``: a subscription veto, sampled at run start (see
   :func:`subscribes`);
-- ``gate_on_mem`` / ``gate_on_branch`` / ``gate_on_flow``: a live *gate*,
-  the set of keys outside which its callback for that kind does nothing.
-  The key is the address for memory events and the thread id for branch
-  and flow events; the interpreter tests it before building an event (see
-  :func:`gate`).
+- ``gate_on_mem`` / ``gate_on_branch`` / ``gate_on_flow``: a *gate*, a
+  container of keys outside which its callback for that kind does
+  nothing.  The key is the address for memory events and the thread id
+  for branch and flow events; the interpreter tests each handler's gate
+  before handing it an event, and builds no event that no handler takes
+  (see :func:`gate`).
 
 Events are immutable named tuples: field access by name, positional order,
 and field-wise equality.  A monitored run builds millions of them, so the
@@ -105,8 +106,9 @@ class Tracer:
     Two optional attributes per event kind narrow what the interpreter
     hands a tracer: ``wants_on_*`` vetoes a subscription for the whole run
     (:func:`subscribes`), and ``gate_on_mem`` / ``gate_on_branch`` /
-    ``gate_on_flow`` name a live set of keys (addresses, or thread ids)
-    outside which the callback is a no-op (:func:`gate`).
+    ``gate_on_flow`` name the keys (addresses, or thread ids) outside
+    which the callback is a no-op (:func:`gate`), whatever other tracers
+    share the run.
     """
 
     cost_per_step: int = 0
@@ -177,12 +179,20 @@ def gate(tracer: Tracer, name: str):
     A gate (attribute ``gate_on_mem``, ``gate_on_branch`` or
     ``gate_on_flow``) is a container of keys — see :data:`GATE_KEYS` —
     outside which the tracer's callback for that kind does nothing, so the
-    interpreter may drop such an event before building it.  It is read like
-    the ``wants_on_*`` vetoes, once at run start, and tested per event: the
-    tracer mutates it in place as its interest changes (a watchpoint armed,
-    a PT window opened) and never rebinds it during a run.  A change made
-    by a hook is seen by every later event, the hooked instruction's own
-    included.  The interpreter honours a gate only when the tracer is the
-    kind's single handler and nobody pays a static cost for the kind.
+    interpreter need not hand it such an event.  It may hold more keys
+    than the callback acts on (the detectors gate on the whole
+    global-and-heap ``range`` and filter further inside), never fewer.  It
+    is read like the ``wants_on_*`` vetoes, once at run start, and tested
+    per event: a live gate is mutated in place as its tracer's interest
+    changes (a watchpoint armed, a PT window opened) and never rebound
+    during a run.  A change made by a hook is seen by every later event,
+    the hooked instruction's own included.
+
+    The rule is per handler: an event reaches a gated tracer only when its
+    gate holds the event's key, an ungated tracer receives every event,
+    and an event no handler takes is never built.  A static cost for the
+    kind is still charged on every event.  When the tracer is the kind's
+    single handler and nobody pays a static cost, both fast tiers test its
+    gate before calling the kind's fan-out at all.
     """
     return getattr(tracer, "gate_" + name, None)

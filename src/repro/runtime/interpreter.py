@@ -28,9 +28,11 @@ PT buffers, trap logs, outcomes and cost accounting
 Both tiers consult per-event-kind *subscriber lists* computed at run
 start, so a tracer that does not implement ``on_mem`` is never consulted
 for memory events and no event object is allocated when an event kind has
-no subscribers at all.  A kind whose lone handler declares a gate (a live
-set of watched addresses or traced threads) builds events only for keys
-inside it.
+no subscribers at all.  A handler that declares a gate (watched addresses,
+traced threads, or a detector's global-and-heap range) receives only the
+events whose key its gate holds, and an event no handler takes is never
+built.  A kind whose lone, cost-free handler is gated tests the gate
+inline, before calling its fan-out.
 
 Every tier advances the scheduler's state exactly as one
 :meth:`Scheduler.pick` per retired instruction would — a load-bearing
@@ -110,37 +112,36 @@ def _ignore(*fields) -> None:
     """The fan-out of an event kind nobody pays or listens for."""
 
 
-def _fanout(interp: "Interpreter", subs, event_type, live=None,
-            key: str = "") -> Callable:
+def _fanout(interp: "Interpreter", subs, event_type, gates=(),
+            key: str = "tid") -> Callable:
     """The fan-out of one event kind for one run.
 
     ``fire(step, tid, pc, ...)`` takes every field of an ``event_type``
     positionally; it publishes ``step`` as ``global_step`` (compiled code
-    keeps the step counter in a local), charges the kind's per-event cost,
-    and hands each handler one event, built only when there are handlers.
-    A gated kind (one handler, no cost: see
-    :func:`repro.runtime.events.gate`) drops an event whose field ``key``
-    is outside its ``live`` gate before building it.
+    keeps the step counter in a local) and charges the kind's per-event
+    cost on every event.  ``gates`` pairs each handler with its gate (see
+    :func:`repro.runtime.events.gate`) or None: a gated handler receives
+    only events whose field ``key`` its gate holds, an ungated one every
+    event, and the event is built once, for the first handler it reaches.
     """
     if subs is None:
         return _ignore
     cost, handlers = subs
-    if live is not None:
-        handler, = handlers
+    if any(live is not None for live in gates):
         at = event_type._fields.index(key)
-
-        def fire_gated(*fields) -> None:
-            if fields[at] in live:
-                interp.global_step = fields[0]
-                handler(interp, _tuple_new(event_type, fields))
-        return fire_gated
+    else:  # nobody is gated: every handler gets every event
+        at, gates = 0, [None] * len(handlers)
+    targets = tuple(zip(handlers, gates))
 
     def fire(*fields) -> None:
         interp.global_step = fields[0]
         interp.extra_cost += cost
-        if handlers:
-            event = _tuple_new(event_type, fields)
-            for handler in handlers:
+        k = fields[at]
+        event = None
+        for handler, live in targets:
+            if live is None or k in live:
+                if event is None:
+                    event = _tuple_new(event_type, fields)
                 handler(interp, event)
     return fire
 
@@ -296,14 +297,17 @@ class Interpreter:
         price does not depend on whether our simulation inspects the
         event.
 
+        Gates are honoured per handler (:func:`repro.runtime.events.gate`):
+        the fan-out hands a gated handler only the events its gate holds.
         A kind is *gated* (``_branch_gate`` / ``_flow_gate`` /
         ``_mem_gate``, else None) when its single handler declares a gate
-        (:func:`repro.runtime.events.gate`) and nobody pays a static cost
-        for it; several handlers or a cost leave it ungated.
+        and nobody pays a static cost for it: the tiers then test that
+        gate before calling the fan-out at all.
         """
         tracers = self.tracers
 
         def build(cost_attr, name):
+            """The kind's subscriber list, and each subscriber's gate."""
             total = 0
             subscribers = []
             for tracer in tracers:
@@ -312,24 +316,25 @@ class Interpreter:
                 if subscribes(tracer, name):
                     subscribers.append(tracer)
             if total == 0 and not subscribers:
-                return None, None
-            live = None
-            if total == 0 and len(subscribers) == 1:
-                live = gate(subscribers[0], name)
-            return (total, [getattr(t, name) for t in subscribers]), live
+                return None, []
+            return ((total, [getattr(t, name) for t in subscribers]),
+                    [gate(t, name) for t in subscribers])
 
-        self._branch_subs, self._branch_gate = \
-            build("cost_per_branch", "on_branch")
-        self._flow_subs, self._flow_gate = build("cost_per_flow", "on_flow")
-        self._mem_subs, self._mem_gate = build("cost_per_mem", "on_mem")
+        def gated(cost_attr, name, event_type):
+            """The kind's subscriber list, lone gate and fan-out."""
+            subs, gates = build(cost_attr, name)
+            lone = gates[0] if len(gates) == 1 and subs[0] == 0 else None
+            return subs, lone, _fanout(self, subs, event_type, gates,
+                                       GATE_KEYS[name])
+
+        self._branch_subs, self._branch_gate, self._fire_branch = \
+            gated("cost_per_branch", "on_branch", BranchEvent)
+        self._flow_subs, self._flow_gate, self._fire_flow = \
+            gated("cost_per_flow", "on_flow", FlowEvent)
+        self._mem_subs, self._mem_gate, self._fire_mem = \
+            gated("cost_per_mem", "on_mem", MemEvent)
         self._sync_subs, _ = build(None, "on_sync")
         self._step_subs, _ = build("cost_per_step", "on_step")
-        self._fire_branch = _fanout(self, self._branch_subs, BranchEvent,
-                                    self._branch_gate, GATE_KEYS["on_branch"])
-        self._fire_flow = _fanout(self, self._flow_subs, FlowEvent,
-                                  self._flow_gate, GATE_KEYS["on_flow"])
-        self._fire_mem = _fanout(self, self._mem_subs, MemEvent,
-                                 self._mem_gate, GATE_KEYS["on_mem"])
         self._fire_sync = _fanout(self, self._sync_subs, SyncEvent)
 
     # ------------------------------------------------------------------ values

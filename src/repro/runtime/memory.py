@@ -12,9 +12,15 @@ tracker, for instance, refuses to watch stack addresses — §3.2.3):
 ``0x10000000 ..``     per-thread stacks, ``0x100000`` slots apart
 ====================  ==========================================
 
-Each slot holds one Python int.  The heap tracks block liveness so that
-double frees, use-after-free, and out-of-bounds heap accesses produce the
-failure kinds the bug corpus needs.
+Each slot holds one Python int, and a slot is mapped exactly while it may
+be accessed: globals and strings for the whole run, a heap block from
+``malloc`` to ``free``, a stack slot while its frame lives, and nothing in
+the null page ever.  So every mapped slot is readable and every mapped one
+outside the string data writable: an access that hits ``_slots`` cannot
+fault, and only a miss pays for classification (:meth:`Memory._check`).
+The heap keeps each block's bookkeeping after ``free`` unmaps its slots,
+so a miss still tells double frees, use-after-free and out-of-bounds heap
+accesses apart, the failure kinds the bug corpus needs.
 """
 
 from __future__ import annotations
@@ -150,9 +156,16 @@ class Memory:
                               f"(first freed at pc={block.free_pc})")
         block.freed = True
         block.free_pc = pc
+        # Unmap: an access to the freed block now misses _slots and faults
+        # in _check.  The bump allocator never hands the addresses out
+        # again, so nothing can read the dropped values.
+        slots = self._slots
+        for addr in range(address, address + block.size):
+            del slots[addr]
 
     def _block_containing(self, address: int) -> Optional[HeapBlock]:
-        # Linear scan is fine: corpus programs allocate tens of blocks.
+        # Linear scan is fine: it runs only on heap misses, which are
+        # faults, and corpus programs allocate tens of blocks.
         for base in self._block_index:
             block = self._blocks[base]
             if base <= address < base + block.size:
@@ -201,21 +214,20 @@ class Memory:
                               f"unmapped {region} access")
 
     def read(self, address: int) -> int:
-        # Fast path: a mapped global/string/stack slot cannot fault, so the
-        # region checks collapse to one dict probe.  The heap is excluded —
-        # a freed block's slots stay mapped precisely so use-after-free is
-        # detectable, so heap hits must always run _check.
-        if GLOBAL_BASE <= address < HEAP_BASE or address >= STACK_BASE:
-            value = self._slots.get(address)
-            if value is not None:
-                return value
+        # Fast path: a mapped slot cannot fault on a read (freed heap
+        # blocks are unmapped, and nothing below GLOBAL_BASE is ever
+        # mapped), so the region checks collapse to one dict probe; only
+        # a miss is classified.
+        value = self._slots.get(address)
+        if value is not None:
+            return value
         self._check(address, is_write=False)
         return self._slots.get(address, 0)
 
     def write(self, address: int, value: int) -> None:
-        # Fast path mirrors read() but additionally excludes the read-only
-        # string region (writes there must SEGFAULT via _check).
-        if (GLOBAL_BASE <= address < STRING_BASE or address >= STACK_BASE) \
+        # Fast path mirrors read() but excludes the read-only string
+        # region (writes there must SEGFAULT via _check).
+        if (address < STRING_BASE or address >= HEAP_BASE) \
                 and address in self._slots:
             self._slots[address] = value
             return

@@ -17,10 +17,11 @@ watchpoint unit and an event log, or real AsT patches (PT windows toggled
 mid-run, watchpoints armed by hooks) plus each bug's detectors;
 uninstrumented runs pin the plain generators.
 
-Both fan-outs are pinned: an event log or several handlers leave every
-kind ungated, while a watchpoint unit or PT encoder alone gates its kinds
-(memory events on watched addresses, branch and flow events on traced
-threads).
+Gates are pinned per handler: an event log takes every event, a
+watchpoint unit only accesses to watched addresses, a PT encoder only
+branch and flow events of traced threads, and a detector only global and
+heap accesses, whoever else shares the kind; a lone, cost-free gated
+handler is tested inline.
 
 Running this module prints the fixture from live compiled-tier runs;
 redirect it into ``tests/golden/tiers.json`` to re-record after an
@@ -31,13 +32,21 @@ intended behaviour change::
 """
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import BackwardSlicer
 from repro.corpus import all_bug_ids, get_bug
-from repro.detect import RaceDetector, apply_detectors, make_detectors
+from repro.detect import (
+    NullOriginTracer,
+    RaceDetector,
+    apply_detectors,
+    make_detectors,
+)
 from repro.hw.watchpoints import WatchpointUnit
 from repro.instrument import InstrumentationPlanner, Patch, apply_patch
 from repro.lang.girparser import parse_gir
@@ -57,7 +66,7 @@ from repro.runtime.events import (
     subscribes,
 )
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.memory import GLOBAL_BASE
+from repro.runtime.memory import GLOBAL_BASE, STACK_BASE, STACK_STRIDE
 from tests.digest import DIGEST_CHARS, digest
 
 TIERS = ("compiled", "decoded")
@@ -507,6 +516,103 @@ def test_gated_runs_build_only_watched_events(monkeypatch):
         assert pt.total_bytes() == 0
 
 
+@pytest.mark.parametrize("bug_id", ["tpqueue-1", "evloop-1"])
+def test_shared_runs_build_only_gated_events(bug_id, monkeypatch):
+    """The bug's detector (null-origin for tpqueue-1, races for evloop-1)
+    and a watchpoint unit armed on one global share the memory events:
+    each tier builds one event per access inside the union of their gates
+    (counted from an ungated event log), and hands the unit only accesses
+    to its watched address."""
+    spec = get_bug(bug_id)
+    workload, _ = _failing_run(spec)
+    watched = GLOBAL_BASE
+
+    def run(mode, tracers):
+        interp = Interpreter(spec.module(), entry=workload.entry,
+                             args=list(workload.args),
+                             scheduler=workload.make_scheduler(),
+                             tracers=tracers, max_steps=workload.max_steps,
+                             mode=mode)
+        assert interp.mode == mode
+        return interp.run()
+
+    log = EventLog()
+    run("compiled", [log])
+    addresses = [event.address for event in log.events
+                 if isinstance(event, MemEvent)]
+    (detector,) = make_detectors(spec.detectors)
+    region = gate(detector, "on_mem")
+    inside = sum(1 for a in addresses if a in region or a == watched)
+    hits = addresses.count(watched)
+    assert 0 < hits < inside < len(addresses)  # each gate drops something
+
+    built = {MemEvent: 0}
+    new = tuple.__new__
+
+    def spy(cls, fields):
+        if cls is MemEvent:
+            built[MemEvent] += 1
+        return new(cls, fields)
+    monkeypatch.setattr(interp_mod, "_tuple_new", spy)
+    for mode in TIERS:
+        built[MemEvent] = 0
+        wpu = WatchpointUnit()
+        wpu.set_watchpoint(watched)
+        handed = []
+
+        def on_mem(interp, event, unit_on_mem=wpu.on_mem):
+            handed.append(event.address)
+            unit_on_mem(interp, event)
+        wpu.on_mem = on_mem
+        run(mode, make_detectors(spec.detectors) + [wpu])
+        assert built[MemEvent] == inside, mode
+        assert handed == [watched] * hits, mode
+        assert wpu.traps_taken == hits, mode
+
+
+def _detector_state(detector) -> bytes:
+    """Everything a detector has recorded, as comparable bytes."""
+    state = {name: value for name, value in vars(detector).items()
+             if name != "_interp"}
+    return pickle.dumps(state)
+
+
+@pytest.fixture(scope="module")
+def warm_detectors():
+    """Both detectors after tpqueue-1's failing run, with its interpreter:
+    shadow cells, clocks, chains and null loads all populated."""
+    spec = get_bug("tpqueue-1")
+    workload, _ = _failing_run(spec)
+    detectors = make_detectors(("races", "nullorigin"))
+    interp = Interpreter(spec.module(), entry=workload.entry,
+                         args=list(workload.args),
+                         scheduler=workload.make_scheduler(),
+                         tracers=detectors, max_steps=workload.max_steps)
+    interp.run()
+    return interp, detectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(address=st.one_of(
+           st.integers(0, GLOBAL_BASE - 1),
+           st.integers(STACK_BASE, STACK_BASE + 4 * STACK_STRIDE)),
+       tid=st.integers(0, 3), pc=st.integers(0, 200),
+       is_write=st.booleans(), value=st.integers(-1, 2))
+def test_detectors_ignore_accesses_outside_their_gate(
+        warm_detectors, address, tid, pc, is_write, value):
+    """The detectors' gate is sound: an access on the null page or a stack
+    changes no detector state, so dropping it before the event is built
+    is unobservable."""
+    interp, detectors = warm_detectors
+    event = MemEvent(step=interp.global_step + 1, tid=tid, pc=pc,
+                     address=address, is_write=is_write, value=value)
+    for detector in detectors:
+        assert address not in gate(detector, "on_mem")
+        before = _detector_state(detector)
+        detector.on_mem(interp, event)
+        assert _detector_state(detector) == before, type(detector).__name__
+
+
 def _churned_run(mode):
     """pbzip2-1 under hooks that arm, clear and re-arm watchpoints and open
     and close a PT window mid-run."""
@@ -609,6 +715,11 @@ def test_subscription_detection():
     for name in ("on_mem", "on_branch", "on_flow", "on_sync", "on_step"):
         assert gate(EventLog(), name) is None
     assert gate(pt, "on_step") is None
+    # The detectors' constant gate: globals and the heap, never mutated.
+    region = range(GLOBAL_BASE, STACK_BASE)
+    assert gate(RaceDetector(), "on_mem") == region
+    assert gate(NullOriginTracer(), "on_mem") == region
+    assert gate(RaceDetector(), "on_sync") is None
 
     # The run-level rule: a lone, cost-free handler's gate.
     module = get_bug("pbzip2-1").module()
@@ -620,8 +731,12 @@ def test_subscription_detection():
     for mode in TIERS:
         mem, branch, flow = gates(wpu, pt, mode=mode)
         assert mem is wpu.gate_on_mem and branch is flow is pt.tracing
+        # A lone detector is gated inline on globals and the heap.
+        for detector in (RaceDetector(), NullOriginTracer()):
+            assert gates(detector, mode=mode) == (region, None, None)
     assert gates(wpu, EventLog()) == (None, None, None)  # two handlers
     assert gates(wpu, CostOnly()) == (None, None, None)  # a cost is owed
+    assert gates(wpu, RaceDetector()) == (None, None, None)
     assert gates(pt, PTEncoder())[1:] == (None, None)
 
 

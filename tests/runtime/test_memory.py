@@ -113,6 +113,24 @@ class TestHeap:
         with pytest.raises(MemoryFault):
             mem.write(base, 1)
 
+    def test_free_unmaps_exactly_the_block(self, mem):
+        mem.map_global("g", 1)
+        before = mem.malloc(2)
+        block = mem.malloc(3)
+        after = mem.malloc(1)
+        mapped = set(mem._slots)
+        mem.free(block, pc=5)
+        assert mapped - set(mem._slots) == set(range(block, block + 3))
+        assert set(mem._slots) <= mapped
+        mem.write(before + 1, 4)  # the neighbours stay live
+        assert mem.read(before + 1) == 4
+        assert mem.read(after) == 0
+        for address in range(block, block + 3):
+            with pytest.raises(MemoryFault) as err:
+                mem.read(address)
+            assert err.value.kind is FailureKind.USE_AFTER_FREE
+            assert err.value.detail == "(freed at pc=5)"
+
     def test_free_null_is_noop(self, mem):
         mem.free(0)  # must not raise
 
