@@ -5,7 +5,9 @@ has shipped an instrumentation patch, the endpoint applies it (PT toggles +
 watchpoint hooks), runs, and reports back a
 :class:`~repro.core.refinement.MonitoredRun`: raw PT buffers are decoded
 here for transport convenience, the trap log is shipped verbatim, and the
-run's outcome (including any failure report) rides along.
+run's outcome (including any failure report) rides along.  The decode
+prunes the executed sequences to the patch's evidence slice as it walks
+(:func:`evidence_keep`).
 
 Unmonitored runs — the fleet before any patch exists — only report failures,
 which is what bootstraps a diagnosis campaign (Fig. 2, step ①).
@@ -14,12 +16,13 @@ which is what bootstraps a diagnosis campaign (Fig. 2, step ①).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..detect import apply_detectors, make_detectors, validate_detectors
 from ..hw.watchpoints import TrapRecord
 from ..instrument.patch import AppliedInstrumentation, Patch, apply_patch
 from ..lang.ir import Module
+from ..pt.decoder import DecodedTrace
 from ..runtime.failures import RunOutcome
 from ..runtime.interpreter import Interpreter
 from .predictors import extract_all
@@ -27,27 +30,53 @@ from .refinement import MonitoredRun
 from .workload import Workload
 
 
-def slice_monitored_run(run: MonitoredRun, patch: Patch) -> None:
-    """Client-side evidence slicing (*Slicing Event Traces*, PAPERS.md).
+def evidence_keep(patch: Patch,
+                  traps: Iterable[TrapRecord]) -> Optional[Set[int]]:
+    """The uids a monitored run under ``patch`` ships: client-side
+    evidence slicing (*Slicing Event Traces*, PAPERS.md).
 
-    Prunes ``run``'s executed sequences in place down to the patch's
-    slice: each thread keeps only uids in the slice ∪ hook uids ∪ this
-    run's trapped pcs (order and multiplicity preserved).  Trap records
-    and the extracted predictor set are never touched — traps carry the
-    global order and the discovered statements, and predictors (the
-    decoder's branch facts over the full trace, plus the traps') feed the
-    ranking verbatim.
+    That is the patch's slice ∪ hook uids ∪ the run's trapped pcs; the PT
+    decoder prunes each thread's executed sequence to it in its walk
+    (order and multiplicity preserved).  A sliceless patch (hand-built,
+    or from an older server) keeps everything, None: an empty slice would
+    drop nearly everything.  Trap records and the predictor set are never
+    pruned — traps carry the global order and the discovered statements,
+    and predictors (the decoder's branch facts over the full trace, plus
+    the traps') feed the ranking verbatim.
 
     Sound for refinement by construction: the AsT window is a subset of
     the static slice, so ``window ∩ executed`` — the only thing
     :func:`~repro.core.refinement.refine` reads of executed sequences —
     is unchanged.
     """
+    if not patch.slice_uids:
+        return None
     keep = set(patch.slice_uids)
     keep.update(hook.uid for hook in patch.hooks)
-    keep.update(trap.pc for trap in run.traps)
-    run.executed = {tid: [uid for uid in seq if uid in keep]
-                    for tid, seq in run.executed.items()}
+    keep.update(trap.pc for trap in traps)
+    return keep
+
+
+def _ptwrite_traps(patch: Patch,
+                   decoded: Dict[int, DecodedTrace]) -> List[TrapRecord]:
+    """Trap records synthesized from the in-stream PTW packets (§6
+    future-hardware mode).
+
+    The TSC stamp supplies the cross-core total order the watchpoint
+    unit's sequence numbers provided.  The stream carries *every* access
+    in traced windows; keep only those touching the addresses the
+    window's data items live at — the same address set watchpoints would
+    have covered, minus the 4-register cap and the arming delay.
+    """
+    candidates = {h.uid for h in patch.hooks if h.action == "watch"}
+    events = [(tid, event) for tid, trace in decoded.items()
+              for event in trace.mem_events()]
+    watched = {event.address for _tid, event in events
+               if event.uid in candidates}
+    return [TrapRecord(seq=event.tsc, tid=tid, pc=event.uid,
+                       address=event.address, is_write=event.is_write,
+                       value=event.value, slot=-1)
+            for tid, event in events if event.address in watched]
 
 
 @dataclass
@@ -122,56 +151,34 @@ class GistClient:
             outcome = apply_detectors(outcome, detectors)
         monitored = None
         if applied is not None:
-            decoded = applied.driver.decode_all()
-            executed = {tid: trace.executed_sequence()
-                        for tid, trace in decoded.items()}
+            driver = applied.driver
             traps = list(applied.watchpoints.total_order())
             if self.ptwrite:
-                # Synthesize trap records from the in-stream PTW packets.
-                # The TSC stamp supplies the cross-core total order the
-                # watchpoint unit's sequence numbers provided.  The stream
-                # carries *every* access in traced windows; keep only those
-                # touching the addresses the window's data items live at —
-                # the same address set watchpoints would have covered,
-                # minus the 4-register cap and the arming delay.
-                candidates = {h.uid for h in patch.hooks
-                              if h.action == "watch"}
-                events = []
-                for tid, trace in decoded.items():
-                    for event in trace.mem_events():
-                        events.append((tid, event))
-                watched = {event.address for _tid, event in events
-                           if event.uid in candidates}
-                for tid, event in events:
-                    if event.address not in watched:
-                        continue
-                    traps.append(TrapRecord(
-                        seq=event.tsc, tid=tid, pc=event.uid,
-                        address=event.address,
-                        is_write=event.is_write,
-                        value=event.value, slot=-1))
+                # The trap pcs belong in the keep set, so decode the PTW
+                # packets first: a walk that keeps no uid.
+                traps += _ptwrite_traps(patch, driver.decode_all(()))
                 traps.sort(key=lambda t: t.seq)
+            keep = evidence_keep(patch, traps)
+            decoded = driver.decode_all(keep)
             monitored = MonitoredRun(
                 run_id=run_id,
                 endpoint_id=self.endpoint_id,
                 failed=outcome.failed,
                 failure=outcome.failure,
-                executed=executed,
+                executed={tid: trace.executed_sequence() if keep is None
+                          else trace.kept
+                          for tid, trace in decoded.items()},
                 traps=traps,
                 overhead=outcome.overhead,
-                trace_bytes=applied.driver.encoder.total_bytes(),
+                trace_bytes=driver.encoder.total_bytes(),
             )
             # Extract failure predictors here, on the endpoint: the server
             # ranks the set a run ships and never re-extracts.  Branch
             # facts come from the decoder's walk over the *full* trace, so
-            # they are exact even though slicing below prunes the shipped
+            # they are exact even though the walk pruned the shipped
             # evidence.
             branches = set().union(*(trace.branches
                                      for trace in decoded.values()))
             monitored.predictors = frozenset(extract_all(
                 monitored, branches, extended=self.extended_predicates))
-            # A sliceless patch (hand-built, or from an older server) must
-            # not prune: an empty slice would drop nearly everything.
-            if patch.slice_uids:
-                slice_monitored_run(monitored, patch)
         return ClientRunResult(outcome=outcome, monitored=monitored)

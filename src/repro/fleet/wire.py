@@ -71,9 +71,13 @@ def _canonical(payload: Any) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
+def _bytes_digest(canonical: bytes) -> str:
+    return hashlib.sha256(canonical).hexdigest()[:16]
+
+
 def body_digest(body: Any) -> str:
     """Content digest of a message body (over its canonical bytes)."""
-    return hashlib.sha256(_canonical(body)).hexdigest()[:16]
+    return _bytes_digest(_canonical(body))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +265,10 @@ def monitored_run_to_body(run: MonitoredRun) -> Dict[str, Any]:
     return body
 
 
+#: The element types an executed sequence may hold.
+_INT_ONLY = frozenset({int})
+
+
 def monitored_run_from_body(body: Dict[str, Any]) -> MonitoredRun:
     failure_body = body.get("failure")
     failure = (failure_report_from_body(failure_body)
@@ -271,9 +279,9 @@ def monitored_run_from_body(body: Dict[str, Any]) -> MonitoredRun:
             tid = int(tid_text)
         except ValueError:
             raise WireError(f"bad thread id {tid_text!r}")
-        if not (isinstance(seq, list)
-                and all(isinstance(uid, int) and not isinstance(uid, bool)
-                        for uid in seq)):
+        # Exact types, checked in C: JSON decodes an integer to ``int``,
+        # never to ``bool``, a float or a string.
+        if not (isinstance(seq, list) and set(map(type, seq)) <= _INT_ONLY):
             raise WireError("malformed executed sequence")
         executed[tid] = list(seq)
     overhead = _require(body, "overhead", (int, float))
@@ -540,18 +548,24 @@ def encode_message(msg_type: str, obj: Any,
 def _encode_envelope(msg_type: str, body: Any,
                      epoch: Optional[int],
                      campaign: Optional[str] = None) -> bytes:
-    envelope = {
+    """``_canonical`` of the envelope, serializing the body once.
+
+    The body's canonical bytes feed both its digest and the envelope:
+    ``"body"`` sorts before every other envelope key, so the envelope is
+    ``{"body":`` + those bytes + ``,`` + the rest of the envelope's own
+    canonical form."""
+    body_bytes = _canonical(body)
+    rest = {
         "wire": WIRE_VERSION,
         "type": msg_type,
         "epoch": epoch,
-        "digest": body_digest(body),
-        "body": body,
+        "digest": _bytes_digest(body_bytes),
     }
     # Routing key is absent (not null) when unset: single-campaign
     # envelopes keep their exact legacy bytes.
     if campaign is not None:
-        envelope["campaign"] = campaign
-    return _canonical(envelope)
+        rest["campaign"] = campaign
+    return b'{"body":' + body_bytes + b"," + _canonical(rest)[1:]
 
 
 def encode_failure_report(report: FailureReport,

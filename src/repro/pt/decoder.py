@@ -18,11 +18,25 @@ re-derives them from the executed sequences.
 successor / BR taken / BR not-taken, indexed by uid) are precomputed once
 per module epoch, the packet cursor (the one implementation of the packet
 grammar) scans bytes in a single pass with a memoized one-packet
-lookahead, and pending TNT bits live in a packed integer.  PT decode sits
-on the diagnosis path for every monitored run, so it is built for speed;
-``tests/golden/tiers.json`` pins its windows on every corpus stream to
-digests recorded when it agreed with the original object-walking
-decoder.
+lookahead, and pending TNT bits live in a packed integer.  The walk moves
+one *straight-line run* at a time: the tuple of uids from an instruction
+up to and including the next one that needs a packet (a BR or RET) or
+cannot be resolved statically.  Per run it peeks the packet stream once
+and extends the window by the whole tuple, so its cost follows the
+packets, not the retired instructions.  Runs are built on first use and
+cached with the module's other tables.
+
+Given a *keep set* (:meth:`PTDecoder.decode`), the walk prunes in the
+same pass: it filters each distinct run once per decode and collects the
+kept uids of every window, in order, in :attr:`DecodedTrace.kept`.  This
+is client-side evidence slicing (*Slicing Event Traces of Large Software
+Systems*, PAPERS.md): an endpoint ships only the uids its patch's slice
+can use, without materialising the full sequence first.
+
+PT decode sits on the diagnosis path for every monitored run, so it is
+built for speed; ``tests/golden/tiers.json`` pins its windows on every
+corpus stream to digests recorded when it agreed with the original
+object-walking decoder.
 
 Byte-level corruption (a truncated packet, an unknown opcode byte),
 stream/program mismatches (a missing TNT bit) and packets naming
@@ -35,13 +49,15 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Collection, List, Optional, Set, Tuple
 
 from ..lang.ir import Module, Opcode
 from . import packets as P
 
 #: Runaway guard: decoding never follows more instructions than this.
 MAX_DECODE_STEPS = 5_000_000
+
+_RUNAWAY = "decode budget exhausted (runaway reconstruction)"
 
 
 class DecodeError(Exception):
@@ -78,6 +94,10 @@ class DecodedTrace:
     #: ``(branch uid, taken)`` for every TNT bit the walk consumed.  A BR
     #: whose window closed before its bit arrived records nothing.
     branches: Set[Tuple[int, bool]] = field(default_factory=set)
+    #: Decoded with a keep set: the executed uids it holds, every
+    #: window's in order (the windows' own ``executed`` stay empty).
+    #: None for a full decode.
+    kept: Optional[List[int]] = None
 
     def executed_uids(self) -> Set[int]:
         out: Set[int] = set()
@@ -224,6 +244,11 @@ def _build_tables(module: Module):
     verify, so hand-built or parsed GIR can carry them) are marked
     ``_K_DYNAMIC``: the walk resolves them through the module when it
     reaches them, so a malformed successor fails only if it is followed.
+    ``runs[uid]`` is the straight-line run starting at ``uid``
+    (:func:`_straight_run`), None until the walk first starts a run there:
+    few uids ever start one (window starts, branch arms, return points),
+    so building runs eagerly for every uid would cost quadratic memory in
+    long straight-line code for runs nothing reads.
     """
     instrs = list(module.instructions())
     n = max((ins.uid for ins in instrs), default=-1) + 1
@@ -265,7 +290,26 @@ def _build_tables(module: Module):
                     # else: non-terminator at block end — leave _K_DYNAMIC.
                 except (KeyError, IndexError):
                     kind[uid] = _K_DYNAMIC
-    return kind, succ, taken, nottaken
+    return kind, succ, taken, nottaken, [None] * n
+
+
+def _straight_run(kind, succ, uid: int) -> Tuple[int, ...]:
+    """The uids the walk retires from ``uid`` without a packet: ``uid``,
+    then its straight-line successors, up to and including the first
+    instruction that is not ``_K_STRAIGHT`` (a BR, a RET, or one the tables
+    could not resolve).  A straight-line cycle (a JMP loop with no BR) ends
+    its run before the first repeat; the walk continues through ``succ``
+    into the run that starts there, so a runaway loop still exhausts the
+    decode budget."""
+    run = [uid]
+    seen = {uid}
+    while kind[uid] == _K_STRAIGHT:
+        uid = succ[uid]
+        if uid in seen:
+            break
+        run.append(uid)
+        seen.add(uid)
+    return tuple(run)
 
 
 def _module_tables(module: Module):
@@ -288,8 +332,8 @@ class PTDecoder:
         if not module.finalized:
             raise ValueError("module must be finalized")
         self.module = module
-        self._kind, self._succ, self._taken, self._nottaken = \
-            _module_tables(module)
+        (self._kind, self._succ, self._taken, self._nottaken,
+         self._runs) = _module_tables(module)
 
     # -- dynamic successor resolution (malformed IR) ------------------------
 
@@ -318,10 +362,24 @@ class PTDecoder:
 
     # -- decoding -----------------------------------------------------------
 
-    def decode(self, raw: bytes) -> DecodedTrace:
+    def decode(self, raw: bytes,
+               keep: Optional[Collection[int]] = None) -> DecodedTrace:
+        """Decode one thread's packet buffer.
+
+        With ``keep`` (a container of uids), the walk prunes as it goes:
+        :attr:`DecodedTrace.kept` collects the executed uids ``keep``
+        holds, in order across windows, and the windows' ``executed``
+        lists stay empty.  Window bounds, ``mem_events`` and branch facts
+        are those of a full decode either way, and so is every error.
+        """
         trace = DecodedTrace()
         cursor = _PacketCursor(raw)
         budget = MAX_DECODE_STEPS
+        pruned = None
+        if keep is not None:
+            trace.kept = []
+            # Per start uid: its run filtered by ``keep``, once per decode.
+            pruned = [None] * len(self._kind)
         while True:
             pkt = cursor.pop()
             if pkt is None:
@@ -335,28 +393,45 @@ class PTDecoder:
                                       f"outside the program",
                                       offset=cursor.offset)
                 window = TraceWindow(start_uid=pkt.uid)
-                budget = self._walk(window, cursor, budget, trace.branches)
+                if keep is None:
+                    budget = self._walk(window, cursor, budget,
+                                        trace.branches, window.executed)
+                else:
+                    budget = self._walk(window, cursor, budget,
+                                        trace.branches, trace.kept, keep,
+                                        pruned)
                 trace.windows.append(window)
                 continue
             # A dangling TNT/TIP/PGD outside any window: tolerated (can
             # happen after an overflow resync); skip to the next PGE.
 
     def _walk(self, window: TraceWindow, cursor: _PacketCursor,
-              budget: int, branches: Set[Tuple[int, bool]]) -> int:
+              budget: int, branches: Set[Tuple[int, bool]],
+              out: List[int], keep: Optional[Collection[int]] = None,
+              pruned: Optional[list] = None) -> int:
         """Follow control flow from the window start, consuming packets.
 
+        One iteration retires one straight-line run (:func:`_straight_run`):
+        it drains PTW packets and peeks the next packet once, extends
+        ``out`` by the run (by its ``keep``-filtered tuple, cached per
+        start uid in ``pruned``, when pruning), then acts on the run's last
+        instruction.  A PGD whose uid lies in the run, arriving with no TNT
+        bits pending, cuts the run after that uid and ends the window
+        (tracing was switched off exactly there: straight-line guesses
+        beyond it would be phantoms, e.g. code "after" a failed
+        assertion).  The budget counts uids, so a runaway stream fails on
+        the same uid a per-instruction walk would.
+
         Pending TNT bits are a packed integer (oldest outcome at the least
-        significant bit); the successor tables turn the per-instruction
-        work into two list indexes for the straight-line common case.
-        Each consumed bit adds its ``(branch uid, taken)`` fact to
-        ``branches``.
+        significant bit).  Each consumed bit adds its ``(branch uid,
+        taken)`` fact to ``branches``.
         """
         kind = self._kind
         succ = self._succ
         taken = self._taken
         nottaken = self._nottaken
-        executed = window.executed
-        append = executed.append
+        runs = self._runs
+        extend = out.extend
         add_branch = branches.add
         mem_events = window.mem_events
         peek = cursor.peek
@@ -365,28 +440,39 @@ class PTDecoder:
         tnt_len = 0
         uid = window.start_uid
         while True:
-            budget -= 1
-            if budget <= 0:
-                raise DecodeError("decode budget exhausted "
-                                  "(runaway reconstruction)")
+            run = runs[uid]
+            if run is None:
+                run = runs[uid] = _straight_run(kind, succ, uid)
+            if budget <= 1:
+                raise DecodeError(_RUNAWAY)
             nxt_pkt = peek()
             while type(nxt_pkt) is P.PTW:
                 mem_events.append(pop())
                 nxt_pkt = peek()
-            if type(nxt_pkt) is P.TIPPGD and nxt_pkt.uid == uid and \
-                    not tnt_len:
-                # Tracing was switched off exactly here: the window ends,
-                # and straight-line guesses beyond this point would be
-                # phantoms (e.g. code "after" a failed assertion).
+            if type(nxt_pkt) is P.TIPPGD and not tnt_len and \
+                    nxt_pkt.uid in run:
+                cut = run.index(nxt_pkt.uid) + 1
+                if budget <= cut:
+                    raise DecodeError(_RUNAWAY)
                 pop()
-                append(uid)
-                window.end_uid = uid
-                return budget
-            append(uid)
+                run = run[:cut]
+                extend(run if pruned is None
+                       else [u for u in run if u in keep])
+                window.end_uid = run[-1]
+                return budget - cut
+            budget -= len(run)
+            if budget <= 0:
+                raise DecodeError(_RUNAWAY)
+            if pruned is None:
+                extend(run)
+            else:
+                kept = pruned[uid]
+                if kept is None:
+                    kept = pruned[uid] = tuple(u for u in run if u in keep)
+                extend(kept)
+            uid = run[-1]
             k = kind[uid]
-            if k == _K_STRAIGHT:
-                uid = succ[uid]
-            elif k == _K_BR:
+            if k == _K_BR:
                 if not tnt_len:
                     refilled = self._refill_tnt(cursor, window, uid)
                     if refilled is None:
@@ -404,6 +490,8 @@ class PTDecoder:
                         window.end_uid = uid
                     return budget
                 uid = target
+            elif k == _K_STRAIGHT:
+                uid = succ[uid]  # a straight-line cycle's repeat
             else:
                 ins = self.module.instr(uid)
                 if ins.opcode == Opcode.BR:
@@ -496,30 +584,10 @@ class PTDecoder:
 
     def _finish_window(self, window: TraceWindow, pgd_uid: int,
                        at_uid: int) -> None:
-        """Close a window on PGD.  The PGD's uid says where tracing was
-        switched off; straight-line instructions between the last recorded
-        branch point and that uid were executed but needed no packets, so
-        walk them in (never crossing another packet-needing instruction)."""
-        if pgd_uid < 0:
-            window.end_uid = at_uid
-            return
-        kind = self._kind
-        succ = self._succ
-        uid = at_uid
-        guard = 0
-        while uid != pgd_uid:
-            k = kind[uid]
-            if k == _K_BR or k == _K_RET:
-                break  # cannot cross without packets; stop here
-            if k == _K_STRAIGHT:
-                uid = succ[uid]
-            else:
-                ins = self.module.instr(uid)
-                if ins.opcode in (Opcode.BR, Opcode.RET):
-                    break
-                uid = self._resolve_dynamic(uid)
-            guard += 1
-            if guard > 100_000:
-                raise DecodeError("PGD landing point unreachable")
-            window.executed.append(uid)
-        window.end_uid = pgd_uid
+        """Close a window on a PGD that arrived where the walk needed a
+        packet, at ``at_uid`` (a BR or RET).  The PGD's uid says where
+        tracing was switched off; a negative one (thread exit) names no
+        instruction, so the window ends at ``at_uid``.  No executed uid
+        lies between the two: everything after ``at_uid`` needed the
+        packet the PGD stands in for."""
+        window.end_uid = pgd_uid if pgd_uid >= 0 else at_uid

@@ -19,7 +19,7 @@ in overhead measurements.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Collection, Dict, Optional
 
 from ..lang.ir import Module
 from ..runtime.costmodel import IOCTL_TOGGLE_COST
@@ -77,11 +77,15 @@ class PTDriver:
     def read_trace(self, tid: int) -> bytes:
         return self.encoder.raw_trace(tid)
 
-    def decode_trace(self, tid: int) -> DecodedTrace:
-        return self.decoder.decode(self.read_trace(tid))
+    def decode_trace(self, tid: int,
+                     keep: Optional[Collection[int]] = None) -> DecodedTrace:
+        return self.decoder.decode(self.read_trace(tid), keep)
 
-    def decode_all(self) -> Dict[int, DecodedTrace]:
-        return {tid: self.decode_trace(tid)
+    def decode_all(self, keep: Optional[Collection[int]] = None
+                   ) -> Dict[int, DecodedTrace]:
+        """Every traced thread's decode; ``keep`` prunes each in the walk
+        (:meth:`~repro.pt.decoder.PTDecoder.decode`)."""
+        return {tid: self.decode_trace(tid, keep)
                 for tid in sorted(self.encoder.buffers)}
 
     def stats(self) -> Dict[str, int]:

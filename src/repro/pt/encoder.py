@@ -71,10 +71,11 @@ class PTBuffer:
     # -- packet-level API -----------------------------------------------------
 
     def tnt(self, taken: bool) -> None:
+        count = self._tnt_count
         if taken:
-            self._tnt_value |= 2 << self._tnt_count
-        self._tnt_count += 1
-        if self._tnt_count >= P.MAX_TNT_BITS:
+            self._tnt_value |= 2 << count
+        self._tnt_count = count = count + 1
+        if count >= P.MAX_TNT_BITS:
             self.flush_tnt()
 
     def tip(self, uid: int) -> None:
@@ -128,8 +129,10 @@ class PTEncoder(Tracer):
     The set of threads whose tracing is on is the encoder's branch and flow
     gate (:func:`repro.runtime.events.gate`): PT writes nothing for a core
     whose tracing is off, so the interpreter builds no branch or flow event
-    for such a thread.  There is no memory gate, because PTWRITE interest
-    is per thread, not per address.
+    for such a thread.  Of the flow events it subscribes to returns only
+    (``wants_on_flow``): direct jumps and calls cost PT nothing, and the
+    decoder replays them from the program.  There is no memory gate,
+    because PTWRITE interest is per thread, not per address.
     """
 
     def __init__(self, config: Optional[PTConfig] = None,
@@ -182,6 +185,9 @@ class PTEncoder(Tracer):
         # ``trace_on_start``, which is fixed for the encoder's lifetime.
         return self.trace_on_start
 
+    #: Of the flow kinds, PT encodes only returns (a TIP packet).
+    wants_on_flow = frozenset({FlowKind.RET})
+
     @property
     def gate_on_branch(self) -> Set[int]:
         return self.tracing
@@ -194,14 +200,23 @@ class PTEncoder(Tracer):
         if self.trace_on_start and tid not in self.buffers:
             self.enable(tid, ins.uid)
 
+    # The branch and flow callbacks run once per traced branch or return:
+    # they inline is_enabled, _in_filter and buffer_for.  A thread whose
+    # tracing is on has a buffer (enable made it).
+
     def on_branch(self, interp, event: BranchEvent) -> None:
-        if self.is_enabled(event.tid) and self._in_filter(event.pc):
-            self.buffer_for(event.tid).tnt(event.taken)
+        tid = event.tid
+        if tid in self.tracing:
+            window = self.config.addr_filter
+            if window is None or window[0] <= event.pc <= window[1]:
+                self.buffers[tid].tnt(event.taken)
 
     def on_flow(self, interp, event: FlowEvent) -> None:
-        if event.kind is FlowKind.RET and self.is_enabled(event.tid) \
-                and self._in_filter(event.pc):
-            self.buffer_for(event.tid).tip(event.target_pc)
+        tid = event.tid
+        if event.kind is FlowKind.RET and tid in self.tracing:
+            window = self.config.addr_filter
+            if window is None or window[0] <= event.pc <= window[1]:
+                self.buffers[tid].tip(event.target_pc)
 
     def on_mem(self, interp, event: MemEvent) -> None:
         if self.config.ptwrite and self.is_enabled(event.tid) and \

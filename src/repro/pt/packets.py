@@ -210,7 +210,7 @@ def encode_pad() -> bytes:
 # -- decoding --------------------------------------------------------------------
 
 
-def _decode_tnt_byte(byte: int) -> TNT:
+def _parse_tnt_byte(byte: int) -> TNT:
     # Find the stop bit (highest set bit); outcomes are below it.
     if byte == 0 or byte & 1:
         raise PacketError(f"not a TNT byte: {byte:#x}")
@@ -220,3 +220,14 @@ def _decode_tnt_byte(byte: int) -> TNT:
         raise PacketError(f"TNT bit count out of range: {nbits}")
     bits = tuple(bool(byte & (1 << (i + 1))) for i in range(nbits))
     return TNT(bits)
+
+
+#: Every well-formed TNT byte's packet (the even bytes whose stop bit
+#: leaves 1..6 outcomes), built once: a TNT is immutable, so the decoder
+#: hands out these shared instances.
+_TNT_BY_BYTE = {byte: _parse_tnt_byte(byte) for byte in range(4, 256, 2)}
+
+
+def _decode_tnt_byte(byte: int) -> TNT:
+    tnt = _TNT_BY_BYTE.get(byte)
+    return tnt if tnt is not None else _parse_tnt_byte(byte)

@@ -67,23 +67,30 @@ subscriber lists, gates and hooks are sampled at run start into locals
 (:meth:`CompiledProgram.start`):
 
 - ``_pre`` is ``None`` without step subscribers and hooks — plain runs pay
-  one local truth test per instruction — else the set of uids whose
-  instruction needs the step fan-out and hooks (:func:`_before`);
-- ``_fb`` / ``_ff`` / ``_fm`` are the run's branch / flow / memory fan-outs
-  (``Interpreter._fire_*``), or ``None`` when nobody pays or listens for
-  that kind;
+  one local truth test per instruction — else a uid-indexed tuple of
+  flags, set where the instruction needs the step fan-out and hooks
+  (:func:`_before`); the site tests ``_pre[uid]``, one C-level index;
+- ``_fb`` / ``_fm`` are the run's branch / memory fan-outs
+  (``Interpreter._fire_*``), and ``_fj`` / ``_fc`` / ``_fr`` its jump /
+  call / return fan-outs (``Interpreter._flow_fires``), each ``None`` when
+  nobody pays or listens for that kind.  A PT encoder subscribes to
+  returns only, so in a PT-only run a JMP or user CALL costs one ``None``
+  test, as in a plain run;
 - ``_gb`` / ``_gf`` / ``_gm`` are the kinds' gates: the gate the kind's
   lone, cost-free handler declared (:func:`repro.runtime.events.gate`) —
   the live set of traced thread ids (branch, flow) or watched addresses,
   or a detector's constant global-and-heap range (memory) — else
   :data:`_UNGATED`, a range holding every key.  An event site runs
-  ``if _fm and addr in _gm:``, so a plain run still pays one truth test
-  and a lone gated handler costs no Python call outside its gate; with
-  several handlers the fan-out tests each handler's gate and builds no
-  event none of them takes.  The gate object is sampled once; its tracer
-  mutates it in place, so a hook that arms a watchpoint or opens a PT
-  window changes what every later event site sees, the hooked
-  instruction's own included.
+  ``if _fm and (addr in _gm or _gm2 and addr in _gm2):``, so a plain run
+  still pays one truth test and a lone gated handler costs no Python call
+  outside its gate (and one more truth test, of ``_gm2``).  When the
+  kind has two gated, cost-free handlers — a detector sharing it with a
+  watchpoint unit — ``_gm`` and ``_gm2`` are their gates
+  (:func:`_site_gates`), so an access outside both makes no call either;
+  the fan-out then hands each handler only what its own gate holds.  The
+  gate object is sampled once; its tracer mutates it in place, so a hook
+  that arms a watchpoint or opens a PT window changes what every later
+  event site sees, the hooked instruction's own included.
 
 Hooks fire before their instruction, after the step count and the step
 fan-out, once per retired instruction (each retry of a blocking builtin
@@ -259,7 +266,7 @@ def _enter(thread, tid, memory, callee):
 #: The per-run locals every generated function unpacks from
 #: ``interp._run_locals`` (built by :meth:`CompiledProgram.start`).
 _RUN_LOCALS = ("_rand, _p, _consult, _max_steps, _memory, _slots, _pre, "
-               "_fb, _ff, _fm, _gb, _gf, _gm")
+               "_fb, _fj, _fc, _fr, _fm, _gb, _gf, _gm, _gm2")
 
 #: The gate local of an event kind without a lone gated handler (its
 #: fan-out tests any per-handler gates): every key.  Thread ids and the
@@ -475,7 +482,7 @@ class _FunctionCompiler:
 
     def emit_before(self, ins: Instr, values=()) -> None:
         args = "".join(f", {v}" for v in values)
-        self.e.line(f"if _pre and {ins.uid} in _pre:")
+        self.e.line(f"if _pre and _pre[{ins.uid}]:")
         self.e.line(f"    _before(interp, frame, _step, tid, "
                     f"{self.mc.instr_const(ins)}{args})")
 
@@ -640,7 +647,7 @@ class _FunctionCompiler:
         self.emit_memfault_handler(idx, ins.uid)
         # The event goes out before the destination write: ``{a}`` may name
         # the destination register (``%p = load %p`` walking a list).
-        e.line(f"if _fm and {a} in _gm:")
+        e.line(f"if _fm and ({a} in _gm or _gm2 and {a} in _gm2):")
         e.line(f"    _fm(_step, tid, {ins.uid}, {a}, False, _v)")
         if ins.dst is not None:
             e.line(f"{self.reg(ins.dst.name)} = _v")
@@ -675,7 +682,7 @@ class _FunctionCompiler:
                 e.line(f"_memory.write({addr}, {v})")
         e.indent -= 1
         self.emit_memfault_handler(idx, ins.uid)
-        e.line(f"if _fm and {a} in _gm:")
+        e.line(f"if _fm and ({a} in _gm or _gm2 and {a} in _gm2):")
         e.line(f"    _fm(_step, tid, {ins.uid}, {a}, True, {v})")
         self.finish_straight(bb, idx, ins)
 
@@ -714,8 +721,8 @@ class _FunctionCompiler:
         if label not in self.block_ids:
             self.emit_raise(idx, lambda label=label: KeyError(label))
             return
-        self.e.line("if _ff and tid in _gf:")
-        self.e.line(f"    _ff(_step, tid, {ins.uid}, _JUMP, {label!r}, -1)")
+        self.e.line("if _fj and tid in _gf:")
+        self.e.line(f"    _fj(_step, tid, {ins.uid}, _JUMP, {label!r}, -1)")
         self._emit_arm(label)
 
     def _emit_br(self, idx, ins) -> None:
@@ -766,8 +773,8 @@ class _FunctionCompiler:
         # Thread exit: a PT-style tracer sees a return with no resolvable
         # target; then _finish_thread raises _ProgramExit for tid 0, else
         # marks the thread FINISHED.
-        e.line("if _ff and tid in _gf:")
-        e.line(f"    _ff(_step, tid, {ins.uid}, _RET, {self.fname!r}, -1)")
+        e.line("if _fr and tid in _gf:")
+        e.line(f"    _fr(_step, tid, {ins.uid}, _RET, {self.fname!r}, -1)")
         e.line("interp._finish_thread(thread, _v)")
         self.emit_hang(site, -1)
         e.line("return _v")
@@ -776,8 +783,8 @@ class _FunctionCompiler:
         # index keeps _current_pc exact (the RET event's target, hang and
         # deadlock reports, PT window ends).
         e.line("_frames[-1].index += 1")
-        e.line("if _ff and tid in _gf:")
-        e.line(f"    _ff(_step, tid, {ins.uid}, _RET, {self.fname!r}, "
+        e.line("if _fr and tid in _gf:")
+        e.line(f"    _fr(_step, tid, {ins.uid}, _RET, {self.fname!r}, "
                f"interp._current_pc(thread))")
         self.emit_hang(site, "interp._current_pc(thread)")
         self.emit_gate(site)
@@ -799,8 +806,8 @@ class _FunctionCompiler:
         # (its RET advances the index).
         site = self.site(idx)
         e.line(f"_acc = _commit(interp, frame, _step, _acc, {site})")
-        e.line("if _ff and tid in _gf:")
-        e.line(f"    _ff(_step, tid, {ins.uid}, _CALL, {callee!r}, -1)")
+        e.line("if _fc and tid in _gf:")
+        e.line(f"    _fc(_step, tid, {ins.uid}, _CALL, {callee!r}, -1)")
         entry = self.mc.const("E", (callee, func.entry, ins.dst, ins.uid,
                                     ins.line))
         e.line(f"_nf = _enter(thread, tid, _memory, {entry})")
@@ -921,10 +928,39 @@ class _FunctionCompiler:
         return "\n".join(e.lines)
 
 
+def _hook_flags(hooks, size: int) -> Optional[Tuple[bool, ...]]:
+    """The ``_pre`` flags of a run without step subscribers: set at each
+    uid that carries a hook, None when no instruction of the module does
+    (a hook on a uid outside the module never fires)."""
+    flags = [False] * size
+    for uid, hook_list in hooks.items():
+        if hook_list and 0 <= uid < size:
+            flags[uid] = True
+    return tuple(flags) if True in flags else None
+
+
+def _site_gates(interp) -> Tuple[object, object]:
+    """``_gm`` and ``_gm2``: the gates a memory access site tests before
+    calling the fan-out.
+
+    A lone, cost-free handler's gate alone; both gates when the kind has
+    two handlers, both gated, and nobody pays for it (a detector and a
+    watchpoint unit: an access outside both costs no call); else
+    :data:`_UNGATED`, and the fan-out tests each handler's gate."""
+    if interp._mem_gate is not None:
+        return interp._mem_gate, None
+    subs, gates = interp._mem_subs, interp._mem_gates
+    if subs is not None and not subs[0] and len(gates) == 2 and \
+            None not in gates:
+        return gates[0], gates[1]
+    return _UNGATED, None
+
+
 class CompiledProgram:
     """The exec-compiled generator functions for every function of a module."""
 
-    __slots__ = ("module", "epoch", "source", "functions", "params", "uids")
+    __slots__ = ("module", "epoch", "source", "functions", "params",
+                 "every_uid")
 
     def __init__(self, module: Module) -> None:
         if not module.finalized:
@@ -933,23 +969,24 @@ class CompiledProgram:
         self.epoch = module.analysis_epoch
         try:
             mc = _ModuleCompiler(module)
+            ns = mc.ns
+            filename = f"<gir-compiled:{id(module):#x}@{self.epoch}>"
             chunks = []
             for fname, func in module.functions.items():
-                chunks.append(_FunctionCompiler(mc, fname, func).compile())
+                chunk = _FunctionCompiler(mc, fname, func).compile()
+                # One function at a time: the syntax tree of a whole
+                # module's source was the peak of its set-up memory.
+                exec(compile(chunk, filename, "exec"), ns)
+                chunks.append(chunk)
             self.source = "\n\n".join(chunks)
-            code = compile(self.source,
-                           f"<gir-compiled:{id(module):#x}@{self.epoch}>",
-                           "exec")
-            ns = mc.ns
-            exec(code, ns)
             self.functions = {fname: ns[mc.fn_names.get(fname)]
                               for fname in module.functions}
             self.params = {fname: tuple(func.params)
                            for fname, func in module.functions.items()}
-            #: Every instruction uid: the ``_pre`` set of runs with step
-            #: subscribers, whose fan-out precedes every instruction.
-            self.uids = frozenset(ins.uid for func in module.functions.values()
-                                  for bb in func for ins in bb.instrs)
+            #: The ``_pre`` flags of runs with step subscribers, whose
+            #: fan-out precedes every instruction: set at every uid.
+            self.every_uid = (True,) * (max(
+                (ins.uid for ins in module.instructions()), default=-1) + 1)
         except Exception as exc:
             raise CompileError(f"GIR compilation failed: {exc}") from exc
 
@@ -961,20 +998,21 @@ class CompiledProgram:
         this happens once per run, like ``Interpreter._compute_dispatch``;
         a gate's contents stay live (its tracer mutates it in place)."""
         if interp._step_subs is not None:
-            pre = self.uids
+            pre = self.every_uid
         else:
-            pre = frozenset(uid for uid, hooks in interp.hooks.items()
-                            if hooks) or None
+            pre = _hook_flags(interp.hooks, len(self.every_uid))
         memory = interp.memory
+        fires = interp._flow_fires
         interp._charges = 0
         interp._run_locals = (
             *interp.scheduler.split_pick(), interp.max_steps, memory,
             memory._slots, pre,
             interp._fire_branch if interp._branch_subs is not None else None,
-            interp._fire_flow if interp._flow_subs is not None else None,
+            fires[FlowKind.JUMP], fires[FlowKind.CALL], fires[FlowKind.RET],
             interp._fire_mem if interp._mem_subs is not None else None,
             *[_UNGATED if gate is None else gate for gate in (
-                interp._branch_gate, interp._flow_gate, interp._mem_gate)],
+                interp._branch_gate, interp._flow_gate)],
+            *_site_gates(interp),
         )
 
     @staticmethod

@@ -411,7 +411,10 @@ def _compile_load(ins, addr_spec, next_index):
         if dst is not None:
             regs[dst] = value
         if interp._mem_subs is not None:
-            interp._fire_mem(interp.global_step, tid, uid, addr, False, value)
+            gate = interp._mem_gate
+            if gate is None or addr in gate:
+                interp._fire_mem(interp.global_step, tid, uid, addr, False,
+                                 value)
         frame.index = next_index
     return run
 
@@ -432,7 +435,10 @@ def _compile_store(ins, addr_spec, value_spec, next_index):
         else:
             memory.write(addr, value)
         if interp._mem_subs is not None:
-            interp._fire_mem(interp.global_step, tid, uid, addr, True, value)
+            gate = interp._mem_gate
+            if gate is None or addr in gate:
+                interp._fire_mem(interp.global_step, tid, uid, addr, True,
+                                 value)
         frame.index = next_index
     return run
 
@@ -507,7 +513,10 @@ def _compile_br(prog, ins, cond_spec, fname):
         else:
             label, code = else_label, else_code
         if interp._branch_subs is not None:
-            interp._fire_branch(interp.global_step, tid, uid, taken, label)
+            gate = interp._branch_gate
+            if gate is None or tid in gate:
+                interp._fire_branch(interp.global_step, tid, uid, taken,
+                                    label)
         frame.block = label
         frame.index = 0
         frame.dcode = code

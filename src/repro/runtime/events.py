@@ -20,7 +20,10 @@ A tracer tells the interpreter what it needs, so that nothing is built for
 events it would ignore.  Per event kind it may declare:
 
 - ``wants_on_*``: a subscription veto, sampled at run start (see
-  :func:`subscribes`);
+  :func:`subscribes`).  ``wants_on_flow`` may instead name the flow
+  kinds (:class:`FlowKind`) the tracer acts on: the PT encoder names only
+  RET, because PT encodes nothing for direct jumps and calls, so a
+  PT-only run builds no JUMP or CALL event at all;
 - ``gate_on_mem`` / ``gate_on_branch`` / ``gate_on_flow``: a *gate*, a
   container of keys outside which its callback for that kind does
   nothing.  The key is the address for memory events and the thread id
@@ -155,10 +158,12 @@ def subscribes(tracer: Tracer, name: str) -> bool:
     skipping them is unobservable.  A tracer whose interest cannot be read
     off its class (e.g. it inherits an override it only sometimes needs)
     can declare a ``wants_on_mem``-style attribute/property, which takes
-    precedence.  The answer is sampled once per run, at run start: a tracer
-    must not change its subscriptions mid-run.  Interest that *toggles*
-    mid-run, like an initially-empty watchpoint register file, belongs in a
-    gate (:func:`gate`), which the interpreter tests per event.
+    precedence; ``wants_on_flow`` may be a collection of flow kinds, which
+    subscribes the tracer when it is not empty (see :func:`flow_kinds`).
+    The answer is sampled once per run, at run start: a tracer must not
+    change its subscriptions mid-run.  Interest that *toggles* mid-run,
+    like an initially-empty watchpoint register file, belongs in a gate
+    (:func:`gate`), which the interpreter tests per event.
     """
     override = getattr(tracer, "wants_" + name, None)
     if override is not None:
@@ -166,6 +171,17 @@ def subscribes(tracer: Tracer, name: str) -> bool:
     if name in tracer.__dict__:  # instance-level handler assignment
         return True
     return getattr(type(tracer), name) is not getattr(Tracer, name)
+
+
+def flow_kinds(tracer: Tracer):
+    """The flow kinds (:class:`FlowKind`) a flow subscriber acts on: those its
+    ``wants_on_flow`` names when that is a collection (the PT encoder
+    names only RET), else every kind.  The interpreter hands it flow
+    events of those kinds only, and builds none of a kind nobody takes."""
+    wants = getattr(tracer, "wants_on_flow", None)
+    if wants is None or isinstance(wants, bool):
+        return tuple(FlowKind)
+    return wants
 
 
 #: Event kinds a tracer may gate, and the event field each gate is keyed
@@ -192,7 +208,10 @@ def gate(tracer: Tracer, name: str):
     gate holds the event's key, an ungated tracer receives every event,
     and an event no handler takes is never built.  A static cost for the
     kind is still charged on every event.  When the tracer is the kind's
-    single handler and nobody pays a static cost, both fast tiers test its
-    gate before calling the kind's fan-out at all.
+    single handler and nobody pays a static cost, both tiers test its gate
+    before calling the kind's fan-out at all, and the fan-out does not
+    test it again.  When a memory kind has two handlers, both gated, and
+    nobody pays for it, the compiled tier tests both gates at the access
+    site, so an address outside both costs no call.
     """
     return getattr(tracer, "gate_" + name, None)

@@ -28,11 +28,14 @@ PT buffers, trap logs, outcomes and cost accounting
 Both tiers consult per-event-kind *subscriber lists* computed at run
 start, so a tracer that does not implement ``on_mem`` is never consulted
 for memory events and no event object is allocated when an event kind has
-no subscribers at all.  A handler that declares a gate (watched addresses,
-traced threads, or a detector's global-and-heap range) receives only the
-events whose key its gate holds, and an event no handler takes is never
-built.  A kind whose lone, cost-free handler is gated tests the gate
-inline, before calling its fan-out.
+no subscribers at all.  Flow events are split further, per
+:class:`~repro.runtime.events.FlowKind`: a PT encoder subscribes to
+returns only, so a PT-only run builds no jump or call event.  A handler
+that declares a gate (watched addresses, traced threads, or a detector's
+global-and-heap range) receives only the events whose key its gate
+holds, and an event no handler takes is never built.  A kind whose lone,
+cost-free handler is gated tests the gate inline, before calling its
+fan-out.
 
 Every tier advances the scheduler's state exactly as one
 :meth:`Scheduler.pick` per retired instruction would — a load-bearing
@@ -72,6 +75,7 @@ from .events import (
     MemEvent,
     SyncEvent,
     Tracer,
+    flow_kinds,
     gate,
     subscribes,
 )
@@ -113,7 +117,7 @@ def _ignore(*fields) -> None:
 
 
 def _fanout(interp: "Interpreter", subs, event_type, gates=(),
-            key: str = "tid") -> Callable:
+            key: str = "tid", inline: bool = False) -> Callable:
     """The fan-out of one event kind for one run.
 
     ``fire(step, tid, pc, ...)`` takes every field of an ``event_type``
@@ -123,10 +127,20 @@ def _fanout(interp: "Interpreter", subs, event_type, gates=(),
     :func:`repro.runtime.events.gate`) or None: a gated handler receives
     only events whose field ``key`` its gate holds, an ungated one every
     event, and the event is built once, for the first handler it reaches.
+    ``inline`` says the callers test the gate of the kind's lone,
+    cost-free handler before calling: the fan-out then publishes the
+    step, builds the event and calls the handler, and tests nothing.
     """
     if subs is None:
         return _ignore
     cost, handlers = subs
+    if inline:
+        (handler,) = handlers
+
+        def fire_inline(*fields) -> None:
+            interp.global_step = fields[0]
+            handler(interp, _tuple_new(event_type, fields))
+        return fire_inline
     if any(live is not None for live in gates):
         at = event_type._fields.index(key)
     else:  # nobody is gated: every handler gets every event
@@ -144,6 +158,10 @@ def _fanout(interp: "Interpreter", subs, event_type, gates=(),
                     event = _tuple_new(event_type, fields)
                 handler(interp, event)
     return fire
+
+
+#: The flow fan-outs of a run where nobody pays or listens for flow events.
+_NO_FLOW_FIRES = dict.fromkeys(FlowKind)
 
 
 class _ProgramExit(Exception):
@@ -295,19 +313,24 @@ class Interpreter:
         contribution is owed regardless: attaching a tracer with
         ``cost_per_branch = 5`` models deployed instrumentation whose
         price does not depend on whether our simulation inspects the
-        event.
+        event.  Flow events fan out per :class:`FlowKind`
+        (``_flow_fires``, None for a kind nobody pays or listens for), each
+        from the subscribers of that kind only.
 
         Gates are honoured per handler (:func:`repro.runtime.events.gate`):
         the fan-out hands a gated handler only the events its gate holds.
         A kind is *gated* (``_branch_gate`` / ``_flow_gate`` /
         ``_mem_gate``, else None) when its single handler declares a gate
         and nobody pays a static cost for it: the tiers then test that
-        gate before calling the fan-out at all.
+        gate before calling the fan-out at all, and the fan-out trusts
+        them.  For flow events the single handler is the one tracer
+        subscribed to any flow kind.  ``_mem_gates`` lists every memory
+        handler's gate, for the compiled tier's site test.
         """
         tracers = self.tracers
 
         def build(cost_attr, name):
-            """The kind's subscriber list, and each subscriber's gate."""
+            """The kind's subscribers, subscriber list and their gates."""
             total = 0
             subscribers = []
             for tracer in tracers:
@@ -316,26 +339,59 @@ class Interpreter:
                 if subscribes(tracer, name):
                     subscribers.append(tracer)
             if total == 0 and not subscribers:
-                return None, []
-            return ((total, [getattr(t, name) for t in subscribers]),
+                return subscribers, None, []
+            return (subscribers,
+                    (total, [getattr(t, name) for t in subscribers]),
                     [gate(t, name) for t in subscribers])
 
-        def gated(cost_attr, name, event_type):
-            """The kind's subscriber list, lone gate and fan-out."""
-            subs, gates = build(cost_attr, name)
-            lone = gates[0] if len(gates) == 1 and subs[0] == 0 else None
-            return subs, lone, _fanout(self, subs, event_type, gates,
-                                       GATE_KEYS[name])
+        def lone(subs, gates):
+            """The gate of a lone, cost-free handler, else None."""
+            return gates[0] if len(gates) == 1 and subs[0] == 0 else None
 
-        self._branch_subs, self._branch_gate, self._fire_branch = \
+        def gated(cost_attr, name, event_type):
+            """The kind's subscriber list, handler gates, lone gate and
+            fan-out."""
+            _, subs, gates = build(cost_attr, name)
+            only = lone(subs, gates)
+            return subs, gates, only, _fanout(
+                self, subs, event_type, gates, GATE_KEYS[name],
+                inline=only is not None)
+
+        self._branch_subs, _, self._branch_gate, self._fire_branch = \
             gated("cost_per_branch", "on_branch", BranchEvent)
-        self._flow_subs, self._flow_gate, self._fire_flow = \
-            gated("cost_per_flow", "on_flow", FlowEvent)
-        self._mem_subs, self._mem_gate, self._fire_mem = \
+        self._mem_subs, self._mem_gates, self._mem_gate, self._fire_mem = \
             gated("cost_per_mem", "on_mem", MemEvent)
-        self._sync_subs, _ = build(None, "on_sync")
-        self._step_subs, _ = build("cost_per_step", "on_step")
+        subscribers, self._flow_subs, gates = build("cost_per_flow",
+                                                    "on_flow")
+        self._flow_gate = None
+        self._flow_fires = dict(_NO_FLOW_FIRES)
+        if self._flow_subs is not None:
+            self._flow_gate = only = lone(self._flow_subs, gates)
+            cost, handlers = self._flow_subs
+            takers: Dict[FlowKind, list] = {}
+            for tracer, handler, live in zip(subscribers, handlers, gates):
+                for kind in flow_kinds(tracer):
+                    takers.setdefault(kind, []).append((handler, live))
+            # A static cost is owed on every flow event, taken or not.
+            for kind in (FlowKind if cost else takers):
+                pairs = takers.get(kind, ())
+                self._flow_fires[kind] = _fanout(
+                    self, (cost, [h for h, _ in pairs]), FlowEvent,
+                    [live for _, live in pairs], GATE_KEYS["on_flow"],
+                    inline=only is not None)
+        _, self._sync_subs, _ = build(None, "on_sync")
+        _, self._step_subs, _ = build("cost_per_step", "on_step")
         self._fire_sync = _fanout(self, self._sync_subs, SyncEvent)
+
+    def _fire_flow(self, step: int, tid: int, pc: int, kind: FlowKind,
+                   target: str = "", target_pc: int = -1) -> None:
+        """Hand one flow event to ``kind``'s fan-out, testing the lone flow
+        gate first as every flow site does."""
+        fire = self._flow_fires[kind]
+        if fire is not None:
+            live = self._flow_gate
+            if live is None or tid in live:
+                fire(step, tid, pc, kind, target, target_pc)
 
     # ------------------------------------------------------------------ values
 

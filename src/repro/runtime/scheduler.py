@@ -120,7 +120,16 @@ class RandomScheduler(Scheduler):
 
     def _consult(self, runnable: Sequence[int],
                  current: Optional[int]) -> int:
-        return runnable[self._rng.randrange(len(runnable))]
+        # ``randrange(n)`` inlined: the rejection loop of
+        # ``Random._randbelow`` over ``getrandbits(n.bit_length())`` words,
+        # so the same choices and RNG state, without its two Python frames.
+        n = len(runnable)
+        getrandbits = self._rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return runnable[r]
 
     def describe(self) -> str:
         return f"random(seed={self.seed}, p={self.switch_prob})"

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Predictor, PredictorRanker
-from repro.core.client import slice_monitored_run
+from repro.analysis import BackwardSlicer
+from repro.core.client import GistClient, evidence_keep
 from repro.core.clustering import FailureClusterer
 from repro.core.refinement import MonitoredRun, RunningRefinement, refine
 from repro.core.streaming import (
@@ -23,8 +24,10 @@ from repro.core.streaming import (
     ranker_from_state,
 )
 from repro.detect.invariants import error_invariant_score, make_ranker
+from repro.corpus import get_bug
 from repro.fleet import wire
 from repro.hw.watchpoints import TrapRecord
+from repro.instrument import InstrumentationPlanner
 from repro.instrument.patch import Patch
 from repro.instrument.planner import HookSpec
 from repro.runtime.failures import FailureKind, FailureReport, \
@@ -319,41 +322,54 @@ class TestEvidenceSlicing:
         rng = random.Random(11)
         for trial in range(20):
             run = _random_run(rng, trial)
-            pristine = MonitoredRun(
-                run_id=run.run_id,
-                executed={tid: list(seq)
-                          for tid, seq in run.executed.items()},
-                traps=list(run.traps))
             slice_uids = set(rng.sample(range(50), 15))
             window = set(rng.sample(sorted(slice_uids), 6))
             patch = self._patch(slice_uids, hook_uids=(1, 2))
-            slice_monitored_run(run, patch)
-            keep = slice_uids | {1, 2} | {t.pc for t in run.traps}
-            assert run.executed == {
-                tid: [uid for uid in seq if uid in keep]
-                for tid, seq in pristine.executed.items()}
+            keep = evidence_keep(patch, run.traps)
+            assert keep == slice_uids | {1, 2} | {t.pc for t in run.traps}
+            sliced = MonitoredRun(
+                run_id=run.run_id,
+                executed={tid: [uid for uid in seq if uid in keep]
+                          for tid, seq in run.executed.items()},
+                traps=list(run.traps))
             # The AsT window is always a subset of the slice, so the only
             # executed-set reads refine() performs are unchanged.
-            assert refine(window, _evidence(run), slice_uids=slice_uids).\
-                refined_uids() == \
-                refine(window, _evidence(pristine), slice_uids=slice_uids).\
-                refined_uids()
-            assert run.traps == pristine.traps  # traps never pruned
+            assert refine(window, _evidence(sliced),
+                          slice_uids=slice_uids).refined_uids() == \
+                refine(window, _evidence(run),
+                       slice_uids=slice_uids).refined_uids()
+        # A sliceless patch keeps everything.
+        assert evidence_keep(self._patch(()), run.traps) is None
 
     def test_predictors_survive_slicing(self):
         # Predictors feed the ranker and the rendered sketch verbatim —
-        # including ones anchored outside the slice: they were extracted
-        # from the full trace, and slicing must not lose them.
-        predictors = frozenset({
-            Predictor("value", (2, 0)),          # anchored in slice
-            Predictor("value", (9, 1)),          # anchored outside
-            Predictor("order", ("WR", (1, 9))),  # one anchor outside
-        })
-        run = MonitoredRun(run_id=0, executed={0: [1, 2, 3, 9]})
-        run.predictors = predictors
-        slice_monitored_run(run, self._patch({1, 2, 3}))
-        assert run.predictors == predictors
-        assert run.executed == {0: [1, 2, 3]}
+        # including ones anchored outside the slice: they come from the
+        # decoder's branch facts over the full trace and from the traps,
+        # so the walk that prunes the shipped evidence must not lose them.
+        spec = get_bug("pbzip2-1")
+        module = spec.module()
+        slicer = BackwardSlicer(module)
+        workload = spec.failing_probe or spec.workload_factory(0)
+        client = GistClient(module)
+        failure = client.run(workload).outcome.failure
+        assert failure is not None
+        slice_ = slicer.slice_from(failure.pc)
+        plan = InstrumentationPlanner(module, slicer).plan_window(
+            slice_, slice_.window(4))
+        sliced = Patch.from_plan(module.name, plan,
+                                 slice_uids=slice_.uids)
+        full = Patch.from_plan(module.name, plan)
+        kept = client.run(workload, sliced).monitored
+        shipped = client.run(workload, full).monitored
+        assert kept.predictors == shipped.predictors
+        assert any(p.kind == "branch" for p in kept.predictors)
+        assert kept.traps == shipped.traps  # traps never pruned
+        keep = evidence_keep(sliced, shipped.traps)
+        assert kept.executed == {
+            tid: [uid for uid in seq if uid in keep]
+            for tid, seq in shipped.executed.items()}
+        assert sum(map(len, kept.executed.values())) < \
+            sum(map(len, shipped.executed.values()))
 
     def test_patch_slice_round_trip_and_legacy_bytes(self):
         decoded = wire.decode_message(

@@ -1,5 +1,6 @@
-"""The table-driven PT decoder: recorded windows, branch facts, malformed
-streams, single-pass cursor.
+"""The table-driven PT decoder: recorded windows, branch facts, the
+straight-line-run walk and its pruning, malformed streams, single-pass
+cursor.
 
 ``PTDecoder`` (successor tables + byte-scanning cursor) must decode every
 corpus stream to the windows recorded in ``tests/golden/tiers.json``
@@ -7,7 +8,10 @@ corpus stream to the windows recorded in ``tests/golden/tiers.json``
 agreed on all of them), must record exactly the ``(branch uid, taken)``
 facts its windows show, and must reject corrupt streams loudly — a
 :class:`DecodeError` carrying the byte offset of the offending packet,
-never a silently truncated trace.
+never a silently truncated trace.  The walk retires one straight-line run
+per packet peek; a PGD cuts a run exactly where a per-instruction walk
+would stop, the uid budget fails on the same uid, and a decode with a
+keep set equals the full decode filtered by it.
 """
 
 import dataclasses
@@ -15,17 +19,21 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus import all_bug_ids, get_bug
 from repro.lang import Opcode, compile_source
+from repro.lang.girparser import parse_gir
 from repro.pt import (
     DecodeError,
     PTConfig,
     PTDecoder,
     PTEncoder,
 )
+from repro.pt import decoder as decoder_mod
 from repro.pt import packets as P
-from repro.pt.decoder import _PacketCursor
+from repro.pt.decoder import _PacketCursor, _straight_run
 from repro.runtime import Interpreter
 from tests.digest import digest
 
@@ -192,6 +200,192 @@ class TestBranchFacts:
         flat = trace.executed_sequence()
         assert flat[flat.index(br) + 1] == arm.instrs[0].uid
         assert trace.branches == window_facts(module, trace) == set()
+
+
+def _run_at(module, uid):
+    decoder = PTDecoder(module)
+    return _straight_run(decoder._kind, decoder._succ, uid)
+
+
+def _arm(module, br, taken):
+    ins = module.instr(br)
+    label = ins.labels[0 if taken else 1]
+    return module.functions[ins.func_name].blocks[label].instrs[0].uid
+
+
+def _filtered(trace, keep):
+    return [uid for uid in trace.executed_sequence() if uid in keep]
+
+
+def _assert_pruned_matches(module, raw, keep):
+    """A decode with ``keep`` is the full decode filtered by it: the same
+    windows (bounds, PTW packets), branch facts and kept uids."""
+    full = PTDecoder(module).decode(raw)
+    pruned = PTDecoder(module).decode(raw, keep)
+    assert pruned.kept == _filtered(full, keep)
+    assert pruned.branches == full.branches
+    assert [dataclasses.replace(w, executed=[]) for w in full.windows] == \
+        pruned.windows
+
+
+class TestRunWalk:
+    """One straight-line run per peek: where runs end, where a PGD cuts
+    one, and what the budget counts."""
+
+    def _first_run(self):
+        module, raw = _traced_module()
+        prefix = _window_prefix(raw)
+        (window,) = PTDecoder(module).decode(prefix).windows
+        run = _run_at(module, window.start_uid)
+        assert module.instr(run[-1]).opcode is Opcode.BR
+        assert len(run) > 4
+        return module, prefix, run
+
+    def test_pgd_mid_run_cuts_after_its_uid(self):
+        module, prefix, run = self._first_run()
+        mid = run[len(run) // 2]
+        trace = PTDecoder(module).decode(prefix + P.encode_tip_pgd(mid))
+        (window,) = trace.windows
+        assert window.executed == list(run[:len(run) // 2 + 1])
+        assert window.end_uid == mid
+        assert trace.branches == set()
+        _assert_pruned_matches(module, prefix + P.encode_tip_pgd(mid),
+                               set(run[::2]))
+
+    def test_pgd_on_the_runs_br_keeps_the_whole_run(self):
+        module, prefix, run = self._first_run()
+        trace = PTDecoder(module).decode(prefix + P.encode_tip_pgd(run[-1]))
+        (window,) = trace.windows
+        assert window.executed == list(run)
+        assert window.end_uid == run[-1]
+        assert trace.branches == set()
+
+    def test_pgd_with_tnt_bits_pending_does_not_cut(self):
+        """Two bits arrive at the first BR; the PGD after them names a uid
+        of the second run, which the walk enters with a bit still pending,
+        so that run is not cut there.  The window ends where the third
+        run needs a packet and finds the PGD."""
+        module, prefix, first = self._first_run()
+        second = _run_at(module, _arm(module, first[-1], True))
+        third = _run_at(module, _arm(module, second[-1], True))
+        mid = second[len(second) // 2]
+        assert mid != second[-1] and mid not in third
+        stream = (prefix + P.encode_tnt([True, True]) +
+                  P.encode_tip_pgd(mid))
+        trace = PTDecoder(module).decode(stream)
+        (window,) = trace.windows
+        assert window.executed == list(first + second + third)
+        assert window.end_uid == mid
+        assert trace.branches == {(first[-1], True), (second[-1], True)}
+        _assert_pruned_matches(module, stream, {mid, third[0]})
+
+    def test_ptw_packets_between_runs(self):
+        """PTWRITE packets sit between the control-flow packets: the walk
+        drains them at run starts and packet needs, attaching every one
+        to its window in order, and decodes the windows of a trace
+        without them."""
+        module = compile_source(LOOPY)
+        traces = []
+        for ptwrite in (False, True):
+            encoder = PTEncoder(PTConfig(ptwrite=ptwrite),
+                                trace_on_start=True)
+            Interpreter(module, args=[13], tracers=[encoder]).run()
+            traces.append(encoder.raw_trace(0))
+        plain, with_ptw = (PTDecoder(module).decode(raw) for raw in traces)
+        (window,) = with_ptw.windows
+        packets = []
+        cursor = _PacketCursor(traces[1])
+        while (pkt := cursor.pop()) is not None:
+            if type(pkt) is P.PTW:
+                packets.append(pkt)
+        assert len(packets) > 13
+        assert window.mem_events == packets
+        assert window.executed == plain.windows[0].executed
+        assert with_ptw.branches == plain.branches
+        _assert_pruned_matches(module, traces[1], {9, 22, 27})
+
+    def test_straight_line_cycle_exhausts_the_budget(self, monkeypatch):
+        """A JMP loop with no BR needs no packet: its run ends before the
+        repeat and the walk keeps going round until the budget runs
+        out."""
+        module = parse_gir("""
+def main(%n) {
+entry:
+  %a = const 1
+  jmp -> spin
+spin:
+  %b = binop + %a, 1
+  %c = binop + %b, 1
+  jmp -> spin
+}
+""")
+        assert _run_at(module, 0) == (0, 1, 2, 3, 4)
+        assert _run_at(module, 2) == (2, 3, 4)
+        monkeypatch.setattr(decoder_mod, "MAX_DECODE_STEPS", 10_000)
+        for keep in (None, {2}):
+            with pytest.raises(DecodeError, match="budget exhausted"):
+                PTDecoder(module).decode(P.encode_tip_pge(0), keep)
+
+    def test_budget_fails_on_the_uid_a_per_instruction_walk_would(
+            self, monkeypatch):
+        """Every uid costs one unit of budget, so a stream of T uids
+        decodes with a budget of T + 1 and fails with T."""
+        module, raw = _traced_module()
+        total = len(PTDecoder(module).decode(raw).executed_sequence())
+        monkeypatch.setattr(decoder_mod, "MAX_DECODE_STEPS", total + 1)
+        assert len(PTDecoder(module).decode(raw).executed_sequence()) == \
+            total
+        monkeypatch.setattr(decoder_mod, "MAX_DECODE_STEPS", total)
+        for keep in (None, set()):
+            with pytest.raises(DecodeError, match="budget exhausted"):
+                PTDecoder(module).decode(raw, keep)
+
+    def test_dynamic_uid_ends_a_run(self):
+        """A JMP whose target the tables cannot resolve ends its run; a
+        PGD on it closes the window there, and walking past it fails with
+        the module's own lookup error."""
+        module, raw = _traced_module()
+        prefix = _window_prefix(raw)
+        start = PTDecoder(module).decode(prefix).windows[0].start_uid
+        jmp = next(uid for uid in _run_at(module, start)
+                   if module.instr(uid).opcode is Opcode.JMP)
+        module.instr(jmp).labels = ("nowhere",)
+        module.finalize()  # a new epoch: fresh tables
+        run = _run_at(module, start)
+        assert run[-1] == jmp
+        trace = PTDecoder(module).decode(prefix + P.encode_tip_pgd(jmp))
+        assert trace.windows[0].executed == list(run)
+        assert trace.windows[0].end_uid == jmp
+        with pytest.raises(KeyError):
+            PTDecoder(module).decode(prefix)
+
+
+@pytest.fixture(scope="module")
+def corpus_streams():
+    """Every corpus stream, with its full decode, by bug."""
+    out = {}
+    for bug_id in all_bug_ids():
+        out[bug_id] = [(module, raw, PTDecoder(module).decode(raw))
+                       for module, raw in _spec_streams(get_bug(bug_id))]
+    return out
+
+
+@pytest.mark.parametrize("bug_id", all_bug_ids())
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_pruned_decode_is_the_filtered_full_decode(corpus_streams, bug_id,
+                                                   data):
+    """On every corpus stream, for Hypothesis-drawn keep sets: the walk
+    that prunes as it goes ships exactly the filtered full decode."""
+    streams = corpus_streams[bug_id]
+    n = streams[0][0].num_instructions()
+    keep = data.draw(st.sets(st.integers(0, n - 1)), label="keep")
+    for module, raw, full in streams:
+        pruned = PTDecoder(module).decode(raw, keep)
+        assert pruned.kept == _filtered(full, keep)
+        assert pruned.branches == full.branches
+        assert [dataclasses.replace(w, executed=[])
+                for w in full.windows] == pruned.windows
 
 
 class TestMalformedStreams:

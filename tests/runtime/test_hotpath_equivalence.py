@@ -19,9 +19,11 @@ uninstrumented runs pin the plain generators.
 
 Gates are pinned per handler: an event log takes every event, a
 watchpoint unit only accesses to watched addresses, a PT encoder only
-branch and flow events of traced threads, and a detector only global and
-heap accesses, whoever else shares the kind; a lone, cost-free gated
-handler is tested inline.
+branch and return events of traced threads, and a detector only global
+and heap accesses, whoever else shares the kind; a lone, cost-free gated
+handler is tested inline, and so are a detector's and a watchpoint
+unit's gates when they share memory events.  Flow events fan out per
+kind: a PT-only run builds no jump or call event.
 
 Running this module prints the fixture from live compiled-tier runs;
 redirect it into ``tests/golden/tiers.json`` to re-record after an
@@ -33,6 +35,7 @@ intended behaviour change::
 
 import json
 import pickle
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,8 +63,10 @@ from repro.runtime.decoded import decoded_program
 from repro.runtime.events import (
     BranchEvent,
     FlowEvent,
+    FlowKind,
     MemEvent,
     Tracer,
+    flow_kinds,
     gate,
     subscribes,
 )
@@ -519,13 +524,15 @@ def test_gated_runs_build_only_watched_events(monkeypatch):
 @pytest.mark.parametrize("bug_id", ["tpqueue-1", "evloop-1"])
 def test_shared_runs_build_only_gated_events(bug_id, monkeypatch):
     """The bug's detector (null-origin for tpqueue-1, races for evloop-1)
-    and a watchpoint unit armed on one global share the memory events:
-    each tier builds one event per access inside the union of their gates
-    (counted from an ungated event log), and hands the unit only accesses
-    to its watched address."""
+    and a watchpoint unit armed on one address — a global inside the
+    detector's region, then a stack slot outside it — share the memory
+    events: each tier builds one event per access inside the union of
+    their gates (counted from an ungated event log), and hands the unit
+    only accesses to its watched address.  The compiled tier tests both
+    gates at the access site, so it calls the fan-out exactly that often;
+    the decoded oracle leaves every test to the fan-out."""
     spec = get_bug(bug_id)
     workload, _ = _failing_run(spec)
-    watched = GLOBAL_BASE
 
     def run(mode, tracers):
         interp = Interpreter(spec.module(), entry=workload.entry,
@@ -542,9 +549,6 @@ def test_shared_runs_build_only_gated_events(bug_id, monkeypatch):
                  if isinstance(event, MemEvent)]
     (detector,) = make_detectors(spec.detectors)
     region = gate(detector, "on_mem")
-    inside = sum(1 for a in addresses if a in region or a == watched)
-    hits = addresses.count(watched)
-    assert 0 < hits < inside < len(addresses)  # each gate drops something
 
     built = {MemEvent: 0}
     new = tuple.__new__
@@ -554,20 +558,118 @@ def test_shared_runs_build_only_gated_events(bug_id, monkeypatch):
             built[MemEvent] += 1
         return new(cls, fields)
     monkeypatch.setattr(interp_mod, "_tuple_new", spy)
-    for mode in TIERS:
-        built[MemEvent] = 0
-        wpu = WatchpointUnit()
-        wpu.set_watchpoint(watched)
-        handed = []
+    calls = Counter()
+    real_fanout = interp_mod._fanout
 
-        def on_mem(interp, event, unit_on_mem=wpu.on_mem):
-            handed.append(event.address)
-            unit_on_mem(interp, event)
-        wpu.on_mem = on_mem
-        run(mode, make_detectors(spec.detectors) + [wpu])
-        assert built[MemEvent] == inside, mode
-        assert handed == [watched] * hits, mode
-        assert wpu.traps_taken == hits, mode
+    def counting_fanout(interp, subs, event_type, *args, **kwargs):
+        fire = real_fanout(interp, subs, event_type, *args, **kwargs)
+        if event_type is not MemEvent:
+            return fire
+
+        def counted(*fields):
+            calls[interp.mode] += 1
+            fire(*fields)
+        return counted
+    monkeypatch.setattr(interp_mod, "_fanout", counting_fanout)
+    stack = next(a for a in addresses if a not in region)
+    for watched in (GLOBAL_BASE, stack):
+        inside = sum(1 for a in addresses if a in region or a == watched)
+        hits = addresses.count(watched)
+        assert 0 < hits < inside < len(addresses)  # each gate drops some
+        calls.clear()
+        for mode in TIERS:
+            built[MemEvent] = 0
+            wpu = WatchpointUnit()
+            wpu.set_watchpoint(watched)
+            handed = []
+
+            def on_mem(interp, event, unit_on_mem=wpu.on_mem):
+                handed.append(event.address)
+                unit_on_mem(interp, event)
+            wpu.on_mem = on_mem
+            run(mode, make_detectors(spec.detectors) + [wpu])
+            where = f"{mode}/{watched:#x}"
+            assert built[MemEvent] == inside, where
+            assert handed == [watched] * hits, where
+            assert wpu.traps_taken == hits, where
+        assert calls == {"compiled": inside, "decoded": len(addresses)}
+
+
+def test_pt_only_runs_build_no_jump_or_call_events(monkeypatch):
+    """PT encodes nothing for direct jumps and calls, and its encoder
+    subscribes to returns only: a σ=2 patched run of pbzip2-1 (PT windows
+    toggled by hooks, a watchpoint unit) builds no JUMP or CALL event on
+    either tier.  An event log alongside it still receives every flow
+    event of the run, and the PT buffers stay the same."""
+    spec = get_bug("pbzip2-1")
+    _, _, workload, patch = next(case for case in _patched_cases(spec)
+                                 if case[:2] == (2, "failing"))
+    built = Counter()
+    new = tuple.__new__
+
+    def spy(cls, fields):
+        if cls is FlowEvent:
+            built[fields[3]] += 1
+        return new(cls, fields)
+    monkeypatch.setattr(interp_mod, "_tuple_new", spy)
+
+    def run(mode, extra=(), instrumented=True):
+        module = spec.module()
+        applied = apply_patch(patch, module)
+        interp = Interpreter(
+            module, entry=workload.entry, args=list(workload.args),
+            scheduler=workload.make_scheduler(),
+            tracers=(applied.tracers() if instrumented else []) + [*extra],
+            hooks=applied.hooks if instrumented else None,
+            max_steps=workload.max_steps, mode=mode)
+        assert interp.mode == mode
+        interp.run()
+        encoder = applied.driver.encoder
+        return {tid: encoder.raw_trace(tid)
+                for tid in sorted(encoder.buffers)}
+
+    everything = EventLog()
+    run("compiled", [everything], instrumented=False)
+    flows = [event for event in everything.events
+             if isinstance(event, FlowEvent)]
+    kinds = Counter(event.kind for event in flows)
+    assert kinds[FlowKind.JUMP] and kinds[FlowKind.CALL]
+    for mode in TIERS:
+        built.clear()
+        alone = run(mode)
+        assert built[FlowKind.JUMP] == built[FlowKind.CALL] == 0, mode
+        assert built[FlowKind.RET] > 0, mode
+        assert alone, mode
+        log = EventLog()
+        built.clear()
+        assert run(mode, [log]) == alone, mode
+        assert [event for event in log.events
+                if isinstance(event, FlowEvent)] == flows, mode
+        assert built[FlowKind.JUMP] == kinds[FlowKind.JUMP], mode
+        assert built[FlowKind.CALL] == kinds[FlowKind.CALL], mode
+
+
+def test_hooks_outside_the_module_never_fire():
+    """Hooks are looked up by the uid of the instruction about to run, so
+    one keyed on a uid the module does not have never fires, on either
+    tier, while a hook inside the module does."""
+    module = get_bug("pbzip2-1").module()
+    n = module.num_instructions()
+    first = module.functions["main"].blocks[
+        module.functions["main"].entry].instrs[0].uid
+    fired = []
+
+    def hook(uid):
+        return [(lambda interp, tid, ins: fired.append(uid), 5)]
+
+    plain = {mode: _outcome_key(_pbzip2_run(mode, [])) for mode in TIERS}
+    for mode in TIERS:
+        fired.clear()
+        outside = {n: hook(n), n + 1000: hook(n + 1000), -1: hook(-1)}
+        assert _outcome_key(_pbzip2_run(mode, [], outside)) == plain[mode]
+        assert fired == [], mode
+        _pbzip2_run(mode, [], {**outside, first: hook(first)})
+        assert fired == [first], mode
 
 
 def _detector_state(detector) -> bytes:
@@ -738,6 +840,30 @@ def test_subscription_detection():
     assert gates(wpu, CostOnly()) == (None, None, None)  # a cost is owed
     assert gates(wpu, RaceDetector()) == (None, None, None)
     assert gates(pt, PTEncoder())[1:] == (None, None)
+
+    # Flow kinds: the PT encoder subscribes to returns only (direct jumps
+    # and calls cost PT nothing); an override without a veto takes every
+    # kind, and an empty collection is no subscription.
+    assert subscribes(pt, "on_flow")
+    assert set(flow_kinds(pt)) == {FlowKind.RET}
+    assert set(flow_kinds(SoftwarePTEncoder())) == {FlowKind.RET}
+    assert set(flow_kinds(EventLog())) == set(FlowKind)
+    picky = EventLog()
+    picky.wants_on_flow = frozenset()
+    assert not subscribes(picky, "on_flow")
+
+    def fired_kinds(*tracers, mode="compiled"):
+        interp = Interpreter(module, tracers=tracers, mode=mode)
+        return {kind for kind, fire in interp._flow_fires.items() if fire}
+
+    for mode in TIERS:
+        assert fired_kinds(PTEncoder(), mode=mode) == {FlowKind.RET}
+        assert fired_kinds(PTEncoder(), wpu, mode=mode) == {FlowKind.RET}
+        assert fired_kinds(PTEncoder(), EventLog(), mode=mode) == \
+            set(FlowKind)
+        assert fired_kinds(PTEncoder(), CostOnly(), mode=mode) == \
+            set(FlowKind)  # a static cost is charged on every flow event
+        assert fired_kinds(wpu, picky, mode=mode) == set()
 
 
 def record(mode="compiled") -> dict:

@@ -99,6 +99,28 @@ def test_random_scheduler_stream_property(bug_id, seed, switch_prob):
                         workload, f"{bug_id}/seed={seed}/p={switch_prob}")
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_consult_draws_what_randrange_draws(n):
+    """``RandomScheduler._consult`` inlines ``randrange``'s rejection loop:
+    on 200 seeds, with ``n`` runnable threads, its choices and the RNG
+    state they leave equal ``random.Random(seed).randrange(n)``'s on the
+    running Python — alone, and interleaved with the gate's ``random()``
+    draws and consults of every other runnable size."""
+    runnable = [100 + tid for tid in range(n)]
+    for seed in range(200):
+        scheduler = RandomScheduler(seed)
+        reference = random.Random(seed)
+        for _ in range(6):
+            assert scheduler._consult(runnable, None) == \
+                runnable[reference.randrange(n)]
+        assert scheduler._rng.getstate() == reference.getstate()
+        for size in range(1, 10):
+            assert scheduler._rng.random() == reference.random()
+            assert scheduler._consult(runnable[:size], None) == \
+                runnable[reference.randrange(min(size, n))]
+        assert scheduler._rng.getstate() == reference.getstate()
+
+
 #: Schedulers that keep the default split: the compiled gate consults
 #: their ``pick`` on every step.
 _PICK_EVERY_STEP = {

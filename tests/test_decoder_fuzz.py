@@ -5,7 +5,9 @@ splices, and must either decode or fail with its own typed error — never
 an uncaught ``IndexError``, ``ValueError`` or the like, and never a hang:
 
 - ``PTDecoder.decode`` on full-trace PT buffers of corpus runs raises only
-  :class:`~repro.pt.decoder.DecodeError`;
+  :class:`~repro.pt.decoder.DecodeError`, with or without a keep set, and
+  the two decodes agree: the same error, or the pruned decode is the full
+  one filtered;
 - ``compile_source`` on corpus MiniC raises only the front end's and
   verifier's errors;
 - ``parse_gir`` on ``Module.format()`` text raises only
@@ -104,15 +106,29 @@ def test_unmutated_inputs_decode(pt_inputs):
         assert parse_gir(text.decode()).format() == text.decode()
 
 
+def _decode(module, raw, keep=None):
+    """The decode's result, or the DecodeError it raised."""
+    try:
+        return PTDecoder(module).decode(raw, keep)
+    except DecodeError as err:
+        return err
+
+
 @settings(FUZZ, max_examples=200)
 @given(data=st.data())
 def test_pt_decoder_raises_only_decode_errors(pt_inputs, data):
     module, raw = data.draw(st.sampled_from(pt_inputs))
     raw = data.draw(mutated([raw], [other for _, other in pt_inputs]))
-    try:
-        PTDecoder(module).decode(raw)
-    except DecodeError:
-        pass
+    keep = data.draw(st.sets(st.integers(0, module.num_instructions())))
+    full = _decode(module, raw)
+    pruned = _decode(module, raw, keep)
+    if isinstance(full, DecodeError):
+        assert isinstance(pruned, DecodeError)
+        assert (str(pruned), pruned.offset) == (str(full), full.offset)
+    else:
+        assert pruned.kept == [uid for uid in full.executed_sequence()
+                               if uid in keep]
+        assert pruned.branches == full.branches
 
 
 @settings(FUZZ, max_examples=100)
