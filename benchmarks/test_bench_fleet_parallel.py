@@ -4,8 +4,8 @@ Two claims about the process-pool engine, measured explicitly:
 
 1. **Byte-identity** — for every corpus bug, a campaign run on the warm
    process pool produces exactly the same statistics and rendered sketch
-   as the serial reference engine.  Parallelism must never buy speed with
-   determinism.
+   as the reference engine, one thread worker running every job inline.
+   Parallelism must never buy speed with determinism.
 2. **Scaling** — monitored-run throughput (runs/sec) at 1/2/4/8 workers,
    threads vs processes, on the heaviest corpus workload.  The thread
    engine is GIL-serialized and stays flat; the process engine scales
@@ -59,18 +59,18 @@ def _campaign(spec, executor, workers):
 
 def _identity_row(bug_id: str) -> dict:
     spec = get_bug(bug_id)
-    serial = _campaign(spec, "serial", 1)
+    inline = _campaign(spec, "threads", 1)
     processes = _campaign(spec, "processes", 2)
-    stats_equal = all(getattr(serial, f) == getattr(processes, f)
+    stats_equal = all(getattr(inline, f) == getattr(processes, f)
                       for f in _AB_FIELDS)
     sketch_equal = (
-        serial.sketch is not None and processes.sketch is not None
-        and render_sketch(serial.sketch) == render_sketch(processes.sketch))
+        inline.sketch is not None and processes.sketch is not None
+        and render_sketch(inline.sketch) == render_sketch(processes.sketch))
     return {
         "identical": bool(stats_equal and sketch_equal),
-        "found": serial.found,
-        "iterations": serial.iterations,
-        "total_runs": serial.total_runs,
+        "found": inline.found,
+        "iterations": inline.iterations,
+        "total_runs": inline.total_runs,
     }
 
 
@@ -154,7 +154,7 @@ def _render(data: dict) -> str:
     lines.append(
         f"processes@4 vs threads@4: "
         f"{data['speedup_processes4_vs_threads4']:.2f}x    "
-        f"sketches byte-identical (processes vs serial): "
+        f"sketches byte-identical (processes vs threads x1): "
         f"{data['identical_bugs']}/{len(data['identity'])} bugs")
     return "\n".join(lines)
 

@@ -21,6 +21,8 @@ passed as strings otherwise (so ``run curl.minic '{}{' 400`` works).
 from __future__ import annotations
 
 import argparse
+import cProfile
+import pstats
 import sys
 from typing import List, Optional, Sequence
 
@@ -80,36 +82,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     scheduler = (RandomScheduler(args.seed, args.switch_prob)
                  if args.seed is not None else None)
     interp = Interpreter(module, args=_parse_args_values(args.args),
-                         scheduler=scheduler, max_steps=args.max_steps,
-                         mode=args.interp,
-                         profile=args.profile_run)
-    outcome = interp.run()
+                         scheduler=scheduler, max_steps=args.max_steps)
+    if args.profile_run:
+        profiler = cProfile.Profile()
+        outcome = profiler.runcall(interp.run)
+    else:
+        outcome = interp.run()
     for line in outcome.stdout:
         print(line)
-    if interp.profile_data is not None:
-        print(_format_profile(interp.profile_data), file=sys.stderr)
+    if args.profile_run:
+        pstats.Stats(profiler, stream=sys.stderr).sort_stats(
+            pstats.SortKey.TIME).print_stats(15)
     if outcome.failed:
         print(outcome.failure.format(), file=sys.stderr)
         return 1
     print(f"exit={outcome.exit_value} steps={outcome.steps} "
           f"cycles={outcome.base_cost}", file=sys.stderr)
     return 0
-
-
-def _format_profile(profile: dict) -> str:
-    """Render a profiled run's per-phase breakdown for stderr."""
-    steps = profile["steps"]
-    wall = profile["wall_s"]
-    phases = profile["phases"]
-    accounted = sum(phases.values()) or 1.0
-    lines = [f"profile: {steps} steps in {wall:.3f}s "
-             f"({steps / wall:,.0f} steps/sec)" if wall > 0
-             else f"profile: {steps} steps"]
-    for name in ("schedule", "fetch", "trace", "dispatch"):
-        seconds = phases[name]
-        lines.append(f"  {name:<9} {seconds:8.3f}s "
-                     f"{100.0 * seconds / accounted:5.1f}%")
-    return "\n".join(lines)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -120,7 +109,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                  if args.seed is not None else None)
     interp = Interpreter(module, args=_parse_args_values(args.args),
                          scheduler=scheduler, tracers=[encoder],
-                         max_steps=args.max_steps, mode=args.interp)
+                         max_steps=args.max_steps)
     outcome = interp.run()
     decoder = PTDecoder(module)
     print(f"run: {'FAILED' if outcome.failed else 'ok'}, "
@@ -156,7 +145,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
                                     args.switch_prob)
         interp = Interpreter(module, args=_parse_args_values(args.args),
                              scheduler=scheduler, tracers=[encoder],
-                             max_steps=args.max_steps, mode=args.interp)
+                             max_steps=args.max_steps)
         interp.run()
         for tid in sorted(encoder.buffers):
             traces.append(decoder.decode(encoder.raw_trace(tid)))
@@ -199,7 +188,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 analysis_cache_dir=args.cache_dir,
                 transport=args.fleet_transport,
                 fault_plan=args.fault_plan,
-                interp_mode=args.interp,
                 shards=args.shards,
                 cohort_size=args.cohort_size,
                 cohort_share=args.cohort_share,
@@ -269,7 +257,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                 executor=args.executor,
                 transport=args.fleet_transport,
                 fault_plan=args.fault_plan,
-                interp_mode=args.interp,
                 journal_dir=args.journal_dir,
                 batch_bytes=args.batch_bytes,
                 batch_ms=args.batch_ms,
@@ -325,7 +312,6 @@ def _cmd_corpus_campaign(args: argparse.Namespace) -> int:
                          fault_plan=args.fault_plan,
                          transport=args.fleet_transport,
                          journal_dir=args.journal_dir,
-                         interp_mode=args.interp,
                          max_iterations=args.max_iterations,
                          ranker=args.ranker, stats=args.stats)
     result = plane.run()
@@ -416,20 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def interp_flag(p):
-        p.add_argument("--interp", choices=("compiled", "decoded"),
-                       default=None,
-                       help="interpreter tier: 'compiled' (GIR compiled to "
-                            "Python, default; instrumented runs too) or "
-                            "'decoded' (pre-decoded streams)")
-
     def common_run_flags(p):
         p.add_argument("args", nargs="*", help="program arguments")
         p.add_argument("--seed", type=int, default=None,
                        help="random-scheduler seed")
         p.add_argument("--switch-prob", type=float, default=0.02)
         p.add_argument("--max-steps", type=int, default=500_000)
-        interp_flag(p)
 
     p = sub.add_parser("compile", help="compile MiniC and dump GIR")
     p.add_argument("program")
@@ -439,10 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     common_run_flags(p)
     p.add_argument("--profile-run", action="store_true",
-                   help="print a per-phase breakdown of interpreter time "
-                        "(schedule/fetch/trace/dispatch) to stderr; it "
-                        "times the decoded loop, whose schedule phase is "
-                        "a per-step pick the compiled tier draws inline")
+                   help="profile the run with cProfile and print the 15 "
+                        "functions with the most internal time to stderr "
+                        "(generated GIR functions show as _fn_<name>)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("trace", help="run under full Intel-PT tracing")
@@ -489,16 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(str(err))
 
     def fleet_flags(p):
+        from .fleet.executors import EXECUTOR_KINDS
+
         p.add_argument("--fleet-workers", type=positive_int, default=1,
                        help="concurrent client runs per fleet batch "
                             "(results are deterministic for any value)")
-        p.add_argument("--executor",
-                       choices=("serial", "threads", "processes"),
+        p.add_argument("--executor", choices=EXECUTOR_KINDS,
                        default="threads",
-                       help="execution engine for client runs: 'serial', "
-                            "'threads' (default), or 'processes' (warm "
-                            "worker pool — true parallelism; results are "
-                            "byte-identical across engines)")
+                       help="execution engine for client runs: 'threads' "
+                            "(default; inline at one worker) or "
+                            "'processes' (warm worker pool — true "
+                            "parallelism; results are byte-identical "
+                            "across engines)")
         p.add_argument("--cache-dir", default=None,
                        help="directory for the on-disk analysis-artifact "
                             "cache (repeat invocations skip cold analysis)")
@@ -607,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=cmd_corpus)
     cp = csub.add_parser("diagnose", help="run a campaign on a corpus bug")
     cp.add_argument("bug_id")
-    interp_flag(cp)
     cp.add_argument("--endpoints", type=int, default=4)
     cp.add_argument("--max-iterations", type=int, default=6)
     cp.add_argument("--html", default=None)
@@ -620,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "campaigns over one shared fleet")
     cp.add_argument("bug_ids", nargs="+",
                     help="corpus bug ids (or the single word 'all')")
-    interp_flag(cp)
     cp.add_argument("--endpoints", type=int, default=4)
     cp.add_argument("--max-iterations", type=int, default=6)
     cp.add_argument("--show-sketches", action="store_true",

@@ -92,7 +92,7 @@ class GistClient:
     def __init__(self, module: Module, endpoint_id: int = 0,
                  ptwrite: bool = False,
                  extended_predicates: bool = False,
-                 interp_mode: Optional[str] = None,
+                 interp_mode: str = "compiled",
                  detectors: tuple = ()) -> None:
         self.module = module
         self.endpoint_id = endpoint_id
@@ -103,7 +103,7 @@ class GistClient:
         #: (every endpoint of a fleet must agree, so statistics line up).
         self.extended_predicates = extended_predicates
         #: Interpreter tier ("compiled"/"decoded") of every run,
-        #: monitored or not; None defers to the process default.
+        #: monitored or not; the decoded tier is the equivalence oracle.
         self.interp_mode = interp_mode
         #: Detection-subsystem tracers attached to every run of this
         #: endpoint (see :mod:`repro.detect`): fresh instances per run,

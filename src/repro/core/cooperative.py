@@ -19,8 +19,9 @@ Client workloads are embarrassingly parallel — each run gets its own
 interpreter, PT driver, and watchpoint unit, and all static analysis lives
 in an immutable shared :class:`~repro.analysis.context.AnalysisContext` —
 so the fleet executes them in batches of ``fleet_workers`` through a
-pluggable **execution engine** (:mod:`repro.fleet.executors`): serial,
-thread pool (the default), or a warm process pool that escapes the GIL.
+pluggable **execution engine** (:mod:`repro.fleet.executors`): a thread
+pool (the default; inline at one worker) or a warm process pool that
+escapes the GIL.
 Determinism is preserved by construction, identically for every engine:
 batch results are aggregated strictly in run-id order on the server
 thread, the server stops consuming at exactly the run where the
@@ -111,7 +112,6 @@ class CooperativeDeployment:
                  engine: Optional["FleetExecutor"] = None,
                  transport: str = "wire",
                  fault_plan: Optional["FaultPlan"] = None,
-                 interp_mode: Optional[str] = None,
                  campaign_key: Optional[str] = None,
                  cohort_model=None,
                  ranker_stripes: int = 1,
@@ -149,12 +149,8 @@ class CooperativeDeployment:
                                  stats=stats)
         self.clients = [GistClient(module, endpoint_id=i, ptwrite=ptwrite,
                                    extended_predicates=extended_predicates,
-                                   interp_mode=interp_mode,
                                    detectors=self.detectors)
                         for i in range(endpoints)]
-        #: Interpreter tier for every endpoint run, monitored or not
-        #: (None = the process default).
-        self.interp_mode = interp_mode
         #: Client runs executed concurrently per batch (1 = sequential).
         self.fleet_workers = fleet_workers
         #: Which execution engine runs the batches.  An injected ``engine``
@@ -336,7 +332,6 @@ class CooperativeDeployment:
                 patch_epoch=plan.patch_epoch,
                 ptwrite=endpoint.client.ptwrite,
                 extended=endpoint.client.extended_predicates,
-                interp_mode=endpoint.client.interp_mode,
                 detectors=endpoint.client.detectors,
                 cohort=plan.cohort,
                 campaign_key=self.campaign_key))
@@ -346,10 +341,7 @@ class CooperativeDeployment:
             if plan.kind != RUN_OK:
                 results.append((plan.kind, []))
                 continue
-            job_result = next(job_results)
-            results.append(endpoint.package(
-                plan, job_result.failed, job_result.failure_blob,
-                job_result.monitored_blob))
+            results.append(endpoint.package(plan, next(job_results).uplink))
         return results
 
     def _transmit(self, epoch: int, run_id: int, messages) -> None:

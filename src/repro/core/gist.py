@@ -78,7 +78,6 @@ class Gist:
                  engine=None,
                  transport: str = "wire",
                  fault_plan=None,
-                 interp_mode: Optional[str] = None,
                  shards: int = 1,
                  cohort_size: int = 1,
                  cohort_share: float = 1.0,
@@ -104,7 +103,7 @@ class Gist:
             module, cache_dir=analysis_cache_dir)
         #: Concurrent client runs per fleet batch (1 = sequential).
         self.fleet_workers = fleet_workers
-        #: Execution engine kind: ``"serial"``, ``"threads"`` (default) or
+        #: Execution engine kind: ``"threads"`` (default) or
         #: ``"processes"`` (warm worker pool, escapes the GIL).
         self.executor = executor
         #: Pre-built :class:`repro.fleet.FleetExecutor` to reuse across
@@ -117,9 +116,6 @@ class Gist:
         #: Optional :class:`repro.fleet.FaultPlan` injected at the
         #: transport boundary.
         self.fault_plan = fault_plan
-        #: Interpreter tier for every endpoint run
-        #: ("compiled"/"decoded"; None = process default).
-        self.interp_mode = interp_mode
         #: Control-plane shard count.  With the defaults below (1 shard,
         #: cohort of 1) diagnosis takes the classic single-campaign path,
         #: byte-identical to pre-control-plane behaviour; any other value
@@ -188,7 +184,7 @@ class Gist:
             context=self.context, fleet_workers=self.fleet_workers,
             executor=self.executor, engine=self.engine,
             transport=self.transport, fault_plan=self.fault_plan,
-            interp_mode=self.interp_mode, journal_dir=self.journal_dir,
+            journal_dir=self.journal_dir,
             batch_bytes=self.batch_bytes, batch_ms=self.batch_ms,
             detectors=self.detectors, ranker=self.ranker,
             stats=self.stats)
@@ -224,7 +220,7 @@ class Gist:
             fleet_workers=self.fleet_workers, executor=self.executor,
             engine=self.engine, fault_plan=self.fault_plan,
             transport=self.transport, journal_dir=self.journal_dir,
-            interp_mode=self.interp_mode, ptwrite=self.ptwrite,
+            ptwrite=self.ptwrite,
             extended_predicates=self.extended_predicates,
             initial_sigma=initial_sigma, max_iterations=max_iterations,
             max_runs_per_iteration=max_runs_per_iteration,

@@ -14,7 +14,7 @@ supplies that network for the simulated fleet:
   client crashes, churn, and stragglers;
 - :mod:`repro.fleet.endpoint` — the wire-speaking endpoint wrapper;
 - :mod:`repro.fleet.executors` / :mod:`repro.fleet.procpool` — the
-  pluggable execution engines (serial / threads / warm process pool)
+  pluggable execution engines (threads / warm process pool)
   the deployment schedules client runs through;
 - :mod:`repro.fleet.socket_transport` — the same channel contract over a
   real Unix-domain/TCP socket with frame batching, pipelined delivery,
@@ -67,7 +67,6 @@ from .executors import (
     FleetExecutor,
     JobResult,
     RunJob,
-    SerialExecutor,
     ThreadExecutor,
     make_executor,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "RecoveredState",
     "RunJob",
     "RunPlan",
-    "SerialExecutor",
     "SocketChannel",
     "SocketFleetTransport",
     "SocketHub",

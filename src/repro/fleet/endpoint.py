@@ -26,7 +26,7 @@ from .transport import FleetTransport
 from . import wire
 
 if TYPE_CHECKING:  # typing only — keeps fleet importable without core
-    from ..core.client import GistClient
+    from ..core.client import ClientRunResult, GistClient
     from ..core.workload import Workload
     from ..instrument.patch import Patch
 
@@ -36,6 +36,32 @@ RUN_CRASHED = "crashed"
 RUN_CHURNED = "churned"
 
 EndpointRun = Tuple[str, List[Tuple[str, bytes, bool]]]
+
+#: The one envelope a run sends: ``(msg_type, encoded payload)``.
+Uplink = Tuple[str, bytes]
+
+
+def encode_uplink(result: ClientRunResult, epoch: Optional[int],
+                  campaign: Optional[str] = None,
+                  cohort: int = 1) -> Optional[Uplink]:
+    """Encode the one envelope a client run sends, or None.
+
+    An instrumented run sends its monitored run, tagged with the patch
+    epoch it ran and stamped with its cohort multiplicity; otherwise a
+    failed run sends its failure report, and any other run sends
+    nothing.  Every execution path (in-process endpoints, worker
+    processes, standalone clients) encodes through here, so they all
+    emit the same bytes.
+    """
+    if result.monitored is not None:
+        if cohort > 1:
+            result.monitored.cohort = cohort
+        return wire.MSG_MONITORED_RUN, wire.encode_monitored_run(
+            result.monitored, epoch=epoch, campaign=campaign)
+    if result.outcome.failure is not None:
+        return wire.MSG_FAILURE_REPORT, wire.encode_failure_report(
+            result.outcome.failure, campaign=campaign)
+    return None
 
 
 @dataclass(frozen=True)
@@ -213,24 +239,15 @@ class FleetEndpoint:
                        straggles=straggles,
                        cohort=self._cohort_of(campaign, run_id))
 
-    def package(self, plan: RunPlan, failed: bool,
-                failure_blob: Optional[bytes],
-                monitored_blob: Optional[bytes]) -> EndpointRun:
-        """Assemble an executed run's outbound messages from its envelopes.
-
-        Accepts the already encoded wire payloads — produced either right
-        here in :meth:`execute` or by a worker process — so both paths
-        emit byte-identical traffic.
-        """
-        messages: List[Tuple[str, bytes, bool]] = []
-        if monitored_blob is not None:
-            messages.append((wire.MSG_MONITORED_RUN, monitored_blob,
-                             plan.straggles))
-        elif failed:
-            assert failure_blob is not None
-            messages.append((wire.MSG_FAILURE_REPORT, failure_blob,
-                             plan.straggles))
-        return RUN_OK, messages
+    @staticmethod
+    def package(plan: RunPlan, uplink: Optional[Uplink]) -> EndpointRun:
+        """Assemble an executed run's outbound messages from its envelope
+        (:func:`encode_uplink`, run here in :meth:`execute` or in a
+        worker process)."""
+        if uplink is None:
+            return RUN_OK, []
+        msg_type, payload = uplink
+        return RUN_OK, [(msg_type, payload, plan.straggles)]
 
     def execute(self, workload: Workload, run_id: int,
                 campaign: Optional[str] = None) -> EndpointRun:
@@ -244,15 +261,5 @@ class FleetEndpoint:
         if plan.kind != RUN_OK:
             return plan.kind, []
         result = self.client.run(workload, patch=plan.patch, run_id=run_id)
-        failure_blob = None
-        if result.outcome.failed and result.outcome.failure is not None:
-            failure_blob = wire.encode_failure_report(
-                result.outcome.failure, campaign=campaign)
-        monitored_blob = None
-        if result.monitored is not None:
-            if plan.cohort > 1:
-                result.monitored.cohort = plan.cohort
-            monitored_blob = wire.encode_monitored_run(
-                result.monitored, epoch=plan.patch_epoch, campaign=campaign)
-        return self.package(plan, result.outcome.failed, failure_blob,
-                            monitored_blob)
+        return self.package(plan, encode_uplink(
+            result, plan.patch_epoch, campaign, plan.cohort))

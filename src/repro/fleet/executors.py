@@ -5,11 +5,11 @@ client runs, and those runs are embarrassingly parallel: each gets its own
 interpreter, PT driver, and watchpoint unit.  This module defines the
 **execution engine** boundary the deployment schedules them through:
 
-- :class:`SerialExecutor` — in-process, sequential; the reference.
 - :class:`ThreadExecutor` — the original ``ThreadPoolExecutor`` batching.
   Threads share the module and patches by reference (zero serialization),
   but the pure-Python interpreter is GIL-serialized, so this engine
-  overlaps only the tiny I/O slices of a run.
+  overlaps only the tiny I/O slices of a run.  At one worker it runs
+  every item inline, in order: the reference engine.
 - :class:`~repro.fleet.procpool.ProcessExecutor` — warm worker
   *processes* (see :mod:`repro.fleet.procpool`).  True CPU parallelism;
   jobs and results cross the process boundary as the canonical wire
@@ -24,7 +24,7 @@ seed every engine consumes the identical run stream and produces
 byte-identical campaign statistics and sketches (see
 ``tests/fleet/test_executors.py`` and ``BENCH_fleet_parallel.json``).
 
-Local engines (serial, threads) execute arbitrary closures via
+The local engine (threads) executes arbitrary closures via
 :meth:`FleetExecutor.map`.  Remote engines (``remote = True``) cannot ship
 closures; the deployment hands them picklable :class:`RunJob` descriptors
 instead and gets :class:`JobResult` envelopes back via
@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 #: The engine names the CLI exposes (``--executor``).
-EXECUTOR_KINDS = ("serial", "threads", "processes")
+EXECUTOR_KINDS = ("threads", "processes")
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,6 @@ class RunJob:
     patch_epoch: Optional[int] = None
     ptwrite: bool = False
     extended: bool = False
-    #: Interpreter tier for the worker ("compiled"/"decoded";
-    #: None = the worker process's default).
-    interp_mode: Optional[str] = None
     #: Cohort multiplicity, resolved main-side: the worker stamps it onto
     #: the monitored run before encoding so the envelope carries it.
     cohort: int = 1
@@ -78,18 +75,15 @@ class RunJob:
 
 @dataclass(frozen=True)
 class JobResult:
-    """What one job sends back: run outcome flags plus wire envelopes.
+    """What one job sends back: the run's one uplink envelope.
 
-    ``monitored_blob`` is the canonical ``monitored_run`` envelope (only
-    for instrumented runs); ``failure_blob`` is the ``failure_report``
-    envelope, present whenever the run failed.  Both decode with
-    :func:`repro.fleet.wire.decode_message`.
+    ``uplink`` is the ``(msg_type, payload)`` pair
+    :func:`repro.fleet.endpoint.encode_uplink` built in the worker, or
+    None for a run that sends nothing.
     """
 
     run_id: int
-    failed: bool
-    failure_blob: Optional[bytes] = None
-    monitored_blob: Optional[bytes] = None
+    uplink: Optional[Tuple[str, bytes]] = None
 
 
 class FleetExecutor:
@@ -123,20 +117,11 @@ class FleetExecutor:
         self.close()
 
 
-class SerialExecutor(FleetExecutor):
-    """In-process, strictly sequential execution — the reference engine."""
-
-    kind = "serial"
-
-    def map(self, fn: Callable, items: Iterable) -> List:
-        return [fn(item) for item in items]
-
-
 class ThreadExecutor(FleetExecutor):
-    """Thread-pool batching (the pre-engine behaviour, kept as default).
+    """Thread-pool batching (the default engine).
 
-    With ``jobs == 1`` nothing is ever spawned and execution is inline —
-    byte-identical to :class:`SerialExecutor` at zero cost.
+    With ``jobs == 1`` nothing is ever spawned and execution is inline,
+    in input order — the reference every other engine must match.
     """
 
     kind = "threads"
@@ -170,9 +155,7 @@ class ThreadExecutor(FleetExecutor):
 
 
 def make_executor(kind: str, jobs: int = 1) -> FleetExecutor:
-    """Build an engine by CLI name (``serial``/``threads``/``processes``)."""
-    if kind == "serial":
-        return SerialExecutor()
+    """Build an engine by CLI name (``threads``/``processes``)."""
     if kind == "threads":
         return ThreadExecutor(jobs)
     if kind == "processes":

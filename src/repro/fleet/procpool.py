@@ -7,9 +7,10 @@ monitored-run job to a pool of **warm worker processes** instead:
 - Workers are warm in the sense that matters for this workload: the
   program module is unpickled once per worker and cached by content
   digest, and instrumentation patches are decoded once per worker and
-  cached by their encoded wire bytes.  The interpreter's pre-decoded
-  instruction streams key off the module object, so a warm worker also
-  reuses those across every run of the campaign.
+  cached by their encoded wire bytes.  Workers always run the compiled
+  tier, whose generated program is cached by module object
+  (``compiled_program``), so a warm worker compiles a module once and
+  reuses that program across every run of the campaign.
 - Everything crossing the process boundary is either a tiny pickled
   descriptor (:class:`~repro.fleet.executors.RunJob`) or a **canonical
   wire envelope** from :mod:`repro.fleet.wire` — the exact bytes a
@@ -25,7 +26,7 @@ Determinism: a worker computes a pure function of its job descriptor —
 the workload factory, fault plan, and patch choice were all resolved by
 the deployment before the job was built — and the deployment aggregates
 results in run-id order.  A fixed seed therefore yields byte-identical
-campaigns for 1 or N workers, processes or threads or serial.
+campaigns for 1 or N workers, processes or threads.
 
 The pool prefers the ``fork`` start method when the platform offers it
 (workers inherit the loaded code instantly); elsewhere it falls back to
@@ -41,6 +42,7 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .endpoint import encode_uplink
 from .executors import FleetExecutor, JobResult, RunJob
 from . import wire
 
@@ -88,23 +90,10 @@ def _worker_run(job: RunJob) -> JobResult:
     client = GistClient(module, endpoint_id=job.endpoint_id,
                         ptwrite=job.ptwrite,
                         extended_predicates=job.extended,
-                        interp_mode=job.interp_mode,
                         detectors=job.detectors)
     result = client.run(job.workload, patch=patch, run_id=job.run_id)
-    failure_blob = None
-    if result.outcome.failed and result.outcome.failure is not None:
-        failure_blob = wire.encode_failure_report(
-            result.outcome.failure, campaign=job.campaign_key)
-    monitored_blob = None
-    if result.monitored is not None:
-        if job.cohort > 1:
-            result.monitored.cohort = job.cohort
-        monitored_blob = wire.encode_monitored_run(
-            result.monitored, epoch=job.patch_epoch,
-            campaign=job.campaign_key)
-    return JobResult(run_id=job.run_id, failed=result.outcome.failed,
-                     failure_blob=failure_blob,
-                     monitored_blob=monitored_blob)
+    return JobResult(run_id=job.run_id, uplink=encode_uplink(
+        result, job.patch_epoch, job.campaign_key, job.cohort))
 
 
 # ---------------------------------------------------------------------------

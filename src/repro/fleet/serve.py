@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import wire
+from .endpoint import encode_uplink
 from .socket_transport import (
     CHAN_DOWNLINK_BASE,
     CHAN_UPLINK,
@@ -568,16 +569,12 @@ class FleetClientProcess:
                 result = clients[i].run(workload, patch=patches[i],
                                         run_id=run_id)
                 runs_done += 1
-                try:
-                    if result.monitored is not None:
-                        self._send_up(wire.encode_monitored_run(
-                            result.monitored, epoch=epochs[i]))
-                    elif result.outcome.failed and \
-                            result.outcome.failure is not None:
-                        self._send_up(wire.encode_failure_report(
-                            result.outcome.failure))
-                except TransportClosed:
-                    continue  # EOF path above will reconnect
+                uplink = encode_uplink(result, epochs[i])
+                if uplink is not None:
+                    try:
+                        self._send_up(uplink[1])
+                    except TransportClosed:
+                        continue  # EOF path above will reconnect
             self.log(f"[client {self.base}] timed out after "
                      f"{runs_done} runs")
             return 1

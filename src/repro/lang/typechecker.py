@@ -107,6 +107,9 @@ class TypeChecker:
                         and fdecl.array_size == 0:
                     raise TypeError_(
                         f"struct {decl.name} contains itself", fdecl)
+                if st.has_field(fdecl.name):
+                    raise TypeError_(f"duplicate field {fdecl.name!r} in "
+                                     f"struct {decl.name}", fdecl)
                 if fdecl.array_size > 0:
                     st.add_field(fdecl.name, ArrayType(ftype, fdecl.array_size))
                 else:

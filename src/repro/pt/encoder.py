@@ -52,12 +52,13 @@ class PTBuffer:
 
     def _append(self, chunk: bytes) -> None:
         self.bytes_written += len(chunk)
+        if self.overflowed:
+            return  # dropped: nothing follows the OVF marker
         if len(self.data) + len(chunk) > self.capacity:
-            if not self.overflowed:
-                self.overflowed = True
-                ovf = P.encode_ovf()
-                if len(self.data) + len(ovf) <= self.capacity:
-                    self.data.extend(ovf)
+            self.overflowed = True
+            ovf = P.encode_ovf()
+            if len(self.data) + len(ovf) <= self.capacity:
+                self.data.extend(ovf)
             return  # dropped
         self.data.extend(chunk)
 

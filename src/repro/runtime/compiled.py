@@ -959,7 +959,7 @@ def _site_gates(interp) -> Tuple[object, object]:
 class CompiledProgram:
     """The exec-compiled generator functions for every function of a module."""
 
-    __slots__ = ("module", "epoch", "source", "functions", "params",
+    __slots__ = ("module", "epoch", "source_bytes", "functions", "params",
                  "every_uid")
 
     def __init__(self, module: Module) -> None:
@@ -971,14 +971,15 @@ class CompiledProgram:
             mc = _ModuleCompiler(module)
             ns = mc.ns
             filename = f"<gir-compiled:{id(module):#x}@{self.epoch}>"
-            chunks = []
+            #: Size of the generated source; the source itself is dropped
+            #: once compiled, since only the code objects run.
+            self.source_bytes = 0
             for fname, func in module.functions.items():
                 chunk = _FunctionCompiler(mc, fname, func).compile()
                 # One function at a time: the syntax tree of a whole
                 # module's source was the peak of its set-up memory.
                 exec(compile(chunk, filename, "exec"), ns)
-                chunks.append(chunk)
-            self.source = "\n\n".join(chunks)
+                self.source_bytes += len(chunk)
             self.functions = {fname: ns[mc.fn_names.get(fname)]
                               for fname in module.functions}
             self.params = {fname: tuple(func.params)

@@ -18,8 +18,9 @@ Two tiers execute the same semantics (``mode=``):
   cannot lower (:class:`~repro.runtime.compiled.CompileError`) falls back
   to the decoded tier.
 - The **decoded** tier steps through pre-decoded closure streams
-  (:mod:`repro.runtime.decoded`); ``profile=True`` runs its loop with
-  per-phase timers.
+  (:mod:`repro.runtime.decoded`).  It is the oracle the equivalence suite
+  runs against: only ``mode="decoded"`` (or a module the compiler rejects)
+  reaches it, and only then is the module decoded.
 
 Both are pinned to digests of the retired reference interpreter's events,
 PT buffers, trap logs, outcomes and cost accounting
@@ -49,8 +50,6 @@ scheduler only when the draw says "switch"
 
 from __future__ import annotations
 
-import os
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..lang.ir import (
@@ -95,14 +94,6 @@ from .threads import Frame, Thread, ThreadStatus
 Hook = Tuple[Callable[["Interpreter", int, Instr], None], int]
 
 ArgValue = Union[int, str]
-
-#: Process-wide default execution tier for runs that pass no ``mode=``:
-#: "compiled" (GIR compiled to Python source) or "decoded" (pre-decoded
-#: closure streams).  Overridable via the ``REPRO_INTERP_MODE`` environment
-#: variable and the CLI ``--interp`` flag — the lever the equivalence tests
-#: use to run whole campaigns on the decoded tier without threading a flag
-#: through every call site.
-INTERP_MODE_DEFAULT = os.environ.get("REPRO_INTERP_MODE", "") or "compiled"
 
 _VALID_MODES = ("compiled", "decoded")
 
@@ -190,8 +181,7 @@ class Interpreter:
         max_steps: global retired-instruction budget; exceeding it reports a
             HANG failure (the paper treats hangs as failures Gist
             understands, §3.3).
-        profile: collect a per-phase wall-clock breakdown of the hot loop
-            (schedule/fetch/trace/dispatch) into :attr:`profile_data`.
+        mode: execution tier, ``"compiled"`` or ``"decoded"``.
     """
 
     def __init__(
@@ -203,23 +193,23 @@ class Interpreter:
         tracers: Sequence[Tracer] = (),
         hooks: Optional[Dict[int, List[Hook]]] = None,
         max_steps: int = 500_000,
-        profile: bool = False,
-        mode: Optional[str] = None,
+        mode: str = "compiled",
     ) -> None:
         if not module.finalized:
             raise ValueError("module must be finalized")
         if entry not in module.functions:
             raise ValueError(f"no entry function {entry!r}")
+        if mode not in _VALID_MODES:
+            raise ValueError(
+                f"unknown interpreter mode {mode!r}; "
+                f"expected one of {_VALID_MODES}")
         self.module = module
         self.entry = entry
         self.scheduler = scheduler or RoundRobinScheduler()
         self.tracers: List[Tracer] = list(tracers)
         self.hooks: Dict[int, List[Hook]] = hooks or {}
         self.max_steps = max_steps
-        self.mode = self._resolve_mode(mode)
-        self.profile = profile
-        #: Filled by a profiled run: {"steps", "wall_s", "phases": {...}}.
-        self.profile_data: Optional[Dict[str, object]] = None
+        self.mode = mode
 
         self.memory = Memory()
         self.mutexes = MutexTable()
@@ -243,11 +233,6 @@ class Interpreter:
         # locals every generated function unpacks.
         self._charges = 0
         self._run_locals: Optional[tuple] = None
-        # Per-event-kind subscriber lists: None (nobody pays, nobody
-        # listens) or (total static cost, [bound handlers]).  Computed
-        # here and again at run start (events fired before run() — e.g.
-        # from tests poking _do_builtin directly — still dispatch).
-        self._decoded = decoded_program(module)
         self._compiled = None
         if self.mode == "compiled":
             try:
@@ -256,21 +241,15 @@ class Interpreter:
                 # Unsupported construct: fall back to the decoded tier for
                 # this module (semantics are identical; only speed differs).
                 self.mode = "decoded"
+        # Per-event-kind subscriber lists: None (nobody pays, nobody
+        # listens) or (total static cost, [bound handlers]).  Computed
+        # here and again at run start (events fired before run() — e.g.
+        # from tests poking _do_builtin directly — still dispatch).
         self._compute_dispatch()
 
         self._map_globals()
         self._map_strings()
         self._spawn_entry(list(args))
-
-    @staticmethod
-    def _resolve_mode(mode: Optional[str]) -> str:
-        """The explicit ``mode``, else :data:`INTERP_MODE_DEFAULT`."""
-        mode = mode or INTERP_MODE_DEFAULT
-        if mode not in _VALID_MODES:
-            raise ValueError(
-                f"unknown interpreter mode {mode!r}; "
-                f"expected one of {_VALID_MODES}")
-        return mode
 
     # ------------------------------------------------------------------ setup
 
@@ -445,9 +424,7 @@ class Interpreter:
         for tracer in self.tracers:
             tracer.on_start(self)
         try:
-            if self.profile:
-                self._loop_profiled()
-            elif self._compiled is not None:
+            if self._compiled is not None:
                 self._loop_compiled()
             else:
                 self._loop()
@@ -505,7 +482,7 @@ class Interpreter:
         max_steps = self.max_steps
         cost = self.cost
         counts = cost.counts
-        blocks = self._decoded.blocks
+        blocks = decoded_program(self.module).blocks
         step_subs = self._step_subs
         while True:
             runnable = self._runnable_tids()
@@ -610,93 +587,6 @@ class Interpreter:
                     pending = None
         finally:
             program.settle(self)
-
-    def _loop_profiled(self) -> None:
-        """The decoded hot path with per-phase wall-clock accounting (opt-in
-        via ``--profile-run``; the timers roughly double per-step overhead,
-        so this is never the default).  Its ``schedule`` phase times the
-        decoded loop's per-step ``pick``, which the default compiled tier
-        replaces with an inline draw."""
-        threads = self.threads
-        pick = self.scheduler.pick
-        hooks = self.hooks
-        has_hooks = bool(hooks)
-        max_steps = self.max_steps
-        cost = self.cost
-        counts = cost.counts
-        blocks = self._decoded.blocks
-        step_subs = self._step_subs
-        phases = {"schedule": 0.0, "fetch": 0.0, "trace": 0.0,
-                  "dispatch": 0.0}
-        started = perf_counter()
-        try:
-            while True:
-                t0 = perf_counter()
-                runnable = self._runnable_tids()
-                if not runnable:
-                    statuses = {t.status for t in threads.values()}
-                    if statuses <= {ThreadStatus.FINISHED}:
-                        return
-                    if ThreadStatus.SLEEPING in statuses:
-                        self._advance_past_sleep()
-                        continue
-                    self._report_deadlock()
-                tid = pick(runnable, self._current_tid)
-                if tid not in runnable:
-                    tid = runnable[0]
-                self._current_tid = tid
-                t1 = perf_counter()
-                phases["schedule"] += t1 - t0
-                thread = threads[tid]
-                frame = thread.frames[-1]
-                dcode = frame.dcode
-                if dcode is None:
-                    frame.dcode = dcode = \
-                        blocks[(frame.function, frame.block)]
-                record = dcode[frame.index]
-                self.global_step = step = self.global_step + 1
-                cost.base_cost += record[1]
-                opkey = record[2]
-                try:
-                    counts[opkey] += 1
-                except KeyError:
-                    counts[opkey] = 1
-                t2 = perf_counter()
-                phases["fetch"] += t2 - t1
-                if step_subs is not None:
-                    self.extra_cost += step_subs[0]
-                    handlers = step_subs[1]
-                    if handlers:
-                        ins = record[3]
-                        for fn in handlers:
-                            fn(self, tid, ins)
-                if has_hooks:
-                    hook_list = hooks.get(record[3].uid)
-                    if hook_list:
-                        ins = record[3]
-                        for hook, hook_cost in hook_list:
-                            self.extra_cost += hook_cost
-                            hook(self, tid, ins)
-                t3 = perf_counter()
-                phases["trace"] += t3 - t2
-                try:
-                    record[0](self, tid, thread, frame)
-                except MemoryFault as fault:
-                    self._fail(fault.kind, tid, record[3].uid,
-                               fault.detail, fault.address)
-                finally:
-                    phases["dispatch"] += perf_counter() - t3
-                if step > max_steps:
-                    thread = threads[tid]
-                    pc = self._current_pc(thread)
-                    self._fail(FailureKind.HANG, tid, pc,
-                               f"exceeded {max_steps} steps")
-        finally:
-            self.profile_data = {
-                "steps": self.global_step,
-                "wall_s": perf_counter() - started,
-                "phases": phases,
-            }
 
     def _advance_past_sleep(self) -> None:
         wake = min(t.wake_at_step for t in self.threads.values()
@@ -990,10 +880,8 @@ def run_program(
     hooks: Optional[Dict[int, List[Hook]]] = None,
     entry: str = "main",
     max_steps: int = 500_000,
-    mode: Optional[str] = None,
 ) -> RunOutcome:
     """One-shot convenience wrapper: build an interpreter and run it."""
     interp = Interpreter(module, entry=entry, args=args, scheduler=scheduler,
-                         tracers=tracers, hooks=hooks, max_steps=max_steps,
-                         mode=mode)
+                         tracers=tracers, hooks=hooks, max_steps=max_steps)
     return interp.run()

@@ -1,7 +1,7 @@
 """Execution engines must not change campaign results — only their speed.
 
 The deployment draws run descriptors sequentially, executes each batch
-through a pluggable engine (serial / threads / warm process pool), and
+through a pluggable engine (threads / warm process pool), and
 aggregates results in run-id order on the server thread.  For a fixed
 seed, every engine must therefore produce identical ``IterationResult``
 trajectories and byte-identical final sketches — including over the wire
@@ -21,7 +21,6 @@ from repro.corpus import get_bug
 from repro.fleet import parse_fault_plan
 from repro.fleet.executors import (
     EXECUTOR_KINDS,
-    SerialExecutor,
     ThreadExecutor,
     make_executor,
 )
@@ -29,8 +28,9 @@ from repro.fleet.procpool import ProcessExecutor
 
 BUG = "pbzip2-1"
 
-#: (executor, workers) matrix every equivalence test runs over.
-ENGINES = [("serial", 1), ("threads", 4), ("processes", 2)]
+#: (executor, workers) matrix every equivalence test runs over.  The
+#: first, one thread worker, runs every job inline: the reference.
+ENGINES = [("threads", 1), ("threads", 4), ("processes", 2)]
 
 
 def run_campaign(executor: str, workers: int, fault_plan=None):
@@ -47,28 +47,27 @@ def run_campaign(executor: str, workers: int, fault_plan=None):
 
 @pytest.fixture(scope="module")
 def by_engine():
-    return {executor: run_campaign(executor, workers)[1]
-            for executor, workers in ENGINES}
+    return {engine: run_campaign(*engine)[1] for engine in ENGINES}
 
 
 # ---------------------------------------------------------------------------
-# A/B equivalence: serial vs threads vs processes
+# A/B equivalence: threads x1 vs threads x4 vs processes
 # ---------------------------------------------------------------------------
 
 
 def test_campaign_stats_identical(by_engine):
-    serial = by_engine["serial"]
-    assert serial.found
-    for executor, _ in ENGINES[1:]:
-        stats = by_engine[executor]
-        assert stats.found == serial.found
-        assert stats.iterations == serial.iterations
-        assert stats.failure_recurrences == serial.failure_recurrences
-        assert stats.total_runs == serial.total_runs
-        assert stats.monitored_runs == serial.monitored_runs
-        assert stats.bootstrap_runs == serial.bootstrap_runs
-        assert stats.avg_overhead_percent == serial.avg_overhead_percent
-        assert stats.max_overhead_percent == serial.max_overhead_percent
+    inline = by_engine[ENGINES[0]]
+    assert inline.found
+    for engine in ENGINES[1:]:
+        stats = by_engine[engine]
+        assert stats.found == inline.found
+        assert stats.iterations == inline.iterations
+        assert stats.failure_recurrences == inline.failure_recurrences
+        assert stats.total_runs == inline.total_runs
+        assert stats.monitored_runs == inline.monitored_runs
+        assert stats.bootstrap_runs == inline.bootstrap_runs
+        assert stats.avg_overhead_percent == inline.avg_overhead_percent
+        assert stats.max_overhead_percent == inline.max_overhead_percent
 
 
 def test_iteration_trajectory_identical(by_engine):
@@ -77,26 +76,26 @@ def test_iteration_trajectory_identical(by_engine):
                  it.successful_runs, sorted(it.refinement.refined_uids()))
                 for it in stats.iteration_results]
 
-    reference = trajectory(by_engine["serial"])
-    for executor, _ in ENGINES[1:]:
-        assert trajectory(by_engine[executor]) == reference
+    reference = trajectory(by_engine[ENGINES[0]])
+    for engine in ENGINES[1:]:
+        assert trajectory(by_engine[engine]) == reference
 
 
 def test_sketch_byte_identical(by_engine):
-    reference = render_sketch(by_engine["serial"].sketch)
-    for executor, _ in ENGINES[1:]:
-        assert render_sketch(by_engine[executor].sketch) == reference
+    reference = render_sketch(by_engine[ENGINES[0]].sketch)
+    for engine in ENGINES[1:]:
+        assert render_sketch(by_engine[engine].sketch) == reference
 
 
 def test_processes_identical_under_faults():
     plan_a = parse_fault_plan("lossy:7")
     plan_b = parse_fault_plan("lossy:7")
-    _, serial = run_campaign("serial", 1, fault_plan=plan_a)
+    _, inline = run_campaign("threads", 1, fault_plan=plan_a)
     _, processes = run_campaign("processes", 2, fault_plan=plan_b)
-    assert processes.found == serial.found
-    assert processes.total_runs == serial.total_runs
-    assert processes.failure_recurrences == serial.failure_recurrences
-    assert render_sketch(processes.sketch) == render_sketch(serial.sketch)
+    assert processes.found == inline.found
+    assert processes.total_runs == inline.total_runs
+    assert processes.failure_recurrences == inline.failure_recurrences
+    assert render_sketch(processes.sketch) == render_sketch(inline.sketch)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_incremental_ranker_equals_rebuilt():
 
     from tests.core.test_golden_rankers import GOLDEN, ranker_digest
 
-    deployment, stats = run_campaign("serial", 1)
+    deployment, stats = run_campaign("threads", 1)
     campaign = campaign_of(deployment)
     assert deployment.server.ingests_applied > 0
     # The fixture's pbzip2-1 campaign differs only in allowing six
@@ -152,11 +151,11 @@ def test_ranker_carries_over_across_iterations():
 
 
 def test_make_executor_kinds():
-    assert make_executor("serial", 1).kind == "serial"
     assert make_executor("threads", 2).kind == "threads"
     assert make_executor("processes", 2).kind == "processes"
-    with pytest.raises(ValueError):
-        make_executor("fibers", 2)
+    for retired in ("fibers", "serial"):
+        with pytest.raises(ValueError):
+            make_executor(retired, 2)
     for bad in (ThreadExecutor, ProcessExecutor):
         with pytest.raises(ValueError):
             bad(0)
@@ -176,7 +175,9 @@ def test_engine_context_manager_lifecycle():
         assert engine.live_pool is not None
     assert engine.live_pool is None
     engine.close()  # idempotent
-    assert SerialExecutor().map(lambda x: x + 1, [1, 2]) == [2, 3]
+    inline = ThreadExecutor(1)
+    assert inline.map(lambda x: x + 1, [1, 2]) == [2, 3]
+    assert inline.live_pool is None  # one worker runs inline
 
 
 def test_deployment_closes_owned_engine():
@@ -209,4 +210,4 @@ def test_injected_engine_survives_deployment_close():
 
 
 def test_executor_kinds_constant():
-    assert EXECUTOR_KINDS == ("serial", "threads", "processes")
+    assert EXECUTOR_KINDS == ("threads", "processes")

@@ -63,7 +63,8 @@ class TestStructLayout:
         assert info.struct("node").size() == 2
 
     def test_duplicate_field_rejected(self):
-        with pytest.raises((TypeError_, TypeError)):
+        with pytest.raises(TypeError_,
+                           match="^1:23: duplicate field 'a' in struct s$"):
             check_src("struct s { int a; int a; }; int main() { return 0; }")
 
 

@@ -63,9 +63,9 @@ def _traced_module(n=13):
     return module, encoder.raw_trace(0)
 
 
-def _spec_streams(spec, mode=None):
+def _spec_streams(spec, mode="compiled"):
     """All (module, raw) PT streams for one corpus bug's workloads, traced
-    on tier ``mode`` (default: the process default tier)."""
+    on tier ``mode``."""
     out = []
     workloads = [spec.workload_factory(0), spec.workload_factory(1)]
     if spec.failing_probe is not None:
@@ -93,7 +93,7 @@ def _window_prefix(raw):
             return raw[:cursor._pos]
 
 
-def window_digests(spec, mode=None):
+def window_digests(spec, mode="compiled"):
     """One digest of the decoded windows per stream of ``spec`` (the
     ``{"windows": ...}`` dict alone: branch facts are checked against
     :func:`window_facts` instead)."""

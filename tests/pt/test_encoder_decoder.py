@@ -150,6 +150,14 @@ class TestWindows:
         assert buf.bytes_written > 8
         assert len(buf.data) <= 8 + 2
 
+    def test_nothing_follows_the_overflow_marker(self):
+        buf = PTBuffer(capacity=13)
+        buf.pge(5)
+        buf.tip(2 ** 28)
+        buf.tip(2 ** 28)  # does not fit: OVF, and the TIP is lost
+        buf.tnt(True)     # would fit, but must not follow a lost packet
+        assert buf.finalize().hex() == "0282" "1106" "0d8180808001" "02f3"
+
     def test_default_buffer_is_2mb(self):
         assert DEFAULT_BUFFER_BYTES == 2 * 1024 * 1024
 

@@ -30,7 +30,7 @@ def test_every_corpus_module_compiles():
 
 
 def test_generated_source_within_budget():
-    total = sum(len(program.source) for program in _programs().values())
+    total = sum(program.source_bytes for program in _programs().values())
     assert total <= SOURCE_BUDGET, (
         f"generated source grew to {total} bytes "
         f"(budget {SOURCE_BUDGET})")

@@ -33,6 +33,7 @@ intended behaviour change::
         > tests/golden/tiers.json
 """
 
+import functools
 import json
 import pickle
 from collections import Counter
@@ -43,6 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import BackwardSlicer
+from repro.core.client import GistClient
 from repro.corpus import all_bug_ids, get_bug
 from repro.detect import (
     NullOriginTracer,
@@ -350,9 +352,10 @@ def test_patched_runs_identical_across_tiers(bug_id, golden):
 
 
 def test_compiled_tier_runs_instrumented(monkeypatch):
-    """The tier contract: with tracers and hooks attached, ``compiled``
-    mode runs the compiled generators; a module the compiler rejects falls
-    back to the decoded tier with identical results."""
+    """The tier contract: with tracers and hooks attached, the default
+    ``compiled`` mode runs the compiled generators and never decodes the
+    module; a module the compiler rejects falls back to the decoded tier
+    with identical results."""
     entered = []
     for loop in ("_loop", "_loop_compiled"):
         original = getattr(Interpreter, loop)
@@ -375,11 +378,16 @@ def test_compiled_tier_runs_instrumented(monkeypatch):
             scheduler=workload.make_scheduler(),
             tracers=[EventLog(), WatchpointUnit()],
             hooks={hooked: [(lambda i, tid, ins: fired.append(tid), 1)]},
-            max_steps=workload.max_steps, mode="compiled")
+            max_steps=workload.max_steps)
         return interp.mode, _outcome_key(interp.run())
 
+    def refuse(module):
+        raise AssertionError("the compiled tier decoded the module")
+    monkeypatch.setattr(interp_mod, "decoded_program", refuse)
     mode, compiled_outcome = run()
     assert (mode, entered, fired) == ("compiled", ["_loop_compiled"], [0])
+
+    monkeypatch.setattr(interp_mod, "decoded_program", decoded_program)
 
     def reject(module):
         raise CompileError("unsupported construct")
@@ -401,14 +409,16 @@ def test_unknown_modes_rejected():
 @pytest.mark.parametrize("bug_id", all_bug_ids(include_extra=True))
 def test_decoded_campaigns_match_golden(bug_id, monkeypatch):
     """Whole diagnosis campaigns (clients construct their own interpreters)
-    on the decoded tier, toggled the way operators would — via the
-    process-wide default — reproduce ``tests/golden/campaigns.json`` at its
-    settings.  The compiled tier is pinned there by the wire-transport
-    test in ``tests/fleet/test_campaign.py``."""
+    on the decoded tier, chosen at the client seam
+    (``GistClient(interp_mode=)``), reproduce
+    ``tests/golden/campaigns.json`` at its settings.  The compiled tier is
+    pinned there by the wire-transport test in
+    ``tests/fleet/test_campaign.py``."""
     from tests.fleet.test_campaign import GOLDEN as CAMPAIGNS
     from tests.fleet.test_campaign import assert_golden_campaign
 
-    monkeypatch.setattr(interp_mod, "INTERP_MODE_DEFAULT", "decoded")
+    monkeypatch.setattr(GistClient, "__init__", functools.partialmethod(
+        GistClient.__init__, interp_mode="decoded"))
     expected = json.loads(CAMPAIGNS.read_text())["bugs"][bug_id]
     assert_golden_campaign(bug_id, expected)
 

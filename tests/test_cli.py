@@ -75,6 +75,21 @@ class TestCompileRun:
         assert main(["run", str(path), "{}{"]) == 0
         assert capsys.readouterr().out.strip() == "3"
 
+    @pytest.mark.parametrize("check", ["", 'assert(s < 1000, "too big");'])
+    def test_profile_run_profiles_the_run_it_reports(self, tmp_path, capsys,
+                                                     check):
+        path = tmp_path / "loop.minic"
+        path.write_text(PROGRAM.replace("print(s);", "print(s); " + check))
+        argv = ["run", str(path), "3000"]
+        code = main(argv)
+        plain = capsys.readouterr()
+        assert main(argv + ["--profile-run"]) == code == (1 if check else 0)
+        profiled = capsys.readouterr()
+        assert profiled.out == plain.out
+        assert "Ordered by: internal time" in profiled.err
+        assert "(_fn_main)" in profiled.err
+        assert plain.err.splitlines()[-1] == profiled.err.splitlines()[-1]
+
 
 class TestTraceSlice:
     def test_trace_reports_compression(self, program, capsys):
@@ -215,6 +230,8 @@ class TestVersionAndFleetFlags:
         ["corpus", "diagnose", "transmission-1818", "--jobs", "2"],
         ["run", "prog.minic", "--strict-dispatch"],
         ["run", "prog.minic", "--interp", "strict"],
+        ["run", "prog.minic", "--interp", "decoded"],
+        ["corpus", "diagnose", "transmission-1818", "--executor", "serial"],
     ])
     def test_retired_spellings_are_argparse_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
