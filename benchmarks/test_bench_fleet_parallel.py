@@ -98,7 +98,7 @@ def _throughput(executor: str, workers: int) -> dict:
             patches = campaign.make_patches(len(deployment.clients))
             for endpoint in deployment._fleet():
                 endpoint.begin_epoch(campaign.epoch, deployment._next_run)
-            deployment._deliver_patches(campaign, patches, campaign.epoch)
+            deployment._deliver_patches(patches, campaign.epoch)
             deployment._execute_batch_wire(workers)  # warm up
             executed = 0
             started = perf_counter()

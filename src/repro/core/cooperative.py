@@ -21,7 +21,8 @@ in an immutable shared :class:`~repro.analysis.context.AnalysisContext` —
 so the fleet executes them in batches of ``fleet_workers`` through a
 pluggable **execution engine** (:mod:`repro.fleet.executors`): a thread
 pool (the default; inline at one worker) or a warm process pool that
-escapes the GIL.
+escapes the GIL.  Every engine runs the same batch, planned main-side in
+run-id order by :meth:`~repro.fleet.endpoint.FleetEndpoint.plan_run`.
 Determinism is preserved by construction, identically for every engine:
 batch results are aggregated strictly in run-id order on the server
 thread, the server stops consuming at exactly the run where the
@@ -29,7 +30,8 @@ sequential loop would have stopped, and any in-flight surplus runs of the
 final batch are discarded before they touch campaign state (a real fleet
 also keeps executing after the server has what it needs).  Every
 ``(executor, fleet_workers)`` combination therefore produces
-byte-identical campaign statistics and sketches.
+byte-identical campaign statistics and sketches.  The live campaign is
+read off the server, so a simulated server crash needs no hand-off.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .sketch import FailureSketch
 from .workload import Workload, WorkloadFactory
 
 if TYPE_CHECKING:
-    from ..fleet.endpoint import FleetEndpoint, RunPlan
+    from ..fleet.endpoint import FleetEndpoint, RunPlan, Uplink
     from ..fleet.executors import FleetExecutor
     from ..fleet.faults import FaultPlan
     from ..fleet.transport import FleetTransport
@@ -159,7 +161,6 @@ class CooperativeDeployment:
         self.executor_kind = engine.kind if engine is not None else executor
         self._engine: Optional["FleetExecutor"] = engine
         self._owns_engine = engine is None
-        self._module_wire_cache: Optional[Tuple[str, bytes]] = None
         self.fault_plan = fault_plan
         #: Campaign routing key.  ``None`` (solo deployments) keeps every
         #: envelope untagged — byte-identical to the pre-campaign wire
@@ -254,15 +255,6 @@ class CooperativeDeployment:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _module_wire(self) -> Tuple[str, bytes]:
-        """The module as a (digest, pickled blob) pair, computed once —
-        remote engines attach it to every job; workers cache by digest."""
-        if self._module_wire_cache is None:
-            from ..fleet.procpool import module_payload
-
-            self._module_wire_cache = module_payload(self.module)
-        return self._module_wire_cache
-
     # -- fleet transport plumbing ---------------------------------------------
 
     def _fleet(self) -> List["FleetEndpoint"]:
@@ -275,108 +267,60 @@ class CooperativeDeployment:
                 any(e.client is not c
                     for e, c in zip(self._endpoints, self.clients)):
             self._endpoints = [
-                FleetEndpoint(client, self.fleet_transport, self.fault_plan,
-                              len(self.clients),
+                FleetEndpoint(client, self.fault_plan, len(self.clients),
                               cohort_model=self.cohort_model)
                 for client in self.clients]
         return self._endpoints
 
     def _execute_batch_wire(self, size: int):
-        """One batch: endpoints execute and *encode*; nothing touches
-        the transport here — the aggregation thread transmits in run-id
-        order, which keeps seeded fault schedules deterministic for any
-        ``fleet_workers`` value."""
-        fleet = self._fleet()
-        drawn = [self._draw() for _ in range(size)]
-        engine = self._ensure_engine()
-        if engine.remote:
-            return list(zip(drawn, self._run_remote_wire(fleet, drawn)))
-
-        def one(item: Tuple[GistClient, Workload, int]):
-            _client, workload, run_id = item
-            return fleet[run_id % len(fleet)].execute(
-                workload, run_id, campaign=self.campaign_key)
-
-        return list(zip(drawn, engine.map(one, drawn)))
-
-    def _run_remote_wire(self, fleet: List["FleetEndpoint"], drawn):
-        """One batch on a remote engine.
-
-        Fault verdicts, patch staleness, and straggle flags are pure
-        endpoint-side state, so each run's :class:`RunPlan` is resolved
-        here first; only fault-free runs become jobs.  Workers return the
-        same wire envelopes :meth:`FleetEndpoint.execute` would have
-        encoded, and :meth:`FleetEndpoint.package` re-attaches the plan —
-        so downstream transport traffic is byte-identical to the
-        in-process engines.
-        """
-        from ..fleet import wire
+        """One batch: ``(run_id, plan, uplink)`` per drawn run, in run-id
+        order.  Plans are resolved here, in run-id order (no run of a
+        batch changes what a plan reads), and only fault-free runs reach
+        the engine.  Nothing touches the transport here — the aggregation
+        thread transmits in run-id order, which keeps seeded fault
+        schedules deterministic for any ``fleet_workers`` value."""
         from ..fleet.endpoint import RUN_OK
-        from ..fleet.executors import RunJob
 
-        digest, blob = self._module_wire()
-        plans: List[Tuple["FleetEndpoint", "RunPlan"]] = []
-        jobs = []
-        for _client, workload, run_id in drawn:
-            endpoint = fleet[run_id % len(fleet)]
-            plan = endpoint.plan_run(run_id, campaign=self.campaign_key)
-            plans.append((endpoint, plan))
-            if plan.kind != RUN_OK:
-                continue
-            patch = endpoint.client.prepare_patch(plan.patch)
-            jobs.append(RunJob(
-                run_id=run_id, endpoint_id=endpoint.endpoint_id,
-                workload=workload, module_digest=digest, module_blob=blob,
-                patch_blob=(wire.encode_patch(patch)
-                            if patch is not None else None),
-                patch_epoch=plan.patch_epoch,
-                ptwrite=endpoint.client.ptwrite,
-                extended=endpoint.client.extended_predicates,
-                detectors=endpoint.client.detectors,
-                cohort=plan.cohort,
-                campaign_key=self.campaign_key))
-        job_results = iter(self._ensure_engine().run_jobs(jobs))
-        results = []
-        for endpoint, plan in plans:
-            if plan.kind != RUN_OK:
-                results.append((plan.kind, []))
-                continue
-            results.append(endpoint.package(plan, next(job_results).uplink))
-        return results
+        fleet = self._fleet()
+        batch = []
+        for _ in range(size):
+            client, workload, run_id = self._draw()
+            plan = fleet[run_id % len(fleet)].plan_run(
+                run_id, campaign=self.campaign_key)
+            batch.append((client, plan, workload, run_id))
+        uplinks = iter(self._ensure_engine().run(
+            [run for run in batch if run[1].kind == RUN_OK],
+            self.campaign_key))
+        return [(run_id, plan, next(uplinks) if plan.kind == RUN_OK else None)
+                for _client, plan, _workload, run_id in batch]
 
-    def _transmit(self, epoch: int, run_id: int, messages) -> None:
-        """Push one run's encoded messages through the fault layer."""
-        for msg_type, payload, straggles in messages:
+    def _transmit(self, epoch: int, run_id: int, plan: "RunPlan",
+                  uplink: Optional["Uplink"]) -> None:
+        """Push one run's uplink envelope through the fault layer."""
+        if uplink is not None:
+            msg_type, payload = uplink
             self.fleet_transport.send_to_server(
                 payload, msg_type=msg_type, key=(epoch, run_id, msg_type),
-                straggle=straggles)
+                straggle=plan.straggles)
 
     # -- journal + simulated server crashes -----------------------------------
-
-    def _journal_path(self) -> str:
-        import os
-        import re
-
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", self.bug) or "campaign"
-        return os.path.join(self.journal_dir, f"{safe}.wal")
 
     def _open_journal(self) -> None:
         """Attach a fresh write-ahead journal to the server (no-op when
         journaling is off or one is already attached)."""
         if self.journal_dir is None or self.server.journal is not None:
             return
-        from ..fleet.journal import CampaignJournal
+        from ..fleet.journal import CampaignJournal, journal_path
 
-        self.server.journal = CampaignJournal(self._journal_path(),
-                                              fresh=True)
+        self.server.journal = CampaignJournal(
+            journal_path(self.journal_dir, self.bug), fresh=True)
 
-    def _live_campaign(self, campaign: Optional[DiagnosisCampaign]
-                       ) -> Optional[DiagnosisCampaign]:
-        """The *current* server's campaign for the same failure identity —
-        a different object after a simulated crash was recovered."""
-        if campaign is None:
-            return None
-        return self.server.campaigns.get(campaign.identity, campaign)
+    @property
+    def campaign(self) -> Optional[DiagnosisCampaign]:
+        """The server's one campaign: None before the first failure
+        report, and the journal-recovered object after a simulated server
+        crash."""
+        return next(iter(self.server.campaigns.values()), None)
 
     def _crash_and_recover(self) -> None:
         """Simulate a server kill: throw the live server object away and
@@ -397,25 +341,22 @@ class CooperativeDeployment:
         self.server = server
         self._server_crashes += 1
 
-    def _maybe_crash_server(self, campaign: Optional[DiagnosisCampaign]
-                            ) -> Optional[DiagnosisCampaign]:
+    def _maybe_crash_server(self) -> None:
         """Fire the seeded ``server_crash_every`` fault if this ingest is
-        its trigger; returns the (possibly recovered) live campaign."""
+        its trigger."""
         plan = self.fault_plan
-        if plan is None or self.server.journal is None or \
-                not plan.server_crashes_after(self.server.ingests_applied):
-            return campaign
-        self._crash_and_recover()
-        return self._live_campaign(campaign)
+        if plan is not None and self.server.journal is not None and \
+                plan.server_crashes_after(self.server.ingests_applied):
+            self._crash_and_recover()
 
     #: How many uplink payloads one ``recv_many`` pass pops — bounds the
     #: working set without changing drain semantics (the pump loops until
     #: the uplink is empty).
     PUMP_BATCH = 256
 
-    def _pump_uplink(self, campaign: Optional[DiagnosisCampaign],
-                     epoch: Optional[int]):
-        """Drain the server's inbox, routing each decodable message.
+    def _pump_uplink(self):
+        """Drain the server's inbox, routing each received message to the
+        live campaign.
 
         Returns ``(failing_delta, successful_delta, overheads,
         first_failure_report)``; quarantining, duplicate suppression, and
@@ -430,7 +371,7 @@ class CooperativeDeployment:
         successful = 0
         overheads: List[float] = []
         first_report: Optional[FailureReport] = None
-        campaign = self._live_campaign(campaign)
+        campaign = self.campaign
         if self._held_acks:
             held, self._held_acks = self._held_acks, []
             if campaign is not None:
@@ -474,7 +415,8 @@ class CooperativeDeployment:
                         failing += 1
                     elif not run.failed:
                         successful += 1
-                    campaign = self._maybe_crash_server(campaign)
+                    self._maybe_crash_server()
+                    campaign = self.campaign
                 elif message.type == wire.MSG_FAILURE_REPORT:
                     if campaign is not None:
                         campaign.note_unmonitored_report(message.payload)
@@ -482,20 +424,18 @@ class CooperativeDeployment:
                         first_report = message.payload
         return failing, successful, overheads, first_report
 
-    def _deliver_patches(self, campaign: DiagnosisCampaign,
-                         patches: Sequence, epoch: int) -> None:
+    def _deliver_patches(self, patches: Sequence, epoch: int) -> None:
         """Ship this iteration's patch variants; one resend round covers
         endpoints whose delivery (or ack) was eaten by the fault layer."""
         from ..fleet import wire
 
         fleet = self._fleet()
         for attempt in (0, 1):
-            campaign = self._live_campaign(campaign)
             if attempt == 0:
                 targets = fleet
             else:
-                targets = [e for e in fleet
-                           if e.endpoint_id not in campaign.acked_endpoints]
+                acked = self.campaign.acked_endpoints
+                targets = [e for e in fleet if e.endpoint_id not in acked]
                 if not targets:
                     break
                 self._patch_resends += len(targets)
@@ -508,14 +448,14 @@ class CooperativeDeployment:
                     msg_type=wire.MSG_PATCH,
                     key=(epoch, endpoint.endpoint_id, attempt))
             for endpoint in targets:
-                for ack in endpoint.poll_patches():
+                downlink = self.fleet_transport.downlinks[endpoint.endpoint_id]
+                for ack in endpoint.poll_patches(downlink.drain()):
                     self.fleet_transport.send_to_server(
                         ack, msg_type=wire.MSG_PATCH_ACK,
                         key=(epoch, endpoint.endpoint_id, "ack", attempt))
-            self._pump_uplink(campaign, epoch)
+            self._pump_uplink()
 
-    def _fleet_report(self,
-                      campaign: Optional[DiagnosisCampaign]) -> Dict:
+    def _fleet_report(self) -> Dict:
         from ..fleet.transport import FleetReport
 
         transport_stats = self.fleet_transport.stats.as_dict()
@@ -537,7 +477,7 @@ class CooperativeDeployment:
         )
         if self.server.journal is not None:
             report.journal = self.server.journal.stats()
-        campaign = self._live_campaign(campaign)
+        campaign = self.campaign
         if campaign is not None:
             report.stale_discarded = campaign.stale_runs_discarded
             report.duplicates_ignored = campaign.duplicate_runs_ignored
@@ -571,24 +511,23 @@ class CooperativeDeployment:
         consumed = 0
         while consumed < max_runs:
             size = min(self.fleet_workers, max_runs - consumed)
-            for (_client, _workload, run_id), (kind, messages) \
-                    in self._execute_batch_wire(size):
+            for run_id, plan, uplink in self._execute_batch_wire(size):
                 consumed += 1
-                if kind == RUN_CHURNED:
+                if plan.kind == RUN_CHURNED:
                     self._runs_lost_to_churn += 1
                     continue
-                if kind == RUN_CRASHED:
+                if plan.kind == RUN_CRASHED:
                     self._runs_lost_to_crash += 1
                     continue
-                self._transmit(0, run_id, messages)
-                _, _, _, report = self._pump_uplink(None, None)
+                self._transmit(0, run_id, plan, uplink)
+                _, _, _, report = self._pump_uplink()
                 if report is not None:
                     self._rewind(run_id + 1)
                     return report, consumed
             # Bootstrap has no iteration deadline: delayed reports simply
             # arrive with the next batch instead of being lost forever.
             if self.fleet_transport.flush():
-                _, _, _, report = self._pump_uplink(None, None)
+                _, _, _, report = self._pump_uplink()
                 if report is not None:
                     return report, consumed
         return None, consumed
@@ -662,7 +601,6 @@ class CampaignDriver:
         self.max_bootstrap_runs = max_bootstrap_runs
         self.stats = CampaignStats(bug=deployment.bug)
         self.phase = PHASE_BOOTSTRAP
-        self.campaign: Optional[DiagnosisCampaign] = None
         self._overheads: List[float] = []
         # bootstrap state
         self._bootstrap_consumed = 0
@@ -683,6 +621,11 @@ class CampaignDriver:
         return self.dep.campaign_key
 
     @property
+    def campaign(self) -> Optional[DiagnosisCampaign]:
+        """The deployment's live campaign (None while bootstrapping)."""
+        return self.dep.campaign
+
+    @property
     def done(self) -> bool:
         return self.phase == PHASE_DONE
 
@@ -701,9 +644,8 @@ class CampaignDriver:
         gone quiet stop holding budget even though their historical
         totals never shrink.
         """
-        if self.campaign is None:
-            return 0
-        return self.campaign.windowed_recurrences()
+        campaign = self.campaign
+        return 0 if campaign is None else campaign.windowed_recurrences()
 
     # -- stepping ------------------------------------------------------------
 
@@ -728,7 +670,7 @@ class CampaignDriver:
             # The failure never recurred: give up without a campaign.
             self.stats.bootstrap_runs = self._bootstrap_consumed
             self.stats.total_runs += self._bootstrap_consumed
-            self.stats.fleet = dep._fleet_report(None)
+            self.stats.fleet = dep._fleet_report()
             self.phase = PHASE_DONE
         return consumed
 
@@ -738,14 +680,13 @@ class CampaignDriver:
         # The journal attaches before the campaign exists, so its first
         # record is this campaign's start.
         self.dep._open_journal()
-        self.campaign = self.dep.server.handle_failure_report(
+        self.dep.server.handle_failure_report(
             self.dep.bug, report, self.initial_sigma, key=self.key)
         self.phase = PHASE_MONITOR
 
     def _step_monitor(self, limit) -> int:
         """Budgeted slice of the AsT iteration loop."""
         dep = self.dep
-        campaign = self.campaign
         from ..fleet.endpoint import RUN_CHURNED, RUN_CRASHED
 
         consumed = 0
@@ -754,14 +695,14 @@ class CampaignDriver:
                 if self._iterations_started >= self.max_iterations:
                     self._finish()
                     return consumed
+                campaign = self.campaign
                 campaign.begin_iteration()
                 self._iterations_started += 1
                 self._epoch = campaign.epoch
                 for endpoint in dep._fleet():
                     endpoint.begin_epoch(self._epoch, dep._next_run)
                 self._patches = campaign.make_patches(len(dep.clients))
-                dep._deliver_patches(campaign, self._patches, self._epoch)
-                campaign = self.campaign = dep._live_campaign(campaign)
+                dep._deliver_patches(self._patches, self._epoch)
                 self._failing = 0
                 self._successful = 0
                 self._attempts = 0
@@ -770,23 +711,18 @@ class CampaignDriver:
             size = min(dep.fleet_workers, limit - consumed,
                        self.max_runs_per_iteration - self._attempts)
             if size > 0:
-                for (_client, _workload, run_id), (kind, messages) \
-                        in dep._execute_batch_wire(size):
+                for run_id, plan, uplink in dep._execute_batch_wire(size):
                     self._attempts += 1
                     consumed += 1
-                    if kind == RUN_CHURNED:
+                    if plan.kind == RUN_CHURNED:
                         dep._runs_lost_to_churn += 1
                         continue
                     self.stats.total_runs += 1
-                    if kind == RUN_CRASHED:
+                    if plan.kind == RUN_CRASHED:
                         dep._runs_lost_to_crash += 1
                         continue
-                    dep._transmit(self._epoch, run_id, messages)
-                    f_add, s_add, run_overheads, _ = \
-                        dep._pump_uplink(campaign, self._epoch)
-                    # A simulated server crash inside the pump swapped the
-                    # campaign for its journal-recovered twin.
-                    campaign = self.campaign = dep._live_campaign(campaign)
+                    dep._transmit(self._epoch, run_id, plan, uplink)
+                    f_add, s_add, run_overheads, _ = dep._pump_uplink()
                     self._failing += f_add
                     self._successful += s_add
                     self._overheads.extend(run_overheads)
@@ -803,7 +739,7 @@ class CampaignDriver:
         return consumed
 
     def _close_iteration(self) -> None:
-        campaign = self.campaign = self.dep._live_campaign(self.campaign)
+        campaign = self.campaign
         iteration = campaign.finish_iteration()
         self.stats.iteration_results.append(iteration)
         self.stats.iterations = iteration.iteration
@@ -826,7 +762,7 @@ class CampaignDriver:
 
     def _finish(self) -> None:
         stats = self.stats
-        campaign = self.campaign = self.dep._live_campaign(self.campaign)
+        campaign = self.campaign
         stats.failure_recurrences = campaign.total_failure_recurrences
         stats.peak_tracked_bytes = campaign.peak_tracked_bytes
         if self._overheads:
@@ -834,5 +770,5 @@ class CampaignDriver:
                 100.0 * sum(self._overheads) / len(self._overheads)
             stats.max_overhead_percent = 100.0 * max(self._overheads)
         stats.offline_seconds = self.dep.server.offline_analysis_seconds
-        stats.fleet = self.dep._fleet_report(campaign)
+        stats.fleet = self.dep._fleet_report()
         self.phase = PHASE_DONE

@@ -409,8 +409,9 @@ class GistServer:
         #: statistics accumulate in per-shard partials (merged on demand).
         self.stripes = stripes
         self.offline_analysis_seconds = 0.0
-        #: Wire front door accounting: payloads that failed to decode or
-        #: failed their digest check are quarantined, never parsed further.
+        #: Wire front door accounting: payloads that failed to decode,
+        #: failed their digest check, or are not uplink traffic are
+        #: quarantined, never parsed further.
         self.messages_received = 0
         self.quarantined_count = 0
         self.quarantine: List[QuarantineRecord] = []
@@ -432,14 +433,20 @@ class GistServer:
         """Decode one payload from the uplink.
 
         Returns the decoded :class:`repro.fleet.wire.Message`, or ``None``
-        after quarantining a payload that failed decode or digest check —
-        a lossy fleet must never be able to crash the server or smuggle a
-        half-parsed object into a campaign.
+        after quarantining a payload that failed decode or digest check,
+        or whose type is not uplink traffic (:data:`repro.fleet.wire.
+        UPLINK_TYPES`) — a lossy fleet must never be able to crash the
+        server or smuggle a half-parsed object into a campaign, and a
+        ``patch`` or ``shard_state`` envelope sent up the uplink must not
+        count as received.
         """
         from ..fleet import wire  # local import: fleet ↔ core layering
 
         try:
             message = wire.decode_message(blob)
+            if message.type not in wire.UPLINK_TYPES:
+                raise wire.WireError(
+                    f"{message.type} is not an uplink message type")
         except wire.WireError as err:
             self.quarantined_count += 1
             if len(self.quarantine) < QUARANTINE_KEEP:

@@ -65,7 +65,6 @@ from .socket_transport import (
 from .executors import (
     EXECUTOR_KINDS,
     FleetExecutor,
-    JobResult,
     RunJob,
     ThreadExecutor,
     make_executor,
@@ -76,7 +75,6 @@ from .wire import (
     MSG_MONITORED_RUN,
     MSG_PATCH,
     MSG_PATCH_ACK,
-    MSG_TRAP_RECORD,
     WIRE_VERSION,
     Message,
     WireError,
@@ -87,7 +85,6 @@ from .wire import (
     encode_monitored_run,
     encode_patch,
     encode_patch_ack,
-    encode_trap_record,
 )
 
 __all__ = [
@@ -103,7 +100,6 @@ __all__ = [
     "FleetReport",
     "FleetServer",
     "FleetTransport",
-    "JobResult",
     "JournalError",
     "ProcessExecutor",
     "RecoveredState",
@@ -121,7 +117,6 @@ __all__ = [
     "MSG_MONITORED_RUN",
     "MSG_PATCH",
     "MSG_PATCH_ACK",
-    "MSG_TRAP_RECORD",
     "RUN_CHURNED",
     "RUN_CRASHED",
     "RUN_OK",
@@ -136,7 +131,6 @@ __all__ = [
     "encode_monitored_run",
     "encode_patch",
     "encode_patch_ack",
-    "encode_trap_record",
     "iter_records",
     "make_executor",
     "module_payload",

@@ -2,11 +2,12 @@
 
 A :class:`FleetEndpoint` wraps a :class:`~repro.core.client.GistClient`
 with everything a *networked* client needs and the in-process one never
-did: it receives patches as encoded bytes from its downlink channel
-(quietly ignoring payloads that fail to decode), acknowledges the patch
-epoch it is actually running, tags every monitored-run report with that
-epoch, and reports failures from unmonitored runs as plain failure-report
-messages.
+did: it installs patches from the encoded bytes its caller drained off
+the downlink (quietly ignoring payloads that fail to decode) into one
+store keyed by campaign, acknowledges the patch epoch it is actually
+running, and plans each run before an execution engine runs it.  The
+simulated fleet and the standalone ``repro fleet client`` both install
+patches through here.
 
 Client-level faults live here too.  Whether a given run crashes
 mid-execution, churns out of the fleet, or straggles past the deadline is
@@ -19,23 +20,19 @@ base run id so the answer never depends on thread scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from .faults import FaultPlan
-from .transport import FleetTransport
 from . import wire
 
 if TYPE_CHECKING:  # typing only — keeps fleet importable without core
     from ..core.client import ClientRunResult, GistClient
-    from ..core.workload import Workload
     from ..instrument.patch import Patch
 
-#: What one endpoint run produced: an execution kind plus outbound messages.
+#: How a planned run goes: it executes, or a client fault loses it.
 RUN_OK = "ok"
 RUN_CRASHED = "crashed"
 RUN_CHURNED = "churned"
-
-EndpointRun = Tuple[str, List[Tuple[str, bytes, bool]]]
 
 #: The one envelope a run sends: ``(msg_type, encoded payload)``.
 Uplink = Tuple[str, bytes]
@@ -49,8 +46,8 @@ def encode_uplink(result: ClientRunResult, epoch: Optional[int],
     An instrumented run sends its monitored run, tagged with the patch
     epoch it ran and stamped with its cohort multiplicity; otherwise a
     failed run sends its failure report, and any other run sends
-    nothing.  Every execution path (in-process endpoints, worker
-    processes, standalone clients) encodes through here, so they all
+    nothing.  Every execution path (both execution engines and the
+    standalone ``repro fleet client``) encodes through here, so they all
     emit the same bytes.
     """
     if result.monitored is not None:
@@ -70,10 +67,10 @@ class RunPlan:
 
     Fault verdicts, the effective patch (crash staleness already applied),
     its epoch, and the straggle flag are all pure functions of endpoint
-    state plus the run id — computing them up front lets a remote
-    execution engine ship just ``(patch, workload)`` to a worker process
-    and re-attach the rest when the result comes back, without the worker
-    ever seeing the fault plan.
+    state plus the run id — computing them up front lets every execution
+    engine take the same planned batch, and lets the process engine ship
+    just ``(patch, workload)`` to a worker process that never sees the
+    fault plan.
     """
 
     kind: str
@@ -90,11 +87,10 @@ class RunPlan:
 class FleetEndpoint:
     """One endpoint of the fleet, speaking only the wire protocol."""
 
-    def __init__(self, client: GistClient, transport: FleetTransport,
+    def __init__(self, client: GistClient,
                  fault_plan: Optional[FaultPlan], fleet_size: int,
                  cohort_model=None) -> None:
         self.client = client
-        self.transport = transport
         self.plan = fault_plan
         self.fleet_size = fleet_size
         self.endpoint_id = client.endpoint_id
@@ -102,18 +98,11 @@ class FleetEndpoint:
         #: endpoint_id, run_id) -> int``), or None for an ordinary
         #: single-client endpoint.
         self.cohort_model = cohort_model
-        #: The patch this endpoint currently runs, and its epoch.  Survives
-        #: across epochs when a delivery is missed (that is what makes the
-        #: endpoint *stale*) and is lost when the client crashes.
-        self.patch: Optional[Patch] = None
-        self.patch_epoch: Optional[int] = None
-        self.patch_digest: Optional[str] = None
-        #: Per-campaign patch state for multi-campaign deployments,
-        #: keyed by campaign routing key.  Untagged (legacy) traffic keeps
-        #: using the attributes above, so the single-campaign path never
-        #: touches this dict.
-        self._campaign_patches: Dict[
-            str, Tuple[Optional[Patch], Optional[int], Optional[str]]] = {}
+        #: The ``(patch, epoch, digest)`` this endpoint runs, per campaign
+        #: routing key (``None`` for untagged traffic).  An entry survives
+        #: across epochs when a delivery is missed — that is what makes
+        #: the endpoint *stale*.
+        self.patches: Dict[Optional[str], Tuple[Patch, int, str]] = {}
         #: Per-campaign fault sub-plans, derived lazily from ``plan`` with
         #: the campaign key mixed into the seed.
         self._derived_plans: Dict[str, Optional[FaultPlan]] = {}
@@ -147,9 +136,7 @@ class FleetEndpoint:
 
     def patch_state(self, campaign: Optional[str]) -> Tuple[
             Optional[Patch], Optional[int], Optional[str]]:
-        if campaign is None:
-            return self.patch, self.patch_epoch, self.patch_digest
-        return self._campaign_patches.get(campaign, (None, None, None))
+        return self.patches.get(campaign, (None, None, None))
 
     def _crashed_in_epoch(self, before_run_id: int,
                           plan: Optional[FaultPlan]) -> bool:
@@ -171,8 +158,9 @@ class FleetEndpoint:
 
     # -- patch delivery -----------------------------------------------------
 
-    def poll_patches(self) -> List[bytes]:
-        """Drain the downlink; install the newest valid patch.
+    def poll_patches(self, blobs: Iterable[bytes]) -> List[bytes]:
+        """Install the newest valid patch per campaign from the downlink
+        payloads the caller drained.
 
         Returns the encoded ``patch_ack`` messages to transmit.  Payloads
         that fail to decode (dropped bits, truncation) are counted and
@@ -180,8 +168,7 @@ class FleetEndpoint:
         which the server will recognize as stale by its epoch.
         """
         acks: List[bytes] = []
-        downlink = self.transport.downlinks[self.endpoint_id]
-        for blob in downlink.drain():
+        for blob in blobs:
             try:
                 msg = wire.decode_message(blob)
             except wire.WireError:
@@ -192,13 +179,7 @@ class FleetEndpoint:
             _, current_epoch, _ = self.patch_state(msg.campaign)
             if current_epoch is not None and msg.epoch < current_epoch:
                 continue  # a reordered, older patch: never downgrade
-            if msg.campaign is None:
-                self.patch = msg.payload
-                self.patch_epoch = msg.epoch
-                self.patch_digest = msg.digest
-            else:
-                self._campaign_patches[msg.campaign] = (
-                    msg.payload, msg.epoch, msg.digest)
+            self.patches[msg.campaign] = (msg.payload, msg.epoch, msg.digest)
             acks.append(wire.encode_patch_ack(self.endpoint_id, msg.epoch,
                                               msg.digest,
                                               campaign=msg.campaign))
@@ -238,28 +219,3 @@ class FleetEndpoint:
         return RunPlan(RUN_OK, patch=patch, patch_epoch=patch_epoch,
                        straggles=straggles,
                        cohort=self._cohort_of(campaign, run_id))
-
-    @staticmethod
-    def package(plan: RunPlan, uplink: Optional[Uplink]) -> EndpointRun:
-        """Assemble an executed run's outbound messages from its envelope
-        (:func:`encode_uplink`, run here in :meth:`execute` or in a
-        worker process)."""
-        if uplink is None:
-            return RUN_OK, []
-        msg_type, payload = uplink
-        return RUN_OK, [(msg_type, payload, plan.straggles)]
-
-    def execute(self, workload: Workload, run_id: int,
-                campaign: Optional[str] = None) -> EndpointRun:
-        """Run one workload; return the run kind plus outbound messages.
-
-        Messages are ``(msg_type, payload, straggles)`` triples of already
-        encoded bytes — the deployment (playing the network) pushes them
-        through the transport on the aggregation thread, in run-id order.
-        """
-        plan = self.plan_run(run_id, campaign)
-        if plan.kind != RUN_OK:
-            return plan.kind, []
-        result = self.client.run(workload, patch=plan.patch, run_id=run_id)
-        return self.package(plan, encode_uplink(
-            result, plan.patch_epoch, campaign, plan.cohort))

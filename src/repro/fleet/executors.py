@@ -5,40 +5,50 @@ client runs, and those runs are embarrassingly parallel: each gets its own
 interpreter, PT driver, and watchpoint unit.  This module defines the
 **execution engine** boundary the deployment schedules them through:
 
-- :class:`ThreadExecutor` — the original ``ThreadPoolExecutor`` batching.
-  Threads share the module and patches by reference (zero serialization),
-  but the pure-Python interpreter is GIL-serialized, so this engine
-  overlaps only the tiny I/O slices of a run.  At one worker it runs
-  every item inline, in order: the reference engine.
+- :class:`ThreadExecutor` — ``ThreadPoolExecutor`` batching.  Threads
+  share the module and patches by reference (zero serialization), but
+  the pure-Python interpreter is GIL-serialized, so this engine overlaps
+  only the tiny I/O slices of a run.  At one worker it runs every run
+  inline, in order: the reference engine.
 - :class:`~repro.fleet.procpool.ProcessExecutor` — warm worker
   *processes* (see :mod:`repro.fleet.procpool`).  True CPU parallelism;
-  jobs and results cross the process boundary as the canonical wire
-  envelopes of :mod:`repro.fleet.wire` — the same codecs fleet traffic
-  already uses, so there is no second serialization format to keep
-  honest.
+  runs cross the process boundary as picklable :class:`RunJob`
+  descriptors whose patch is the canonical wire envelope of
+  :mod:`repro.fleet.wire` — the same codecs fleet traffic already uses,
+  so there is no second serialization format to keep honest.
 
-Engines differ **only in where the work runs**.  The deployment draws run
-descriptors sequentially, executes one batch through the engine, then
-aggregates results in run-id order on the server thread — so for a fixed
-seed every engine consumes the identical run stream and produces
+Engines differ **only in where the work runs**.  The deployment draws
+runs sequentially and plans each one main-side with
+:meth:`FleetEndpoint.plan_run <repro.fleet.endpoint.FleetEndpoint.plan_run>`;
+every engine then takes the same planned batch through
+:meth:`FleetExecutor.run` and returns each run's one uplink envelope
+(:func:`~repro.fleet.endpoint.encode_uplink`), which the deployment
+transmits in run-id order on the server thread — so for a fixed seed
+every engine consumes the identical run stream and produces
 byte-identical campaign statistics and sketches (see
 ``tests/fleet/test_executors.py`` and ``BENCH_fleet_parallel.json``).
-
-The local engine (threads) executes arbitrary closures via
-:meth:`FleetExecutor.map`.  Remote engines (``remote = True``) cannot ship
-closures; the deployment hands them picklable :class:`RunJob` descriptors
-instead and gets :class:`JobResult` envelopes back via
-:meth:`FleetExecutor.run_jobs`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+
+from .endpoint import Uplink, encode_uplink
+
+if TYPE_CHECKING:
+    from ..core.client import GistClient
+    from ..core.workload import Workload
+    from .endpoint import RunPlan
 
 #: The engine names the CLI exposes (``--executor``).
 EXECUTOR_KINDS = ("threads", "processes")
+
+#: One fault-free run of a planned batch: the client that executes it, its
+#: :class:`~repro.fleet.endpoint.RunPlan`, its workload, and its run id.
+PlannedRun = Tuple["GistClient", "RunPlan", "Workload", int]
 
 
 @dataclass(frozen=True)
@@ -73,33 +83,24 @@ class RunJob:
     detectors: tuple = ()
 
 
-@dataclass(frozen=True)
-class JobResult:
-    """What one job sends back: the run's one uplink envelope.
-
-    ``uplink`` is the ``(msg_type, payload)`` pair
-    :func:`repro.fleet.endpoint.encode_uplink` built in the worker, or
-    None for a run that sends nothing.
-    """
-
-    run_id: int
-    uplink: Optional[Tuple[str, bytes]] = None
+def _run_planned(run: PlannedRun,
+                 campaign: Optional[str]) -> Optional[Uplink]:
+    """Execute one planned run in this process; return its uplink."""
+    client, plan, workload, run_id = run
+    result = client.run(workload, patch=plan.patch, run_id=run_id)
+    return encode_uplink(result, plan.patch_epoch, campaign, plan.cohort)
 
 
 class FleetExecutor:
     """Common engine interface (see module docstring)."""
 
     kind: str = "abstract"
-    #: True when jobs execute in another process: the deployment must go
-    #: through :meth:`run_jobs` with picklable :class:`RunJob` objects.
-    remote: bool = False
 
-    def map(self, fn: Callable, items: Iterable) -> List:
-        """Execute ``fn`` over ``items``; results in input order."""
-        raise NotImplementedError
-
-    def run_jobs(self, jobs: Sequence[RunJob]) -> List[JobResult]:
-        """Execute job descriptors; results in input order."""
+    def run(self, runs: Sequence[PlannedRun],
+            campaign: Optional[str]) -> List[Optional[Uplink]]:
+        """Execute a planned batch; each run's uplink envelope (None for a
+        run that sends nothing), in input order.  ``campaign`` tags the
+        envelopes with their campaign's routing key."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -138,11 +139,12 @@ class ThreadExecutor(FleetExecutor):
                 max_workers=self.jobs, thread_name_prefix="gist-fleet")
         return self._pool
 
-    def map(self, fn: Callable, items: Iterable) -> List:
-        items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        return list(self._ensure_pool().map(fn, items))
+    def run(self, runs: Sequence[PlannedRun],
+            campaign: Optional[str]) -> List[Optional[Uplink]]:
+        one = partial(_run_planned, campaign=campaign)
+        if self.jobs <= 1 or len(runs) <= 1:
+            return [one(run) for run in runs]
+        return list(self._ensure_pool().map(one, runs))
 
     def close(self) -> None:
         if self._pool is not None:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -98,6 +99,12 @@ def intact_prefix_end(path: os.PathLike) -> int:
             if len(payload) < length or zlib.crc32(payload) != crc:
                 return end
             end += _HEADER.size + length
+
+
+def journal_path(journal_dir: str, bug: str) -> str:
+    """Where one bug's campaign journal lives inside ``journal_dir``."""
+    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", bug) or "campaign"
+    return os.path.join(journal_dir, f"{safe}.wal")
 
 
 class CampaignJournal:

@@ -2,8 +2,12 @@
 
 The thread engine cannot speed up a campaign — the simulated endpoints
 are pure Python, so the GIL serializes them.  This engine ships each
-monitored-run job to a pool of **warm worker processes** instead:
+planned run to a pool of **warm worker processes** instead:
 
+- :meth:`ProcessExecutor.run` turns each planned run into a picklable
+  :class:`~repro.fleet.executors.RunJob`: the patch after the client's
+  ``prepare_patch``, as its wire envelope, and the module's pickled
+  payload (:func:`module_payload`).
 - Workers are warm in the sense that matters for this workload: the
   program module is unpickled once per worker and cached by content
   digest, and instrumentation patches are decoded once per worker and
@@ -11,12 +15,10 @@ monitored-run job to a pool of **warm worker processes** instead:
   tier, whose generated program is cached by module object
   (``compiled_program``), so a warm worker compiles a module once and
   reuses that program across every run of the campaign.
-- Everything crossing the process boundary is either a tiny pickled
-  descriptor (:class:`~repro.fleet.executors.RunJob`) or a **canonical
-  wire envelope** from :mod:`repro.fleet.wire` — the exact bytes a
-  networked endpoint would transmit.  The parent decodes results with the
-  same codecs the wire transport uses, so the process boundary cannot
-  introduce a representation of its own.
+- A worker replies with the run's uplink envelope from
+  :func:`~repro.fleet.endpoint.encode_uplink`, the exact bytes the thread
+  engine and a networked endpoint produce, so the process boundary
+  cannot introduce a representation of its own.
 - Workers extract failure predictors client-side (that happens inside
   :meth:`GistClient.run <repro.core.client.GistClient.run>`), so the
   expensive trace walk parallelizes and the server's single aggregation
@@ -41,16 +43,27 @@ import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
-from .endpoint import encode_uplink
-from .executors import FleetExecutor, JobResult, RunJob
+from .endpoint import Uplink, encode_uplink
+from .executors import FleetExecutor, PlannedRun, RunJob
 from . import wire
+
+_PAYLOADS: "WeakKeyDictionary[object, Tuple[int, str, bytes]]" = \
+    WeakKeyDictionary()
 
 
 def module_payload(module) -> Tuple[str, bytes]:
-    """Pickle a module for shipping; digest identifies it in worker caches."""
-    blob = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.sha256(blob).hexdigest()[:16], blob
+    """A module pickled for shipping, and the digest worker caches key it
+    by.  Cached per module object; a bumped ``analysis_epoch``
+    (re-finalize) re-pickles it."""
+    cached = _PAYLOADS.get(module)
+    if cached is None or cached[0] != module.analysis_epoch:
+        blob = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+        cached = (module.analysis_epoch,
+                  hashlib.sha256(blob).hexdigest()[:16], blob)
+        _PAYLOADS[module] = cached
+    return cached[1], cached[2]
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +94,8 @@ def _worker_patch(job: RunJob):
     return patch
 
 
-def _worker_run(job: RunJob) -> JobResult:
-    """Execute one job in a worker process; reply in wire envelopes."""
+def _worker_run(job: RunJob) -> Optional[Uplink]:
+    """Execute one job in a worker process; reply with its uplink."""
     from ..core.client import GistClient
 
     module = _worker_module(job)
@@ -92,13 +105,28 @@ def _worker_run(job: RunJob) -> JobResult:
                         extended_predicates=job.extended,
                         detectors=job.detectors)
     result = client.run(job.workload, patch=patch, run_id=job.run_id)
-    return JobResult(run_id=job.run_id, uplink=encode_uplink(
-        result, job.patch_epoch, job.campaign_key, job.cohort))
+    return encode_uplink(result, job.patch_epoch, job.campaign_key,
+                         job.cohort)
 
 
 # ---------------------------------------------------------------------------
 # Parent side.
 # ---------------------------------------------------------------------------
+
+
+def _job(run: PlannedRun, campaign: Optional[str]) -> RunJob:
+    """The picklable descriptor of one planned run."""
+    client, plan, workload, run_id = run
+    digest, blob = module_payload(client.module)
+    patch = client.prepare_patch(plan.patch)
+    return RunJob(
+        run_id=run_id, endpoint_id=client.endpoint_id, workload=workload,
+        module_digest=digest, module_blob=blob,
+        patch_blob=(wire.encode_patch(patch)
+                    if patch is not None else None),
+        patch_epoch=plan.patch_epoch, ptwrite=client.ptwrite,
+        extended=client.extended_predicates, detectors=client.detectors,
+        cohort=plan.cohort, campaign_key=campaign)
 
 
 def _pool_context():
@@ -119,7 +147,6 @@ class ProcessExecutor(FleetExecutor):
     """
 
     kind = "processes"
-    remote = True
 
     def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
@@ -133,10 +160,11 @@ class ProcessExecutor(FleetExecutor):
                 max_workers=self.jobs, mp_context=_pool_context())
         return self._pool
 
-    def run_jobs(self, jobs: Sequence[RunJob]) -> List[JobResult]:
-        jobs = list(jobs)
-        if not jobs:
+    def run(self, runs: Sequence[PlannedRun],
+            campaign: Optional[str]) -> List[Optional[Uplink]]:
+        if not runs:
             return []
+        jobs = [_job(run, campaign) for run in runs]
         return list(self._ensure_pool().map(_worker_run, jobs))
 
     def close(self) -> None:

@@ -7,7 +7,12 @@ socket, ``repro fleet client`` runs a group of
 :class:`~repro.core.client.GistClient` endpoints in another process, and
 all traffic between them — failure reports, patches, monitored runs, acks
 — crosses the socket as the framed wire envelopes of
-:mod:`repro.fleet.socket_transport`.
+:mod:`repro.fleet.socket_transport`.  Each client endpoint installs and
+acknowledges patches through a
+:class:`~repro.fleet.endpoint.FleetEndpoint`, the same code (and the same
+never-downgrade rule) the simulated fleet uses, and encodes its runs with
+:func:`~repro.fleet.endpoint.encode_uplink`.  The server's front door
+quarantines anything but uplink traffic before either loop below sees it.
 
 Unlike the in-process transports there is no quiescence barrier and no
 deterministic run ordering here: clients free-run, evidence arrives when
@@ -41,7 +46,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import wire
-from .endpoint import encode_uplink
+from .endpoint import FleetEndpoint, encode_uplink
+from .journal import journal_path
 from .socket_transport import (
     CHAN_DOWNLINK_BASE,
     CHAN_UPLINK,
@@ -170,14 +176,6 @@ class FleetServer:
 
     # -- campaign plumbing ---------------------------------------------------
 
-    def _journal_path(self) -> Optional[str]:
-        if self.journal_dir is None:
-            return None
-        import re
-
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", self.bug_id) or "campaign"
-        return os.path.join(self.journal_dir, f"{safe}.wal")
-
     def _boot_server(self) -> None:
         """A fresh server — or, when the journal already has records, the
         journal replayed into one (the restart-after-kill path)."""
@@ -185,7 +183,8 @@ class FleetServer:
         from .journal import CampaignJournal, JOURNAL_MAGIC, recover_server
 
         module = self.spec.module()
-        path = self._journal_path()
+        path = (journal_path(self.journal_dir, self.bug_id)
+                if self.journal_dir is not None else None)
         resumable = (path is not None and os.path.exists(path)
                      and os.path.getsize(path) > len(JOURNAL_MAGIC))
         if resumable:
@@ -500,10 +499,9 @@ class FleetClientProcess:
         from ..core.client import GistClient
 
         module = self.spec.module()
-        clients = [GistClient(module, endpoint_id=self.base + i)
-                   for i in range(self.endpoints)]
-        patches: List = [None] * self.endpoints
-        epochs: List[Optional[int]] = [None] * self.endpoints
+        fleet = [FleetEndpoint(GistClient(module, endpoint_id=self.base + i),
+                               None, self.endpoints)
+                 for i in range(self.endpoints)]
         hub = SocketHub(name=f"gist-client-hub-{self.base}").start()
         deadline = time.monotonic() + self.timeout
         run_seq = 0
@@ -540,25 +538,15 @@ class FleetClientProcess:
                         # The campaign did not survive the restart: go
                         # back to unpatched runs so failure reports can
                         # bootstrap a new one.
-                        patches = [None] * self.endpoints
-                        epochs = [None] * self.endpoints
+                        for endpoint in fleet:
+                            endpoint.patches.clear()
                     continue
                 # Install any newly arrived patches; ack them.
                 for i, down_queue in self._down.items():
-                    for blob in down_queue.pop_many(None):
+                    for ack in fleet[i].poll_patches(
+                            down_queue.pop_many(None)):
                         try:
-                            msg = wire.decode_message(blob)
-                        except wire.WireError:
-                            continue
-                        if msg.type != wire.MSG_PATCH or msg.epoch is None:
-                            continue
-                        if epochs[i] is not None and msg.epoch < epochs[i]:
-                            continue  # never downgrade
-                        patches[i] = msg.payload
-                        epochs[i] = msg.epoch
-                        try:
-                            self._send_up(wire.encode_patch_ack(
-                                self.base + i, msg.epoch, msg.digest))
+                            self._send_up(ack)
                         except TransportClosed:
                             break
                 # One run per endpoint, round-robin.
@@ -566,10 +554,11 @@ class FleetClientProcess:
                 run_id = (self.base + i) * 10_000_000 + run_seq
                 run_seq += 1
                 workload = self.spec.workload_factory(run_id)
-                result = clients[i].run(workload, patch=patches[i],
-                                        run_id=run_id)
+                patch, epoch, _ = fleet[i].patch_state(None)
+                result = fleet[i].client.run(workload, patch=patch,
+                                             run_id=run_id)
                 runs_done += 1
-                uplink = encode_uplink(result, epochs[i])
+                uplink = encode_uplink(result, epoch)
                 if uplink is not None:
                     try:
                         self._send_up(uplink[1])

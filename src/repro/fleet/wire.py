@@ -1,11 +1,13 @@
 """Versioned JSON wire codecs for fleet traffic.
 
 Everything that crosses the client↔server boundary in the cooperative
-deployment is one of four message classes — :class:`FailureReport`,
-:class:`Patch`, :class:`MonitoredRun`, :class:`TrapRecord` — plus the small
-``patch_ack`` control message.  This module gives each of them an explicit,
-versioned JSON wire form, extending the style of
-:mod:`repro.core.serialize`'s sketch codec to the live protocol:
+deployment is one of three message classes — :class:`FailureReport`,
+:class:`Patch`, :class:`MonitoredRun` (whose watchpoint
+:class:`TrapRecord` log rides inside it) — plus the small ``patch_ack``
+control message; the control plane's ``shard_state`` export travels in the
+same envelope.  This module gives each of them an explicit, versioned JSON
+wire form, extending the style of :mod:`repro.core.serialize`'s sketch
+codec to the live protocol:
 
 - every message travels inside an **envelope** carrying the wire-format
   version, the message type, an optional **patch epoch**, and a **content
@@ -56,8 +58,13 @@ MSG_FAILURE_REPORT = "failure_report"
 MSG_MONITORED_RUN = "monitored_run"
 MSG_PATCH = "patch"
 MSG_PATCH_ACK = "patch_ack"
-MSG_TRAP_RECORD = "trap_record"
 MSG_SHARD_STATE = "shard_state"
+
+#: What an endpoint may send the server.  The server's front door
+#: (:meth:`GistServer.receive <repro.core.server.GistServer.receive>`)
+#: quarantines every other type.
+UPLINK_TYPES = frozenset({MSG_FAILURE_REPORT, MSG_MONITORED_RUN,
+                          MSG_PATCH_ACK})
 
 
 class WireError(Exception):
@@ -502,14 +509,12 @@ _TO_BODY = {
     MSG_FAILURE_REPORT: failure_report_to_body,
     MSG_MONITORED_RUN: monitored_run_to_body,
     MSG_PATCH: patch_to_body,
-    MSG_TRAP_RECORD: trap_record_to_body,
 }
 
 _FROM_BODY = {
     MSG_FAILURE_REPORT: failure_report_from_body,
     MSG_MONITORED_RUN: monitored_run_from_body,
     MSG_PATCH: patch_from_body,
-    MSG_TRAP_RECORD: trap_record_from_body,
     MSG_PATCH_ACK: patch_ack_from_body,
     MSG_SHARD_STATE: shard_state_from_body,
 }
@@ -527,8 +532,7 @@ class Message:
     type: str
     epoch: Optional[int]
     digest: str
-    payload: Union[FailureReport, MonitoredRun, Patch, TrapRecord,
-                   Dict[str, Any]]
+    payload: Union[FailureReport, MonitoredRun, Patch, Dict[str, Any]]
     #: Campaign routing key (multi-campaign control plane).  ``None`` for
     #: legacy single-campaign traffic — the envelope key is then absent,
     #: keeping pre-campaign payload bytes (and digests) unchanged.
@@ -583,12 +587,6 @@ def encode_monitored_run(run: MonitoredRun,
 def encode_patch(patch: Patch, epoch: Optional[int] = None,
                  campaign: Optional[str] = None) -> bytes:
     return encode_message(MSG_PATCH, patch, epoch, campaign)
-
-
-def encode_trap_record(trap: TrapRecord,
-                       epoch: Optional[int] = None,
-                       campaign: Optional[str] = None) -> bytes:
-    return encode_message(MSG_TRAP_RECORD, trap, epoch, campaign)
 
 
 def encode_patch_ack(endpoint_id: int, epoch: int,

@@ -101,10 +101,10 @@ Blocking builtins re-execute exactly like both other tiers: the generated
 code spills live registers and commits before delegating to
 ``Interpreter._do_builtin``, and retries on every wakeup.
 
-The per-module cache (:func:`compiled_program`) is a bounded LRU keyed by
-module identity and ``analysis_epoch``;
-:meth:`repro.analysis.context.AnalysisContext.compiled_program` wraps it
-with the context's hit/miss/eviction counters, mirroring ``decoded``.
+The per-module cache behind :func:`compiled_program` is module-level: an
+LRU keyed by module identity and checked against ``analysis_epoch``,
+bounded by :data:`COMPILED_CACHE_CAP`, whose capacity evictions are
+counted in the module-level ``cache_evictions``.
 """
 
 from __future__ import annotations

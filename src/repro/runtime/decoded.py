@@ -41,11 +41,11 @@ yields exactly the addresses every future interpreter of this module will
 assign (entry-point string *arguments* are mapped after the interned
 strings and cannot shift them).
 
-The per-module cache (:func:`decoded_program`) is keyed by module identity
-plus :attr:`~repro.lang.ir.Module.analysis_epoch`, so re-finalizing a
-module after an edit transparently rebuilds the stream;
-:meth:`repro.analysis.context.AnalysisContext.decoded_program` wraps the
-same cache with the context's hit/miss counters.
+The per-module cache behind :func:`decoded_program` is a module-level
+weak cache keyed by module identity and checked against
+:attr:`~repro.lang.ir.Module.analysis_epoch`, so re-finalizing a module
+after an edit transparently rebuilds the stream, and an entry goes away
+with its module.
 """
 
 from __future__ import annotations

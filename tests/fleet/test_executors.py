@@ -8,6 +8,9 @@ trajectories and byte-identical final sketches — including over the wire
 transport with a seeded fault plan, where jobs cross a real process
 boundary as encoded envelopes.
 
+Below the campaigns, the engine contract itself: every engine takes the
+same planned batch and returns byte-identical uplink envelopes.
+
 Also here: the incrementally maintained campaign ranker must equal the
 recorded ranker state (``tests/golden/rankers.json``, checked against a
 from-scratch rebuild when recorded) and engine lifecycle (close / context
@@ -17,8 +20,11 @@ manager / injected engines).
 import pytest
 
 from repro.core import CooperativeDeployment, render_sketch
+from repro.core.client import GistClient
+from repro.core.server import GistServer
 from repro.corpus import get_bug
-from repro.fleet import parse_fault_plan
+from repro.fleet import parse_fault_plan, wire
+from repro.fleet.endpoint import RUN_OK, RunPlan
 from repro.fleet.executors import (
     EXECUTOR_KINDS,
     ThreadExecutor,
@@ -99,6 +105,55 @@ def test_processes_identical_under_faults():
 
 
 # ---------------------------------------------------------------------------
+# The engine contract: one planned batch, identical uplinks
+# ---------------------------------------------------------------------------
+
+#: pbzip2-1's run 0 fails and its run 2 passes, unpatched.
+FAILING_RUN, PASSING_RUN = 0, 2
+CAMPAIGN_KEY = "pbzip2-1"
+
+
+@pytest.fixture(scope="module")
+def planned_batch():
+    """Three planned runs: an unpatched failing run (sends a failure
+    report), a patched run standing for a cohort of 3 (sends a monitored
+    run), and an unpatched passing run (sends nothing)."""
+    spec = get_bug(BUG)
+    module = spec.module()
+    clients = [GistClient(module, endpoint_id=i) for i in range(3)]
+    probe = GistClient(module)
+    report = probe.run(spec.workload_factory(FAILING_RUN),
+                       run_id=FAILING_RUN).outcome.failure
+    campaign = GistServer(module).handle_failure_report(BUG, report)
+    campaign.begin_iteration()
+    [patch] = campaign.make_patches(1)
+    plans = [RunPlan(RUN_OK),
+             RunPlan(RUN_OK, patch=patch, patch_epoch=campaign.epoch,
+                     cohort=3),
+             RunPlan(RUN_OK)]
+    run_ids = [FAILING_RUN, FAILING_RUN + 1, PASSING_RUN]
+    return [(client, plan, spec.workload_factory(run_id), run_id)
+            for client, plan, run_id in zip(clients, plans, run_ids)]
+
+
+def test_every_engine_returns_identical_uplinks(planned_batch):
+    engines = [ThreadExecutor(1), ThreadExecutor(2), ProcessExecutor(2)]
+    uplinks = []
+    for engine in engines:
+        with engine:
+            uplinks.append(engine.run(planned_batch, CAMPAIGN_KEY))
+    reference = uplinks[0]
+    assert [u[0] if u else None for u in reference] == \
+        [wire.MSG_FAILURE_REPORT, wire.MSG_MONITORED_RUN, None]
+    monitored = wire.decode_message(reference[1][1])
+    assert monitored.campaign == CAMPAIGN_KEY
+    assert monitored.epoch == planned_batch[1][1].patch_epoch
+    assert monitored.payload.cohort == 3
+    for engine, result in zip(engines[1:], uplinks[1:]):
+        assert result == reference, (engine.kind, engine.jobs)
+
+
+# ---------------------------------------------------------------------------
 # Incremental ranker == recorded ranker
 # ---------------------------------------------------------------------------
 
@@ -168,16 +223,16 @@ def test_deployment_rejects_unknown_executor():
                               bug=spec.bug_id, executor="fibers")
 
 
-def test_engine_context_manager_lifecycle():
+def test_engine_context_manager_lifecycle(planned_batch):
+    inline = ThreadExecutor(1)
+    reference = inline.run(planned_batch, None)
+    assert inline.live_pool is None  # one worker runs inline
     with ThreadExecutor(2) as engine:
         assert engine.live_pool is None  # lazy: nothing spawned yet
-        assert engine.map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
+        assert engine.run(planned_batch, None) == reference
         assert engine.live_pool is not None
     assert engine.live_pool is None
     engine.close()  # idempotent
-    inline = ThreadExecutor(1)
-    assert inline.map(lambda x: x + 1, [1, 2]) == [2, 3]
-    assert inline.live_pool is None  # one worker runs inline
 
 
 def test_deployment_closes_owned_engine():

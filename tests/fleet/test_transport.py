@@ -143,3 +143,24 @@ class TestServerQuarantine:
         assert msg is not None and msg.payload == report
         assert server.messages_received == 1
         assert server.quarantined_count == 0
+
+    def test_downlink_and_shard_envelopes_are_quarantined(self):
+        """Only failure reports, monitored runs and patch acks travel up:
+        a decodable ``patch`` or ``shard_state`` envelope on the uplink is
+        quarantined, naming its type, and never counts as received."""
+        from repro.core.server import GistServer
+        from repro.corpus import get_bug
+        from repro.fleet import wire
+        from repro.instrument.patch import Patch
+
+        server = GistServer(get_bug("pbzip2-1").module())
+        blobs = {
+            wire.MSG_PATCH: wire.encode_patch(Patch(program="p"), epoch=1),
+            wire.MSG_SHARD_STATE: wire.encode_shard_state(0, [], {}),
+        }
+        for count, (msg_type, blob) in enumerate(blobs.items(), start=1):
+            assert wire.decode_message(blob).type == msg_type
+            assert server.receive(blob) is None
+            assert server.quarantined_count == count
+            assert server.messages_received == 0
+            assert msg_type in server.quarantine[-1].reason
