@@ -63,8 +63,7 @@ def main() -> None:
     anonymizer = Anonymizer(ValuePolicy.BUCKET)
     client = GistClient(target.module())
     # Re-run one monitored workload to inspect its outbound payload.
-    campaign = deployment.server.campaigns[
-        list(deployment.server.campaigns)[0]]
+    campaign = deployment.server.campaign
     campaign.begin_iteration()
     patch = campaign.make_patches(1)[0]
     res = client.run(target.workload_factory(999), patch=patch)

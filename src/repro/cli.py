@@ -193,9 +193,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 cohort_share=args.cohort_share,
                 scheduler=args.scheduler,
                 quantum=args.quantum,
-                journal_dir=args.journal_dir,
-                batch_bytes=args.batch_bytes,
-                batch_ms=args.batch_ms)
+                journal_dir=args.journal_dir)
     workload = Workload(args=tuple(_parse_args_values(args.args)),
                         switch_prob=args.switch_prob,
                         max_steps=args.max_steps)
@@ -258,8 +256,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                 transport=args.fleet_transport,
                 fault_plan=args.fault_plan,
                 journal_dir=args.journal_dir,
-                batch_bytes=args.batch_bytes,
-                batch_ms=args.batch_ms,
                 detectors=_detectors(args, spec),
                 ranker=args.ranker,
                 stats=args.stats) as deployment:
@@ -499,14 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write-ahead campaign journal directory: every "
                             "campaign transition is journaled before apply "
                             "so a killed server resumes mid-campaign")
-        p.add_argument("--batch-bytes", type=frame_bytes, default=None,
-                       metavar="N",
-                       help="socket transport: coalesce up to N payload "
-                            "bytes per write (default 262144)")
-        p.add_argument("--batch-ms", type=float, default=None,
-                       metavar="MS",
-                       help="socket transport: linger up to MS ms filling "
-                            "a batch before writing (default 0)")
 
     def detect_flags(p):
         from .detect.invariants import RANKER_KINDS

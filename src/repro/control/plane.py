@@ -3,7 +3,11 @@
 A :class:`ControlPlane` runs N diagnosis campaigns *concurrently* over a
 shared fleet.  Each campaign is one
 :class:`~repro.core.cooperative.CampaignDriver` — the resumable AsT state
-machine — and the plane's job is everything between them:
+machine — with its own :class:`~repro.core.server.GistServer`, endpoints
+and transport; only the execution engine is shared, and no envelope
+names a campaign.  A campaign's bug id fixes its endpoints' fault
+sub-plan and cohort draws, so a fault-free campaign without cohorts sends
+exactly its solo traffic.  The plane's job is everything between them:
 
 - **Scheduling.**  Each round the
   :class:`~repro.control.scheduler.BudgetScheduler` splits the fleet's

@@ -32,6 +32,11 @@ also keeps executing after the server has what it needs).  Every
 ``(executor, fleet_workers)`` combination therefore produces
 byte-identical campaign statistics and sketches.  The live campaign is
 read off the server, so a simulated server crash needs no hand-off.
+
+A deployment runs one campaign on its own server, endpoints and
+transport, so no envelope names a campaign; the control plane's
+``campaign_key`` only seeds the endpoints' fault sub-plan and cohort
+draws (:class:`~repro.fleet.endpoint.FleetEndpoint`).
 """
 
 from __future__ import annotations
@@ -118,8 +123,6 @@ class CooperativeDeployment:
                  cohort_model=None,
                  ranker_stripes: int = 1,
                  journal_dir: Optional[str] = None,
-                 batch_bytes: Optional[int] = None,
-                 batch_ms: Optional[float] = None,
                  detectors: Sequence[str] = (),
                  ranker: str = "fmeasure",
                  stats: str = "exact") -> None:
@@ -162,10 +165,9 @@ class CooperativeDeployment:
         self._engine: Optional["FleetExecutor"] = engine
         self._owns_engine = engine is None
         self.fault_plan = fault_plan
-        #: Campaign routing key.  ``None`` (solo deployments) keeps every
-        #: envelope untagged — byte-identical to the pre-campaign wire
-        #: format.  A control plane gives each campaign's deployment its
-        #: cluster key; all traffic is then tagged and routed by it.
+        #: Campaign key: ``None`` for solo deployments; a control plane
+        #: passes each campaign's bug id.  It picks the endpoints' fault
+        #: sub-plan and cohort draws, and never reaches the wire.
         self.campaign_key = campaign_key
         #: Cohort model (see :mod:`repro.control.cohort`): when set, each
         #: endpoint stands in for a sampled multiple of real clients.
@@ -178,13 +180,7 @@ class CooperativeDeployment:
         else:
             from ..fleet.socket_transport import SocketFleetTransport
 
-            socket_kwargs = {}
-            if batch_bytes is not None:
-                socket_kwargs["batch_bytes"] = batch_bytes
-            if batch_ms is not None:
-                socket_kwargs["batch_ms"] = batch_ms
-            self.fleet_transport = SocketFleetTransport(
-                endpoints, fault_plan, **socket_kwargs)
+            self.fleet_transport = SocketFleetTransport(endpoints, fault_plan)
         #: Directory for the write-ahead campaign journal (None = off).
         #: The journal file itself opens lazily when a campaign starts.
         self.journal_dir = journal_dir
@@ -192,7 +188,6 @@ class CooperativeDeployment:
         self._runs_lost_to_crash = 0
         self._runs_lost_to_churn = 0
         self._patch_resends = 0
-        self._misrouted = 0
         self._server_crashes = 0
         self._acks_delayed = 0
         #: Acks the fault plan deferred: they land at the start of the
@@ -268,7 +263,8 @@ class CooperativeDeployment:
                     for e, c in zip(self._endpoints, self.clients)):
             self._endpoints = [
                 FleetEndpoint(client, self.fault_plan, len(self.clients),
-                              cohort_model=self.cohort_model)
+                              cohort_model=self.cohort_model,
+                              key=self.campaign_key)
                 for client in self.clients]
         return self._endpoints
 
@@ -285,12 +281,10 @@ class CooperativeDeployment:
         batch = []
         for _ in range(size):
             client, workload, run_id = self._draw()
-            plan = fleet[run_id % len(fleet)].plan_run(
-                run_id, campaign=self.campaign_key)
+            plan = fleet[run_id % len(fleet)].plan_run(run_id)
             batch.append((client, plan, workload, run_id))
         uplinks = iter(self._ensure_engine().run(
-            [run for run in batch if run[1].kind == RUN_OK],
-            self.campaign_key))
+            [run for run in batch if run[1].kind == RUN_OK]))
         return [(run_id, plan, next(uplinks) if plan.kind == RUN_OK else None)
                 for _client, plan, _workload, run_id in batch]
 
@@ -320,7 +314,7 @@ class CooperativeDeployment:
         """The server's one campaign: None before the first failure
         report, and the journal-recovered object after a simulated server
         crash."""
-        return next(iter(self.server.campaigns.values()), None)
+        return self.server.campaign
 
     def _crash_and_recover(self) -> None:
         """Simulate a server kill: throw the live server object away and
@@ -355,7 +349,7 @@ class CooperativeDeployment:
     PUMP_BATCH = 256
 
     def _pump_uplink(self):
-        """Drain the server's inbox, routing each received message to the
+        """Drain the server's inbox, handing each received message to the
         live campaign.
 
         Returns ``(failing_delta, successful_delta, overheads,
@@ -387,11 +381,6 @@ class CooperativeDeployment:
                 message = self.server.receive(blob)
                 if message is None:
                     continue  # quarantined
-                if message.campaign != self.campaign_key:
-                    # Routed by campaign id: traffic for another campaign
-                    # never touches this campaign's statistics.
-                    self._misrouted += 1
-                    continue
                 if message.type == wire.MSG_PATCH_ACK:
                     if campaign is None:
                         continue
@@ -443,8 +432,7 @@ class CooperativeDeployment:
                 variant = patches[endpoint.endpoint_id % len(patches)]
                 self.fleet_transport.send_to_client(
                     endpoint.endpoint_id,
-                    wire.encode_patch(variant, epoch=epoch,
-                                      campaign=self.campaign_key),
+                    wire.encode_patch(variant, epoch=epoch),
                     msg_type=wire.MSG_PATCH,
                     key=(epoch, endpoint.endpoint_id, attempt))
             for endpoint in targets:
@@ -458,18 +446,14 @@ class CooperativeDeployment:
     def _fleet_report(self) -> Dict:
         from ..fleet.transport import FleetReport
 
-        transport_stats = self.fleet_transport.stats.as_dict()
-        if hasattr(self.fleet_transport, "socket_stats"):
-            transport_stats["socket"] = self.fleet_transport.socket_stats()
         report = FleetReport(
-            transport=transport_stats,
+            transport=self.fleet_transport.stats.as_dict(),
             quarantined=self.server.quarantined_count,
             runs_lost_to_crash=self._runs_lost_to_crash,
             runs_lost_to_churn=self._runs_lost_to_churn,
             client_decode_failures=sum(e.decode_failures
                                        for e in self._fleet()),
             patch_resends=self._patch_resends,
-            misrouted=self._misrouted,
             server_crashes=self._server_crashes,
             acks_delayed=self._acks_delayed,
             fault_plan=(self.fault_plan.describe()
@@ -617,10 +601,6 @@ class CampaignDriver:
     # -- status --------------------------------------------------------------
 
     @property
-    def key(self) -> Optional[str]:
-        return self.dep.campaign_key
-
-    @property
     def campaign(self) -> Optional[DiagnosisCampaign]:
         """The deployment's live campaign (None while bootstrapping)."""
         return self.dep.campaign
@@ -681,7 +661,7 @@ class CampaignDriver:
         # record is this campaign's start.
         self.dep._open_journal()
         self.dep.server.handle_failure_report(
-            self.dep.bug, report, self.initial_sigma, key=self.key)
+            self.dep.bug, report, self.initial_sigma)
         self.phase = PHASE_MONITOR
 
     def _step_monitor(self, limit) -> int:

@@ -84,8 +84,6 @@ class Gist:
                  scheduler: str = "infogain",
                  quantum: int = 8,
                  journal_dir: Optional[os.PathLike] = None,
-                 batch_bytes: Optional[int] = None,
-                 batch_ms: Optional[float] = None,
                  detectors: Sequence[str] = (),
                  ranker: str = "fmeasure",
                  stats: str = "exact") -> None:
@@ -131,9 +129,6 @@ class Gist:
         self.quantum = quantum
         #: Write-ahead campaign journal directory (None = no journal).
         self.journal_dir = journal_dir
-        #: Socket-transport batching knobs (None = transport defaults).
-        self.batch_bytes = batch_bytes
-        self.batch_ms = batch_ms
         #: Detection-subsystem tracers endpoints attach to every run
         #: (:data:`repro.detect.DETECTOR_KINDS` names).
         self.detectors = tuple(detectors)
@@ -185,7 +180,6 @@ class Gist:
             executor=self.executor, engine=self.engine,
             transport=self.transport, fault_plan=self.fault_plan,
             journal_dir=self.journal_dir,
-            batch_bytes=self.batch_bytes, batch_ms=self.batch_ms,
             detectors=self.detectors, ranker=self.ranker,
             stats=self.stats)
         stats = deployment.run_campaign(

@@ -56,7 +56,6 @@ class DiagnosisCampaign:
     def __init__(self, server: "GistServer", bug: str,
                  first_report: FailureReport,
                  initial_sigma: int = DEFAULT_SIGMA,
-                 key: Optional[str] = None,
                  stripes: int = 1) -> None:
         if stripes < 1:
             raise ValueError("need at least one ingest stripe")
@@ -64,17 +63,6 @@ class DiagnosisCampaign:
         self.bug = bug
         self.first_report = first_report
         self.identity = first_report.identity()
-        #: The key exactly as the caller passed it (``None`` for solo
-        #: campaigns).  Wire envelopes and journal records carry *this*
-        #: value, so a journal replayed into a fresh server routes
-        #: messages identically; ``self.key`` below is the display/cluster
-        #: key with the default filled in.
-        self.wire_key = key
-        #: The campaign's failure-cluster key — what the control plane
-        #: consistent-hashes across shards and what wire envelopes carry in
-        #: their ``campaign`` field.  Defaults to the clusterer's site key.
-        self.key = key if key is not None \
-            else f"{first_report.kind.value}@{first_report.pc}"
         # Served by the shared context: a second campaign (or a second
         # whole diagnosis) for the same failing pc reuses the slice.
         self.slice: StaticSlice = server.context.slice_from(first_report.pc)
@@ -136,7 +124,7 @@ class DiagnosisCampaign:
 
     def begin_iteration(self) -> Tuple[AstIteration, InstrumentationPlan]:
         if self.server.journal is not None:
-            self.server.journal.append_begin_iteration(self.wire_key)
+            self.server.journal.append_begin_iteration()
         self._current = self.tracker.begin_iteration()
         self._current_plan = self.server.planner.plan_window(
             self.slice, self._current.window_uids)
@@ -290,8 +278,7 @@ class DiagnosisCampaign:
             # as a duplicate.
             self.server.journal.append_ingest(
                 message.digest,
-                wire.encode_monitored_run(run, epoch=message.epoch,
-                                          campaign=message.campaign))
+                wire.encode_monitored_run(run, epoch=message.epoch))
         self._seen_digests.add(message.digest)
         self.server.ingests_applied += 1
         return self.ingest(run), run
@@ -311,7 +298,7 @@ class DiagnosisCampaign:
         if self.server.journal is not None:
             # Iteration boundaries are the journal's durability points:
             # this append also fsyncs everything buffered so far.
-            self.server.journal.append_finish_iteration(self.wire_key)
+            self.server.journal.append_finish_iteration()
         refinement = refine(self._current.window_uids, self._evidence,
                             slice_uids=self.slice.uids)
         sketch: Optional[FailureSketch] = None
@@ -347,7 +334,7 @@ class DiagnosisCampaign:
 
     def grow(self) -> int:
         if self.server.journal is not None:
-            self.server.journal.append_grow(self.wire_key)
+            self.server.journal.append_grow()
         return self.tracker.grow()
 
     @property
@@ -375,7 +362,8 @@ QUARANTINE_KEEP = 32
 
 
 class GistServer:
-    """The centralized (or distributable) analysis side of Gist."""
+    """The centralized (or distributable) analysis side of Gist.  It
+    hosts one campaign; the control plane gives each bug a server."""
 
     def __init__(self, module: Module,
                  context: Optional[AnalysisContext] = None,
@@ -403,7 +391,8 @@ class GistServer:
         self.context = context or AnalysisContext(module)
         self.slicer = self.context.slicer()
         self.planner = self.context.planner()
-        self.campaigns: Dict[str, DiagnosisCampaign] = {}
+        #: The one campaign: None until the first failure report.
+        self.campaign: Optional[DiagnosisCampaign] = None
         #: Ingest stripes for every campaign this server starts: a sharded
         #: control plane sets this to its shard count so predictor
         #: statistics accumulate in per-shard partials (merged on demand).
@@ -457,23 +446,27 @@ class GistServer:
         return message
 
     def handle_failure_report(self, bug: str, report: FailureReport,
-                              initial_sigma: int = DEFAULT_SIGMA,
-                              key: Optional[str] = None
+                              initial_sigma: int = DEFAULT_SIGMA
                               ) -> DiagnosisCampaign:
-        """Start (or return) the campaign for this failure identity.
-        Slicing time is accounted as offline analysis time (Table 1)."""
-        identity = report.identity()
-        if identity in self.campaigns:
-            return self.campaigns[identity]
+        """Start the server's campaign, or return it when ``report`` has
+        its failure identity; a report with another identity is a
+        ``ValueError``.  Slicing time is accounted as offline analysis
+        time (Table 1)."""
+        if self.campaign is not None:
+            if report.identity() != self.campaign.identity:
+                raise ValueError(
+                    f"this server diagnoses {self.campaign.bug}'s failure "
+                    f"{self.campaign.identity}; failure "
+                    f"{report.identity()} needs a server of its own")
+            return self.campaign
         if self.journal is not None:
             from ..fleet import wire  # local import: fleet ↔ core layering
 
             self.journal.append_campaign_start(
-                bug, key, initial_sigma, self.stripes,
-                wire.encode_failure_report(report, campaign=key))
+                bug, initial_sigma, self.stripes,
+                wire.encode_failure_report(report))
         started = time.perf_counter()
-        campaign = DiagnosisCampaign(self, bug, report, initial_sigma,
-                                     key=key, stripes=self.stripes)
+        self.campaign = DiagnosisCampaign(self, bug, report, initial_sigma,
+                                          stripes=self.stripes)
         self.offline_analysis_seconds += time.perf_counter() - started
-        self.campaigns[identity] = campaign
-        return campaign
+        return self.campaign

@@ -189,11 +189,10 @@ def evaluate_bug(
     result.avg_overhead_percent = stats.avg_overhead_percent
     result.offline_seconds = stats.offline_seconds
 
-    campaigns = list(deployment.server.campaigns.values())
-    if not campaigns:
+    campaign = deployment.server.campaign
+    if campaign is None:
         result.wall_seconds = time.perf_counter() - t0
         return result
-    campaign = campaigns[0]
     result.slice_loc = campaign.slice.size_loc()
     result.slice_ir = campaign.slice.size_ir()
 

@@ -3,24 +3,26 @@
 A :class:`FleetEndpoint` wraps a :class:`~repro.core.client.GistClient`
 with everything a *networked* client needs and the in-process one never
 did: it installs patches from the encoded bytes its caller drained off
-the downlink (quietly ignoring payloads that fail to decode) into one
-store keyed by campaign, acknowledges the patch epoch it is actually
-running, and plans each run before an execution engine runs it.  The
-simulated fleet and the standalone ``repro fleet client`` both install
-patches through here.
+the downlink (quietly ignoring payloads that fail to decode) into its one
+patch slot, acknowledges the patch epoch it is actually running, and
+plans each run before an execution engine runs it.  The simulated fleet
+and the standalone ``repro fleet client`` both install patches through
+here.
 
 Client-level faults live here too.  Whether a given run crashes
 mid-execution, churns out of the fleet, or straggles past the deadline is
-a pure function of the deployment's :class:`~repro.fleet.faults.FaultPlan`
+a pure function of the endpoint's :class:`~repro.fleet.faults.FaultPlan`
 and the run's identity — including "has an earlier run of this endpoint
 crashed this epoch", which is recomputed arithmetically from the epoch's
-base run id so the answer never depends on thread scheduling.
+base run id so the answer never depends on thread scheduling.  A
+campaign ``key`` given at construction (the control plane's bug id)
+picks the fault sub-plan and cohort draws; it never reaches the wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from .faults import FaultPlan
 from . import wire
@@ -37,9 +39,11 @@ RUN_CHURNED = "churned"
 #: The one envelope a run sends: ``(msg_type, encoded payload)``.
 Uplink = Tuple[str, bytes]
 
+#: An endpoint's patch slot before any patch is installed.
+NO_PATCH = (None, None, None)
+
 
 def encode_uplink(result: ClientRunResult, epoch: Optional[int],
-                  campaign: Optional[str] = None,
                   cohort: int = 1) -> Optional[Uplink]:
     """Encode the one envelope a client run sends, or None.
 
@@ -54,10 +58,10 @@ def encode_uplink(result: ClientRunResult, epoch: Optional[int],
         if cohort > 1:
             result.monitored.cohort = cohort
         return wire.MSG_MONITORED_RUN, wire.encode_monitored_run(
-            result.monitored, epoch=epoch, campaign=campaign)
+            result.monitored, epoch=epoch)
     if result.outcome.failure is not None:
         return wire.MSG_FAILURE_REPORT, wire.encode_failure_report(
-            result.outcome.failure, campaign=campaign)
+            result.outcome.failure)
     return None
 
 
@@ -89,23 +93,25 @@ class FleetEndpoint:
 
     def __init__(self, client: GistClient,
                  fault_plan: Optional[FaultPlan], fleet_size: int,
-                 cohort_model=None) -> None:
+                 cohort_model=None, key: Optional[str] = None) -> None:
         self.client = client
-        self.plan = fault_plan
+        #: The deployment plan without a ``key``, else its sub-plan whose
+        #: seed mixes the key in, so concurrent campaigns never crash or
+        #: drop the same logical positions.
+        self.plan = fault_plan if fault_plan is None or key is None \
+            else fault_plan.derive(key)
         self.fleet_size = fleet_size
         self.endpoint_id = client.endpoint_id
         #: Cohort model (duck-typed: ``multiplicity(campaign_key,
         #: endpoint_id, run_id) -> int``), or None for an ordinary
         #: single-client endpoint.
         self.cohort_model = cohort_model
-        #: The ``(patch, epoch, digest)`` this endpoint runs, per campaign
-        #: routing key (``None`` for untagged traffic).  An entry survives
+        self.cohort_key = key or ""
+        #: The ``(patch, epoch, digest)`` this endpoint runs.  It survives
         #: across epochs when a delivery is missed — that is what makes
         #: the endpoint *stale*.
-        self.patches: Dict[Optional[str], Tuple[Patch, int, str]] = {}
-        #: Per-campaign fault sub-plans, derived lazily from ``plan`` with
-        #: the campaign key mixed into the seed.
-        self._derived_plans: Dict[str, Optional[FaultPlan]] = {}
+        self.installed: Tuple[Optional[Patch], Optional[int],
+                              Optional[str]] = NO_PATCH
         #: The epoch the fleet is currently in, and its first run id.
         self.epoch = 0
         self.epoch_base = 0
@@ -121,46 +127,28 @@ class FleetEndpoint:
         base = self.epoch_base
         return base + ((self.endpoint_id - base) % self.fleet_size)
 
-    def plan_for(self, campaign: Optional[str]) -> Optional[FaultPlan]:
-        """The fault plan governing one campaign's runs on this endpoint.
-
-        Untagged traffic uses the deployment plan verbatim; campaign-tagged
-        traffic uses a sub-plan whose seed mixes in the campaign key, so
-        concurrent campaigns never crash/drop the same logical positions.
-        """
-        if campaign is None or self.plan is None:
-            return self.plan
-        if campaign not in self._derived_plans:
-            self._derived_plans[campaign] = self.plan.derive(campaign)
-        return self._derived_plans[campaign]
-
-    def patch_state(self, campaign: Optional[str]) -> Tuple[
-            Optional[Patch], Optional[int], Optional[str]]:
-        return self.patches.get(campaign, (None, None, None))
-
-    def _crashed_in_epoch(self, before_run_id: int,
-                          plan: Optional[FaultPlan]) -> bool:
+    def _crashed_in_epoch(self, before_run_id: int) -> bool:
         """Did any run of this endpoint crash earlier this epoch?
 
         Pure recomputation over the endpoint's run ids in
         ``[epoch_base, before_run_id)`` — no mutable crash state, so
         concurrent batches cannot race on it.
         """
-        if plan is None or not plan.clients.any_active():
+        if self.plan is None or not self.plan.clients.any_active():
             return False
         first = self._first_run_of_epoch()
         for run_id in range(first, before_run_id, self.fleet_size):
-            if plan.run_crashes(self.epoch, run_id, self.endpoint_id,
-                                first_of_epoch=(run_id == first),
-                                n_endpoints=self.fleet_size):
+            if self.plan.run_crashes(self.epoch, run_id, self.endpoint_id,
+                                     first_of_epoch=(run_id == first),
+                                     n_endpoints=self.fleet_size):
                 return True
         return False
 
     # -- patch delivery -----------------------------------------------------
 
     def poll_patches(self, blobs: Iterable[bytes]) -> List[bytes]:
-        """Install the newest valid patch per campaign from the downlink
-        payloads the caller drained.
+        """Install the newest valid patch from the downlink payloads the
+        caller drained.
 
         Returns the encoded ``patch_ack`` messages to transmit.  Payloads
         that fail to decode (dropped bits, truncation) are counted and
@@ -176,25 +164,17 @@ class FleetEndpoint:
                 continue
             if msg.type != wire.MSG_PATCH or msg.epoch is None:
                 continue
-            _, current_epoch, _ = self.patch_state(msg.campaign)
+            current_epoch = self.installed[1]
             if current_epoch is not None and msg.epoch < current_epoch:
                 continue  # a reordered, older patch: never downgrade
-            self.patches[msg.campaign] = (msg.payload, msg.epoch, msg.digest)
+            self.installed = (msg.payload, msg.epoch, msg.digest)
             acks.append(wire.encode_patch_ack(self.endpoint_id, msg.epoch,
-                                              msg.digest,
-                                              campaign=msg.campaign))
+                                              msg.digest))
         return acks
 
     # -- execution ----------------------------------------------------------
 
-    def _cohort_of(self, campaign: Optional[str], run_id: int) -> int:
-        if self.cohort_model is None:
-            return 1
-        return self.cohort_model.multiplicity(campaign or "",
-                                              self.endpoint_id, run_id)
-
-    def plan_run(self, run_id: int,
-                 campaign: Optional[str] = None) -> RunPlan:
+    def plan_run(self, run_id: int) -> RunPlan:
         """Resolve everything about a run that precedes execution.
 
         Fault verdicts first: a churned endpoint executes nothing this
@@ -202,7 +182,7 @@ class FleetEndpoint:
         process has lost the in-memory patch — the endpoint's later runs
         this epoch execute unmonitored (the crash-staleness check below).
         """
-        plan = self.plan_for(campaign)
+        plan = self.plan
         if plan is not None:
             if plan.endpoint_churned(self.epoch, self.endpoint_id):
                 return RunPlan(RUN_CHURNED)
@@ -211,11 +191,13 @@ class FleetEndpoint:
                                 first_of_epoch=(run_id == first),
                                 n_endpoints=self.fleet_size):
                 return RunPlan(RUN_CRASHED)
-        patch, patch_epoch, _ = self.patch_state(campaign)
-        if patch is not None and self._crashed_in_epoch(run_id, plan):
+        patch, patch_epoch, _ = self.installed
+        if patch is not None and self._crashed_in_epoch(run_id):
             patch = None
         straggles = (plan is not None
                      and plan.run_straggles(self.epoch, run_id))
+        cohort = (1 if self.cohort_model is None
+                  else self.cohort_model.multiplicity(
+                      self.cohort_key, self.endpoint_id, run_id))
         return RunPlan(RUN_OK, patch=patch, patch_epoch=patch_epoch,
-                       straggles=straggles,
-                       cohort=self._cohort_of(campaign, run_id))
+                       straggles=straggles, cohort=cohort)

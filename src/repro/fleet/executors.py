@@ -27,13 +27,15 @@ transmits in run-id order on the server thread — so for a fixed seed
 every engine consumes the identical run stream and produces
 byte-identical campaign statistics and sketches (see
 ``tests/fleet/test_executors.py`` and ``BENCH_fleet_parallel.json``).
+One engine may serve many campaigns (the control plane shares one), yet
+nothing in a batch names a campaign: each deployment hands it only its
+own runs and sends the uplinks to its own server.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .endpoint import Uplink, encode_uplink
@@ -74,21 +76,17 @@ class RunJob:
     #: Cohort multiplicity, resolved main-side: the worker stamps it onto
     #: the monitored run before encoding so the envelope carries it.
     cohort: int = 1
-    #: Campaign routing key; the worker tags its outbound envelopes with
-    #: it so results route back to the owning campaign.
-    campaign_key: Optional[str] = None
     #: Detector names (:data:`repro.detect.DETECTOR_KINDS`) the worker
     #: attaches to the run — plain strings, so the descriptor stays
     #: picklable and engine-agnostic.
     detectors: tuple = ()
 
 
-def _run_planned(run: PlannedRun,
-                 campaign: Optional[str]) -> Optional[Uplink]:
+def _run_planned(run: PlannedRun) -> Optional[Uplink]:
     """Execute one planned run in this process; return its uplink."""
     client, plan, workload, run_id = run
     result = client.run(workload, patch=plan.patch, run_id=run_id)
-    return encode_uplink(result, plan.patch_epoch, campaign, plan.cohort)
+    return encode_uplink(result, plan.patch_epoch, plan.cohort)
 
 
 class FleetExecutor:
@@ -96,11 +94,9 @@ class FleetExecutor:
 
     kind: str = "abstract"
 
-    def run(self, runs: Sequence[PlannedRun],
-            campaign: Optional[str]) -> List[Optional[Uplink]]:
+    def run(self, runs: Sequence[PlannedRun]) -> List[Optional[Uplink]]:
         """Execute a planned batch; each run's uplink envelope (None for a
-        run that sends nothing), in input order.  ``campaign`` tags the
-        envelopes with their campaign's routing key."""
+        run that sends nothing), in input order."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -139,12 +135,10 @@ class ThreadExecutor(FleetExecutor):
                 max_workers=self.jobs, thread_name_prefix="gist-fleet")
         return self._pool
 
-    def run(self, runs: Sequence[PlannedRun],
-            campaign: Optional[str]) -> List[Optional[Uplink]]:
-        one = partial(_run_planned, campaign=campaign)
+    def run(self, runs: Sequence[PlannedRun]) -> List[Optional[Uplink]]:
         if self.jobs <= 1 or len(runs) <= 1:
-            return [one(run) for run in runs]
-        return list(self._ensure_pool().map(one, runs))
+            return [_run_planned(run) for run in runs]
+        return list(self._ensure_pool().map(_run_planned, runs))
 
     def close(self) -> None:
         if self._pool is not None:

@@ -9,9 +9,9 @@ log layered under :meth:`DiagnosisCampaign.ingest_wire
 
 - every message that **mutates campaign state** is appended to the journal
   *before* it is applied — the canonical wire envelope bytes plus the
-  already-verified content digest for monitored runs, small canonical-JSON
-  control records for campaign lifecycle transitions (campaign start,
-  iteration begin/finish, window growth);
+  already-verified content digest for monitored runs, one canonical-JSON
+  campaign-start record, and empty control records for the other
+  lifecycle transitions (iteration begin/finish, window growth);
 - appends are buffered and ``fsync``'d in batches (every
   ``fsync_bytes`` of new records, plus explicitly at iteration
   boundaries), so the journal adds one sequential write per ingest, not
@@ -37,6 +37,9 @@ then records of ``type (u8) | payload_len (u32) | crc32 (u32) | payload``.
 A torn tail (the process died mid-append, or the last batch never hit the
 platter) fails its length or CRC check and replay stops cleanly at the
 last intact record.
+
+A journal holds one campaign, as a server hosts one, so no record names
+a campaign; ``GISTWAL1`` journals, which did, are refused at the header.
 """
 
 from __future__ import annotations
@@ -46,19 +49,19 @@ import os
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 #: Journal file header: magic + format version.
-JOURNAL_MAGIC = b"GISTWAL1"
+JOURNAL_MAGIC = b"GISTWAL2"
 
-#: Record types, in the order they can legally appear per campaign.
-REC_CAMPAIGN_START = 1   # canonical JSON: bug/key/sigma/stripes/report_hex
-REC_BEGIN_ITERATION = 2  # canonical JSON: {"key": ...}
+#: Record types, in the order they can legally appear.
+REC_CAMPAIGN_START = 1   # canonical JSON: bug/sigma/stripes/report_hex
+REC_BEGIN_ITERATION = 2  # empty
 REC_INGEST = 3           # 16-byte ascii digest + monitored_run envelope
-REC_FINISH_ITERATION = 4  # canonical JSON: {"key": ...}
-REC_GROW = 5             # canonical JSON: {"key": ...}
+REC_FINISH_ITERATION = 4  # empty
+REC_GROW = 5             # empty
 
 _RECORD_TYPES = (REC_CAMPAIGN_START, REC_BEGIN_ITERATION, REC_INGEST,
                  REC_FINISH_ITERATION, REC_GROW)
@@ -72,12 +75,6 @@ _DIGEST_LEN = 16
 class JournalError(Exception):
     """A structurally broken journal (bad header, unknown record type)."""
     pass
-
-
-def _control_payload(key: Optional[str]) -> bytes:
-    # Canonical (sorted-keys, compact) JSON, matching the wire codecs.
-    return json.dumps({"key": key}, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
 
 
 def intact_prefix_end(path: os.PathLike) -> int:
@@ -108,7 +105,7 @@ def journal_path(journal_dir: str, bug: str) -> str:
 
 
 class CampaignJournal:
-    """An append-only write-ahead log for one deployment's campaigns.
+    """An append-only write-ahead log for one server's campaign.
 
     ``fresh=True`` truncates any existing file (a deployment starting a
     new campaign); ``fresh=False`` opens in append mode and is how a
@@ -161,11 +158,11 @@ class CampaignJournal:
         if self._unsynced >= self.fsync_bytes:
             self.sync()
 
-    def append_campaign_start(self, bug: str, key: Optional[str],
-                              sigma: int, stripes: int,
+    def append_campaign_start(self, bug: str, sigma: int, stripes: int,
                               report_blob: bytes) -> None:
+        # Canonical (sorted-keys, compact) JSON, matching the wire codecs.
         payload = json.dumps(
-            {"bug": bug, "key": key, "sigma": sigma, "stripes": stripes,
+            {"bug": bug, "sigma": sigma, "stripes": stripes,
              "report_hex": report_blob.hex()},
             sort_keys=True, separators=(",", ":")).encode("utf-8")
         self.append(REC_CAMPAIGN_START, payload)
@@ -173,8 +170,8 @@ class CampaignJournal:
         # per campaign is free, losing the identity loses everything.
         self.sync()
 
-    def append_begin_iteration(self, key: Optional[str]) -> None:
-        self.append(REC_BEGIN_ITERATION, _control_payload(key))
+    def append_begin_iteration(self) -> None:
+        self.append(REC_BEGIN_ITERATION, b"")
         # Iteration opens are durability points too (one per iteration):
         # a server killed mid-iteration resumes with the window open and
         # only buffered *ingests* — re-suppliable evidence — at risk.
@@ -185,14 +182,14 @@ class CampaignJournal:
         *before* the ingest mutates campaign state."""
         self.append(REC_INGEST, digest.encode("ascii") + envelope)
 
-    def append_finish_iteration(self, key: Optional[str]) -> None:
+    def append_finish_iteration(self) -> None:
         # Iteration boundaries are durability points: sync unconditionally
         # so a resumed campaign never loses a *closed* iteration.
-        self.append(REC_FINISH_ITERATION, _control_payload(key))
+        self.append(REC_FINISH_ITERATION, b"")
         self.sync()
 
-    def append_grow(self, key: Optional[str]) -> None:
-        self.append(REC_GROW, _control_payload(key))
+    def append_grow(self) -> None:
+        self.append(REC_GROW, b"")
 
     def sync(self) -> None:
         """Flush buffered records and fsync the file."""
@@ -268,16 +265,15 @@ def iter_records(path: os.PathLike,
 
 @dataclass
 class RecoveredState:
-    """What :func:`recover_server` reconstructed from a journal."""
+    """What :func:`recover_server` reconstructed (the campaign, once
+    started, is ``server.campaign``)."""
 
     server: object  # GistServer (typed loosely: fleet must not import core)
-    #: Campaign routing key (``None`` for solo campaigns) → campaign.
-    campaigns: Dict[Optional[str], object] = field(default_factory=dict)
     records_replayed: int = 0
     ingests_replayed: int = 0
-    #: Keys whose last replayed record left an iteration open (the server
+    #: Whether the last replayed record left an iteration open (the server
     #: died mid-iteration; the resuming driver re-enters monitoring).
-    open_iterations: Dict[Optional[str], bool] = field(default_factory=dict)
+    open_iteration: bool = False
 
 
 def recover_server(path: os.PathLike, module, *,
@@ -289,10 +285,10 @@ def recover_server(path: os.PathLike, module, *,
     the caller re-attaches a :class:`CampaignJournal` opened in append
     mode afterwards, so replayed records are never re-appended.
 
-    A record that passes its CRC but whose payload does not decode — not
-    UTF-8 JSON, not an object, a missing or mistyped field, a bad
-    envelope, or a campaign key no earlier record started — raises
-    :class:`JournalError` naming ``path`` and the record's index.
+    A record that passes its CRC but cannot be replayed — a payload that
+    does not decode, a second campaign start, a record before the start,
+    a control record with a payload — raises :class:`JournalError`
+    naming ``path`` and the record's index.
     """
     # Lazy import: fleet ↔ core layering (same pattern as server.receive).
     from ..core.server import GistServer
@@ -304,56 +300,58 @@ def recover_server(path: os.PathLike, module, *,
     for index, (rec_type, payload) in enumerate(iter_records(path)):
         where = f"{path}: record {index}"
         state.records_replayed += 1
+        campaign = server.campaign
+        if rec_type == REC_CAMPAIGN_START:
+            if campaign is not None:
+                raise JournalError(
+                    f"{where}: a second campaign start (a journal holds "
+                    "one campaign)")
+            meta = _start_record(where, payload)
+            report = _envelope(where, meta["report"],
+                               wire.MSG_FAILURE_REPORT).payload
+            campaign = server.handle_failure_report(
+                meta["bug"], report, meta["sigma"])
+            if campaign.stripes != meta["stripes"]:
+                raise JournalError(
+                    f"{where}: journal recorded {meta['stripes']} ingest "
+                    f"stripes but recovery was configured with "
+                    f"{campaign.stripes}")
+            continue
+        if campaign is None:
+            raise JournalError(f"{where}: record before the campaign start")
         if rec_type == REC_INGEST:
             message = _envelope(where, payload[_DIGEST_LEN:],
                                 wire.MSG_MONITORED_RUN)
-            campaign = _campaign(state, where, message.campaign)
             if campaign.ingest_wire(message) is None:
                 raise JournalError(
                     f"{where}: journaled ingest was rejected on replay "
                     "(epoch or digest gate) — journal out of order")
             state.ingests_replayed += 1
             continue
-        meta = _control_record(where, rec_type, payload)
-        key = meta["key"]
-        if rec_type == REC_CAMPAIGN_START:
-            try:
-                blob = bytes.fromhex(meta["report_hex"])
-            except ValueError as exc:
-                raise JournalError(f"{where}: bad report_hex ({exc})") \
-                    from exc
-            report = _envelope(where, blob, wire.MSG_FAILURE_REPORT).payload
-            campaign = server.handle_failure_report(
-                meta["bug"], report, meta["sigma"], key=key)
-            if campaign.stripes != meta["stripes"]:
-                raise JournalError(
-                    f"{where}: journal recorded {meta['stripes']} ingest "
-                    f"stripes but recovery was configured with "
-                    f"{campaign.stripes}")
-            state.campaigns[key] = campaign
-            state.open_iterations[key] = False
-            continue
-        campaign = _campaign(state, where, key)
+        if payload:
+            raise JournalError(
+                f"{where}: control record carries a {len(payload)}-byte "
+                "payload")
         if rec_type == REC_BEGIN_ITERATION:
             campaign.begin_iteration()
-            state.open_iterations[key] = True
+            state.open_iteration = True
         elif rec_type == REC_FINISH_ITERATION:
             campaign.finish_iteration()
-            state.open_iterations[key] = False
+            state.open_iteration = False
         elif rec_type == REC_GROW:
             campaign.grow()
     return state
 
 
-#: The fields of a campaign-start record besides ``key``, and their types.
+#: The fields of a campaign-start record, and their types.
 _START_FIELDS = (("bug", str), ("sigma", int), ("stripes", int),
                  ("report_hex", str))
 
 
-def _control_record(where: str, rec_type: int, payload: bytes) -> Dict:
-    """A control record's canonical-JSON object, its fields checked: a
-    string or null ``key``, plus :data:`_START_FIELDS` on a campaign
-    start."""
+def _start_record(where: str, payload: bytes) -> Dict:
+    """A campaign-start record's canonical-JSON object, its
+    :data:`_START_FIELDS` checked, with the failure report's envelope
+    bytes decoded from hex under ``"report"``."""
     try:
         meta = json.loads(payload.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
@@ -361,15 +359,14 @@ def _control_record(where: str, rec_type: int, payload: bytes) -> Dict:
             from exc
     if not isinstance(meta, dict):
         raise JournalError(f"{where}: payload is not a JSON object")
-    if "key" not in meta or not (meta["key"] is None
-                                 or isinstance(meta["key"], str)):
-        raise JournalError(f"{where}: no string or null 'key'")
-    if rec_type == REC_CAMPAIGN_START:
-        for name, kind in _START_FIELDS:
-            value = meta.get(name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise JournalError(
-                    f"{where}: no {kind.__name__} {name!r}")
+    for name, kind in _START_FIELDS:
+        value = meta.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise JournalError(f"{where}: no {kind.__name__} {name!r}")
+    try:
+        meta["report"] = bytes.fromhex(meta["report_hex"])
+    except ValueError as exc:
+        raise JournalError(f"{where}: bad report_hex ({exc})") from exc
     return meta
 
 
@@ -385,13 +382,6 @@ def _envelope(where: str, blob: bytes, msg_type: str):
         raise JournalError(
             f"{where}: envelope is a {message.type}, not a {msg_type}")
     return message
-
-
-def _campaign(state: RecoveredState, where: str, key: Optional[str]):
-    campaign = state.campaigns.get(key)
-    if campaign is None:
-        raise JournalError(f"{where}: no campaign started for key {key!r}")
-    return campaign
 
 
 def prefix_journal(src: os.PathLike, dst: os.PathLike,

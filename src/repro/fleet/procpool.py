@@ -105,8 +105,7 @@ def _worker_run(job: RunJob) -> Optional[Uplink]:
                         extended_predicates=job.extended,
                         detectors=job.detectors)
     result = client.run(job.workload, patch=patch, run_id=job.run_id)
-    return encode_uplink(result, job.patch_epoch, job.campaign_key,
-                         job.cohort)
+    return encode_uplink(result, job.patch_epoch, job.cohort)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ def _worker_run(job: RunJob) -> Optional[Uplink]:
 # ---------------------------------------------------------------------------
 
 
-def _job(run: PlannedRun, campaign: Optional[str]) -> RunJob:
+def _job(run: PlannedRun) -> RunJob:
     """The picklable descriptor of one planned run."""
     client, plan, workload, run_id = run
     digest, blob = module_payload(client.module)
@@ -126,7 +125,7 @@ def _job(run: PlannedRun, campaign: Optional[str]) -> RunJob:
                     if patch is not None else None),
         patch_epoch=plan.patch_epoch, ptwrite=client.ptwrite,
         extended=client.extended_predicates, detectors=client.detectors,
-        cohort=plan.cohort, campaign_key=campaign)
+        cohort=plan.cohort)
 
 
 def _pool_context():
@@ -160,11 +159,10 @@ class ProcessExecutor(FleetExecutor):
                 max_workers=self.jobs, mp_context=_pool_context())
         return self._pool
 
-    def run(self, runs: Sequence[PlannedRun],
-            campaign: Optional[str]) -> List[Optional[Uplink]]:
+    def run(self, runs: Sequence[PlannedRun]) -> List[Optional[Uplink]]:
         if not runs:
             return []
-        jobs = [_job(run, campaign) for run in runs]
+        jobs = [_job(run) for run in runs]
         return list(self._ensure_pool().map(_worker_run, jobs))
 
     def close(self) -> None:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import wire
-from .endpoint import FleetEndpoint, encode_uplink
+from .endpoint import NO_PATCH, FleetEndpoint, encode_uplink
 from .journal import journal_path
 from .socket_transport import (
     CHAN_DOWNLINK_BASE,
@@ -129,7 +129,6 @@ class FleetServer:
         self._groups: List[_ClientGroup] = []
         self._groups_lock = threading.Lock()
         self.server = None
-        self.campaign = None
         self._iter_open = False
         #: The ``done`` message, once the campaign has ended.
         self._done: Optional[Dict] = None
@@ -169,6 +168,11 @@ class FleetServer:
         peer.send_control({"op": "welcome", "bug": self.bug_id,
                            "fresh": self.campaign is None})
 
+    @property
+    def campaign(self):
+        """The server's one campaign (None until it starts)."""
+        return self.server.campaign if self.server is not None else None
+
     def _live_groups(self) -> List[_ClientGroup]:
         with self._groups_lock:
             self._groups = [g for g in self._groups if not g.peer.eof]
@@ -191,11 +195,7 @@ class FleetServer:
             state = recover_server(path, module)
             self.server = state.server
             self.server.journal = CampaignJournal(path, fresh=False)
-            if state.campaigns:
-                self.campaign = state.campaigns.get(
-                    None, next(iter(state.campaigns.values())))
-                self._iter_open = state.open_iterations.get(
-                    self.campaign.wire_key, False)
+            self._iter_open = state.open_iteration
             self.log(f"[serve] resumed from journal: "
                      f"{state.records_replayed} records, "
                      f"{state.ingests_replayed} ingests, "
@@ -323,10 +323,11 @@ class FleetServer:
                 return 1
             for message in self._pump(0.1):
                 if message.type == wire.MSG_FAILURE_REPORT:
-                    self.campaign = self.server.handle_failure_report(
-                        self.bug_id, message.payload, self.initial_sigma)
+                    report = message.payload
+                    self.server.handle_failure_report(
+                        self.bug_id, report, self.initial_sigma)
                     self.log(f"[serve] campaign bootstrapped: "
-                             f"{self.campaign.key}")
+                             f"{report.kind.value}@{report.pc}")
                     break
 
         # Phase 2: AsT iterations.
@@ -539,7 +540,7 @@ class FleetClientProcess:
                         # back to unpatched runs so failure reports can
                         # bootstrap a new one.
                         for endpoint in fleet:
-                            endpoint.patches.clear()
+                            endpoint.installed = NO_PATCH
                     continue
                 # Install any newly arrived patches; ack them.
                 for i, down_queue in self._down.items():
@@ -554,7 +555,7 @@ class FleetClientProcess:
                 run_id = (self.base + i) * 10_000_000 + run_seq
                 run_seq += 1
                 workload = self.spec.workload_factory(run_id)
-                patch, epoch, _ = fleet[i].patch_state(None)
+                patch, epoch, _ = fleet[i].installed
                 result = fleet[i].client.run(workload, patch=patch,
                                              run_id=run_id)
                 runs_done += 1

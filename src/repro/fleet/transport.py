@@ -245,9 +245,6 @@ class FleetReport:
     runs_lost_to_churn: int = 0
     client_decode_failures: int = 0
     patch_resends: int = 0
-    #: Messages whose campaign routing key did not match the consuming
-    #: campaign (multi-campaign deployments only; always 0 solo).
-    misrouted: int = 0
     #: Server-side fault accounting: simulated server kills survived via
     #: journal replay, and acks the server deferred one pump round.
     server_crashes: int = 0
@@ -267,7 +264,6 @@ class FleetReport:
             "runs_lost_to_churn": self.runs_lost_to_churn,
             "client_decode_failures": self.client_decode_failures,
             "patch_resends": self.patch_resends,
-            "misrouted": self.misrouted,
             "server_crashes": self.server_crashes,
             "acks_delayed": self.acks_delayed,
             "journal": self.journal,

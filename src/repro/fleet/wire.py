@@ -49,9 +49,10 @@ from ..core.predictors import (
 from ..core.refinement import MonitoredRun
 
 #: Bump when the envelope or any body schema changes incompatibly.
-#: (Optional envelope/body fields that are *absent* when unset — the
-#: ``campaign`` routing key, a monitored run's ``cohort`` multiplicity —
-#: keep old payloads byte-identical and decodable, so they do not bump.)
+#: (Optional body fields that are *absent* when unset — a monitored run's
+#: ``cohort`` multiplicity, a patch's ``slice`` — keep old payloads
+#: byte-identical and decodable, so they do not bump.  The envelope names
+#: no campaign: each server hosts one, so nothing routes by it.)
 WIRE_VERSION = 1
 
 MSG_FAILURE_REPORT = "failure_report"
@@ -533,25 +534,19 @@ class Message:
     epoch: Optional[int]
     digest: str
     payload: Union[FailureReport, MonitoredRun, Patch, Dict[str, Any]]
-    #: Campaign routing key (multi-campaign control plane).  ``None`` for
-    #: legacy single-campaign traffic — the envelope key is then absent,
-    #: keeping pre-campaign payload bytes (and digests) unchanged.
-    campaign: Optional[str] = None
 
 
 def encode_message(msg_type: str, obj: Any,
-                   epoch: Optional[int] = None,
-                   campaign: Optional[str] = None) -> bytes:
+                   epoch: Optional[int] = None) -> bytes:
     """Wrap an object of a known message class into envelope bytes."""
     if msg_type not in _TO_BODY:
         raise ValueError(f"unknown message type {msg_type!r}")
     body = _TO_BODY[msg_type](obj)
-    return _encode_envelope(msg_type, body, epoch, campaign)
+    return _encode_envelope(msg_type, body, epoch)
 
 
 def _encode_envelope(msg_type: str, body: Any,
-                     epoch: Optional[int],
-                     campaign: Optional[str] = None) -> bytes:
+                     epoch: Optional[int]) -> bytes:
     """``_canonical`` of the envelope, serializing the body once.
 
     The body's canonical bytes feed both its digest and the envelope:
@@ -565,37 +560,28 @@ def _encode_envelope(msg_type: str, body: Any,
         "epoch": epoch,
         "digest": _bytes_digest(body_bytes),
     }
-    # Routing key is absent (not null) when unset: single-campaign
-    # envelopes keep their exact legacy bytes.
-    if campaign is not None:
-        rest["campaign"] = campaign
     return b'{"body":' + body_bytes + b"," + _canonical(rest)[1:]
 
 
 def encode_failure_report(report: FailureReport,
-                          epoch: Optional[int] = None,
-                          campaign: Optional[str] = None) -> bytes:
-    return encode_message(MSG_FAILURE_REPORT, report, epoch, campaign)
+                          epoch: Optional[int] = None) -> bytes:
+    return encode_message(MSG_FAILURE_REPORT, report, epoch)
 
 
 def encode_monitored_run(run: MonitoredRun,
-                         epoch: Optional[int] = None,
-                         campaign: Optional[str] = None) -> bytes:
-    return encode_message(MSG_MONITORED_RUN, run, epoch, campaign)
+                         epoch: Optional[int] = None) -> bytes:
+    return encode_message(MSG_MONITORED_RUN, run, epoch)
 
 
-def encode_patch(patch: Patch, epoch: Optional[int] = None,
-                 campaign: Optional[str] = None) -> bytes:
-    return encode_message(MSG_PATCH, patch, epoch, campaign)
+def encode_patch(patch: Patch, epoch: Optional[int] = None) -> bytes:
+    return encode_message(MSG_PATCH, patch, epoch)
 
 
 def encode_patch_ack(endpoint_id: int, epoch: int,
-                     patch_digest: str,
-                     campaign: Optional[str] = None) -> bytes:
+                     patch_digest: str) -> bytes:
     return _encode_envelope(
         MSG_PATCH_ACK,
-        patch_ack_to_body(endpoint_id, epoch, patch_digest), epoch,
-        campaign)
+        patch_ack_to_body(endpoint_id, epoch, patch_digest), epoch)
 
 
 def encode_shard_state(shard: int, campaigns: List[Dict[str, Any]],
@@ -630,10 +616,6 @@ def decode_message(blob: bytes) -> Message:
     if epoch is not None and (not isinstance(epoch, int)
                               or isinstance(epoch, bool)):
         raise WireError("malformed epoch")
-    campaign = payload.get("campaign")
-    if campaign is not None and (not isinstance(campaign, str)
-                                 or not campaign):
-        raise WireError("malformed campaign key")
     if "body" not in payload or "digest" not in payload:
         raise WireError("envelope missing body or digest")
     body = payload["body"]
@@ -647,4 +629,4 @@ def decode_message(blob: bytes) -> Message:
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise WireError(f"malformed {msg_type} body: {err}")
     return Message(type=msg_type, epoch=epoch, digest=digest,
-                   payload=decoded, campaign=campaign)
+                   payload=decoded)

@@ -125,6 +125,26 @@ class TestDegenerateSingleCampaign:
         assert render_sketch(stats.sketch) == render_sketch(solo.sketch)
         assert stats.total_runs == solo.total_runs
 
+    @pytest.mark.parametrize("bug_id", BUGS)
+    def test_one_campaign_plane_sends_the_solo_traffic(self, bug_id):
+        """A fault-free campaign without cohorts sends the same bytes on
+        the plane as solo: no envelope names its campaign, so the fleet
+        report is identical at any shard count."""
+        from repro.core import CooperativeDeployment
+
+        b = get_bug(bug_id)
+        with CooperativeDeployment(b.module(), b.workload_factory,
+                                   endpoints=4, bug=b.bug_id) as deployment:
+            solo = deployment.run_campaign(stop_when=b.sketch_has_root,
+                                           max_iterations=4)
+        for shards in (1, 2):
+            result = ControlPlane(_specs([bug_id]), shards=shards,
+                                  endpoints=4, max_iterations=4).run()
+            stats = result.stats[bug_id]
+            assert stats.fleet == solo.fleet, shards
+            assert stats.total_runs == solo.total_runs
+            assert render_sketch(stats.sketch) == render_sketch(solo.sketch)
+
 
 class TestValidation:
     def test_rejects_empty_and_duplicate_specs(self):

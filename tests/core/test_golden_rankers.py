@@ -43,8 +43,7 @@ def ranker_campaign(bug_id, mode):
             detectors=spec.detectors, stats=mode) as deployment:
         deployment.run_campaign(stop_when=spec.sketch_has_root,
                                 max_iterations=SETTINGS["max_iterations"])
-    (campaign,) = deployment.server.campaigns.values()
-    return campaign
+    return deployment.server.campaign
 
 
 def ranker_digest(ranker) -> str:

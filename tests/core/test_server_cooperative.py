@@ -70,10 +70,25 @@ class TestCampaign:
         module = compile_source(RACY)
         report = bootstrap(module, Workload(args=(3,), switch_prob=0.05))
         server = GistServer(module)
+        assert server.campaign is None
         c1 = server.handle_failure_report("bug", report)
         c2 = server.handle_failure_report("bug", report)
         assert c1 is c2
-        assert len(server.campaigns) == 1
+        assert server.campaign is c1
+
+    def test_another_identity_is_refused(self):
+        import dataclasses
+
+        module = compile_source(RACY)
+        report = bootstrap(module, Workload(args=(3,), switch_prob=0.05))
+        server = GistServer(module)
+        campaign = server.handle_failure_report("bug", report)
+        other = dataclasses.replace(report, pc=report.pc + 1)
+        assert other.identity() != report.identity()
+        with pytest.raises(ValueError, match="server of its own"):
+            server.handle_failure_report("other-bug", other)
+        assert server.campaign is campaign
+        assert server.handle_failure_report("bug", report) is campaign
 
     def test_ingest_counts_recurrences_by_identity(self):
         module = compile_source(RACY)

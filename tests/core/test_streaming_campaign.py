@@ -74,12 +74,12 @@ def test_streaming_journal_recovery(tmp_path):
     stats = deployment.run_campaign(stop_when=bug.sketch_has_root,
                                     max_iterations=6)
     assert stats.found
-    (live,) = deployment.server.campaigns.values()
+    live = deployment.server.campaign
     deployment.close()
 
     state = recover_server(tmp_path / f"{bug.bug_id}.wal", bug.module(),
                            stats="streaming")
-    (recovered,) = state.campaigns.values()
+    recovered = state.server.campaign
     assert recovered.stats_kind == "streaming"
     assert recovered.ranker().state() == live.ranker().state()
     assert recovered.ranker().state()["kind"] == "sketch"

@@ -130,7 +130,7 @@ def test_wait_for_failure_is_the_campaign_bootstrap(fleet_workers):
         report, runs = waiting.wait_for_failure()
     campaigning = deployment()
     stats = campaigning.run_campaign(max_iterations=1)
-    [diagnosis] = campaigning.server.campaigns.values()
+    diagnosis = campaigning.server.campaign
     assert report is not None
     assert report.identity() == diagnosis.identity
     assert runs == stats.bootstrap_runs

@@ -110,7 +110,6 @@ def test_processes_identical_under_faults():
 
 #: pbzip2-1's run 0 fails and its run 2 passes, unpatched.
 FAILING_RUN, PASSING_RUN = 0, 2
-CAMPAIGN_KEY = "pbzip2-1"
 
 
 @pytest.fixture(scope="module")
@@ -141,12 +140,11 @@ def test_every_engine_returns_identical_uplinks(planned_batch):
     uplinks = []
     for engine in engines:
         with engine:
-            uplinks.append(engine.run(planned_batch, CAMPAIGN_KEY))
+            uplinks.append(engine.run(planned_batch))
     reference = uplinks[0]
     assert [u[0] if u else None for u in reference] == \
         [wire.MSG_FAILURE_REPORT, wire.MSG_MONITORED_RUN, None]
     monitored = wire.decode_message(reference[1][1])
-    assert monitored.campaign == CAMPAIGN_KEY
     assert monitored.epoch == planned_batch[1][1].patch_epoch
     assert monitored.payload.cohort == 3
     for engine, result in zip(engines[1:], uplinks[1:]):
@@ -158,19 +156,13 @@ def test_every_engine_returns_identical_uplinks(planned_batch):
 # ---------------------------------------------------------------------------
 
 
-def campaign_of(deployment):
-    campaigns = list(deployment.server.campaigns.values())
-    assert len(campaigns) == 1
-    return campaigns[0]
-
-
 def test_incremental_ranker_equals_rebuilt():
     import json
 
     from tests.core.test_golden_rankers import GOLDEN, ranker_digest
 
     deployment, stats = run_campaign("threads", 1)
-    campaign = campaign_of(deployment)
+    campaign = deployment.server.campaign
     assert deployment.server.ingests_applied > 0
     # The fixture's pbzip2-1 campaign differs only in allowing six
     # iterations instead of four: one that converges stops at the same one.
@@ -188,7 +180,7 @@ def test_ranker_carries_over_across_iterations():
         # campaign spans several iterations.
         stats = deployment.run_campaign(stop_when=(lambda sketch: False),
                                         max_iterations=3)
-    campaign = campaign_of(deployment)
+    campaign = deployment.server.campaign
     assert stats.iterations > 1
     # One campaign-lifetime ranker: its totals cover *every* ingested run,
     # not just the final iteration's.
@@ -225,11 +217,11 @@ def test_deployment_rejects_unknown_executor():
 
 def test_engine_context_manager_lifecycle(planned_batch):
     inline = ThreadExecutor(1)
-    reference = inline.run(planned_batch, None)
+    reference = inline.run(planned_batch)
     assert inline.live_pool is None  # one worker runs inline
     with ThreadExecutor(2) as engine:
         assert engine.live_pool is None  # lazy: nothing spawned yet
-        assert engine.run(planned_batch, None) == reference
+        assert engine.run(planned_batch) == reference
         assert engine.live_pool is not None
     assert engine.live_pool is None
     engine.close()  # idempotent

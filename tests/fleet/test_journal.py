@@ -43,45 +43,39 @@ def canonical_state(server) -> bytes:
     accounting as canonical JSON — the byte-identity oracle for recovery."""
     from repro.core.clustering import FailureClusterer
 
-    camps, extra = [], []
-    for campaign in sorted(server.campaigns.values(), key=lambda c: c.key):
-        camps.append({
-            "key": campaign.key,
-            "bug": campaign.bug,
-            "recurrences": campaign.total_failure_recurrences,
-            "stripes": campaign.stripe_states(),
-        })
-        extra.append({
-            "key": campaign.key,
-            "epoch": campaign.epoch,
-            "digests": sorted(campaign._seen_digests),
-            "iterations": len(campaign.iterations),
-        })
-    shard = wire.encode_shard_state(0, camps, FailureClusterer().state())
-    return shard + b"\n" + json.dumps(
-        extra, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    campaign = server.campaign
+    shard = wire.encode_shard_state(0, [{
+        "key": campaign.bug,
+        "bug": campaign.bug,
+        "recurrences": campaign.total_failure_recurrences,
+        "stripes": campaign.stripe_states(),
+    }], FailureClusterer().state())
+    return shard + b"\n" + json.dumps({
+        "epoch": campaign.epoch,
+        "digests": sorted(campaign._seen_digests),
+        "iterations": len(campaign.iterations),
+    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def replay_records(server, campaigns, records):
+def replay_records(server, records):
     """Apply journal records through the public campaign API — the same
     fold :func:`recover_server` performs, continued from a seam."""
     for rec_type, payload in records:
+        campaign = server.campaign
         if rec_type == REC_CAMPAIGN_START:
             meta = json.loads(payload.decode("utf-8"))
             report = wire.decode_message(
                 bytes.fromhex(meta["report_hex"])).payload
-            campaigns[meta["key"]] = server.handle_failure_report(
-                meta["bug"], report, meta["sigma"], key=meta["key"])
+            server.handle_failure_report(meta["bug"], report, meta["sigma"])
         elif rec_type == REC_BEGIN_ITERATION:
-            campaigns[json.loads(payload)["key"]].begin_iteration()
+            campaign.begin_iteration()
         elif rec_type == REC_INGEST:
             message = wire.decode_message(payload[_DIGEST_LEN:])
-            assert campaigns[message.campaign].ingest_wire(message) \
-                is not None
+            assert campaign.ingest_wire(message) is not None
         elif rec_type == REC_FINISH_ITERATION:
-            campaigns[json.loads(payload)["key"]].finish_iteration()
+            campaign.finish_iteration()
         elif rec_type == REC_GROW:
-            campaigns[json.loads(payload)["key"]].grow()
+            campaign.grow()
 
 
 @pytest.fixture(scope="module")
@@ -108,25 +102,28 @@ class TestFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "j.wal"
         with CampaignJournal(path, fresh=True) as journal:
-            journal.append_campaign_start("bug", None, 2, 1, b"\x01\x02")
-            journal.append_begin_iteration(None)
+            journal.append_campaign_start("bug", 2, 1, b"\x01\x02")
+            journal.append_begin_iteration()
             journal.append_ingest("0badc0ffee15dead", b"envelope-bytes")
-            journal.append_finish_iteration(None)
-            journal.append_grow(None)
+            journal.append_finish_iteration()
+            journal.append_grow()
+        assert path.read_bytes().startswith(b"GISTWAL2")
         records = list(iter_records(path))
         assert [r[0] for r in records] == [
             REC_CAMPAIGN_START, REC_BEGIN_ITERATION, REC_INGEST,
             REC_FINISH_ITERATION, REC_GROW]
         assert records[2][1] == b"0badc0ffee15dead" + b"envelope-bytes"
         meta = json.loads(records[0][1])
-        assert meta == {"bug": "bug", "key": None, "sigma": 2,
-                        "stripes": 1, "report_hex": "0102"}
+        assert meta == {"bug": "bug", "sigma": 2, "stripes": 1,
+                        "report_hex": "0102"}
+        # Control records name no campaign: a journal holds one.
+        assert [records[i][1] for i in (1, 3, 4)] == [b"", b"", b""]
 
     def test_torn_tail_is_tolerated_but_strict_raises(self, tmp_path):
         path = tmp_path / "j.wal"
         with CampaignJournal(path, fresh=True) as journal:
-            journal.append_begin_iteration(None)
-            journal.append_grow(None)
+            journal.append_begin_iteration()
+            journal.append_ingest("0badc0ffee15dead", b"envelope-bytes")
         whole = path.read_bytes()
         path.write_bytes(whole[:-3])  # tear the last record's payload
         assert [r[0] for r in iter_records(path)] == [REC_BEGIN_ITERATION]
@@ -144,9 +141,9 @@ class TestFormat:
     def test_append_mode_continues_existing_file(self, tmp_path):
         path = tmp_path / "j.wal"
         with CampaignJournal(path, fresh=True) as journal:
-            journal.append_grow(None)
+            journal.append_grow()
         with CampaignJournal(path, fresh=False) as journal:
-            journal.append_grow("other")
+            journal.append_grow()
         assert len(list(iter_records(path))) == 2
         with CampaignJournal(path, fresh=True) as journal:
             pass
@@ -159,15 +156,15 @@ class TestFormat:
         # behind it and a second crash silently loses all of it.
         path = tmp_path / "j.wal"
         with CampaignJournal(path, fresh=True) as journal:
-            journal.append_begin_iteration(None)
-            journal.append_grow(None)
+            journal.append_begin_iteration()
+            journal.append_ingest("0badc0ffee15dead", b"envelope-bytes")
         whole = path.read_bytes()
         path.write_bytes(whole[:-3])  # tear the last record's payload
         with CampaignJournal(path, fresh=False) as journal:
             assert journal.torn_bytes_truncated > 0
             assert journal.stats()["torn_bytes_truncated"] > 0
-            journal.append_grow("post-recovery")
-            journal.append_finish_iteration("post-recovery")
+            journal.append_grow()
+            journal.append_finish_iteration()
         assert [r[0] for r in iter_records(path)] == [
             REC_BEGIN_ITERATION, REC_GROW, REC_FINISH_ITERATION]
         # And strict mode agrees the file is whole again.
@@ -176,19 +173,19 @@ class TestFormat:
     def test_clean_reopen_truncates_nothing(self, tmp_path):
         path = tmp_path / "j.wal"
         with CampaignJournal(path, fresh=True) as journal:
-            journal.append_grow(None)
+            journal.append_grow()
         with CampaignJournal(path, fresh=False) as journal:
             assert journal.torn_bytes_truncated == 0
 
     def test_lifecycle_records_are_durability_points(self, tmp_path):
         journal = CampaignJournal(tmp_path / "j.wal", fresh=True)
-        journal.append_campaign_start("bug", None, 2, 1, b"\x01")
-        journal.append_begin_iteration(None)
+        journal.append_campaign_start("bug", 2, 1, b"\x01")
+        journal.append_begin_iteration()
         start_syncs = journal.syncs
         assert start_syncs >= 2
         journal.append_ingest("0badc0ffee15dead", b"x" * 32)
         assert journal.syncs == start_syncs  # ingests batch
-        journal.append_finish_iteration(None)
+        journal.append_finish_iteration()
         assert journal.syncs == start_syncs + 1
         journal.close()
 
@@ -200,7 +197,7 @@ class TestRecovery:
         assert canonical_state(state.server) == journaled["final"]
         assert state.ingests_replayed > 0
         assert state.server.journal is None
-        assert not any(state.open_iterations.values())
+        assert not state.open_iteration
 
     def test_prefix_journal_counts_ingests(self, journaled, tmp_path):
         cut = tmp_path / "prefix.wal"
@@ -242,8 +239,7 @@ class TestRecoveryInvariant:
                         if seen == k:
                             suffix_from = index + 1
                             break
-            replay_records(state.server, dict(state.campaigns),
-                           records[suffix_from:])
+            replay_records(state.server, records[suffix_from:])
             assert canonical_state(state.server) == journaled["final"]
 
 
@@ -266,8 +262,8 @@ class TestCrashRecoveryKeepsServerSettings:
                 **kwargs)
             stats = deployment.run_campaign(stop_when=spec.sketch_has_root,
                                             max_iterations=6)
-            (campaign,) = deployment.server.campaigns.values()
-            return deployment.server, campaign.ranker(), stats
+            return deployment.server, deployment.server.campaign.ranker(), \
+                stats
 
         _, ranker, clean = run()
         server, recovered, crashed = run(
@@ -285,40 +281,61 @@ class TestCrashRecoveryKeepsServerSettings:
 
 
 def _start_meta(**fields) -> bytes:
-    meta = {"bug": BUG, "key": None, "sigma": 2, "stripes": 1,
-            "report_hex": "00"}
+    meta = {"bug": BUG, "sigma": 2, "stripes": 1, "report_hex": "00"}
     meta.update(fields)
     return json.dumps(meta).encode("utf-8")
 
 
-#: One CRC-valid record with a malformed payload per case, each of which
-#: once escaped recovery as an untyped exception.
+#: Stands for the journaled campaign's own start record.
+START = "start"
+
+#: Record sequences whose last record passes its CRC but cannot be
+#: replayed: a malformed payload (each of which once escaped recovery as
+#: an untyped exception), or a record breaking the one-campaign format.
 _MALFORMED = {
-    "non-utf8": (REC_BEGIN_ITERATION, b"\xff\xfe{}"),
-    "json-array": (REC_BEGIN_ITERATION, b"[1, 2]"),
-    "empty-object": (REC_BEGIN_ITERATION, b"{}"),
-    "unknown-campaign-key": (REC_BEGIN_ITERATION, b'{"key": "nope"}'),
-    "bad-report-hex": (REC_CAMPAIGN_START, _start_meta(report_hex="zz")),
-    "garbage-ingest-envelope": (REC_INGEST, b"0badc0ffee15dead" + b"\x00{"),
-    "short-ingest-envelope": (REC_INGEST, b"0badc0ffee"),
+    "non-utf8": [(REC_CAMPAIGN_START, b"\xff\xfe{}")],
+    "json-array": [(REC_CAMPAIGN_START, b"[1, 2]")],
+    "empty-object": [(REC_CAMPAIGN_START, b"{}")],
+    "bad-report-hex": [(REC_CAMPAIGN_START, _start_meta(report_hex="zz"))],
+    "garbage-ingest-envelope": [
+        START, (REC_INGEST, b"0badc0ffee15dead" + b"\x00{")],
+    "short-ingest-envelope": [START, (REC_INGEST, b"0badc0ffee")],
+    "second-campaign-start": [START, START],
+    "control-before-start": [(REC_BEGIN_ITERATION, b"")],
+    "control-with-payload": [
+        START, (REC_BEGIN_ITERATION, b'{"key": "nope"}')],
 }
 
 
 class TestMalformedPayloads:
-    """A record that passes its CRC but carries a malformed payload is a
+    """A record that passes its CRC but cannot be replayed is a
     :class:`JournalError` naming the journal and the record's index."""
 
     @pytest.mark.parametrize("case", sorted(_MALFORMED))
     def test_recovery_raises_journal_error(self, case, journaled,
                                            tmp_path):
-        rec_type, payload = _MALFORMED[case]
         start = journaled["records"][0]
         assert start[0] == REC_CAMPAIGN_START
+        records = [start if record == START else record
+                   for record in _MALFORMED[case]]
         path = tmp_path / "bad.wal"
         with CampaignJournal(path, fresh=True) as journal:
-            journal.append(*start)
-            journal.append(rec_type, payload)
-        assert len(list(iter_records(path, strict=True))) == 2
+            for record in records:
+                journal.append(*record)
+        assert len(list(iter_records(path, strict=True))) == len(records)
         with pytest.raises(JournalError) as raised:
             recover_server(path, journaled["spec"].module())
-        assert str(raised.value).startswith(f"{path}: record 1: ")
+        assert str(raised.value).startswith(
+            f"{path}: record {len(records) - 1}: ")
+
+    def test_a_gistwal1_journal_is_refused_at_its_header(self, journaled,
+                                                        tmp_path):
+        # The format before one campaign per journal: the same records
+        # under the old magic never reach replay.
+        path = tmp_path / "old.wal"
+        path.write_bytes(b"GISTWAL1" + journaled["path"].read_bytes()[
+            len(JOURNAL_MAGIC):])
+        with pytest.raises(JournalError, match="not a campaign journal"):
+            recover_server(path, journaled["spec"].module())
+        with pytest.raises(JournalError, match="not a campaign journal"):
+            CampaignJournal(path, fresh=False)

@@ -199,25 +199,21 @@ def test_encoding_is_canonical(run):
         wire.encode_monitored_run(run, epoch=3)
 
 
-def _reference_envelope(blob_type, body, epoch, campaign):
+def _reference_envelope(blob_type, body, epoch):
     """``_canonical`` of the envelope dict, built the obvious way."""
-    envelope = {"wire": wire.WIRE_VERSION, "type": blob_type,
-                "epoch": epoch, "digest": wire.body_digest(body),
-                "body": body}
-    if campaign is not None:
-        envelope["campaign"] = campaign
-    return wire._canonical(envelope)
+    return wire._canonical({"wire": wire.WIRE_VERSION, "type": blob_type,
+                            "epoch": epoch, "digest": wire.body_digest(body),
+                            "body": body})
 
 
 @settings(max_examples=30, deadline=None)
 @given(failure_reports(), monitored_runs(), patches(),
-       st.none() | st.integers(0, 99), st.none() | st.text(min_size=1,
-                                                            max_size=12))
+       st.none() | st.integers(0, 99))
 def test_envelope_bytes_are_the_canonical_envelope(report, run, patch,
-                                                   epoch, campaign):
+                                                   epoch):
     """The envelope splices the body's canonical bytes in rather than
     serializing the body twice; the result is byte for byte the canonical
-    envelope, for every message type, with and without a campaign key."""
+    envelope, for every message type."""
     cases = [
         (wire.MSG_FAILURE_REPORT, report, wire.encode_failure_report),
         (wire.MSG_MONITORED_RUN, run, wire.encode_monitored_run),
@@ -225,14 +221,14 @@ def test_envelope_bytes_are_the_canonical_envelope(report, run, patch,
     ]
     for msg_type, obj, encode in cases:
         body = wire._TO_BODY[msg_type](obj)
-        assert encode(obj, epoch, campaign) == \
-            _reference_envelope(msg_type, body, epoch, campaign), msg_type
+        assert encode(obj, epoch) == \
+            _reference_envelope(msg_type, body, epoch), msg_type
     ack = wire.patch_ack_to_body(3, 7, "abc")
-    assert wire.encode_patch_ack(3, 7, "abc", campaign) == \
-        _reference_envelope(wire.MSG_PATCH_ACK, ack, 7, campaign)
+    assert wire.encode_patch_ack(3, 7, "abc") == \
+        _reference_envelope(wire.MSG_PATCH_ACK, ack, 7)
     state = wire.shard_state_to_body(1, [], {})
     assert wire.encode_shard_state(1, [], {}, epoch) == \
-        _reference_envelope(wire.MSG_SHARD_STATE, state, epoch, None)
+        _reference_envelope(wire.MSG_SHARD_STATE, state, epoch)
 
 
 @pytest.mark.parametrize("uid", [True, False, 1.0, 2.5, "3", None, [4]])

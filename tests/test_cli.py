@@ -218,8 +218,8 @@ class TestVersionAndFleetFlags:
     def test_batch_bytes_above_the_frame_cap_is_an_argparse_error(
             self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["corpus", "diagnose", "transmission-1818",
-                  "--fleet-transport", "socket",
+            main(["fleet", "serve", "transmission-1818",
+                  "--socket", "unix:/nonexistent/gist.sock",
                   "--batch-bytes", str(20 * 1024 * 1024)])
         assert exc.value.code == 2
         assert "frame cap" in capsys.readouterr().err
@@ -232,6 +232,10 @@ class TestVersionAndFleetFlags:
         ["run", "prog.minic", "--interp", "strict"],
         ["run", "prog.minic", "--interp", "decoded"],
         ["corpus", "diagnose", "transmission-1818", "--executor", "serial"],
+        ["corpus", "diagnose", "transmission-1818", "--batch-bytes", "1",
+         "--fleet-transport", "socket"],
+        ["corpus", "campaign", "pbzip2-1", "--batch-ms", "2"],
+        ["diagnose", "prog.minic", "--batch-ms", "2"],
     ])
     def test_retired_spellings_are_argparse_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
