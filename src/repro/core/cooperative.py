@@ -325,13 +325,17 @@ class CooperativeDeployment:
         from ..fleet.journal import CampaignJournal, recover_server
 
         old = self.server
-        path = old.journal.path
-        old.journal.close()
+        journal = old.journal
+        journal.close()  # after its final sync, which the counters carry
         state = recover_server(
-            path, self.module, context=old.context, stripes=old.stripes,
-            ranker=old.ranker_kind, stats=old.stats_kind)
+            journal.path, self.module, context=old.context,
+            stripes=old.stripes, ranker=old.ranker_kind,
+            stats=old.stats_kind)
         server = state.server
-        server.journal = CampaignJournal(path, fresh=False)
+        server.journal = CampaignJournal(journal.path, fresh=False)
+        # The file is the same one, so its counters carry on.
+        for counter in ("records_appended", "bytes_appended", "syncs"):
+            setattr(server.journal, counter, getattr(journal, counter))
         self.server = server
         self._server_crashes += 1
 

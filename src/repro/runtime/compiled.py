@@ -19,12 +19,15 @@ would advance it, including single-thread runs) survives compilation:
 - After every retired instruction the generated code runs an inline *gate*
   over the halves of the scheduler's decision
   (:meth:`~repro.runtime.scheduler.Scheduler.split_pick`):
-  ``if _rand() < _p and (_t := _consult(_rn, tid)) != tid:``.  For the
-  random scheduler ``_rand`` is its RNG's C-level ``random``, so a step
-  that keeps the current thread costs one draw and one float compare and
-  calls no Python scheduler code; schedulers that do not split their
-  decision consult ``pick`` on every step through the same line.  When the consult selects a different thread the generator commits
-  its local accounting and yields the chosen tid;
+  ``if _rand() < _p and (_t := _switch(tid, _step + k)) is not None:``.
+  For the random scheduler ``_rand`` is its RNG's C-level ``random``, and
+  for round-robin its quantum's ``list.pop``, so a step that keeps the
+  current thread costs one draw and one float compare and calls no Python
+  scheduler code; schedulers that do not split their decision consult
+  ``pick`` on every step through the same line.  ``_switch`` is the slow
+  half (:func:`_switcher`): it consults over the runnable set and returns
+  the thread to switch to, or None.  On a switch the generator commits its
+  local accounting and yields the chosen tid;
   :meth:`Interpreter._loop_compiled` resumes that thread's generator
   directly (the step's decision has already been consumed).
 - ``yield None`` means *no* decision was consumed (the thread blocked or
@@ -32,17 +35,29 @@ would advance it, including single-thread runs) survives compilation:
 - Every resume of a generator — including the first — therefore means one
   decision has already been spent on this thread, and the generator
   executes the next instruction body with no preceding gate.  A resume
-  sends the interpreter's ``(global_step, _sched_dirty,
-  _runnable_cache)``, which the generator mirrors in locals.
+  sends ``global_step`` only; nothing else about the scheduler lives in
+  generator locals.
 - User calls are linked by ``yield from``, so a context switch deep in a
   call chain suspends/resumes the whole chain in one step.
 
 Accounting
 ----------
 
-``global_step`` lives in a local and is published at every *commit*: before
-every yield, builtin call, user call/return, hook, and failure.  A commit
-also publishes the frame position (block and index), so at hooks, yields,
+Steps are counted per basic block.  ``_step`` holds the step before the
+current block, so the instruction at 1-based position ``k`` retires at
+``_step + k`` — a constant offset at every commit, hook, event and failure
+site — and a block's exit adds ``k`` once.  The step budget is ``_room =
+_max_steps - _step``, set at block entry, so the hang test of an
+instruction is ``if k > _room:``, one compare of a constant.  Whenever
+other code ran — a resume, a user call's return, a blocking builtin's
+retry — both are re-based on the published ``global_step``: ``_step =
+global_step - k`` for the ``k`` instructions of the block already retired.
+Outside its body, a retired instruction thus runs the scheduler draw and
+the hang compare, and nothing else.
+
+``global_step`` is published at every *commit*: before every yield,
+builtin call, user call/return, hook, and failure.  A commit also
+publishes the frame position (block and index), so at hooks, yields,
 failures and run end every thread's ``_current_pc`` is exact.  Event
 fan-outs (step, branch, flow, memory) publish only ``global_step``: inside
 those handlers the call stack and ``extra_cost`` are exact, but the
@@ -66,10 +81,13 @@ One compiled program serves plain and instrumented runs alike.  The
 subscriber lists, gates and hooks are sampled at run start into locals
 (:meth:`CompiledProgram.start`):
 
-- ``_pre`` is ``None`` without step subscribers and hooks — plain runs pay
-  one local truth test per instruction — else a uid-indexed tuple of
-  flags, set where the instruction needs the step fan-out and hooks
-  (:func:`_before`); the site tests ``_pre[uid]``, one C-level index;
+- ``_pre`` is ``None`` without step subscribers and hooks, else a
+  uid-indexed tuple of flags, set where the instruction needs the step
+  fan-out and hooks (:func:`_before`).  ``_preb`` flags the same way the
+  entry uid of every block that holds such an instruction.  A block's entry
+  probes it once, ``_h = _preb and _preb[entry uid]``, and each instruction
+  tests ``if _h and _pre[uid]:`` — one local truth test in plain runs and
+  in the blocks of a monitored run that hold no hooked instruction;
 - ``_fb`` / ``_fm`` are the run's branch / memory fan-outs
   (``Interpreter._fire_*``), and ``_fj`` / ``_fc`` / ``_fr`` its jump /
   call / return fan-outs (``Interpreter._flow_fires``), each ``None`` when
@@ -97,9 +115,15 @@ fan-out, once per retired instruction (each retry of a blocking builtin
 included); they see the exact frame position and the registers the
 instruction reads (spilled into the frame for ``eval_operand``).  Events
 carry the instruction's step and come in the decoded tier's order.
-Blocking builtins re-execute exactly like both other tiers: the generated
+Blocking builtins re-execute exactly like the decoded tier: the generated
 code spills live registers and commits before delegating to
 ``Interpreter._do_builtin``, and retries on every wakeup.
+
+A register defined once, by an entry-block ``ALLOCA`` of at least one slot,
+names the frame's own mapped stack slot from that ``ALLOCA`` until the
+frame returns (:meth:`_FunctionCompiler._own_slots`).  A ``STORE`` through
+it is ``_slots[r] = v``, with neither the range and membership test nor the
+``Memory.write`` fallback of other stores; its memory-event test stays.
 
 The per-module cache behind :func:`compiled_program` is module-level: an
 LRU keyed by module identity and checked against ``analysis_epoch``,
@@ -109,7 +133,7 @@ counted in the module-level ``cache_evictions``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..lang.ir import Instr, Module, Opcode, Register
@@ -221,10 +245,27 @@ def _hang(interp, frame, step, acc, site, tid, pc):
              f"exceeded {interp.max_steps} steps")
 
 
-def _refresh(interp, step):
-    """The runnable set and dirty flag, recomputed at ``step``."""
-    interp.global_step = step
-    return interp._runnable_tids(), interp._sched_dirty
+def _switcher(interp, consult):
+    """The slow half of a run's gate: ``switch(tid, step)``, called when the
+    draw says "switch" at the instruction retiring at ``step``, returns the
+    thread to run next, or None to keep ``tid``.
+
+    It consults over the runnable set, recomputed (which wakes the sleepers
+    due by ``step``) only while ``interp._sched_dirty`` says the cached set
+    may be stale.  Between two consults nothing reads a sleeper's status,
+    so waking it here is waking it on time.  An answer outside the
+    runnable set means its first thread, as in the other tier."""
+    def switch(tid, step):
+        if interp._sched_dirty:
+            interp.global_step = step
+            runnable = interp._runnable_tids()
+        else:
+            runnable = interp._runnable_cache
+        chosen = consult(runnable, tid)
+        if chosen == tid:
+            return None
+        return chosen if chosen in runnable else runnable[0]
+    return switch
 
 
 def _before(interp, frame, step, tid, ins, *values):
@@ -265,8 +306,8 @@ def _enter(thread, tid, memory, callee):
 
 #: The per-run locals every generated function unpacks from
 #: ``interp._run_locals`` (built by :meth:`CompiledProgram.start`).
-_RUN_LOCALS = ("_rand, _p, _consult, _max_steps, _memory, _slots, _pre, "
-               "_fb, _fj, _fc, _fr, _fm, _gb, _gf, _gm, _gm2")
+_RUN_LOCALS = ("_rand, _p, _switch, _max_steps, _memory, _slots, _pre, "
+               "_preb, _fb, _fj, _fc, _fr, _fm, _gb, _gf, _gm, _gm2")
 
 #: The gate local of an event kind without a lone gated handler (its
 #: fan-out tests any per-handler gates): every key.  Thread ids and the
@@ -352,7 +393,6 @@ class _ModuleCompiler:
             "_fail_at": _fail_at,
             "_fault": _fault,
             "_hang": _hang,
-            "_refresh": _refresh,
             "_before": _before,
             "_enter": _enter,
         }
@@ -403,10 +443,35 @@ class _FunctionCompiler:
                         seen.add(operand.name)
                         regs.append(operand.name)
         self.locals_to_zero = regs
-        # The block being emitted and the packed charge of its instructions
-        # after the current one: pre-charged on block entry, not retired.
+        self.own_slots = self._own_slots()
+        # The block being emitted, the packed charge of its instructions
+        # after the current one (pre-charged on block entry, not retired),
+        # and the current instruction's 1-based position in the block: it
+        # retires at step ``_step + k``.
         self.label = ""
         self.rest = 0
+        self.k = 0
+
+    def _own_slots(self) -> Dict[str, int]:
+        """``{register: index}`` of every register that names one of this
+        frame's mapped stack slots from entry-block position ``index`` on.
+
+        Such a register is no parameter and has one definition: an
+        entry-block ``ALLOCA`` of at least one slot.  The entry block runs
+        before any other, so in every later block the ``ALLOCA`` has run;
+        its slot stays mapped until the frame returns (callees release only
+        slots above it, and a stack that would grow past its thread's region
+        faults instead of reaching the next thread's)."""
+        defs = Counter(ins.dst.name for ins in self.func.instructions()
+                       if ins.dst is not None)
+        entry = self.func.blocks.get(self.func.entry)
+        own: Dict[str, int] = {}
+        for idx, ins in enumerate(entry.instrs if entry is not None else ()):
+            if ins.opcode == Opcode.ALLOCA and ins.dst is not None and \
+                    ins.size >= 1 and defs[ins.dst.name] == 1 and \
+                    ins.dst.name not in self.func.params:
+                own[ins.dst.name] = idx
+        return own
 
     def reg(self, name: str) -> str:
         return self.reg_names.get(name)
@@ -432,58 +497,75 @@ class _FunctionCompiler:
             self.label if label is None else label, index,
             self.rest if rest is None else rest))
 
+    @property
+    def step(self) -> str:
+        """The step the current instruction retires at."""
+        return f"_step + {self.k}"
+
     def emit_hang(self, site: str, pc_expr) -> None:
-        self.e.line("if _step > _max_steps:")
-        self.e.line(f"    _hang(interp, frame, _step, _acc, {site}, tid, "
+        self.e.line(f"if {self.k} > _room:")
+        self.e.line(f"    _hang(interp, frame, {self.step}, _acc, {site}, tid, "
                     f"{pc_expr})")
 
-    def emit_gate(self, site: str) -> None:
+    def emit_rebase(self, resumed: str, retired: int) -> None:
+        """Re-base ``_step`` and ``_room`` on ``resumed``, the published
+        ``global_step`` once other code ran, with ``retired`` instructions
+        of the current block retired."""
+        self.e.line(f"_step = {resumed} - {retired}" if retired
+                    else f"_step = {resumed}")
+        self.e.line("_room = _max_steps - _step")
+
+    def emit_gate(self, site: str, resume: str = "rebase") -> None:
         """The scheduler gate: one decision per retired instruction — a
-        draw, and a consult only when the draw is below the threshold
+        draw, and ``_switch`` only when the draw is below the threshold
         (:meth:`~repro.runtime.scheduler.Scheduler.split_pick`).  Falls
         through when the current thread keeps running; commits and yields
-        the chosen tid on a context switch (a scheduler answer outside the
-        runnable set means its first thread, as in the other tiers).
+        the chosen tid on a context switch.  ``_switch`` consults over the
+        runnable set (:func:`_switcher`): the current thread is always in
+        it here, which is what makes the split decision consume the
+        scheduler's state as ``pick`` would.
 
-        ``_dirty`` and ``_rn`` locally mirror ``interp._sched_dirty`` /
-        ``interp._runnable_cache``: between resume points only this thread
-        executes, so the mirrors are refreshed only after yields, calls,
-        and builtins — the hot gate touches no interpreter attributes.
-        The current thread is always in ``_rn`` here, which is what makes
-        the split decision consume the scheduler's state as ``pick`` would.
-        """
+        The resumed generator receives ``global_step``.  ``resume`` says
+        what takes it: ``"rebase"`` re-bases ``_step`` and ``_room`` for the
+        block's next instruction; ``"arm"`` sets ``_step`` for the target
+        block, whose entry sets ``_room``, and otherwise advances ``_step``
+        past the current block; ``"leave"`` drops it, for a CALL or RET,
+        after which code re-reads ``interp.global_step``."""
         e = self.e
-        e.line("if _dirty:")
-        e.line("    _rn, _dirty = _refresh(interp, _step)")
-        e.line("if _rand() < _p and (_t := _consult(_rn, tid)) != tid:")
-        e.line(f"    _acc = _commit(interp, frame, _step, _acc, {site})")
-        e.line("    _step, _dirty, _rn = yield _t if _t in _rn else _rn[0]")
-
-    def emit_resync(self) -> None:
-        """Re-mirror interpreter state into locals after other code ran."""
-        e = self.e
-        e.line("_step = interp.global_step")
-        e.line("_dirty = interp._sched_dirty")
-        e.line("_rn = interp._runnable_cache")
+        e.line(f"if _rand() < _p and "
+               f"(_t := _switch(tid, {self.step})) is not None:")
+        e.line(f"    _acc = _commit(interp, frame, {self.step}, _acc, {site})")
+        e.indent += 1
+        if resume == "rebase":
+            self.emit_rebase("(yield _t)", self.k)
+        elif resume == "arm":
+            e.line("_step = yield _t")
+        else:
+            e.line("yield _t")
+        e.indent -= 1
+        if resume == "arm":
+            e.line("else:")
+            e.line(f"    _step += {self.k}")
 
     def emit_fail(self, idx: int, kind: str, pc: int, message: str) -> None:
-        self.e.line(f"_fail_at(interp, frame, _step, _acc, {self.site(idx)}, "
-                    f"tid, {kind}, {pc}, {message!r})")
+        self.e.line(f"_fail_at(interp, frame, {self.step}, _acc, "
+                    f"{self.site(idx)}, tid, {kind}, {pc}, {message!r})")
 
     def emit_memfault_handler(self, idx: int, uid: int) -> None:
         self.e.line("except MemoryFault as _f:")
-        self.e.line(f"    _fault(interp, frame, _step, _acc, "
+        self.e.line(f"    _fault(interp, frame, {self.step}, _acc, "
                     f"{self.site(idx)}, tid, {uid}, _f)")
 
     def emit_raise(self, idx: int, make_exc) -> None:
         name = self.mc.const("k", make_exc)
-        self.e.line(f"_commit(interp, frame, _step, _acc, {self.site(idx)})")
+        self.e.line(f"_commit(interp, frame, {self.step}, _acc, "
+                    f"{self.site(idx)})")
         self.e.line(f"raise {name}()")
 
     def emit_before(self, ins: Instr, values=()) -> None:
         args = "".join(f", {v}" for v in values)
-        self.e.line(f"if _pre and _pre[{ins.uid}]:")
-        self.e.line(f"    _before(interp, frame, _step, tid, "
+        self.e.line(f"if _h and _pre[{ins.uid}]:")
+        self.e.line(f"    _before(interp, frame, {self.step}, tid, "
                     f"{self.mc.instr_const(ins)}{args})")
 
     def _expr(self, spec) -> str:
@@ -523,7 +605,6 @@ class _FunctionCompiler:
             self._emit_builtin(bb, idx, ins)
             return
         # The instruction's charge was pre-charged at block entry.
-        e.line("_step += 1")
         self.emit_before(ins, [self.reg(o.name) for o in ins.operands
                                if isinstance(o, Register)])
         if op in (Opcode.CONST, Opcode.MOVE):
@@ -593,19 +674,25 @@ class _FunctionCompiler:
         if make_exc is not None:
             self.emit_raise(idx, make_exc)
             return
-        e.line(f"_va = {self._expr(specs[0])}")
-        e.line(f"_vb = {self._expr(specs[1])}")
-        e.line("if _vb == 0:")
+        a, b = self._expr(specs[0]), self._expr(specs[1])
+        e.line(f"if {b} == 0:")
         e.indent += 1
         self.emit_fail(idx, "_DIV0", ins.uid, "division by zero")
         e.indent -= 1
-        # C semantics: truncate toward zero.
-        e.line("_q = abs(_va) // abs(_vb)")
-        e.line("if (_va < 0) != (_vb < 0):")
-        e.line("    _q = -_q")
+        # C semantics: truncate toward zero.  Python floors, which differs
+        # when the exact quotient is negative and not whole: then the
+        # quotient is one more, and the remainder takes the dividend's
+        # sign instead of the divisor's.
+        if is_div:
+            e.line(f"_q = {a} // {b}")
+            e.line(f"if _q < 0 and _q * {b} != {a}:")
+            e.line("    _q += 1")
+        else:
+            e.line(f"_q = {a} % {b}")
+            e.line(f"if _q and ({a} ^ {b}) < 0:")
+            e.line(f"    _q -= {b}")
         if ins.dst is not None:
-            dst = self.reg(ins.dst.name)
-            e.line(f"{dst} = _q" if is_div else f"{dst} = _va - _q * _vb")
+            e.line(f"{self.reg(ins.dst.name)} = _q")
         self.finish_straight(bb, idx, ins)
 
     def _emit_unop(self, bb, idx, ins) -> None:
@@ -648,7 +735,7 @@ class _FunctionCompiler:
         # The event goes out before the destination write: ``{a}`` may name
         # the destination register (``%p = load %p`` walking a list).
         e.line(f"if _fm and ({a} in _gm or _gm2 and {a} in _gm2):")
-        e.line(f"    _fm(_step, tid, {ins.uid}, {a}, False, _v)")
+        e.line(f"    _fm({self.step}, tid, {ins.uid}, {a}, False, _v)")
         if ins.dst is not None:
             e.line(f"{self.reg(ins.dst.name)} = _v")
         self.finish_straight(bb, idx, ins)
@@ -661,30 +748,43 @@ class _FunctionCompiler:
             self.emit_raise(idx, make_exc)
             return
         a, v = self._expr(specs[0]), self._expr(specs[1])
-        e.line("try:")
-        e.indent += 1
-        if specs[0][0] == "reg":
-            # Fast path mirrors Memory.write: a mapped slot outside the
-            # read-only string data cannot fault on a write.
-            e.line(f"if ({a} < {STRING_BASE} or {a} >= {HEAP_BASE}) "
-                   f"and {a} in _slots:")
-            e.line(f"    _slots[{a}] = {v}")
-            e.line("else:")
-            e.line(f"    _memory.write({a}, {v})")
+        if self._is_own_slot(specs[0]):
+            # A write to this frame's own mapped stack slot cannot fault.
+            e.line(f"_slots[{a}] = {v}")
         else:
-            addr = specs[0][1]
-            if not STRING_BASE <= addr < HEAP_BASE:
-                e.line(f"if {addr} in _slots:")
-                e.line(f"    _slots[{addr}] = {v}")
+            e.line("try:")
+            e.indent += 1
+            if specs[0][0] == "reg":
+                # Fast path mirrors Memory.write: a mapped slot outside the
+                # read-only string data cannot fault on a write.
+                e.line(f"if ({a} < {STRING_BASE} or {a} >= {HEAP_BASE}) "
+                       f"and {a} in _slots:")
+                e.line(f"    _slots[{a}] = {v}")
                 e.line("else:")
-                e.line(f"    _memory.write({addr}, {v})")
+                e.line(f"    _memory.write({a}, {v})")
             else:
-                e.line(f"_memory.write({addr}, {v})")
-        e.indent -= 1
-        self.emit_memfault_handler(idx, ins.uid)
+                addr = specs[0][1]
+                if not STRING_BASE <= addr < HEAP_BASE:
+                    e.line(f"if {addr} in _slots:")
+                    e.line(f"    _slots[{addr}] = {v}")
+                    e.line("else:")
+                    e.line(f"    _memory.write({addr}, {v})")
+                else:
+                    e.line(f"_memory.write({addr}, {v})")
+            e.indent -= 1
+            self.emit_memfault_handler(idx, ins.uid)
         e.line(f"if _fm and ({a} in _gm or _gm2 and {a} in _gm2):")
-        e.line(f"    _fm(_step, tid, {ins.uid}, {a}, True, {v})")
+        e.line(f"    _fm({self.step}, tid, {ins.uid}, {a}, True, {v})")
         self.finish_straight(bb, idx, ins)
+
+    def _is_own_slot(self, spec) -> bool:
+        """Whether the address operand ``spec`` names this frame's own
+        mapped stack slot at the current instruction: an own-slot register
+        (:meth:`_own_slots`) past its entry-block ``ALLOCA``."""
+        if spec[0] != "reg" or spec[1] not in self.own_slots:
+            return False
+        return self.label != self.func.entry or \
+            self.k > self.own_slots[spec[1]] + 1
 
     def _emit_alloca(self, bb, idx, ins) -> None:
         e = self.e
@@ -712,7 +812,7 @@ class _FunctionCompiler:
         commit site holds the target position and nothing unretired."""
         site = self.site(0, label=label, rest=0)
         self.emit_hang(site, self._block_entry_uid(label))
-        self.emit_gate(site)
+        self.emit_gate(site, resume="arm")
         self.e.line(f"_b = {self.block_ids[label]}")
         self.e.line("continue")
 
@@ -722,7 +822,8 @@ class _FunctionCompiler:
             self.emit_raise(idx, lambda label=label: KeyError(label))
             return
         self.e.line("if _fj and tid in _gf:")
-        self.e.line(f"    _fj(_step, tid, {ins.uid}, _JUMP, {label!r}, -1)")
+        self.e.line(f"    _fj({self.step}, tid, {ins.uid}, _JUMP, {label!r}, "
+                    f"-1)")
         self._emit_arm(label)
 
     def _emit_br(self, idx, ins) -> None:
@@ -741,7 +842,7 @@ class _FunctionCompiler:
         def arm(taken: bool) -> None:
             label = then_label if taken else else_label
             e.line("if _fb and tid in _gb:")
-            e.line(f"    _fb(_step, tid, {ins.uid}, {taken}, {label!r})")
+            e.line(f"    _fb({self.step}, tid, {ins.uid}, {taken}, {label!r})")
             self._emit_arm(label)
 
         if spec[0] == "const":
@@ -764,7 +865,7 @@ class _FunctionCompiler:
         else:
             e.line("_v = 0")
         site = self.site(idx)
-        e.line(f"_acc = _commit(interp, frame, _step, _acc, {site})")
+        e.line(f"_acc = _commit(interp, frame, {self.step}, _acc, {site})")
         e.line("_frames = thread.frames")
         e.line("_frames.pop()")
         e.line("_memory.stack_release(tid, frame.stack_base)")
@@ -774,7 +875,8 @@ class _FunctionCompiler:
         # target; then _finish_thread raises _ProgramExit for tid 0, else
         # marks the thread FINISHED.
         e.line("if _fr and tid in _gf:")
-        e.line(f"    _fr(_step, tid, {ins.uid}, _RET, {self.fname!r}, -1)")
+        e.line(f"    _fr({self.step}, tid, {ins.uid}, _RET, {self.fname!r}, "
+               f"-1)")
         e.line("interp._finish_thread(thread, _v)")
         self.emit_hang(site, -1)
         e.line("return _v")
@@ -784,10 +886,10 @@ class _FunctionCompiler:
         # deadlock reports, PT window ends).
         e.line("_frames[-1].index += 1")
         e.line("if _fr and tid in _gf:")
-        e.line(f"    _fr(_step, tid, {ins.uid}, _RET, {self.fname!r}, "
+        e.line(f"    _fr({self.step}, tid, {ins.uid}, _RET, {self.fname!r}, "
                f"interp._current_pc(thread))")
         self.emit_hang(site, "interp._current_pc(thread)")
-        self.emit_gate(site)
+        self.emit_gate(site, resume="leave")
         e.line("return _v")
 
     def _emit_call(self, idx, ins) -> None:
@@ -805,23 +907,23 @@ class _FunctionCompiler:
         # The caller's position stays at the CALL until the callee returns
         # (its RET advances the index).
         site = self.site(idx)
-        e.line(f"_acc = _commit(interp, frame, _step, _acc, {site})")
+        e.line(f"_acc = _commit(interp, frame, {self.step}, _acc, {site})")
         e.line("if _fc and tid in _gf:")
-        e.line(f"    _fc(_step, tid, {ins.uid}, _CALL, {callee!r}, -1)")
+        e.line(f"    _fc({self.step}, tid, {ins.uid}, _CALL, {callee!r}, -1)")
         entry = self.mc.const("E", (callee, func.entry, ins.dst, ins.uid,
                                     ins.line))
         e.line(f"_nf = _enter(thread, tid, _memory, {entry})")
         entry_instrs = func.blocks[func.entry].instrs \
             if func.entry in func.blocks else ()
         self.emit_hang(site, entry_instrs[0].uid if entry_instrs else -1)
-        self.emit_gate(site)
+        self.emit_gate(site, resume="leave")  # the callee reads global_step
         target = self.mc.fn_names.get(callee)
         args = ", ".join(["interp", "tid", "thread", "_nf", *param_exprs])
         if ins.dst is not None:
             e.line(f"{self.reg(ins.dst.name)} = yield from {target}({args})")
         else:
             e.line(f"yield from {target}({args})")
-        self.emit_resync()
+        self.emit_rebase("interp.global_step", self.k)
 
     def _emit_builtin(self, bb, idx, ins) -> None:
         e = self.e
@@ -836,15 +938,12 @@ class _FunctionCompiler:
         blocking = name in _BLOCKING_BUILTINS
 
         def attempt() -> None:
-            e.line("_step += 1")
-            e.line("_acc += _CALL_CHARGE")
-            e.line(f"_acc = _commit(interp, frame, _step, _acc, {site})")
+            e.line(f"_acc = _commit(interp, frame, {self.step}, "
+                   f"_acc + _CALL_CHARGE, {site})")
             self.emit_before(ins)  # registers were spilled above
             e.line("try:")
             e.line(f"    interp._do_builtin(tid, thread, {iconst})")
             self.emit_memfault_handler(idx, ins.uid)
-            # Builtins may change thread states (wake, spawn, block).
-            e.line("_dirty = interp._sched_dirty")
 
         if blocking:
             # Re-execute on every wakeup until the builtin advances the
@@ -856,7 +955,8 @@ class _FunctionCompiler:
             e.line(f"if frame.index != {idx}:")
             e.line("    break")
             self.emit_hang(site, ins.uid)
-            e.line("_step, _dirty, _rn = yield None")
+            # The retry retires as this block's instruction k again.
+            self.emit_rebase("(yield None)", self.k - 1)
             e.indent -= 1
         else:
             attempt()
@@ -872,7 +972,9 @@ class _FunctionCompiler:
             self.emit_gate(after)
             e.indent -= 1
             e.line("else:")
-            e.line("    _step, _dirty, _rn = yield None")
+            e.indent += 1
+            self.emit_rebase("(yield None)", self.k)
+            e.indent -= 1
         else:
             self.emit_gate(after)
 
@@ -889,8 +991,6 @@ class _FunctionCompiler:
         e.line(f"{_RUN_LOCALS} = interp._run_locals")
         e.line("_regs = frame.regs")
         e.line("_step = interp.global_step")
-        e.line("_dirty = interp._sched_dirty")
-        e.line("_rn = interp._runnable_cache")
         e.line("_acc = 0")
         if self.locals_to_zero:
             e.line(" = ".join(self.reg(n) for n in self.locals_to_zero)
@@ -911,9 +1011,15 @@ class _FunctionCompiler:
             charges = [self._static_charge(ins) for ins in bb.instrs]
             if any(charges):
                 e.line(f"_acc += {self.mc.interned('P', sum(charges))}")
+            if bb.instrs:
+                # ``_step`` holds the step before the block: the budget left
+                # to it, and whether any of its instructions is hooked.
+                e.line("_room = _max_steps - _step")
+                e.line(f"_h = _preb and _preb[{bb.instrs[0].uid}]")
             self.label = label
             for idx, ins in enumerate(bb.instrs):
                 self.rest = sum(charges[idx + 1:])
+                self.k = idx + 1
                 self.emit_instr(bb, idx, ins)
             last = bb.instrs[-1] if bb.instrs else None
             if last is None or last.opcode not in (Opcode.JMP, Opcode.BR,
@@ -928,15 +1034,22 @@ class _FunctionCompiler:
         return "\n".join(e.lines)
 
 
-def _hook_flags(hooks, size: int) -> Optional[Tuple[bool, ...]]:
-    """The ``_pre`` flags of a run without step subscribers: set at each
-    uid that carries a hook, None when no instruction of the module does
-    (a hook on a uid outside the module never fires)."""
+def _hook_flags(module: Module, hooks, size: int):
+    """The ``_pre`` and ``_preb`` flags of a run without step subscribers.
+
+    ``_pre`` is set at each uid that carries a hook, and ``_preb`` at the
+    entry uid of each block holding one (a block's uids are consecutive).
+    Both are None when no instruction of the module is hooked (a hook on a
+    uid outside the module never fires)."""
     flags = [False] * size
+    blocks = [False] * size
     for uid, hook_list in hooks.items():
         if hook_list and 0 <= uid < size:
             flags[uid] = True
-    return tuple(flags) if True in flags else None
+            blocks[uid - module.instr(uid).index_in_block] = True
+    if True not in flags:
+        return None, None
+    return tuple(flags), tuple(blocks)
 
 
 def _site_gates(interp) -> Tuple[object, object]:
@@ -984,30 +1097,35 @@ class CompiledProgram:
                               for fname in module.functions}
             self.params = {fname: tuple(func.params)
                            for fname, func in module.functions.items()}
-            #: The ``_pre`` flags of runs with step subscribers, whose
-            #: fan-out precedes every instruction: set at every uid.
+            #: The ``_pre`` and ``_preb`` flags of runs with step
+            #: subscribers, whose fan-out precedes every instruction: set
+            #: at every uid.
             self.every_uid = (True,) * (max(
                 (ins.uid for ins in module.instructions()), default=-1) + 1)
         except Exception as exc:
             raise CompileError(f"GIR compilation failed: {exc}") from exc
 
     def start(self, interp) -> None:
-        """Sample the run's instrumentation into the locals every generated
-        function unpacks (:data:`_RUN_LOCALS`), and zero the packed charges.
+        """Sample the run's instrumentation and scheduler split into the
+        locals every generated function unpacks (:data:`_RUN_LOCALS`),
+        with the run's ``_switch`` (:func:`_switcher`), and zero the packed
+        charges.
 
         Subscriber lists, gate objects and hooks are fixed for a run, so
         this happens once per run, like ``Interpreter._compute_dispatch``;
         a gate's contents stay live (its tracer mutates it in place)."""
         if interp._step_subs is not None:
-            pre = self.every_uid
+            pre = preb = self.every_uid
         else:
-            pre = _hook_flags(interp.hooks, len(self.every_uid))
+            pre, preb = _hook_flags(self.module, interp.hooks,
+                                    len(self.every_uid))
+        draw, threshold, consult = interp.scheduler.split_pick()
         memory = interp.memory
         fires = interp._flow_fires
         interp._charges = 0
         interp._run_locals = (
-            *interp.scheduler.split_pick(), interp.max_steps, memory,
-            memory._slots, pre,
+            draw, threshold, _switcher(interp, consult), interp.max_steps,
+            memory, memory._slots, pre, preb,
             interp._fire_branch if interp._branch_subs is not None else None,
             fires[FlowKind.JUMP], fires[FlowKind.CALL], fires[FlowKind.RET],
             interp._fire_mem if interp._mem_subs is not None else None,

@@ -548,7 +548,8 @@ class Interpreter:
         spent (blocked / sleeping: the loop runs a full runnable/pick
         cycle).  Every resume therefore corresponds to exactly one spent
         decision, preserving the scheduler's state-stream contract.  A
-        resume sends the scheduler state the generator mirrors in locals.
+        resume sends ``global_step``, on which the generator re-bases its
+        step count.
         """
         threads = self.threads
         program = self._compiled
@@ -579,9 +580,7 @@ class Interpreter:
                         gens[tid] = gen = program.thread_gen(self, tid)
                         pending = gen.send(None)
                     else:
-                        pending = gen.send((self.global_step,
-                                            self._sched_dirty,
-                                            self._runnable_cache))
+                        pending = gen.send(self.global_step)
                 except StopIteration:
                     gens.pop(tid, None)
                     pending = None

@@ -175,9 +175,19 @@ class Memory:
     # -- stacks -----------------------------------------------------------------------
 
     def stack_alloc(self, tid: int, size: int) -> int:
-        top = self._stack_tops.setdefault(tid, STACK_BASE + tid * STACK_STRIDE)
-        base = top
-        self._stack_tops[tid] = top + max(size, 1)
+        """Map ``size`` zeroed slots on ``tid``'s stack; returns their base.
+
+        A stack stays inside its thread's region, ``STACK_STRIDE`` slots
+        from ``STACK_BASE + tid * STACK_STRIDE``: an allocation that would
+        pass it faults before mapping anything, instead of sharing (and
+        letting the next thread's frame teardown unmap) that thread's
+        slots."""
+        region = STACK_BASE + tid * STACK_STRIDE
+        base = self._stack_tops.setdefault(tid, region)
+        top = base + max(size, 1)
+        if top > region + STACK_STRIDE:
+            raise MemoryFault(FailureKind.SEGFAULT, base, "stack overflow")
+        self._stack_tops[tid] = top
         for i in range(size):
             self._slots[base + i] = 0
         return base

@@ -18,7 +18,9 @@ A scheduler's per-step decision comes in two forms: :meth:`Scheduler.pick`
 answers it in one call, and :meth:`Scheduler.split_pick` hands out its two
 halves — a draw that decides whether to switch and a consult that chooses
 the next thread — so the compiled tier's generated gate can draw inline
-and call back into Python only when the draw says "switch".
+and call back into Python only when the draw says "switch".  The random
+scheduler's draw is its RNG's ``random`` and round-robin's pops a tick of
+its quantum.
 """
 
 from __future__ import annotations
@@ -47,8 +49,11 @@ class Scheduler:
     thread keeps running when the draw fails or the consult names it.  At a
     gate the current thread is always runnable, so a scheduler whose
     ``pick`` is exactly "keep ``current`` unless ``draw() < threshold``,
-    else ``consult``" consumes the same state either way.  The tier
-    equivalence and scheduler-stream tests pin both tiers to one stream.
+    else ``consult``" consumes the same state either way.  The random and
+    round-robin schedulers split their decision so; the fixed and PCT
+    schedulers keep the default split, which consults :meth:`pick` on every
+    step.  The tier equivalence and scheduler-stream tests pin both tiers
+    to one stream.
     """
 
     def pick(self, runnable: Sequence[int], current: Optional[int]) -> int:
@@ -56,7 +61,9 @@ class Scheduler:
 
     def split_pick(self) -> Tuple[Callable[[], float], float, Consult]:
         """``(draw, threshold, consult)``: the per-step decision in two
-        halves, for a caller whose current thread is runnable.
+        halves, for a caller whose current thread is runnable.  ``draw``
+        should be a C-level callable, so that a step that keeps the thread
+        runs no Python scheduler code.
 
         The default never skips a consult — ``float()`` draws 0.0, below
         the threshold 1.0 — and consults :meth:`pick`, so a scheduler that
@@ -68,19 +75,31 @@ class Scheduler:
 
 
 class RoundRobinScheduler(Scheduler):
-    """Runs each thread for ``quantum`` steps, cycling in tid order."""
+    """Runs each thread for ``quantum`` steps, cycling in tid order.
+
+    The quantum left is a list of ticks, ``[0.0]`` followed by one ``1.0``
+    per step the current thread may still keep, so that its ``pop`` is a
+    C-level draw: a ``1.0`` keeps the thread, and the final ``0.0`` falls
+    below the split threshold and consults."""
 
     def __init__(self, quantum: int = 50) -> None:
         if quantum < 1:
             raise ValueError("quantum must be >= 1")
         self.quantum = quantum
-        self._remaining = quantum
+        self._ticks = [0.0] + [1.0] * quantum
 
     def pick(self, runnable: Sequence[int], current: Optional[int]) -> int:
-        if current in runnable and self._remaining > 0:
-            self._remaining -= 1
+        if current in runnable and self._ticks.pop():
             return current  # type: ignore[return-value]
-        self._remaining = self.quantum - 1
+        return self._consult(runnable, current)
+
+    def split_pick(self) -> Tuple[Callable[[], float], float, Consult]:
+        """One C-level ``list.pop`` per step; Python code once a quantum."""
+        return self._ticks.pop, 0.5, self._consult
+
+    def _consult(self, runnable: Sequence[int],
+                 current: Optional[int]) -> int:
+        self._ticks[:] = [0.0] + [1.0] * (self.quantum - 1)
         if current is None or current not in runnable:
             return runnable[0]
         ordered = sorted(runnable)

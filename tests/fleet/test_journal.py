@@ -279,6 +279,27 @@ class TestCrashRecoveryKeepsServerSettings:
                 wire.ranker_state_to_body(ranker.state()))
         assert render_sketch(crashed.sketch) == render_sketch(clean.sketch)
 
+    def test_recovered_journal_keeps_counting(self, tmp_path):
+        """The recovered server reattaches the same file, and its journal's
+        counters carry on from the crashed one's: at the end they describe
+        the whole file, not what was appended since the last crash."""
+        from repro.fleet import parse_fault_plan
+
+        spec = get_bug("curl-965")
+        deployment = CooperativeDeployment(
+            spec.module(), spec.workload_factory, endpoints=4,
+            bug=spec.bug_id, journal_dir=str(tmp_path),
+            fault_plan=parse_fault_plan("server_crash_every=3,seed=7"))
+        stats = deployment.run_campaign(stop_when=spec.sketch_has_root,
+                                        max_iterations=6)
+        deployment.close()
+        assert stats.fleet["server_crashes"] >= 1
+        path = tmp_path / f"{spec.bug_id}.wal"
+        journal = stats.fleet["journal"]
+        assert journal["records_appended"] == len(list(iter_records(path)))
+        assert journal["bytes_appended"] == \
+            path.stat().st_size - len(JOURNAL_MAGIC)
+
 
 def _start_meta(**fields) -> bytes:
     meta = {"bug": BUG, "sigma": 2, "stripes": 1, "report_hex": "00"}

@@ -9,6 +9,7 @@ from repro.runtime.memory import (
     Memory,
     MemoryFault,
     STACK_BASE,
+    STACK_STRIDE,
     STRING_BASE,
 )
 
@@ -192,3 +193,18 @@ class TestStacks:
     def test_stack_zeroed(self, mem):
         base = mem.stack_alloc(2, 3)
         assert [mem.read(base + i) for i in range(3)] == [0, 0, 0]
+
+    def test_stack_overflow_faults_before_mapping(self, mem):
+        """A stack may fill its thread's region to the last slot; the next
+        allocation faults, maps nothing and leaves the top where it was,
+        so the next thread's first slot stays its own."""
+        limit = STACK_BASE + STACK_STRIDE
+        mem._stack_tops[0] = limit - 1
+        assert mem.stack_alloc(0, 1) == limit - 1
+        with pytest.raises(MemoryFault) as info:
+            mem.stack_alloc(0, 1)
+        assert (info.value.kind, info.value.address, info.value.detail) == \
+            (FailureKind.SEGFAULT, limit, "stack overflow")
+        assert limit not in mem._slots
+        assert mem._stack_tops[0] == limit
+        assert mem.stack_alloc(1, 1) == limit

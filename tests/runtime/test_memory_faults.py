@@ -15,7 +15,13 @@ from repro.lang import compile_source
 from repro.lang.ir import Opcode
 from repro.runtime.failures import FailureKind
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.memory import GLOBAL_BASE, HEAP_BASE, STRING_BASE, Memory
+from repro.runtime.memory import (
+    GLOBAL_BASE,
+    HEAP_BASE,
+    STACK_BASE,
+    STRING_BASE,
+    Memory,
+)
 
 TIERS = ("compiled", "decoded")
 
@@ -123,6 +129,30 @@ def test_faults_identical_on_both_tiers(name):
         assert (failure.kind, failure.pc, failure.address, failure.message) \
             == (kind, pc, address, message), mode
         assert failure.stack[0].function == "main", mode
+
+
+def test_stack_overflow_fails_at_its_alloca_on_both_tiers():
+    """A local larger than its thread's whole stack region fails at its
+    ``ALLOCA`` with a located segfault on both tiers, before mapping any
+    of its two million slots."""
+    module = compile_source("""
+int main() {
+    int n = 3;
+    int a[2000000];
+    a[0] = n;
+    return a[0];
+}
+""")
+    pc = _pc_of(module, 4, Opcode.ALLOCA)
+    for mode in TIERS:
+        interp = Interpreter(module, mode=mode)
+        assert interp.mode == mode
+        failure = interp.run().failure
+        assert (failure.kind, failure.pc, failure.address, failure.message) \
+            == (FailureKind.SEGFAULT, pc, STACK_BASE + 1, "stack overflow"), \
+            mode
+        assert [frame.function for frame in failure.stack] == ["main"], mode
+        assert len(interp.memory._slots) < 10, mode
 
 
 def test_plain_heap_runs_classify_no_access(monkeypatch):

@@ -3,7 +3,10 @@
 The decoded tier calls ``Scheduler.pick`` once per retired instruction.
 The compiled tier's generated gate runs the two halves of
 ``Scheduler.split_pick`` instead: an inline draw on every step, and a
-consult of the scheduler only when the draw says "switch".  The contract
+consult of the scheduler only when the draw says "switch".  The random
+scheduler draws from its RNG and round-robin pops a tick of its quantum;
+the fixed and PCT schedulers keep the default split, which consults
+``pick`` on every step.  The contract
 (``repro.runtime.scheduler``) is on the state stream: a run leaves the
 scheduler's RNG and counters exactly where one ``pick`` per retired
 instruction would leave them.  These tests run the same workload on both
@@ -124,7 +127,6 @@ def test_consult_draws_what_randrange_draws(n):
 #: Schedulers that keep the default split: the compiled gate consults
 #: their ``pick`` on every step.
 _PICK_EVERY_STEP = {
-    "round-robin": lambda: RoundRobinScheduler(quantum=7),
     "fixed": lambda: FixedScheduler([(0, 40), (1, 25), (2, 60), (0, 10),
                                      (1, 90), (3, 5)]),
     "pct": lambda: PCTScheduler(seed=3, depth=3, expected_steps=5_000),
@@ -137,6 +139,19 @@ def test_unsplit_schedulers_identical_across_tiers(kind):
         spec = get_bug(bug_id)
         _assert_tiers_agree(_PICK_EVERY_STEP[kind], spec,
                             spec.workload_factory(0), f"{bug_id}/{kind}")
+
+
+@pytest.mark.parametrize("quantum", [1, 7, 50])
+def test_round_robin_stream_identical_across_tiers(quantum):
+    """Round-robin splits its decision: the draw pops one tick of the
+    quantum, and only its last tick consults.  On every bug both tiers end
+    with the same outcome and the same ticks, down to a quantum of one
+    step, where every draw consults."""
+    for bug_id in BUGS:
+        spec = get_bug(bug_id)
+        _assert_tiers_agree(lambda: RoundRobinScheduler(quantum), spec,
+                            spec.workload_factory(0),
+                            f"{bug_id}/quantum={quantum}")
 
 
 def _scheduler_calls(run):
@@ -159,21 +174,32 @@ def _scheduler_calls(run):
     return result, calls
 
 
-def test_compiled_gate_stays_out_of_python_scheduler_code():
-    """At ``pbzip2-1``'s switch probability the compiled tier enters the
-    scheduler's Python code on fewer than a tenth of its steps, while the
-    decoded tier calls ``pick`` on every step (which shows the counter
-    sees scheduler calls)."""
+def _assert_gate_stays_out(make_scheduler):
+    """On ``pbzip2-1``'s first workload under ``make_scheduler()``, the
+    compiled tier enters the scheduler's Python code on fewer than a tenth
+    of its steps, while the decoded tier calls ``pick`` on every step
+    (which shows the counter sees scheduler calls)."""
     spec = get_bug("pbzip2-1")
     workload = spec.workload_factory(0)
     calls = {}
     for mode in TIERS:
         interp = Interpreter(spec.module(), entry=workload.entry,
                              args=list(workload.args),
-                             scheduler=workload.make_scheduler(),
+                             scheduler=make_scheduler(),
                              max_steps=workload.max_steps, mode=mode)
         assert interp.mode == mode
         outcome, calls[mode] = _scheduler_calls(interp.run)
     assert outcome.steps > 10_000
     assert calls["decoded"] >= outcome.steps
     assert calls["compiled"] < outcome.steps / 10, calls
+
+
+def test_compiled_gate_stays_out_of_python_scheduler_code():
+    """At ``pbzip2-1``'s own switch probability."""
+    _assert_gate_stays_out(get_bug("pbzip2-1").workload_factory(0)
+                           .make_scheduler)
+
+
+def test_round_robin_gate_stays_out_of_python_scheduler_code():
+    """At the default quantum, which consults once every 50 steps."""
+    _assert_gate_stays_out(RoundRobinScheduler)
