@@ -14,6 +14,11 @@ encoded wire envelopes, in process (``"wire"``) or over a real socket
 every campaign: :class:`CampaignDriver`, the resumable AsT state machine.
 :meth:`CooperativeDeployment.run_campaign` steps it with an unbounded
 budget; the control plane steps many of them in scheduler-sized slices.
+The campaign rules it follows live in :mod:`repro.core.server`, shared
+with ``repro fleet serve``: :meth:`GistServer.route` hands each received
+message to the campaign, and the campaign says when an iteration has its
+evidence and what closing it does.  The driver keeps only what the
+simulation adds: run budgets, fault injection and the overhead list.
 
 Client workloads are embarrassingly parallel — each run gets its own
 interpreter, PT driver, and watchpoint unit, and all static analysis lives
@@ -51,7 +56,8 @@ from ..lang.ir import Module
 from ..runtime.failures import FailureReport
 from .adaptive import DEFAULT_SIGMA
 from .client import GistClient
-from .server import DiagnosisCampaign, GistServer, IterationResult
+from .server import (MAX_RUNS_PER_ITERATION, DiagnosisCampaign, GistServer,
+                     IterationResult, StopPredicate)
 from .sketch import FailureSketch
 from .workload import Workload, WorkloadFactory
 
@@ -67,17 +73,6 @@ if TYPE_CHECKING:
 #: same bytes over a real Unix-domain/TCP socket pair with frame batching
 #: and credit backpressure (:mod:`repro.fleet.socket_transport`).
 TRANSPORTS = ("wire", "socket")
-
-#: Evidence an AsT iteration waits for before it closes: this many
-#: recurrences of the campaign's failure and this many successful runs
-#: (or ``max_runs_per_iteration`` attempts, whichever comes first).
-MIN_FAILING_PER_ITERATION = 1
-MIN_SUCCESSFUL_PER_ITERATION = 3
-
-#: Decide whether a sketch is good enough to stop AsT.  The evaluation
-#: passes the ideal-sketch oracle; interactive use passes a developer
-#: callback.  ``None`` means "stop at the first sketch produced".
-StopPredicate = Callable[[FailureSketch], bool]
 
 
 @dataclass
@@ -193,6 +188,11 @@ class CooperativeDeployment:
         #: Acks the fault plan deferred: they land at the start of the
         #: next pump round instead of the one they arrived in.
         self._held_acks: List = []
+        #: The first failure report that landed with no campaign to take
+        #: it, until :meth:`wait_for_failure` hands it on.
+        self._report: Optional[FailureReport] = None
+        #: Overheads of the applied monitored runs, in ingest order.
+        self._overheads: List[float] = []
         self._next_run = 0
         #: Set once the bootstrap epoch (epoch 0) has opened; later
         #: bootstrap calls resume it.
@@ -352,30 +352,21 @@ class CooperativeDeployment:
     #: the uplink is empty).
     PUMP_BATCH = 256
 
-    def _pump_uplink(self):
-        """Drain the server's inbox, handing each received message to the
-        live campaign.
+    def _pump_uplink(self) -> None:
+        """Drain the server's inbox through :meth:`GistServer.route`.
 
-        Returns ``(failing_delta, successful_delta, overheads,
-        first_failure_report)``; quarantining, duplicate suppression, and
-        stale-epoch discards all happen on the way through.  Acks the
-        fault plan defers land at the start of the *next* pump round; a
-        triggered ``server_crash_every`` fault swaps the server for its
-        journal-recovered twin mid-drain.
+        Before a campaign exists, the first failure report that lands is
+        kept for :meth:`wait_for_failure`; after, every applied monitored
+        run adds its overhead.  Acks the fault plan defers land at the
+        start of the *next* pump round; a triggered ``server_crash_every``
+        fault swaps the server for its journal-recovered twin mid-drain.
         """
         from ..fleet import wire
 
-        failing = 0
-        successful = 0
-        overheads: List[float] = []
-        first_report: Optional[FailureReport] = None
-        campaign = self.campaign
-        if self._held_acks:
-            held, self._held_acks = self._held_acks, []
-            if campaign is not None:
-                for message in held:
-                    campaign.note_ack(message.payload["endpoint_id"],
-                                      message.epoch)
+        plan = self.fault_plan
+        held, self._held_acks = self._held_acks, []
+        for message in held:
+            self.server.route(message)
         uplink = self.fleet_transport.uplink
         while True:
             blobs = uplink.recv_many(self.PUMP_BATCH)
@@ -385,37 +376,21 @@ class CooperativeDeployment:
                 message = self.server.receive(blob)
                 if message is None:
                     continue  # quarantined
-                if message.type == wire.MSG_PATCH_ACK:
-                    if campaign is None:
-                        continue
-                    endpoint_id = message.payload["endpoint_id"]
-                    if self.fault_plan is not None and \
-                            self.fault_plan.ack_delayed(
-                                message.epoch or 0, endpoint_id):
-                        self._acks_delayed += 1
-                        self._held_acks.append(message)
-                    else:
-                        campaign.note_ack(endpoint_id, message.epoch)
-                elif message.type == wire.MSG_MONITORED_RUN:
-                    if campaign is None:
-                        continue
-                    verdict = campaign.ingest_wire(message)
-                    if verdict is None:
-                        continue  # stale epoch or duplicate digest
-                    recurrence, run = verdict
-                    overheads.append(run.overhead)
-                    if recurrence:
-                        failing += 1
-                    elif not run.failed:
-                        successful += 1
+                if message.type == wire.MSG_PATCH_ACK and plan is not None \
+                        and plan.ack_delayed(message.epoch or 0,
+                                             message.payload["endpoint_id"]):
+                    self._acks_delayed += 1
+                    self._held_acks.append(message)
+                    continue
+                routed = self.server.route(message)
+                if routed is None:
+                    continue
+                if self.campaign is None:  # a report, with no campaign
+                    if self._report is None:
+                        self._report = routed
+                else:
+                    self._overheads.append(routed.overhead)
                     self._maybe_crash_server()
-                    campaign = self.campaign
-                elif message.type == wire.MSG_FAILURE_REPORT:
-                    if campaign is not None:
-                        campaign.note_unmonitored_report(message.payload)
-                    elif first_report is None:
-                        first_report = message.payload
-        return failing, successful, overheads, first_report
 
     def _deliver_patches(self, patches: Sequence, epoch: int) -> None:
         """Ship this iteration's patch variants; one resend round covers
@@ -490,35 +465,57 @@ class CooperativeDeployment:
         resume it, which is how :class:`CampaignDriver` bootstraps in
         budgeted slices.
         """
-        from ..fleet.endpoint import RUN_CHURNED, RUN_CRASHED
-
         if not self._bootstrap_open:
             for endpoint in self._fleet():
                 endpoint.begin_epoch(0, self._next_run)
             self._bootstrap_open = True
-        consumed = 0
+
+        def flushed() -> bool:
+            # Bootstrap has no iteration deadline: delayed reports simply
+            # arrive with the next batch instead of being lost forever.
+            if self.fleet_transport.flush():
+                self._pump_uplink()
+            return self._report is not None
+
+        consumed, _ = self._run_batches(
+            0, max_runs, lambda: self._report is not None,
+            after_batch=flushed)
+        report, self._report = self._report, None
+        return report, consumed
+
+    def _run_batches(self, epoch: int, max_runs: int,
+                     stop: Callable[[], bool],
+                     after_batch: Optional[Callable[[], bool]] = None
+                     ) -> Tuple[int, int]:
+        """Consume at most ``max_runs`` runs, ``fleet_workers`` a batch.
+
+        Each run's uplink is transmitted in run-id order and the uplink
+        pumped after it; lost runs (churned or crashed) only count.  Once
+        ``stop()`` holds after a run, the rest of its batch is discarded
+        and the run stream rewound.  Returns ``(runs consumed, runs lost
+        to churn)``.
+        """
+        from ..fleet.endpoint import RUN_CHURNED, RUN_CRASHED
+
+        consumed = churned = 0
         while consumed < max_runs:
             size = min(self.fleet_workers, max_runs - consumed)
             for run_id, plan, uplink in self._execute_batch_wire(size):
                 consumed += 1
                 if plan.kind == RUN_CHURNED:
                     self._runs_lost_to_churn += 1
-                    continue
-                if plan.kind == RUN_CRASHED:
+                    churned += 1
+                elif plan.kind == RUN_CRASHED:
                     self._runs_lost_to_crash += 1
-                    continue
-                self._transmit(0, run_id, plan, uplink)
-                _, _, _, report = self._pump_uplink()
-                if report is not None:
-                    self._rewind(run_id + 1)
-                    return report, consumed
-            # Bootstrap has no iteration deadline: delayed reports simply
-            # arrive with the next batch instead of being lost forever.
-            if self.fleet_transport.flush():
-                _, _, _, report = self._pump_uplink()
-                if report is not None:
-                    return report, consumed
-        return None, consumed
+                else:
+                    self._transmit(epoch, run_id, plan, uplink)
+                    self._pump_uplink()
+                    if stop():
+                        self._rewind(run_id + 1)
+                        return consumed, churned
+            if after_batch is not None and after_batch():
+                break
+        return consumed, churned
 
     # -- the AsT campaign ---------------------------------------------------------
 
@@ -527,7 +524,7 @@ class CooperativeDeployment:
         initial_sigma: int = DEFAULT_SIGMA,
         stop_when: Optional[StopPredicate] = None,
         max_iterations: int = 10,
-        max_runs_per_iteration: int = 400,
+        max_runs_per_iteration: int = MAX_RUNS_PER_ITERATION,
         max_bootstrap_runs: int = 10_000,
     ) -> CampaignStats:
         """Full pipeline: bootstrap failure → AsT iterations → sketch.
@@ -548,12 +545,6 @@ class CooperativeDeployment:
             driver.stats.wall_seconds = time.perf_counter() - t0
             self.close()
         return driver.stats
-
-
-#: Campaign driver phases.
-PHASE_BOOTSTRAP = "bootstrap"
-PHASE_MONITOR = "monitor"
-PHASE_DONE = "done"
 
 
 class CampaignDriver:
@@ -579,7 +570,7 @@ class CampaignDriver:
                  initial_sigma: int = DEFAULT_SIGMA,
                  stop_when: Optional[StopPredicate] = None,
                  max_iterations: int = 10,
-                 max_runs_per_iteration: int = 400,
+                 max_runs_per_iteration: int = MAX_RUNS_PER_ITERATION,
                  max_bootstrap_runs: int = 10_000) -> None:
         self.dep = deployment
         self.initial_sigma = initial_sigma
@@ -588,19 +579,11 @@ class CampaignDriver:
         self.max_runs_per_iteration = max_runs_per_iteration
         self.max_bootstrap_runs = max_bootstrap_runs
         self.stats = CampaignStats(bug=deployment.bug)
-        self.phase = PHASE_BOOTSTRAP
-        self._overheads: List[float] = []
-        # bootstrap state
+        #: Set once the campaign has ended, or bootstrap gave up.
+        self.done = False
         self._bootstrap_consumed = 0
-        # per-iteration state (valid while ``_iter_open``)
-        self._iter_open = False
-        self._iterations_started = 0
-        self._epoch = 0
-        self._patches: Sequence = ()
-        self._failing = 0
-        self._successful = 0
+        #: Runs the open iteration has consumed, lost runs included.
         self._attempts = 0
-        self._satisfied = False
 
     # -- status --------------------------------------------------------------
 
@@ -608,10 +591,6 @@ class CampaignDriver:
     def campaign(self) -> Optional[DiagnosisCampaign]:
         """The deployment's live campaign (None while bootstrapping)."""
         return self.dep.campaign
-
-    @property
-    def done(self) -> bool:
-        return self.phase == PHASE_DONE
 
     @property
     def converged(self) -> bool:
@@ -638,7 +617,7 @@ class CampaignDriver:
         limit = float("inf") if budget is None else budget
         if limit <= 0 or self.done:
             return 0
-        if self.phase == PHASE_BOOTSTRAP:
+        if self.campaign is None:
             return self._step_bootstrap(limit)
         return self._step_monitor(limit)
 
@@ -655,7 +634,7 @@ class CampaignDriver:
             self.stats.bootstrap_runs = self._bootstrap_consumed
             self.stats.total_runs += self._bootstrap_consumed
             self.stats.fleet = dep._fleet_report()
-            self.phase = PHASE_DONE
+            self.done = True
         return consumed
 
     def _begin_campaign(self, report: FailureReport) -> None:
@@ -666,93 +645,65 @@ class CampaignDriver:
         self.dep._open_journal()
         self.dep.server.handle_failure_report(
             self.dep.bug, report, self.initial_sigma)
-        self.phase = PHASE_MONITOR
 
     def _step_monitor(self, limit) -> int:
-        """Budgeted slice of the AsT iteration loop."""
+        """Budgeted slice of the AsT iteration loop.  An iteration closes
+        once the campaign holds its evidence or has consumed
+        ``max_runs_per_iteration`` runs, lost runs included."""
         dep = self.dep
-        from ..fleet.endpoint import RUN_CHURNED, RUN_CRASHED
-
         consumed = 0
-        while consumed < limit and self.phase == PHASE_MONITOR:
-            if not self._iter_open:
-                if self._iterations_started >= self.max_iterations:
+        while consumed < limit and not self.done:
+            campaign = self.campaign
+            if not campaign.iteration_open:
+                if len(campaign.iterations) >= self.max_iterations:
                     self._finish()
-                    return consumed
-                campaign = self.campaign
+                    break
                 campaign.begin_iteration()
-                self._iterations_started += 1
-                self._epoch = campaign.epoch
                 for endpoint in dep._fleet():
-                    endpoint.begin_epoch(self._epoch, dep._next_run)
-                self._patches = campaign.make_patches(len(dep.clients))
-                dep._deliver_patches(self._patches, self._epoch)
-                self._failing = 0
-                self._successful = 0
+                    endpoint.begin_epoch(campaign.epoch, dep._next_run)
+                dep._deliver_patches(campaign.make_patches(len(dep.clients)),
+                                     campaign.epoch)
                 self._attempts = 0
-                self._satisfied = False
-                self._iter_open = True
-            size = min(dep.fleet_workers, limit - consumed,
-                       self.max_runs_per_iteration - self._attempts)
-            if size > 0:
-                for run_id, plan, uplink in dep._execute_batch_wire(size):
-                    self._attempts += 1
-                    consumed += 1
-                    if plan.kind == RUN_CHURNED:
-                        dep._runs_lost_to_churn += 1
-                        continue
-                    self.stats.total_runs += 1
-                    if plan.kind == RUN_CRASHED:
-                        dep._runs_lost_to_crash += 1
-                        continue
-                    dep._transmit(self._epoch, run_id, plan, uplink)
-                    f_add, s_add, run_overheads, _ = dep._pump_uplink()
-                    self._failing += f_add
-                    self._successful += s_add
-                    self._overheads.extend(run_overheads)
-                    self.stats.monitored_runs += len(run_overheads)
-                    if self._failing >= MIN_FAILING_PER_ITERATION and \
-                            self._successful >= \
-                            MIN_SUCCESSFUL_PER_ITERATION:
-                        dep._rewind(run_id + 1)
-                        self._satisfied = True
-                        break
-            if self._satisfied or \
+            ran, churned = dep._run_batches(
+                campaign.epoch,
+                min(limit - consumed,
+                    self.max_runs_per_iteration - self._attempts),
+                lambda: self.campaign.iteration_satisfied)
+            consumed += ran
+            self._attempts += ran
+            self.stats.total_runs += ran - churned
+            if self.campaign.iteration_satisfied or \
                     self._attempts >= self.max_runs_per_iteration:
                 self._close_iteration()
         return consumed
 
     def _close_iteration(self) -> None:
-        campaign = self.campaign
-        iteration = campaign.finish_iteration()
-        self.stats.iteration_results.append(iteration)
-        self.stats.iterations = iteration.iteration
-        self._iter_open = False
-        sketch = iteration.sketch
-        if sketch is not None:
-            self.stats.sketch = sketch
-            if self.stop_when is None or self.stop_when(sketch):
-                self.stats.found = True
-                self._finish()
-                return
-        if campaign.exhausted:
+        result, found, over = self.campaign.close_iteration(self.stop_when)
+        stats = self.stats
+        stats.iteration_results.append(result)
+        stats.iterations = result.iteration
+        if result.sketch is not None:
+            stats.sketch = result.sketch
+        stats.found = found
+        if over:
             self._finish()
-            return
-        campaign.grow()
-        # The iteration deadline has passed: stragglers and held reorders
-        # land now, and the epoch check discards them as stale at the next
-        # iteration's ingestion.
-        self.dep.fleet_transport.flush()
+        else:
+            # The iteration deadline has passed: stragglers and held
+            # reorders land now, and the epoch check discards them as
+            # stale at the next iteration's ingestion.
+            self.dep.fleet_transport.flush()
 
     def _finish(self) -> None:
         stats = self.stats
         campaign = self.campaign
+        overheads = self.dep._overheads
         stats.failure_recurrences = campaign.total_failure_recurrences
         stats.peak_tracked_bytes = campaign.peak_tracked_bytes
-        if self._overheads:
+        stats.monitored_runs = len(overheads)
+        if overheads:
             stats.avg_overhead_percent = \
-                100.0 * sum(self._overheads) / len(self._overheads)
-            stats.max_overhead_percent = 100.0 * max(self._overheads)
+                100.0 * sum(overheads) / len(overheads)
+            stats.max_overhead_percent = 100.0 * max(overheads)
         stats.offline_seconds = self.dep.server.offline_analysis_seconds
         stats.fleet = self.dep._fleet_report()
-        self.phase = PHASE_DONE
+        self.done = True

@@ -12,6 +12,16 @@ the first report to the finished sketch:
 ④ refinement + predictor statistics;
 ⑤ a failure sketch per iteration; AsT doubles σ until the sketch satisfies
    the stop criterion.
+
+Both campaign loops — the simulated fleet's
+:class:`~repro.core.cooperative.CampaignDriver` and ``repro fleet serve``
+(:mod:`repro.fleet.serve`) — share the two decisions they make here:
+:meth:`GistServer.route` hands each received uplink message to the
+campaign, and :meth:`DiagnosisCampaign.iteration_satisfied` and
+:meth:`DiagnosisCampaign.close_iteration` say when an iteration has its
+evidence and what closing it does.  The loops keep only what differs
+between them: run budgets and fault injection, or sockets, deadlines and
+broadcasts.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..analysis.context import AnalysisContext
 from ..analysis.slicing import StaticSlice
@@ -35,6 +45,20 @@ from .refinement import (MonitoredRun, RefinementResult, RunningRefinement,
 from .sketch import FailureSketch, build_sketch
 from .stats import PredictorRanker
 from .streaming import DEFAULT_WINDOWS, STATS_KINDS
+
+#: Evidence an AsT iteration waits for before it closes: this many
+#: recurrences of the campaign's failure and this many successful runs,
+#: each run counted once whatever its cohort weight.
+MIN_FAILING_PER_ITERATION = 1
+MIN_SUCCESSFUL_PER_ITERATION = 3
+#: The default cap on one iteration's runs when the evidence never comes.
+MAX_RUNS_PER_ITERATION = 400
+
+
+#: Decide whether a sketch is good enough to stop AsT.  The evaluation
+#: passes the ideal-sketch oracle; interactive use passes a developer
+#: callback.  ``None`` means "stop at the first sketch produced".
+StopPredicate = Callable[[FailureSketch], bool]
 
 
 @dataclass
@@ -71,6 +95,13 @@ class DiagnosisCampaign:
         self.total_failure_recurrences = 1  # the bootstrap failure
         self._current: Optional[AstIteration] = None
         self._current_plan: Optional[InstrumentationPlan] = None
+        #: Whether an iteration is between :meth:`begin_iteration` and
+        #: :meth:`finish_iteration` (journal replay restores it).
+        self.iteration_open = False
+        #: The open iteration's recurring and successful runs, each run
+        #: counted once: what :attr:`iteration_satisfied` reads.
+        self.iteration_recurrences = 0
+        self.iteration_successes = 0
         #: What refinement reads of the current iteration's runs, folded in
         #: as they are ingested (reset at every iteration).
         self._evidence = RunningRefinement()
@@ -135,6 +166,9 @@ class DiagnosisCampaign:
         self._last_failing_run = None
         self.epoch = self._current.number
         self.acked_endpoints = set()
+        self.iteration_open = True
+        self.iteration_recurrences = 0
+        self.iteration_successes = 0
         return self._current, self._current_plan
 
     def make_patches(self, n_variants: int = 1) -> List[Patch]:
@@ -188,11 +222,13 @@ class DiagnosisCampaign:
         if recurrence:
             self._current.failing_runs_seen += weight
             self.total_failure_recurrences += weight
+            self.iteration_recurrences += 1
             self._last_failing_run = run
             if self.recent is not None:
                 self.recent[-1] += weight
         elif not run.failed:
             self._current.successful_runs_seen += weight
+            self.iteration_successes += 1
         stripe = run.endpoint_id % self.stripes
         self._stripe_rankers[stripe].add_run(run.predictors,
                                              failed=recurrence,
@@ -293,12 +329,26 @@ class DiagnosisCampaign:
         an iteration: counted, never fed into refinement."""
         self.unmonitored_reports += 1
 
+    @property
+    def iteration_ingests(self) -> int:
+        """Monitored runs the open iteration has ingested."""
+        return self._evidence.runs
+
+    @property
+    def iteration_satisfied(self) -> bool:
+        """The open iteration holds the failing and successful runs it
+        waits for (§3.2.3); counts runs, not cohort weights, so one
+        client's ``cohort`` claim cannot close an iteration on its own."""
+        return (self.iteration_recurrences >= MIN_FAILING_PER_ITERATION
+                and self.iteration_successes >= MIN_SUCCESSFUL_PER_ITERATION)
+
     def finish_iteration(self) -> IterationResult:
         assert self._current is not None and self._current_plan is not None
         if self.server.journal is not None:
             # Iteration boundaries are the journal's durability points:
             # this append also fsyncs everything buffered so far.
             self.server.journal.append_finish_iteration()
+        self.iteration_open = False
         refinement = refine(self._current.window_uids, self._evidence,
                             slice_uids=self.slice.uids)
         sketch: Optional[FailureSketch] = None
@@ -336,6 +386,23 @@ class DiagnosisCampaign:
         if self.server.journal is not None:
             self.server.journal.append_grow()
         return self.tracker.grow()
+
+    def close_iteration(self, stop_when: Optional[StopPredicate] = None
+                        ) -> Tuple[IterationResult, bool, bool]:
+        """Finish the open iteration and decide what follows it.
+
+        Returns ``(result, found, over)``.  The campaign is *found* when
+        the iteration's sketch satisfies ``stop_when`` (any sketch when it
+        is None), and *over* when found or :attr:`exhausted`; otherwise
+        σ grows for the next iteration.
+        """
+        result = self.finish_iteration()
+        found = result.sketch is not None and (
+            stop_when is None or stop_when(result.sketch))
+        over = found or self.exhausted
+        if not over:
+            self.grow()
+        return result, found, over
 
     @property
     def exhausted(self) -> bool:
@@ -444,6 +511,38 @@ class GistServer:
             return None
         self.messages_received += 1
         return message
+
+    def route(self, message):
+        """Hand one received uplink message to the campaign.
+
+        ``message`` is what :meth:`receive` returned.  This is the one
+        place an uplink message type maps to a campaign call:
+
+        - ``failure_report``: with no campaign yet, the report is returned
+          and the caller decides whether to start one; otherwise it counts
+          as an unmonitored report;
+        - ``patch_ack``: recorded by :meth:`DiagnosisCampaign.note_ack`
+          (dropped with no campaign);
+        - ``monitored_run``: through :meth:`DiagnosisCampaign.ingest_wire`;
+          the applied :class:`MonitoredRun` is returned, or None for a
+          stale epoch or a repeated digest (or with no campaign).
+        """
+        from ..fleet import wire  # local import: fleet ↔ core layering
+
+        campaign = self.campaign
+        if message.type == wire.MSG_FAILURE_REPORT:
+            if campaign is None:
+                return message.payload
+            campaign.note_unmonitored_report(message.payload)
+        elif campaign is not None:
+            if message.type == wire.MSG_PATCH_ACK:
+                campaign.note_ack(message.payload["endpoint_id"],
+                                  message.epoch)
+            else:  # receive() admits no other uplink type
+                applied = campaign.ingest_wire(message)
+                if applied is not None:
+                    return applied[1]
+        return None
 
     def handle_failure_report(self, bug: str, report: FailureReport,
                               initial_sigma: int = DEFAULT_SIGMA

@@ -265,15 +265,14 @@ def iter_records(path: os.PathLike,
 
 @dataclass
 class RecoveredState:
-    """What :func:`recover_server` reconstructed (the campaign, once
-    started, is ``server.campaign``)."""
+    """What :func:`recover_server` reconstructed.  The campaign, once
+    started, is ``server.campaign``; its ``iteration_open`` says whether
+    the server died mid-iteration, so the resuming loop re-enters
+    monitoring instead of opening a new iteration."""
 
     server: object  # GistServer (typed loosely: fleet must not import core)
     records_replayed: int = 0
     ingests_replayed: int = 0
-    #: Whether the last replayed record left an iteration open (the server
-    #: died mid-iteration; the resuming driver re-enters monitoring).
-    open_iteration: bool = False
 
 
 def recover_server(path: os.PathLike, module, *,
@@ -334,10 +333,8 @@ def recover_server(path: os.PathLike, module, *,
                 "payload")
         if rec_type == REC_BEGIN_ITERATION:
             campaign.begin_iteration()
-            state.open_iteration = True
         elif rec_type == REC_FINISH_ITERATION:
             campaign.finish_iteration()
-            state.open_iteration = False
         elif rec_type == REC_GROW:
             campaign.grow()
     return state

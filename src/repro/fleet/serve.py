@@ -12,7 +12,13 @@ acknowledges patches through a
 :class:`~repro.fleet.endpoint.FleetEndpoint`, the same code (and the same
 never-downgrade rule) the simulated fleet uses, and encodes its runs with
 :func:`~repro.fleet.endpoint.encode_uplink`.  The server's front door
-quarantines anything but uplink traffic before either loop below sees it.
+quarantines anything but uplink traffic, and
+:meth:`~repro.core.server.GistServer.route` hands the rest to the
+campaign.  An iteration closes by the campaign's own rule, the one the
+simulated fleet follows (:meth:`~repro.core.server.DiagnosisCampaign.
+close_iteration`); this module adds only sockets, deadlines, patch
+broadcasts and log lines, and caps an iteration at
+:data:`~repro.core.server.MAX_RUNS_PER_ITERATION` ingests.
 
 Unlike the in-process transports there is no quiescence barrier and no
 deterministic run ordering here: clients free-run, evidence arrives when
@@ -62,6 +68,10 @@ from .transport import TransportClosed
 #: How often a client re-dials a server it cannot reach (a refused dial
 #: on a local socket costs next to nothing).
 REDIAL_SECONDS = 0.05
+#: How long a client keeps re-dialing a server that went away.
+RECONNECT_SECONDS = 30.0
+#: How long one AsT iteration waits for its evidence before it closes.
+ITERATION_SECONDS = 30.0
 
 
 def parse_address(spec: str) -> Tuple:
@@ -102,13 +112,10 @@ class FleetServer:
                  journal_dir: Optional[str] = None,
                  initial_sigma: int = 2,
                  max_iterations: int = 10,
-                 max_runs_per_iteration: int = 400,
-                 iteration_seconds: float = 30.0,
                  timeout: float = 300.0,
                  batch_messages: int = 256,
                  batch_bytes: int = 256 * 1024,
                  batch_ms: float = 0.0,
-                 credit_window: int = DEFAULT_CREDIT_WINDOW,
                  log=print) -> None:
         from ..corpus import get_bug
 
@@ -118,10 +125,7 @@ class FleetServer:
         self.journal_dir = journal_dir
         self.initial_sigma = initial_sigma
         self.max_iterations = max_iterations
-        self.max_runs_per_iteration = max_runs_per_iteration
-        self.iteration_seconds = iteration_seconds
         self.timeout = timeout
-        self.credit_window = credit_window
         self.peer_opts = dict(batch_messages=batch_messages,
                               batch_bytes=batch_bytes, batch_ms=batch_ms,
                               on_control=self._on_control)
@@ -129,7 +133,6 @@ class FleetServer:
         self._groups: List[_ClientGroup] = []
         self._groups_lock = threading.Lock()
         self.server = None
-        self._iter_open = False
         #: The ``done`` message, once the campaign has ended.
         self._done: Optional[Dict] = None
 
@@ -149,7 +152,7 @@ class FleetServer:
         group.up_queue = peer.open_receiver(CHAN_UPLINK)
         for i in range(count):
             chan = CHAN_DOWNLINK_BASE + base + i
-            peer.open_sender(chan, self.credit_window,
+            peer.open_sender(chan, DEFAULT_CREDIT_WINDOW,
                              DEFAULT_STALL_TIMEOUT)
             group.down_chans[base + i] = chan
         with self._groups_lock:
@@ -195,11 +198,12 @@ class FleetServer:
             state = recover_server(path, module)
             self.server = state.server
             self.server.journal = CampaignJournal(path, fresh=False)
-            self._iter_open = state.open_iteration
+            campaign = self.campaign
+            iteration_open = campaign is not None and campaign.iteration_open
             self.log(f"[serve] resumed from journal: "
                      f"{state.records_replayed} records, "
                      f"{state.ingests_replayed} ingests, "
-                     f"iteration {'open' if self._iter_open else 'closed'}")
+                     f"iteration {'open' if iteration_open else 'closed'}")
             return
         self.server = GistServer(module)
         if path is not None:
@@ -231,21 +235,27 @@ class FleetServer:
             except TransportClosed:
                 pass
 
-    def _pump(self, wait: float) -> List[wire.Message]:
-        """Pop everything currently queued across client groups, blocking
-        up to ``wait`` on the first empty poll."""
-        messages: List[wire.Message] = []
+    def _pump(self, wait: float) -> None:
+        """Route everything currently queued across client groups,
+        blocking up to ``wait`` on the first empty poll.  The first
+        failure report starts the campaign at once."""
         groups = self._live_groups()
         if not groups:
             time.sleep(wait)
-            return messages
+            return
         for index, group in enumerate(groups):
-            timeout = wait if index == 0 and not messages else None
+            timeout = wait if index == 0 else None
             for blob in group.up_queue.pop_many(512, timeout=timeout):
                 message = self.server.receive(blob)
-                if message is not None:
-                    messages.append(message)
-        return messages
+                if message is None:
+                    continue  # quarantined
+                routed = self.server.route(message)
+                # With no campaign, only a failure report comes back.
+                if routed is not None and self.campaign is None:
+                    self.server.handle_failure_report(
+                        self.bug_id, routed, self.initial_sigma)
+                    self.log(f"[serve] campaign bootstrapped: "
+                             f"{routed.kind.value}@{routed.pc}")
 
     @staticmethod
     def _remove_stale_unix_socket(path: str) -> None:
@@ -311,80 +321,49 @@ class FleetServer:
                     pass
 
     def _campaign_loop(self, deadline: float) -> int:
-        from ..core.cooperative import (MIN_FAILING_PER_ITERATION,
-                                        MIN_SUCCESSFUL_PER_ITERATION)
         from ..core.render import render_sketch
+        from ..core.server import MAX_RUNS_PER_ITERATION
 
-        # Phase 1: bootstrap — wait for the first failure report (skipped
-        # when the journal already replayed a campaign).
+        # Bootstrap: wait for the first failure report (skipped when the
+        # journal already replayed a campaign).
         while self.campaign is None:
             if time.monotonic() > deadline:
                 self.log("[serve] timed out waiting for a failure report")
                 return 1
-            for message in self._pump(0.1):
-                if message.type == wire.MSG_FAILURE_REPORT:
-                    report = message.payload
-                    self.server.handle_failure_report(
-                        self.bug_id, report, self.initial_sigma)
-                    self.log(f"[serve] campaign bootstrapped: "
-                             f"{report.kind.value}@{report.pc}")
-                    break
+            self._pump(0.1)
 
-        # Phase 2: AsT iterations.
+        # AsT iterations, each closed by the campaign's own rule.
         campaign = self.campaign
         while True:
             if time.monotonic() > deadline:
                 self.log("[serve] campaign timed out")
                 return 1
-            if not self._iter_open:
+            if not campaign.iteration_open:
                 if len(campaign.iterations) >= self.max_iterations or \
                         campaign.exhausted:
                     break
                 campaign.begin_iteration()
-                self._iter_open = True
             epoch = campaign.epoch
             patches = campaign.make_patches(
                 max((g.base + g.count for g in self._live_groups()),
                     default=1))
             self._broadcast_patches(patches, epoch)
-            failing = campaign._current.failing_runs_seen
-            successful = campaign._current.successful_runs_seen
-            ingested = campaign._evidence.runs
-            iter_deadline = time.monotonic() + self.iteration_seconds
-            while not (failing >= MIN_FAILING_PER_ITERATION
-                       and successful >= MIN_SUCCESSFUL_PER_ITERATION) \
-                    and ingested < self.max_runs_per_iteration \
+            iter_deadline = time.monotonic() + ITERATION_SECONDS
+            while not campaign.iteration_satisfied \
+                    and campaign.iteration_ingests < MAX_RUNS_PER_ITERATION \
                     and time.monotonic() < min(iter_deadline, deadline):
                 # Late joiners get the in-flight iteration's patches.
                 self._broadcast_patches(patches, epoch)
-                for message in self._pump(0.1):
-                    if message.type == wire.MSG_PATCH_ACK:
-                        campaign.note_ack(
-                            message.payload["endpoint_id"], message.epoch)
-                    elif message.type == wire.MSG_MONITORED_RUN:
-                        verdict = campaign.ingest_wire(message)
-                        if verdict is None:
-                            continue
-                        ingested += 1
-                        recurrence, run = verdict
-                        if recurrence:
-                            failing += 1
-                        elif not run.failed:
-                            successful += 1
-                    elif message.type == wire.MSG_FAILURE_REPORT:
-                        campaign.note_unmonitored_report(message.payload)
-            result = campaign.finish_iteration()
-            self._iter_open = False
+                self._pump(0.1)
+            result, _, over = campaign.close_iteration(
+                self.spec.sketch_has_root)
             self.log(f"[serve] iteration {result.iteration} "
-                     f"(sigma={result.sigma}): {failing} failing / "
-                     f"{successful} successful, {ingested} ingested, "
+                     f"(sigma={result.sigma}): {result.failing_runs} "
+                     f"failing / {result.successful_runs} successful, "
+                     f"{campaign.iteration_ingests} ingested, "
                      f"sketch={'yes' if result.sketch else 'no'}")
-            if result.sketch is not None and \
-                    self.spec.sketch_has_root(result.sketch):
+            if over:
                 break
-            if campaign.exhausted:
-                break
-            campaign.grow()
 
         sketch = campaign.latest_sketch()
         found = sketch is not None and self.spec.sketch_has_root(sketch)
@@ -412,11 +391,9 @@ class FleetClientProcess:
     def __init__(self, bug_id: str, address: Tuple, *,
                  endpoints: int = 2, base: int = 0,
                  timeout: float = 300.0,
-                 reconnect_seconds: float = 30.0,
                  batch_messages: int = 256,
                  batch_bytes: int = 256 * 1024,
                  batch_ms: float = 0.0,
-                 credit_window: int = DEFAULT_CREDIT_WINDOW,
                  log=print) -> None:
         from ..corpus import get_bug
 
@@ -426,8 +403,6 @@ class FleetClientProcess:
         self.endpoints = endpoints
         self.base = base
         self.timeout = timeout
-        self.reconnect_seconds = reconnect_seconds
-        self.credit_window = credit_window
         self.batch_opts = dict(batch_messages=batch_messages,
                                batch_bytes=batch_bytes, batch_ms=batch_ms)
         self.log = log
@@ -452,7 +427,7 @@ class FleetClientProcess:
                 time.sleep(REDIAL_SECONDS)
                 continue
             self._peer = peer
-            self._gate = peer.open_sender(CHAN_UPLINK, self.credit_window,
+            self._gate = peer.open_sender(CHAN_UPLINK, DEFAULT_CREDIT_WINDOW,
                                           DEFAULT_STALL_TIMEOUT)
             self._down = {
                 i: peer.open_receiver(CHAN_DOWNLINK_BASE + self.base + i)
@@ -532,7 +507,7 @@ class FleetClientProcess:
                                 else "") + "; reconnecting")
                     if not self._connect(
                             hub, min(deadline, time.monotonic()
-                                     + self.reconnect_seconds)):
+                                     + RECONNECT_SECONDS)):
                         self.log(f"[client {self.base}] reconnect failed")
                         return 1
                     if self._server_fresh:

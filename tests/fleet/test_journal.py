@@ -197,7 +197,7 @@ class TestRecovery:
         assert canonical_state(state.server) == journaled["final"]
         assert state.ingests_replayed > 0
         assert state.server.journal is None
-        assert not state.open_iteration
+        assert not state.server.campaign.iteration_open
 
     def test_prefix_journal_counts_ingests(self, journaled, tmp_path):
         cut = tmp_path / "prefix.wal"
