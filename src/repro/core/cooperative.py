@@ -333,9 +333,18 @@ class CooperativeDeployment:
             stats=old.stats_kind)
         server = state.server
         server.journal = CampaignJournal(journal.path, fresh=False)
-        # The file is the same one, so its counters carry on.
-        for counter in ("records_appended", "bytes_appended", "syncs"):
-            setattr(server.journal, counter, getattr(journal, counter))
+        # The file is the same one, so its counters carry on; so do the
+        # counts of rejected traffic, which the journal does not record.
+        for owner, new, counters in (
+                (journal, server.journal,
+                 ("records_appended", "bytes_appended", "syncs")),
+                (old, server,
+                 ("messages_received", "quarantined_count", "quarantine")),
+                (old.campaign, server.campaign,
+                 ("stale_runs_discarded", "duplicate_runs_ignored",
+                  "unmonitored_reports"))):
+            for counter in counters:
+                setattr(new, counter, getattr(owner, counter))
         self.server = server
         self._server_crashes += 1
 

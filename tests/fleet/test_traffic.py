@@ -170,6 +170,23 @@ def test_plane_traffic_matches_golden(bug_id, golden, plane_rows):
     assert_traffic(*plane_rows[bug_id], golden["rows"][f"plane/{bug_id}"])
 
 
+@pytest.mark.parametrize("bug_id", BUGS)
+def test_server_crash_is_invisible_in_the_fleet_report(bug_id, golden):
+    """A server killed and recovered from its journal carries the counts
+    of rejected traffic, which the journal does not record: only the
+    crash count, the journal and the plan's text tell it from its twin."""
+    def without_crashes(row):
+        fleet = {counter: value for counter, value in row["fleet"].items()
+                 if counter not in ("server_crashes", "journal",
+                                    "fault_plan")}
+        return dict(row, fleet=fleet)
+
+    crashed = golden["rows"][f"{bug_id}/P+crash3"]
+    assert crashed["fleet"]["server_crashes"] > 0
+    assert without_crashes(crashed) == \
+        without_crashes(golden["rows"][f"{bug_id}/P"])
+
+
 def test_every_fleet_counter_fires_somewhere(golden):
     """The plan exercises every counter the fleet report carries, so a
     counter that stops counting shows up as a fixture change."""
