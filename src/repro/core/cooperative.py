@@ -479,30 +479,27 @@ class CooperativeDeployment:
                 endpoint.begin_epoch(0, self._next_run)
             self._bootstrap_open = True
 
-        def flushed() -> bool:
-            # Bootstrap has no iteration deadline: delayed reports simply
-            # arrive with the next batch instead of being lost forever.
-            if self.fleet_transport.flush():
+        def landed() -> bool:
+            # Bootstrap has no iteration deadline: a report a straggler
+            # held back lands before the next run is consumed.
+            if self._report is None and self.fleet_transport.flush():
                 self._pump_uplink()
             return self._report is not None
 
-        consumed, _ = self._run_batches(
-            0, max_runs, lambda: self._report is not None,
-            after_batch=flushed)
+        consumed, _ = self._run_batches(0, max_runs, landed)
         report, self._report = self._report, None
         return report, consumed
 
     def _run_batches(self, epoch: int, max_runs: int,
-                     stop: Callable[[], bool],
-                     after_batch: Optional[Callable[[], bool]] = None
-                     ) -> Tuple[int, int]:
+                     stop: Callable[[], bool]) -> Tuple[int, int]:
         """Consume at most ``max_runs`` runs, ``fleet_workers`` a batch.
 
         Each run's uplink is transmitted in run-id order and the uplink
         pumped after it; lost runs (churned or crashed) only count.  Once
-        ``stop()`` holds after a run, the rest of its batch is discarded
-        and the run stream rewound.  Returns ``(runs consumed, runs lost
-        to churn)``.
+        ``stop()`` holds after a consumed run, lost or not, the rest of its
+        batch is discarded and the run stream rewound, so the consumed
+        stream is the same for any ``fleet_workers``.  Returns ``(runs
+        consumed, runs lost to churn)``.
         """
         from ..fleet.endpoint import RUN_CHURNED, RUN_CRASHED
 
@@ -519,11 +516,9 @@ class CooperativeDeployment:
                 else:
                     self._transmit(epoch, run_id, plan, uplink)
                     self._pump_uplink()
-                    if stop():
-                        self._rewind(run_id + 1)
-                        return consumed, churned
-            if after_batch is not None and after_batch():
-                break
+                if stop():
+                    self._rewind(run_id + 1)
+                    return consumed, churned
         return consumed, churned
 
     # -- the AsT campaign ---------------------------------------------------------

@@ -187,6 +187,14 @@ def test_server_crash_is_invisible_in_the_fleet_report(bug_id, golden):
         without_crashes(golden["rows"][f"{bug_id}/P"])
 
 
+@pytest.mark.parametrize("bug_id", BUGS)
+def test_fleet_workers_are_invisible_in_traffic(bug_id, golden):
+    """Three thread workers consume the run stream one worker does, so
+    the campaign sends and counts the same traffic."""
+    assert golden["rows"][f"{bug_id}/P+threads3"] == \
+        golden["rows"][f"{bug_id}/P"]
+
+
 def test_every_fleet_counter_fires_somewhere(golden):
     """The plan exercises every counter the fleet report carries, so a
     counter that stops counting shows up as a fixture change."""
