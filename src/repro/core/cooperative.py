@@ -14,11 +14,9 @@ encoded wire envelopes, in process (``"wire"``) or over a real socket
 every campaign: :class:`CampaignDriver`, the resumable AsT state machine.
 :meth:`CooperativeDeployment.run_campaign` steps it with an unbounded
 budget; the control plane steps many of them in scheduler-sized slices.
-The campaign rules it follows live in :mod:`repro.core.server`, shared
-with ``repro fleet serve``: :meth:`GistServer.route` hands each received
-message to the campaign, and the campaign says when an iteration has its
-evidence and what closing it does.  The driver keeps only what the
-simulation adds: run budgets, fault injection and the overhead list.
+Its routing and iteration rules are :mod:`repro.core.server`'s, shared
+with ``repro fleet serve``; the driver adds run budgets, fault injection
+and the overhead list.
 
 Client workloads are embarrassingly parallel — each run gets its own
 interpreter, PT driver, and watchpoint unit, and all static analysis lives
@@ -62,7 +60,7 @@ from .sketch import FailureSketch
 from .workload import Workload, WorkloadFactory
 
 if TYPE_CHECKING:
-    from ..fleet.endpoint import FleetEndpoint, RunPlan, Uplink
+    from ..fleet.endpoint import FleetEndpoint
     from ..fleet.executors import FleetExecutor
     from ..fleet.faults import FaultPlan
     from ..fleet.transport import FleetTransport
@@ -207,16 +205,6 @@ class CooperativeDeployment:
         workload = self.workload_factory(run_id)
         return client, workload, run_id
 
-    def _rewind(self, next_run_id: int) -> None:
-        """Reset the run stream to ``next_run_id``.
-
-        Called after the server stops consuming mid-batch: surplus in-flight
-        results are discarded and their run ids handed out again, so the
-        consumed stream is identical to the sequential one (workload
-        factories are pure functions of the run id).
-        """
-        self._next_run = next_run_id
-
     def _ensure_engine(self) -> "FleetExecutor":
         if self._engine is None:
             from ..fleet.executors import make_executor
@@ -287,15 +275,6 @@ class CooperativeDeployment:
             [run for run in batch if run[1].kind == RUN_OK]))
         return [(run_id, plan, next(uplinks) if plan.kind == RUN_OK else None)
                 for _client, plan, _workload, run_id in batch]
-
-    def _transmit(self, epoch: int, run_id: int, plan: "RunPlan",
-                  uplink: Optional["Uplink"]) -> None:
-        """Push one run's uplink envelope through the fault layer."""
-        if uplink is not None:
-            msg_type, payload = uplink
-            self.fleet_transport.send_to_server(
-                payload, msg_type=msg_type, key=(epoch, run_id, msg_type),
-                straggle=plan.straggles)
 
     # -- journal + simulated server crashes -----------------------------------
 
@@ -392,12 +371,9 @@ class CooperativeDeployment:
                     self._held_acks.append(message)
                     continue
                 routed = self.server.route(message)
-                if routed is None:
-                    continue
-                if self.campaign is None:  # a report, with no campaign
-                    if self._report is None:
-                        self._report = routed
-                else:
+                if self.campaign is None:  # only a report comes back
+                    self._report = self._report or routed
+                elif routed is not None:
                     self._overheads.append(routed.overhead)
                     self._maybe_crash_server()
 
@@ -494,12 +470,13 @@ class CooperativeDeployment:
                      stop: Callable[[], bool]) -> Tuple[int, int]:
         """Consume at most ``max_runs`` runs, ``fleet_workers`` a batch.
 
-        Each run's uplink is transmitted in run-id order and the uplink
-        pumped after it; lost runs (churned or crashed) only count.  Once
-        ``stop()`` holds after a consumed run, lost or not, the rest of its
-        batch is discarded and the run stream rewound, so the consumed
-        stream is the same for any ``fleet_workers``.  Returns ``(runs
-        consumed, runs lost to churn)``.
+        Each run's uplink goes through the fault layer in run-id order and
+        the uplink is pumped after it; lost runs (churned or crashed) only
+        count.  Once ``stop()`` holds after a consumed run, lost or not,
+        the rest of its batch is discarded and its run ids handed out
+        again, so the consumed stream is the same for any
+        ``fleet_workers`` (workload factories are pure functions of the
+        run id).  Returns ``(runs consumed, runs lost to churn)``.
         """
         from ..fleet.endpoint import RUN_CHURNED, RUN_CRASHED
 
@@ -514,10 +491,15 @@ class CooperativeDeployment:
                 elif plan.kind == RUN_CRASHED:
                     self._runs_lost_to_crash += 1
                 else:
-                    self._transmit(epoch, run_id, plan, uplink)
+                    if uplink is not None:
+                        msg_type, payload = uplink
+                        self.fleet_transport.send_to_server(
+                            payload, msg_type=msg_type,
+                            key=(epoch, run_id, msg_type),
+                            straggle=plan.straggles)
                     self._pump_uplink()
                 if stop():
-                    self._rewind(run_id + 1)
+                    self._next_run = run_id + 1
                     return consumed, churned
         return consumed, churned
 
@@ -631,24 +613,22 @@ class CampaignDriver:
         report, consumed = dep.wait_for_failure(
             min(limit, self.max_bootstrap_runs - self._bootstrap_consumed))
         self._bootstrap_consumed += consumed
+        if report is None and \
+                self._bootstrap_consumed < self.max_bootstrap_runs:
+            return consumed
+        self.stats.bootstrap_runs = self._bootstrap_consumed
+        self.stats.total_runs += self._bootstrap_consumed
         if report is not None:
-            self._begin_campaign(report)
-        elif self._bootstrap_consumed >= self.max_bootstrap_runs:
+            # The journal attaches before the campaign exists, so its
+            # first record is this campaign's start.
+            dep._open_journal()
+            dep.server.handle_failure_report(dep.bug, report,
+                                             self.initial_sigma)
+        else:
             # The failure never recurred: give up without a campaign.
-            self.stats.bootstrap_runs = self._bootstrap_consumed
-            self.stats.total_runs += self._bootstrap_consumed
             self.stats.fleet = dep._fleet_report()
             self.done = True
         return consumed
-
-    def _begin_campaign(self, report: FailureReport) -> None:
-        self.stats.bootstrap_runs = self._bootstrap_consumed
-        self.stats.total_runs += self._bootstrap_consumed
-        # The journal attaches before the campaign exists, so its first
-        # record is this campaign's start.
-        self.dep._open_journal()
-        self.dep.server.handle_failure_report(
-            self.dep.bug, report, self.initial_sigma)
 
     def _step_monitor(self, limit) -> int:
         """Budgeted slice of the AsT iteration loop.  An iteration closes

@@ -13,15 +13,10 @@ the first report to the finished sketch:
 ⑤ a failure sketch per iteration; AsT doubles σ until the sketch satisfies
    the stop criterion.
 
-Both campaign loops — the simulated fleet's
-:class:`~repro.core.cooperative.CampaignDriver` and ``repro fleet serve``
-(:mod:`repro.fleet.serve`) — share the two decisions they make here:
-:meth:`GistServer.route` hands each received uplink message to the
-campaign, and :meth:`DiagnosisCampaign.iteration_satisfied` and
-:meth:`DiagnosisCampaign.close_iteration` say when an iteration has its
-evidence and what closing it does.  The loops keep only what differs
-between them: run budgets and fault injection, or sockets, deadlines and
-broadcasts.
+Both campaign loops (:mod:`repro.core.cooperative`, :mod:`repro.fleet.
+serve`) route uplink messages through :meth:`GistServer.route` and close
+iterations by :meth:`DiagnosisCampaign.close_iteration` once
+:attr:`~DiagnosisCampaign.iteration_satisfied` holds.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ MIN_FAILING_PER_ITERATION = 1
 MIN_SUCCESSFUL_PER_ITERATION = 3
 #: The default cap on one iteration's runs when the evidence never comes.
 MAX_RUNS_PER_ITERATION = 400
-
 
 #: Decide whether a sketch is good enough to stop AsT.  The evaluation
 #: passes the ideal-sketch oracle; interactive use passes a developer
@@ -513,19 +507,14 @@ class GistServer:
         return message
 
     def route(self, message):
-        """Hand one received uplink message to the campaign.
+        """Hand a message :meth:`receive` returned to the campaign: the
+        one place an uplink message type maps to a campaign call.
 
-        ``message`` is what :meth:`receive` returned.  This is the one
-        place an uplink message type maps to a campaign call:
-
-        - ``failure_report``: with no campaign yet, the report is returned
-          and the caller decides whether to start one; otherwise it counts
-          as an unmonitored report;
-        - ``patch_ack``: recorded by :meth:`DiagnosisCampaign.note_ack`
-          (dropped with no campaign);
-        - ``monitored_run``: through :meth:`DiagnosisCampaign.ingest_wire`;
-          the applied :class:`MonitoredRun` is returned, or None for a
-          stale epoch or a repeated digest (or with no campaign).
+        With no campaign, a failure report is returned (the caller decides
+        whether to start one) and anything else is dropped.  Otherwise a
+        report counts as unmonitored, an ack is noted, and a monitored run
+        goes through :meth:`DiagnosisCampaign.ingest_wire` and is returned
+        when applied (None for a stale epoch or a repeated digest).
         """
         from ..fleet import wire  # local import: fleet ↔ core layering
 

@@ -266,9 +266,8 @@ def iter_records(path: os.PathLike,
 @dataclass
 class RecoveredState:
     """What :func:`recover_server` reconstructed.  The campaign, once
-    started, is ``server.campaign``; its ``iteration_open`` says whether
-    the server died mid-iteration, so the resuming loop re-enters
-    monitoring instead of opening a new iteration."""
+    started, is ``server.campaign``, and its ``iteration_open`` says
+    whether the server died mid-iteration."""
 
     server: object  # GistServer (typed loosely: fleet must not import core)
     records_replayed: int = 0

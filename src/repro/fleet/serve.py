@@ -12,13 +12,9 @@ acknowledges patches through a
 :class:`~repro.fleet.endpoint.FleetEndpoint`, the same code (and the same
 never-downgrade rule) the simulated fleet uses, and encodes its runs with
 :func:`~repro.fleet.endpoint.encode_uplink`.  The server's front door
-quarantines anything but uplink traffic, and
-:meth:`~repro.core.server.GistServer.route` hands the rest to the
-campaign.  An iteration closes by the campaign's own rule, the one the
-simulated fleet follows (:meth:`~repro.core.server.DiagnosisCampaign.
-close_iteration`); this module adds only sockets, deadlines, patch
-broadcasts and log lines, and caps an iteration at
-:data:`~repro.core.server.MAX_RUNS_PER_ITERATION` ingests.
+quarantines anything but uplink traffic; routing and the iteration rules
+are the simulated fleet's (:mod:`repro.core.server`), and this module adds
+sockets, deadlines, patch broadcasts and a cap counted in ingests.
 
 Unlike the in-process transports there is no quiescence barrier and no
 deterministic run ordering here: clients free-run, evidence arrives when
@@ -198,12 +194,11 @@ class FleetServer:
             state = recover_server(path, module)
             self.server = state.server
             self.server.journal = CampaignJournal(path, fresh=False)
-            campaign = self.campaign
-            iteration_open = campaign is not None and campaign.iteration_open
+            resumed = self.campaign and self.campaign.iteration_open
             self.log(f"[serve] resumed from journal: "
                      f"{state.records_replayed} records, "
                      f"{state.ingests_replayed} ingests, "
-                     f"iteration {'open' if iteration_open else 'closed'}")
+                     f"iteration {'open' if resumed else 'closed'}")
             return
         self.server = GistServer(module)
         if path is not None:
