@@ -314,7 +314,7 @@ class CooperativeDeployment:
         server.journal = CampaignJournal(journal.path, fresh=False)
         # The file is the same one, so its counters carry on; so do the
         # counts of rejected traffic, which the journal does not record.
-        for owner, new, counters in (
+        for source, target, counters in (
                 (journal, server.journal,
                  ("records_appended", "bytes_appended", "syncs")),
                 (old, server,
@@ -323,7 +323,7 @@ class CooperativeDeployment:
                  ("stale_runs_discarded", "duplicate_runs_ignored",
                   "unmonitored_reports"))):
             for counter in counters:
-                setattr(new, counter, getattr(owner, counter))
+                setattr(target, counter, getattr(source, counter))
         self.server = server
         self._server_crashes += 1
 
