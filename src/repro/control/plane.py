@@ -2,10 +2,10 @@
 
 A :class:`ControlPlane` runs N diagnosis campaigns *concurrently* over a
 shared fleet.  Each campaign is one
-:class:`~repro.core.cooperative.CampaignDriver` — the resumable AsT state
-machine — with its own :class:`~repro.core.server.GistServer`, endpoints
-and transport; only the execution engine is shared, and no envelope
-names a campaign.  A campaign's bug id fixes its endpoints' fault
+:class:`~repro.core.cooperative.CooperativeDeployment` — the resumable
+AsT state machine — with its own :class:`~repro.core.server.GistServer`,
+endpoints and transport; only the execution engine is shared, and no
+envelope names a campaign.  A campaign's bug id fixes its endpoints' fault
 sub-plan and cohort draws, so a fault-free campaign without cohorts sends
 exactly its solo traffic.  The plane's job is everything between them:
 
@@ -13,11 +13,11 @@ exactly its solo traffic.  The plane's job is everything between them:
   :class:`~repro.control.scheduler.BudgetScheduler` splits the fleet's
   per-round run budget (``endpoints x quantum``) across unconverged
   campaigns by expected information gain, and the plane steps every
-  driver by exactly its allocation.  Budgeted stepping consumes the same
-  run stream an unbudgeted campaign would (batch-size invariance, see the
-  driver), so concurrency changes *when* evidence arrives, never *what*
-  evidence arrives — the degenerate A/B tests pin sketches byte-identical
-  to solo runs.
+  deployment by exactly its allocation.  Budgeted stepping consumes the
+  same run stream an unbudgeted campaign would (batch-size invariance,
+  see the deployment), so concurrency changes *when* evidence arrives,
+  never *what* evidence arrives — the degenerate A/B tests pin sketches
+  byte-identical to solo runs.
 - **Sharding.**  Once a campaign sees its first failure, its
   failure-cluster key (the WER-style site key) is consistent-hashed onto
   one of the plane's :class:`~repro.control.shard.ShardServer` instances,
@@ -45,8 +45,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..analysis.context import AnalysisContext
 from ..core.adaptive import DEFAULT_SIGMA
 from ..core.clustering import FailureClusterer
-from ..core.cooperative import CampaignDriver, CampaignStats, \
-    CooperativeDeployment, StopPredicate
+from ..core.cooperative import CampaignStats, CooperativeDeployment, \
+    StopPredicate
 from ..core.stats import PredictorRanker
 from ..core.streaming import STATS_KINDS, ranker_from_state
 from ..fleet import wire
@@ -151,8 +151,8 @@ class ControlPlane:
         self._owns_engine = engine is None
         if self._engine is None:
             self._engine = make_executor(executor, fleet_workers)
-        self.drivers: Dict[str, CampaignDriver] = {}
-        self._unassigned: Dict[str, CampaignDriver] = {}
+        self.deployments: Dict[str, CooperativeDeployment] = {}
+        self._unassigned: Dict[str, CooperativeDeployment] = {}
         for spec in self.specs:
             deployment = CooperativeDeployment(
                 spec.module, spec.workload_factory,
@@ -164,27 +164,26 @@ class ControlPlane:
                 cohort_model=self.cohort,
                 ranker_stripes=shards, journal_dir=journal_dir,
                 detectors=spec.detectors, ranker=ranker, stats=stats)
-            driver = CampaignDriver(
-                deployment, initial_sigma=initial_sigma,
-                stop_when=spec.stop_when,
+            deployment.start(
+                initial_sigma=initial_sigma, stop_when=spec.stop_when,
                 max_iterations=max_iterations,
                 max_runs_per_iteration=max_runs_per_iteration,
                 max_bootstrap_runs=max_bootstrap_runs)
-            self.drivers[spec.bug] = driver
-            self._unassigned[spec.bug] = driver
+            self.deployments[spec.bug] = deployment
+            self._unassigned[spec.bug] = deployment
 
     # -- shard assignment ----------------------------------------------------
 
     def _assign_new_campaigns(self, result: PlaneResult) -> None:
         """Home campaigns that just produced their first failure report."""
         for key in sorted(self._unassigned):
-            driver = self._unassigned[key]
-            if driver.campaign is None:
+            deployment = self._unassigned[key]
+            if deployment.campaign is None:
                 continue
-            report = driver.campaign.first_report
+            report = deployment.campaign.first_report
             cluster_key = FailureClusterer.site_key(report)
             shard = self.shards[self.ring.lookup(cluster_key)]
-            shard.admit(key, driver)
+            shard.admit(key, deployment)
             shard.observe_failure(report)
             result.cluster_key_of[key] = cluster_key
             result.shard_of[cluster_key] = shard.shard_id
@@ -197,19 +196,19 @@ class ControlPlane:
         result = PlaneResult(round_budget=self.scheduler.round_budget,
                              fleet_scale=self.endpoints * (
                                  self.cohort.size if self.cohort else 1))
-        result.runs_of = {key: 0 for key in self.drivers}
+        result.runs_of = {key: 0 for key in self.deployments}
         t0 = time.perf_counter()
         try:
-            while any(not d.done for d in self.drivers.values()):
-                alloc = self.scheduler.allocate(self.drivers)
+            while any(not d.done for d in self.deployments.values()):
+                alloc = self.scheduler.allocate(self.deployments)
                 round_runs = 0
                 for key in sorted(alloc):
                     budget = alloc[key]
                     if budget <= 0:
                         continue
-                    consumed = self.drivers[key].step(budget)
+                    consumed = self.deployments[key].step(budget)
                     assert consumed <= budget, \
-                        "driver exceeded its scheduled budget"
+                        "campaign exceeded its scheduled budget"
                     result.runs_of[key] += consumed
                     round_runs += consumed
                 self._assign_new_campaigns(result)
@@ -219,12 +218,12 @@ class ControlPlane:
             self._merge_global_view(result)
         finally:
             result.wall_seconds = time.perf_counter() - t0
-            for driver in self.drivers.values():
-                driver.dep.close()
+            for deployment in self.deployments.values():
+                deployment.close()
             if self._owns_engine:
                 self._engine.close()
-        for key, driver in self.drivers.items():
-            result.stats[key] = driver.stats
+        for key, deployment in self.deployments.items():
+            result.stats[key] = deployment.stats
         result.total_runs = sum(result.runs_of.values())
         return result
 
@@ -250,7 +249,7 @@ class ControlPlane:
             body = message.payload
             clusters.merge(FailureClusterer.from_state(body["clusters"]))
             for entry in body["campaigns"]:
-                direct = self.drivers[entry["key"]].campaign.ranker()
+                direct = self.deployments[entry["key"]].campaign.ranker()
                 merged: Optional[PredictorRanker] = None
                 for stripe_state in entry["stripes"]:
                     # Dispatch on the state's "kind": sketched stripes
@@ -272,4 +271,4 @@ class ControlPlane:
     # -- convenience ---------------------------------------------------------
 
     def active_campaigns(self) -> List[str]:
-        return [key for key, d in self.drivers.items() if not d.done]
+        return [key for key, d in self.deployments.items() if not d.done]

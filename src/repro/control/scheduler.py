@@ -51,25 +51,26 @@ class BudgetScheduler:
 
     # -- policy --------------------------------------------------------------
 
-    def weight(self, driver) -> float:
-        """Expected-information-gain proxy for one campaign driver.
+    def weight(self, campaign) -> float:
+        """Expected-information-gain proxy for one campaign.
 
-        Duck-typed over :class:`~repro.core.cooperative.CampaignDriver`:
+        Duck-typed over
+        :class:`~repro.core.cooperative.CooperativeDeployment`:
         ``done``/``converged`` flags plus the weighted ``recurrences()``
         demand signal.  In streaming-statistics mode that signal is the
         campaign's *rolling-window* recurrence count rather than its
         all-time total, so infogain budget follows the bugs currently hot
         in the fleet instead of historical volume.
         """
-        if driver.done or driver.converged:
+        if campaign.done or campaign.converged:
             return 0.0
         if self.kind == "fair":
             return 1.0
         # infogain: bootstrap floor of 1; afterwards 1 + recurrences —
         # the hotter the bug, the more evidence each monitored run buys.
-        return 1.0 + float(driver.recurrences())
+        return 1.0 + float(campaign.recurrences())
 
-    def allocate(self, drivers: Mapping[str, object]) -> Dict[str, int]:
+    def allocate(self, campaigns: Mapping[str, object]) -> Dict[str, int]:
         """Split this round's budget across campaigns by key.
 
         Guarantees: allocations are non-negative, sum to at most
@@ -77,8 +78,8 @@ class BudgetScheduler:
         at least 1 for every active campaign the budget can cover (a
         starving campaign could otherwise never finish bootstrapping).
         """
-        weights = {key: self.weight(driver)
-                   for key, driver in drivers.items()}
+        weights = {key: self.weight(campaign)
+                   for key, campaign in campaigns.items()}
         budget = self.round_budget
         alloc = {key: 0 for key in weights}
         active = sorted(key for key, w in weights.items() if w > 0.0)

@@ -2,9 +2,9 @@
 
 A :class:`ShardServer` owns the diagnosis campaigns whose failure-cluster
 keys hash to it.  It is deliberately thin: each campaign keeps its own
-:class:`~repro.core.server.GistServer` and
-:class:`~repro.core.cooperative.CampaignDriver` (campaigns are isolated —
-one bug's traffic can never perturb another's statistics), and the shard
+:class:`~repro.core.cooperative.CooperativeDeployment` and its
+:class:`~repro.core.server.GistServer` (campaigns are isolated — one
+bug's traffic can never perturb another's statistics), and the shard
 contributes the parts that *must* aggregate across campaigns:
 
 - the WER-style failure-report clusterer for its slice of the key space;
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.clustering import DEFAULT_MAX_IDENTITIES, FailureClusterer
-from ..core.cooperative import CampaignDriver
+from ..core.cooperative import CooperativeDeployment
 from ..fleet import wire
 
 
@@ -35,28 +35,28 @@ class ShardServer:
 
     def __init__(self, shard_id: int, stats: str = "exact") -> None:
         self.shard_id = shard_id
-        self.drivers: Dict[str, CampaignDriver] = {}
+        self.deployments: Dict[str, CooperativeDeployment] = {}
         self.clusterer = FailureClusterer(
             max_identities=DEFAULT_MAX_IDENTITIES
             if stats == "streaming" else None)
 
-    def admit(self, key: str, driver: CampaignDriver) -> None:
+    def admit(self, key: str, deployment: CooperativeDeployment) -> None:
         """Take ownership of one campaign."""
-        if key in self.drivers:
+        if key in self.deployments:
             raise ValueError(f"campaign {key!r} already on shard "
                              f"{self.shard_id}")
-        self.drivers[key] = driver
+        self.deployments[key] = deployment
 
     def observe_failure(self, report) -> None:
         """Cluster one failure report from this shard's key slice."""
         self.clusterer.add(report)
 
     def campaign_keys(self) -> List[str]:
-        return sorted(self.drivers)
+        return sorted(self.deployments)
 
     def active(self) -> List[str]:
         return [key for key in self.campaign_keys()
-                if not self.drivers[key].done]
+                if not self.deployments[key].done]
 
     # -- state export --------------------------------------------------------
 
@@ -73,13 +73,13 @@ class ShardServer:
         """
         campaigns = []
         for key in self.campaign_keys():
-            driver = self.drivers[key]
-            campaign = driver.campaign
+            deployment = self.deployments[key]
+            campaign = deployment.campaign
             if campaign is None:
                 continue
             campaigns.append({
                 "key": key,
-                "bug": driver.dep.bug,
+                "bug": deployment.bug,
                 "recurrences": campaign.total_failure_recurrences,
                 "stripes": campaign.stripe_states(),
             })

@@ -10,13 +10,15 @@ criterion or the slice is exhausted.
 Every byte of client↔server traffic — failure reports, patches, acks,
 monitored runs — crosses the fleet transport (:mod:`repro.fleet`) as
 encoded wire envelopes, in process (``"wire"``) or over a real socket
-(``"socket"``), optionally through a seeded fault plan.  One loop drives
-every campaign: :class:`CampaignDriver`, the resumable AsT state machine.
-:meth:`CooperativeDeployment.run_campaign` steps it with an unbounded
-budget; the control plane steps many of them in scheduler-sized slices.
-Its routing and iteration rules are :mod:`repro.core.server`'s, shared
-with ``repro fleet serve``; the driver adds run budgets, fault injection
-and the overhead list.
+(``"socket"``), optionally through a seeded fault plan.  One object runs
+one campaign from its first run to its fleet report: the deployment is
+the resumable AsT state machine.  :meth:`CooperativeDeployment.start`
+sets the campaign's budgets and :meth:`~CooperativeDeployment.step`
+advances it; :meth:`~CooperativeDeployment.run_campaign` steps it with an
+unbounded budget, and the control plane steps many deployments in
+scheduler-sized slices.  Its routing and iteration rules are
+:mod:`repro.core.server`'s, shared with ``repro fleet serve``; the
+deployment adds run budgets, fault injection and the overhead list.
 
 Client workloads are embarrassingly parallel — each run gets its own
 interpreter, PT driver, and watchpoint unit, and all static analysis lives
@@ -100,7 +102,17 @@ class CampaignStats:
 
 
 class CooperativeDeployment:
-    """Drives one program's fleet and its diagnosis campaigns."""
+    """One program's fleet and the one diagnosis campaign it feeds.
+
+    :meth:`start` sets the campaign's budgets; :meth:`step` then executes
+    at most ``budget`` client runs (``None`` = unbounded) and returns how
+    many it consumed, bootstrapping while the server has no campaign and
+    monitoring until :attr:`done`.  Because batch results are aggregated
+    in run-id order and surplus runs are rewound, any sequence of budgets
+    consumes the run stream one unbounded step does, fault plans
+    included: a scheduler-sliced campaign sends and counts what a solo
+    one does.
+    """
 
     def __init__(self, module: Module, workload_factory: WorkloadFactory,
                  endpoints: int = 8, bug: str = "bug",
@@ -278,16 +290,6 @@ class CooperativeDeployment:
 
     # -- journal + simulated server crashes -----------------------------------
 
-    def _open_journal(self) -> None:
-        """Attach a fresh write-ahead journal to the server (no-op when
-        journaling is off or one is already attached)."""
-        if self.journal_dir is None or self.server.journal is not None:
-            return
-        from ..fleet.journal import CampaignJournal, journal_path
-
-        self.server.journal = CampaignJournal(
-            journal_path(self.journal_dir, self.bug), fresh=True)
-
     @property
     def campaign(self) -> Optional[DiagnosisCampaign]:
         """The server's one campaign: None before the first failure
@@ -447,8 +449,8 @@ class CooperativeDeployment:
         to sequential execution.
 
         The first call opens the bootstrap epoch (epoch 0); later calls
-        resume it, which is how :class:`CampaignDriver` bootstraps in
-        budgeted slices.
+        resume it, which is how :meth:`step` bootstraps in budgeted
+        slices.
         """
         if not self._bootstrap_open:
             for endpoint in self._fleet():
@@ -505,78 +507,23 @@ class CooperativeDeployment:
 
     # -- the AsT campaign ---------------------------------------------------------
 
-    def run_campaign(
-        self,
-        initial_sigma: int = DEFAULT_SIGMA,
-        stop_when: Optional[StopPredicate] = None,
-        max_iterations: int = 10,
-        max_runs_per_iteration: int = MAX_RUNS_PER_ITERATION,
-        max_bootstrap_runs: int = 10_000,
-    ) -> CampaignStats:
-        """Full pipeline: bootstrap failure → AsT iterations → sketch.
-
-        Steps a :class:`CampaignDriver` with an unbounded budget until it
-        is done, then closes the deployment.
-        """
-        driver = CampaignDriver(
-            self, initial_sigma=initial_sigma, stop_when=stop_when,
-            max_iterations=max_iterations,
-            max_runs_per_iteration=max_runs_per_iteration,
-            max_bootstrap_runs=max_bootstrap_runs)
-        t0 = time.perf_counter()
-        try:
-            while not driver.done:
-                driver.step(None)
-        finally:
-            driver.stats.wall_seconds = time.perf_counter() - t0
-            self.close()
-        return driver.stats
-
-
-class CampaignDriver:
-    """Resumable diagnosis campaign: the AsT loop as a state machine.
-
-    Owns one diagnosis campaign end to end — bootstrap, patch delivery,
-    monitored batches, iteration bookkeeping — but yields control after
-    every budgeted slice of client runs, so a control plane can
-    time-multiplex many concurrent campaigns over one physical fleet.
-
-    :meth:`step` executes at most ``budget`` runs (``None`` = unbounded)
-    and returns how many it consumed.  Because batch results are always
-    aggregated in run-id order and surplus runs are rewound, the stream of
-    runs the campaign *consumes* is invariant to how the budget is
-    partitioned: stepping with any sequence of budgets consumes the same
-    stream one unbounded step does, which is what keeps scheduler-sliced
-    campaigns byte-identical to solo ones (fault-free plans; under fault
-    plans only flush timing can differ, and flushes stay pinned to
-    iteration boundaries here).
-    """
-
-    def __init__(self, deployment: CooperativeDeployment,
-                 initial_sigma: int = DEFAULT_SIGMA,
-                 stop_when: Optional[StopPredicate] = None,
-                 max_iterations: int = 10,
-                 max_runs_per_iteration: int = MAX_RUNS_PER_ITERATION,
-                 max_bootstrap_runs: int = 10_000) -> None:
-        self.dep = deployment
+    def start(self, initial_sigma: int = DEFAULT_SIGMA,
+              stop_when: Optional[StopPredicate] = None,
+              max_iterations: int = 10,
+              max_runs_per_iteration: int = MAX_RUNS_PER_ITERATION,
+              max_bootstrap_runs: int = 10_000) -> None:
+        """Set the campaign's budgets; :meth:`step` then runs it."""
         self.initial_sigma = initial_sigma
         self.stop_when = stop_when
         self.max_iterations = max_iterations
         self.max_runs_per_iteration = max_runs_per_iteration
         self.max_bootstrap_runs = max_bootstrap_runs
-        self.stats = CampaignStats(bug=deployment.bug)
+        self.stats = CampaignStats(bug=self.bug)
         #: Set once the campaign has ended, or bootstrap gave up.
         self.done = False
         self._bootstrap_consumed = 0
         #: Runs the open iteration has consumed, lost runs included.
         self._attempts = 0
-
-    # -- status --------------------------------------------------------------
-
-    @property
-    def campaign(self) -> Optional[DiagnosisCampaign]:
-        """The deployment's live campaign (None while bootstrapping)."""
-        return self.dep.campaign
 
     @property
     def converged(self) -> bool:
@@ -596,8 +543,6 @@ class CampaignDriver:
         campaign = self.campaign
         return 0 if campaign is None else campaign.windowed_recurrences()
 
-    # -- stepping ------------------------------------------------------------
-
     def step(self, budget: Optional[int]) -> int:
         """Advance the campaign by at most ``budget`` client runs."""
         limit = float("inf") if budget is None else budget
@@ -609,8 +554,7 @@ class CampaignDriver:
 
     def _step_bootstrap(self, limit) -> int:
         """Uninstrumented runs until the first failure report lands."""
-        dep = self.dep
-        report, consumed = dep.wait_for_failure(
+        report, consumed = self.wait_for_failure(
             min(limit, self.max_bootstrap_runs - self._bootstrap_consumed))
         self._bootstrap_consumed += consumed
         if report is None and \
@@ -618,23 +562,26 @@ class CampaignDriver:
             return consumed
         self.stats.bootstrap_runs = self._bootstrap_consumed
         self.stats.total_runs += self._bootstrap_consumed
-        if report is not None:
+        if report is None:
+            # The failure never recurred: give up without a campaign.
+            self.stats.fleet = self._fleet_report()
+            self.done = True
+            return consumed
+        if self.journal_dir is not None:
             # The journal attaches before the campaign exists, so its
             # first record is this campaign's start.
-            dep._open_journal()
-            dep.server.handle_failure_report(dep.bug, report,
-                                             self.initial_sigma)
-        else:
-            # The failure never recurred: give up without a campaign.
-            self.stats.fleet = dep._fleet_report()
-            self.done = True
+            from ..fleet.journal import CampaignJournal, journal_path
+
+            self.server.journal = CampaignJournal(
+                journal_path(self.journal_dir, self.bug), fresh=True)
+        self.server.handle_failure_report(self.bug, report,
+                                          self.initial_sigma)
         return consumed
 
     def _step_monitor(self, limit) -> int:
         """Budgeted slice of the AsT iteration loop.  An iteration closes
         once the campaign holds its evidence or has consumed
         ``max_runs_per_iteration`` runs, lost runs included."""
-        dep = self.dep
         consumed = 0
         while consumed < limit and not self.done:
             campaign = self.campaign
@@ -643,12 +590,12 @@ class CampaignDriver:
                     self._finish()
                     break
                 campaign.begin_iteration()
-                for endpoint in dep._fleet():
-                    endpoint.begin_epoch(campaign.epoch, dep._next_run)
-                dep._deliver_patches(campaign.make_patches(len(dep.clients)),
-                                     campaign.epoch)
+                for endpoint in self._fleet():
+                    endpoint.begin_epoch(campaign.epoch, self._next_run)
+                self._deliver_patches(
+                    campaign.make_patches(len(self.clients)), campaign.epoch)
                 self._attempts = 0
-            ran, churned = dep._run_batches(
+            ran, churned = self._run_batches(
                 campaign.epoch,
                 min(limit - consumed,
                     self.max_runs_per_iteration - self._attempts),
@@ -675,12 +622,12 @@ class CampaignDriver:
             # The iteration deadline has passed: stragglers and held
             # reorders land now, and the epoch check discards them as
             # stale at the next iteration's ingestion.
-            self.dep.fleet_transport.flush()
+            self.fleet_transport.flush()
 
     def _finish(self) -> None:
         stats = self.stats
         campaign = self.campaign
-        overheads = self.dep._overheads
+        overheads = self._overheads
         stats.failure_recurrences = campaign.total_failure_recurrences
         stats.peak_tracked_bytes = campaign.peak_tracked_bytes
         stats.monitored_runs = len(overheads)
@@ -688,6 +635,30 @@ class CampaignDriver:
             stats.avg_overhead_percent = \
                 100.0 * sum(overheads) / len(overheads)
             stats.max_overhead_percent = 100.0 * max(overheads)
-        stats.offline_seconds = self.dep.server.offline_analysis_seconds
-        stats.fleet = self.dep._fleet_report()
+        stats.offline_seconds = self.server.offline_analysis_seconds
+        stats.fleet = self._fleet_report()
         self.done = True
+
+    def run_campaign(
+        self,
+        initial_sigma: int = DEFAULT_SIGMA,
+        stop_when: Optional[StopPredicate] = None,
+        max_iterations: int = 10,
+        max_runs_per_iteration: int = MAX_RUNS_PER_ITERATION,
+        max_bootstrap_runs: int = 10_000,
+    ) -> CampaignStats:
+        """Full pipeline: bootstrap failure → AsT iterations → sketch.
+
+        :meth:`start`, then unbounded :meth:`step` calls until
+        :attr:`done`, then :meth:`close`.
+        """
+        self.start(initial_sigma, stop_when, max_iterations,
+                   max_runs_per_iteration, max_bootstrap_runs)
+        t0 = time.perf_counter()
+        try:
+            while not self.done:
+                self.step(None)
+        finally:
+            self.stats.wall_seconds = time.perf_counter() - t0
+            self.close()
+        return self.stats

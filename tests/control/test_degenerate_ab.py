@@ -4,8 +4,8 @@ The acceptance bar for the multi-campaign refactor: running all 11 corpus
 bugs *concurrently* — budget-scheduled over a shared fleet, sharded 1, 2,
 or 4 ways — must converge every campaign to the **byte-identical** failure
 sketch the classic solo path produces.  Budgeted stepping is batch-size
-invariant (each driver consumes the same run-id-ordered evidence stream no
-matter how the scheduler slices it) and ranker striping merges losslessly,
+invariant (each deployment consumes the same run-id-ordered evidence
+stream no matter how the scheduler slices it) and ranker striping merges losslessly,
 so nothing about concurrency, scheduling, or shard count may leak into a
 sketch.
 """

@@ -6,7 +6,7 @@ from repro.control import BudgetScheduler
 
 
 class FakeDriver:
-    """Duck-typed stand-in for a CampaignDriver."""
+    """Duck-typed stand-in for a CooperativeDeployment."""
 
     def __init__(self, recurrences=0, done=False, converged=False):
         self._recurrences = recurrences

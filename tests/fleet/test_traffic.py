@@ -116,7 +116,7 @@ def plane_campaigns():
             journal_dir=jdir, max_iterations=SETTINGS["max_iterations"])
         result = plane.run()
         return {bug_id: (traffic_row(result.stats[bug_id]),
-                         plane.drivers[bug_id].dep.server.ingests_applied)
+                         plane.deployments[bug_id].server.ingests_applied)
                 for bug_id in PLANE_BUGS}
 
 
