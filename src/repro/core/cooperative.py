@@ -512,7 +512,14 @@ class CooperativeDeployment:
               max_iterations: int = 10,
               max_runs_per_iteration: int = MAX_RUNS_PER_ITERATION,
               max_bootstrap_runs: int = 10_000) -> None:
-        """Set the campaign's budgets; :meth:`step` then runs it."""
+        """Set the campaign's budgets; :meth:`step` then runs it.
+
+        ``max_iterations`` is part of the close rule
+        (:meth:`DiagnosisCampaign.close_iteration`): the iteration that
+        reaches it ends the campaign without growing σ.
+        """
+        if max_iterations < 1:
+            raise ValueError("need at least one iteration")
         self.initial_sigma = initial_sigma
         self.stop_when = stop_when
         self.max_iterations = max_iterations
@@ -586,9 +593,6 @@ class CooperativeDeployment:
         while consumed < limit and not self.done:
             campaign = self.campaign
             if not campaign.iteration_open:
-                if len(campaign.iterations) >= self.max_iterations:
-                    self._finish()
-                    break
                 campaign.begin_iteration()
                 for endpoint in self._fleet():
                     endpoint.begin_epoch(campaign.epoch, self._next_run)
@@ -609,7 +613,8 @@ class CooperativeDeployment:
         return consumed
 
     def _close_iteration(self) -> None:
-        result, found, over = self.campaign.close_iteration(self.stop_when)
+        result, found, over = self.campaign.close_iteration(
+            self.stop_when, self.max_iterations)
         stats = self.stats
         stats.iteration_results.append(result)
         stats.iterations = result.iteration

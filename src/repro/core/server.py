@@ -381,19 +381,23 @@ class DiagnosisCampaign:
             self.server.journal.append_grow()
         return self.tracker.grow()
 
-    def close_iteration(self, stop_when: Optional[StopPredicate] = None
+    def close_iteration(self, stop_when: Optional[StopPredicate] = None,
+                        max_iterations: Optional[int] = None
                         ) -> Tuple[IterationResult, bool, bool]:
         """Finish the open iteration and decide what follows it.
 
         Returns ``(result, found, over)``.  The campaign is *found* when
         the iteration's sketch satisfies ``stop_when`` (any sketch when it
-        is None), and *over* when found or :attr:`exhausted`; otherwise
-        σ grows for the next iteration.
+        is None), and *over* when found, :attr:`exhausted`, or it has run
+        ``max_iterations`` iterations (no cap when None); otherwise σ
+        grows for the next iteration.
         """
         result = self.finish_iteration()
         found = result.sketch is not None and (
             stop_when is None or stop_when(result.sketch))
-        over = found or self.exhausted
+        over = found or self.exhausted or (
+            max_iterations is not None
+            and len(self.iterations) >= max_iterations)
         if not over:
             self.grow()
         return result, found, over

@@ -334,6 +334,7 @@ class FleetServer:
                 self.log("[serve] campaign timed out")
                 return 1
             if not campaign.iteration_open:
+                # A journal resumed at its last FINISH may already be done.
                 if len(campaign.iterations) >= self.max_iterations or \
                         campaign.exhausted:
                     break
@@ -351,7 +352,7 @@ class FleetServer:
                 self._broadcast_patches(patches, epoch)
                 self._pump(0.1)
             result, _, over = campaign.close_iteration(
-                self.spec.sketch_has_root)
+                self.spec.sketch_has_root, self.max_iterations)
             self.log(f"[serve] iteration {result.iteration} "
                      f"(sigma={result.sigma}): {result.failing_runs} "
                      f"failing / {result.successful_runs} successful, "

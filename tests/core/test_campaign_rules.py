@@ -3,8 +3,9 @@
 ``GistServer.route`` is the one place an uplink message reaches the
 campaign; ``DiagnosisCampaign.iteration_satisfied`` and
 ``close_iteration`` say when an iteration has its evidence and what
-closing it does.  The simulated fleet's driver and ``repro fleet serve``
-both call them, so these tests pin the rules once for both.
+closing it does, the iteration cap included.  The simulated fleet's
+``CooperativeDeployment`` and ``repro fleet serve`` both call them, so
+these tests pin the rules once for both.
 """
 
 import pytest
@@ -153,11 +154,12 @@ def journaled_campaign(module, report, path, sigma=2):
     return server, campaign
 
 
-def closed_records(module, report, tmp_path, stop_when, sigma=2):
+def closed_records(module, report, tmp_path, stop_when, sigma=2,
+                   max_iterations=None):
     path = tmp_path / "j.wal"
     server, campaign = journaled_campaign(module, report, path, sigma)
     assert campaign.iteration_open
-    outcome = campaign.close_iteration(stop_when)
+    outcome = campaign.close_iteration(stop_when, max_iterations)
     assert not campaign.iteration_open
     server.journal.close()
     return outcome, [rec_type for rec_type, _ in iter_records(path)]
@@ -182,6 +184,23 @@ class TestCloseIteration:
             sigma=10_000)
         assert (found, over) == (False, True)
         assert records == OPENED + [REC_FINISH_ITERATION]
+
+    def test_the_cap_finishes_without_growing(self, module, report,
+                                              tmp_path):
+        (result, found, over), records = closed_records(
+            module, report, tmp_path, stop_when=lambda sketch: False,
+            max_iterations=1)
+        assert result.sketch is not None
+        assert (found, over) == (False, True)
+        assert records == OPENED + [REC_FINISH_ITERATION]
+
+    def test_below_the_cap_finishes_then_grows(self, module, report,
+                                               tmp_path):
+        (_, found, over), records = closed_records(
+            module, report, tmp_path, stop_when=lambda sketch: False,
+            max_iterations=2)
+        assert (found, over) == (False, False)
+        assert records == OPENED + [REC_FINISH_ITERATION, REC_GROW]
 
     def test_otherwise_finishes_then_grows(self, module, report, tmp_path):
         (result, found, over), records = closed_records(

@@ -301,6 +301,32 @@ class TestCrashRecoveryKeepsServerSettings:
             path.stat().st_size - len(JOURNAL_MAGIC)
 
 
+class TestCappedCampaign:
+    def test_the_last_close_ends_the_campaign(self, tmp_path):
+        """A campaign that reaches ``max_iterations`` ends at that
+        iteration's close: σ does not grow and no GROW record follows
+        its FINISH."""
+        spec = get_bug("pbzip2-1")
+        deployment = CooperativeDeployment(
+            spec.module(), spec.workload_factory, endpoints=4,
+            bug=spec.bug_id, journal_dir=str(tmp_path))
+        stats = deployment.run_campaign(initial_sigma=2,
+                                        stop_when=lambda sketch: False,
+                                        max_iterations=1)
+        assert (stats.iterations, stats.found) == (1, False)
+        records = [rec_type for rec_type, _ in
+                   iter_records(tmp_path / f"{spec.bug_id}.wal")]
+        assert records[-2:] == [REC_INGEST, REC_FINISH_ITERATION]
+        assert deployment.campaign.tracker.sigma == 2
+
+    def test_the_cap_must_allow_an_iteration(self):
+        spec = get_bug("pbzip2-1")
+        deployment = CooperativeDeployment(spec.module(),
+                                           spec.workload_factory)
+        with pytest.raises(ValueError, match="iteration"):
+            deployment.start(max_iterations=0)
+
+
 def _start_meta(**fields) -> bytes:
     meta = {"bug": BUG, "sigma": 2, "stripes": 1, "report_hex": "00"}
     meta.update(fields)
