@@ -464,12 +464,12 @@ class CooperativeDeployment:
                 self._pump_uplink()
             return self._report is not None
 
-        consumed, _ = self._run_batches(0, max_runs, landed)
+        consumed = self._run_batches(0, max_runs, landed)
         report, self._report = self._report, None
         return report, consumed
 
     def _run_batches(self, epoch: int, max_runs: int,
-                     stop: Callable[[], bool]) -> Tuple[int, int]:
+                     stop: Callable[[], bool]) -> int:
         """Consume at most ``max_runs`` runs, ``fleet_workers`` a batch.
 
         Each run's uplink goes through the fault layer in run-id order and
@@ -478,18 +478,17 @@ class CooperativeDeployment:
         the rest of its batch is discarded and its run ids handed out
         again, so the consumed stream is the same for any
         ``fleet_workers`` (workload factories are pure functions of the
-        run id).  Returns ``(runs consumed, runs lost to churn)``.
+        run id).  Returns the runs consumed.
         """
         from ..fleet.endpoint import RUN_CHURNED, RUN_CRASHED
 
-        consumed = churned = 0
+        consumed = 0
         while consumed < max_runs:
             size = min(self.fleet_workers, max_runs - consumed)
             for run_id, plan, uplink in self._execute_batch_wire(size):
                 consumed += 1
                 if plan.kind == RUN_CHURNED:
                     self._runs_lost_to_churn += 1
-                    churned += 1
                 elif plan.kind == RUN_CRASHED:
                     self._runs_lost_to_crash += 1
                 else:
@@ -502,8 +501,8 @@ class CooperativeDeployment:
                     self._pump_uplink()
                 if stop():
                     self._next_run = run_id + 1
-                    return consumed, churned
-        return consumed, churned
+                    return consumed
+        return consumed
 
     # -- the AsT campaign ---------------------------------------------------------
 
@@ -555,9 +554,15 @@ class CooperativeDeployment:
         limit = float("inf") if budget is None else budget
         if limit <= 0 or self.done:
             return 0
+        churned = self._runs_lost_to_churn
         if self.campaign is None:
-            return self._step_bootstrap(limit)
-        return self._step_monitor(limit)
+            consumed = self._step_bootstrap(limit)
+        else:
+            consumed = self._step_monitor(limit)
+        # A churned run never executed, in either phase.
+        self.stats.total_runs += \
+            consumed - (self._runs_lost_to_churn - churned)
+        return consumed
 
     def _step_bootstrap(self, limit) -> int:
         """Uninstrumented runs until the first failure report lands."""
@@ -568,7 +573,6 @@ class CooperativeDeployment:
                 self._bootstrap_consumed < self.max_bootstrap_runs:
             return consumed
         self.stats.bootstrap_runs = self._bootstrap_consumed
-        self.stats.total_runs += self._bootstrap_consumed
         if report is None:
             # The failure never recurred: give up without a campaign.
             self.stats.fleet = self._fleet_report()
@@ -599,14 +603,13 @@ class CooperativeDeployment:
                 self._deliver_patches(
                     campaign.make_patches(len(self.clients)), campaign.epoch)
                 self._attempts = 0
-            ran, churned = self._run_batches(
+            ran = self._run_batches(
                 campaign.epoch,
                 min(limit - consumed,
                     self.max_runs_per_iteration - self._attempts),
                 lambda: self.campaign.iteration_satisfied)
             consumed += ran
             self._attempts += ran
-            self.stats.total_runs += ran - churned
             if self.campaign.iteration_satisfied or \
                     self._attempts >= self.max_runs_per_iteration:
                 self._close_iteration()
