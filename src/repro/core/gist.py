@@ -75,7 +75,6 @@ class Gist:
                  analysis_cache_dir: Optional[os.PathLike] = None,
                  fleet_workers: int = 1,
                  executor: str = "threads",
-                 engine=None,
                  transport: str = "wire",
                  fault_plan=None,
                  shards: int = 1,
@@ -104,9 +103,6 @@ class Gist:
         #: Execution engine kind: ``"threads"`` (default) or
         #: ``"processes"`` (warm worker pool, escapes the GIL).
         self.executor = executor
-        #: Pre-built :class:`repro.fleet.FleetExecutor` to reuse across
-        #: diagnoses (caller owns its lifecycle); overrides ``executor``.
-        self.engine = engine
         #: ``"wire"`` (encoded-bytes fleet transport, default) or
         #: ``"socket"`` (the same bytes over a real Unix/TCP socket with
         #: batching and backpressure).
@@ -177,9 +173,8 @@ class Gist:
             endpoints=self.endpoints, bug=self.bug, ptwrite=self.ptwrite,
             extended_predicates=self.extended_predicates,
             context=self.context, fleet_workers=self.fleet_workers,
-            executor=self.executor, engine=self.engine,
-            transport=self.transport, fault_plan=self.fault_plan,
-            journal_dir=self.journal_dir,
+            executor=self.executor, transport=self.transport,
+            fault_plan=self.fault_plan, journal_dir=self.journal_dir,
             detectors=self.detectors, ranker=self.ranker,
             stats=self.stats)
         stats = deployment.run_campaign(
@@ -212,8 +207,8 @@ class Gist:
             cohort_size=self.cohort_size, cohort_share=self.cohort_share,
             scheduler=self.scheduler, quantum=self.quantum,
             fleet_workers=self.fleet_workers, executor=self.executor,
-            engine=self.engine, fault_plan=self.fault_plan,
-            transport=self.transport, journal_dir=self.journal_dir,
+            fault_plan=self.fault_plan, transport=self.transport,
+            journal_dir=self.journal_dir,
             ptwrite=self.ptwrite,
             extended_predicates=self.extended_predicates,
             initial_sigma=initial_sigma, max_iterations=max_iterations,

@@ -142,11 +142,6 @@ def evaluate_bug(
     max_runs_per_iteration: int = 120,
     max_bootstrap_runs: int = 400,
     context: Optional["AnalysisContext"] = None,
-    fleet_workers: int = 1,
-    executor: str = "threads",
-    engine=None,
-    transport: str = "wire",
-    fault_plan=None,
     ranker: str = "fmeasure",
 ) -> BugEvaluation:
     """Run one diagnosis campaign and score it against the ideal sketch.
@@ -167,11 +162,6 @@ def evaluate_bug(
     deployment = CooperativeDeployment(module, spec.workload_factory,
                                        endpoints=endpoints, bug=spec.bug_id,
                                        context=context,
-                                       fleet_workers=fleet_workers,
-                                       executor=executor,
-                                       engine=engine,
-                                       transport=transport,
-                                       fault_plan=fault_plan,
                                        detectors=spec.detectors,
                                        ranker=ranker)
     if mode in ("cf", "ptw"):
