@@ -624,18 +624,13 @@ class CooperativeDeployment:
         if result.sketch is not None:
             stats.sketch = result.sketch
         stats.found = found
-        if over:
-            self._finish()
-        else:
+        if not over:
             # The iteration deadline has passed: stragglers and held
             # reorders land now, and the epoch check discards them as
             # stale at the next iteration's ingestion.
             self.fleet_transport.flush()
-
-    def _finish(self) -> None:
-        stats = self.stats
-        campaign = self.campaign
-        overheads = self._overheads
+            return
+        campaign, overheads = self.campaign, self._overheads
         stats.failure_recurrences = campaign.total_failure_recurrences
         stats.peak_tracked_bytes = campaign.peak_tracked_bytes
         stats.monitored_runs = len(overheads)
