@@ -527,7 +527,6 @@ class CooperativeDeployment:
         self.stats = CampaignStats(bug=self.bug)
         #: Set once the campaign has ended, or bootstrap gave up.
         self.done = False
-        self._bootstrap_consumed = 0
         #: Runs the open iteration has consumed, lost runs included.
         self._attempts = 0
 
@@ -566,17 +565,15 @@ class CooperativeDeployment:
 
     def _step_bootstrap(self, limit) -> int:
         """Uninstrumented runs until the first failure report lands."""
+        stats = self.stats
         report, consumed = self.wait_for_failure(
-            min(limit, self.max_bootstrap_runs - self._bootstrap_consumed))
-        self._bootstrap_consumed += consumed
-        if report is None and \
-                self._bootstrap_consumed < self.max_bootstrap_runs:
-            return consumed
-        self.stats.bootstrap_runs = self._bootstrap_consumed
+            min(limit, self.max_bootstrap_runs - stats.bootstrap_runs))
+        stats.bootstrap_runs += consumed
         if report is None:
-            # The failure never recurred: give up without a campaign.
-            self.stats.fleet = self._fleet_report()
-            self.done = True
+            if stats.bootstrap_runs >= self.max_bootstrap_runs:
+                # The failure never recurred: give up without a campaign.
+                stats.fleet = self._fleet_report()
+                self.done = True
             return consumed
         if self.journal_dir is not None:
             # The journal attaches before the campaign exists, so its

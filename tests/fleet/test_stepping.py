@@ -9,7 +9,8 @@ fault plan (``tests/fleet/test_traffic.py``) in several budget
 sequences, at one and three thread workers, with and without a journaled
 server killed every 3 ingests.  Each must reproduce the unbudgeted
 campaign's traffic row — every count, the whole fleet report and the
-sketch — and account for every run its steps consumed.
+sketch — and account for every run its steps consumed.  A bootstrap that
+never sees a failure gives up after the same runs, sliced or not.
 """
 
 import functools
@@ -18,16 +19,32 @@ import tempfile
 
 import pytest
 
-from repro.core.cooperative import CooperativeDeployment
+from repro.core import CooperativeDeployment, Workload, constant_factory
 from repro.corpus import get_bug
 from repro.fleet import parse_fault_plan
+from repro.lang import compile_source
 
 from .test_traffic import PLAN, SETTINGS, traffic_row
 
 BUGS = ("curl-965", "apache-21287", "pbzip2-1")
 #: Budget sequences, each cycled until the campaign is done.
 BUDGETS = ((1,), (2, 5), (7, 1, 3))
+SLICED = pytest.mark.parametrize("budgets", BUDGETS,
+                                 ids=lambda b: "-".join(map(str, b)))
 CRASH = ",server_crash_every=3"
+
+
+def step_through(deployment, budgets):
+    """Step a started deployment with ``budgets`` in turn until it is
+    done, then close it; returns the runs its steps consumed."""
+    consumed = 0
+    with deployment:
+        for budget in itertools.cycle(budgets):
+            if deployment.done:
+                return consumed
+            ran = deployment.step(budget)
+            assert 0 < ran <= budget
+            consumed += ran
 
 
 def campaign(bug_id, fleet_workers, crash, budgets=None):
@@ -47,14 +64,7 @@ def campaign(bug_id, fleet_workers, crash, budgets=None):
         if budgets is None:
             return traffic_row(deployment.run_campaign(**options)), None
         deployment.start(**options)
-        consumed = 0
-        with deployment:
-            for budget in itertools.cycle(budgets):
-                if deployment.done:
-                    break
-                ran = deployment.step(budget)
-                assert 0 < ran <= budget
-                consumed += ran
+        consumed = step_through(deployment, budgets)
         return traffic_row(deployment.stats), consumed
 
 
@@ -63,8 +73,7 @@ def unbudgeted(bug_id, fleet_workers, crash):
     return campaign(bug_id, fleet_workers, crash)[0]
 
 
-@pytest.mark.parametrize("budgets", BUDGETS,
-                         ids=lambda b: "-".join(map(str, b)))
+@SLICED
 @pytest.mark.parametrize("crash", (False, True), ids=("P", "P+crash3"))
 @pytest.mark.parametrize("fleet_workers", (1, 3))
 @pytest.mark.parametrize("bug_id", BUGS)
@@ -74,3 +83,33 @@ def test_budget_slices_leave_traffic_unchanged(bug_id, fleet_workers,
     assert row == unbudgeted(bug_id, fleet_workers, crash)
     # Every consumed run either executed or churned, in both phases.
     assert consumed == row["total_runs"] + row["fleet"]["runs_lost_to_churn"]
+
+
+NEVER_FAILS = """
+int main(int n) {
+    int s = 0;
+    int i = 0;
+    while (i < n) { s = s + i; i = i + 1; }
+    return s;
+}
+"""
+
+
+@SLICED
+def test_a_bootstrap_that_never_lands_gives_up_alike(budgets):
+    """With no failure to find, the campaign gives up after
+    ``max_bootstrap_runs`` runs however its budget is sliced, and its
+    total counts only the runs that executed."""
+    def deployment():
+        return CooperativeDeployment(
+            compile_source(NEVER_FAILS),
+            constant_factory(Workload(args=(20,))), endpoints=3,
+            fault_plan=parse_fault_plan("churn=0.3,seed=7"))
+
+    solo = deployment().run_campaign(max_bootstrap_runs=7)
+    sliced = deployment()
+    sliced.start(max_bootstrap_runs=7)
+    assert step_through(sliced, budgets) == 7
+    assert traffic_row(sliced.stats) == traffic_row(solo)
+    assert (solo.bootstrap_runs, solo.iterations) == (7, 0)
+    assert solo.total_runs == 7 - solo.fleet["runs_lost_to_churn"] < 7
