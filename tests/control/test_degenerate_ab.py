@@ -5,9 +5,9 @@ bugs *concurrently* — budget-scheduled over a shared fleet, sharded 1, 2,
 or 4 ways — must converge every campaign to the **byte-identical** failure
 sketch the classic solo path produces.  Budgeted stepping is batch-size
 invariant (each deployment consumes the same run-id-ordered evidence
-stream no matter how the scheduler slices it) and ranker striping merges losslessly,
-so nothing about concurrency, scheduling, or shard count may leak into a
-sketch.
+stream no matter how the scheduler slices it) and ranker striping merges
+losslessly, so nothing about concurrency, scheduling, or shard count may
+leak into a sketch.
 """
 
 import pytest
