@@ -4,9 +4,11 @@ The decoded tier (:mod:`repro.runtime.decoded`) pays one Python *call* per
 retired instruction — the interpreter loop indexes a step-record list and
 invokes a closure.  This module removes that last per-step call: every GIR
 function is lowered to real Python source — one generator function per GIR
-function, straight-line statements per basic block, native control flow via
-dispatch on an integer block id, and *frame locals* instead of register-dict
-probes — then ``exec``-compiled once per module and cached.
+function, straight-line statements per basic block, native control flow
+within an *extended block* (a block, with every block that only it
+reaches through single edges, nested at those edges) and dispatch on an
+integer block id between extended blocks, and *frame locals* instead of
+register-dict probes — then ``exec``-compiled once per module and cached.
 
 Execution protocol
 ------------------
@@ -43,15 +45,24 @@ would advance it, including single-thread runs) survives compilation:
 Accounting
 ----------
 
-Steps are counted per basic block.  ``_step`` holds the step before the
-current block, so the instruction at 1-based position ``k`` retires at
-``_step + k`` — a constant offset at every commit, hook, event and failure
-site — and a block's exit adds ``k`` once.  The step budget is ``_room =
-_max_steps - _step``, set at block entry, so the hang test of an
+Steps are counted per extended block.  A block with exactly one
+predecessor edge, other than the entry, is emitted inline at that edge
+(Relooper-style, Zakai 2011), so the ``if _b == k`` arms of the dispatch
+loop remain only for the entry and for blocks with zero or several
+predecessors (loop headers, joins), each the root of a tree of inlined
+blocks.  A path inlines at most :data:`_MAX_INLINE_DEPTH` blocks below
+its root; past that an edge dispatches instead, and its target gets an arm
+of its own.
+
+``_step`` holds the step before the current path's root, so the
+instruction at 1-based position ``k`` along the root-to-here path retires
+at ``_step + k`` — a constant offset at every commit, hook, event and
+failure site — and a dispatch adds its path's ``k`` once.  The step budget
+is ``_room = _max_steps - _step``, set at the root, so the hang test of an
 instruction is ``if k > _room:``, one compare of a constant.  Whenever
 other code ran — a resume, a user call's return, a blocking builtin's
 retry — both are re-based on the published ``global_step``: ``_step =
-global_step - k`` for the ``k`` instructions of the block already retired.
+global_step - k`` for the ``k`` instructions of the path already retired.
 Outside its body, a retired instruction thus runs the scheduler draw and
 the hang compare, and nothing else.
 
@@ -64,15 +75,20 @@ those handlers the call stack and ``extra_cost`` are exact, but the
 current thread's innermost frame position is the last commit's — the
 event's ``pc`` names the instruction.
 
-Base cost and per-opcode counts accumulate as one *packed charge*: an
-integer holding one :data:`_FIELD_BITS`-wide count field per opcode.  A
-block adds its whole static charge on entry (one big-int add); a commit
-hands the interpreter everything but the pre-charge of the block's
-unretired remainder (the *rest*, a constant of the commit site), and keeps
-the rest.  The interpreter unpacks its total into
-:class:`~repro.runtime.costmodel.CostModel` when the run ends
-(:meth:`CompiledProgram.settle`), so each commit site is a single call
-instead of a per-opcode update block.
+Base cost and per-opcode counts are counted per path (after Ball and
+Larus's path profiling, MICRO 1996).  A *packed charge* is an integer
+holding one :data:`_FIELD_BITS`-wide count field per opcode; every
+root-to-exit path of an extended block has a static one, a module
+constant.  Where a path leaves its tree — at a dispatch or a return — it
+runs ``_e[x] += 1`` on the run's exit counters, slot ``x`` standing for
+its packed charge (:meth:`_ModuleCompiler.exit_slot`).  Builtin calls
+charge per attempt (a blocked call retries): each attempt adds one to the
+slot of a CALL's charge, and paths leave them out.  A commit stores the
+site's retired prefix on the current path in the frame, ``frame.done``,
+so a path cut short by the run's end is covered too.  When the run ends,
+:meth:`CompiledProgram.settle` unpacks exit counts times path charges,
+plus the ``done`` of every frame still on a thread's stack, into
+:class:`~repro.runtime.costmodel.CostModel`.
 
 Instrumentation
 ---------------
@@ -134,6 +150,7 @@ counted in the module-level ``cache_evictions``.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from ..lang.ir import Instr, Module, Opcode, Register
@@ -219,29 +236,27 @@ def _charge(opcode: Opcode) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _commit(interp, frame, step, acc, site):
+def _commit(interp, frame, step, site):
     """Publish a generator's local state at a commit ``site`` — a constant
-    ``(block, index, rest)``: the step counter, the frame position, and
-    every charge in ``acc`` except the unretired ``rest``, which the
-    generator keeps (this function returns it)."""
+    ``(block, index, done)``: the step counter, the frame position, and
+    the packed charge of what the frame has retired on its current
+    extended-block path."""
     interp.global_step = step
-    frame.block, frame.index, rest = site
-    interp._charges += acc - rest
-    return rest
+    frame.block, frame.index, frame.done = site
 
 
-def _fail_at(interp, frame, step, acc, site, tid, kind, pc, message):
-    _commit(interp, frame, step, acc, site)
+def _fail_at(interp, frame, step, site, tid, kind, pc, message):
+    _commit(interp, frame, step, site)
     interp._fail(kind, tid, pc, message)
 
 
-def _fault(interp, frame, step, acc, site, tid, pc, fault):
-    _commit(interp, frame, step, acc, site)
+def _fault(interp, frame, step, site, tid, pc, fault):
+    _commit(interp, frame, step, site)
     interp._fail(fault.kind, tid, pc, fault.detail, fault.address)
 
 
-def _hang(interp, frame, step, acc, site, tid, pc):
-    _fail_at(interp, frame, step, acc, site, tid, FailureKind.HANG, pc,
+def _hang(interp, frame, step, site, tid, pc):
+    _fail_at(interp, frame, step, site, tid, FailureKind.HANG, pc,
              f"exceeded {interp.max_steps} steps")
 
 
@@ -307,7 +322,7 @@ def _enter(thread, tid, memory, callee):
 #: The per-run locals every generated function unpacks from
 #: ``interp._run_locals`` (built by :meth:`CompiledProgram.start`).
 _RUN_LOCALS = ("_rand, _p, _switch, _max_steps, _memory, _slots, _pre, "
-               "_preb, _fb, _fj, _fc, _fr, _fm, _gb, _gf, _gm, _gm2")
+               "_preb, _fb, _fj, _fc, _fr, _fm, _gb, _gf, _gm, _gm2, _e")
 
 #: The gate local of an event kind without a lone gated handler (its
 #: fan-out tests any per-handler gates): every key.  Thread ids and the
@@ -320,6 +335,14 @@ _UNGATED = range(1 << 64)
 # ---------------------------------------------------------------------------
 # Code generation
 # ---------------------------------------------------------------------------
+
+#: The most blocks a path inlines below its root; an edge past this
+#: dispatches instead.  Each inlined block nests at most one level deeper
+#: (the true arm of a branch) and one emitter call chain deeper, so this
+#: bounds both the generated source's indentation (Python's tokenizer stops
+#: at 100 levels) and the compiler's recursion, however deeply the source
+#: nests ``if``s or chains ``else if``s.  Corpus paths inline at most 8.
+_MAX_INLINE_DEPTH = 24
 
 
 def _sanitize(text: str) -> str:
@@ -380,6 +403,10 @@ class _ModuleCompiler:
         self.fn_names = _Names("_fn_")
         self._const_n = 0
         self._interned: Dict[Tuple[str, object], str] = {}
+        #: The packed charge each slot of a run's exit counters (``_e``)
+        #: stands for; :meth:`exit_slot` assigns one slot per charge.
+        self.exit_charges: List[int] = []
+        self._exit_slots: Dict[int, int] = {}
         self.ns: Dict[str, object] = {
             "MemoryFault": MemoryFault,
             "_RUNNABLE": ThreadStatus.RUNNABLE,
@@ -388,7 +415,6 @@ class _ModuleCompiler:
             "_JUMP": FlowKind.JUMP,
             "_CALL": FlowKind.CALL,
             "_RET": FlowKind.RET,
-            "_CALL_CHARGE": _charge(Opcode.CALL),
             "_commit": _commit,
             "_fail_at": _fail_at,
             "_fault": _fault,
@@ -419,6 +445,15 @@ class _ModuleCompiler:
         self.ns[name] = ins
         return name
 
+    def exit_slot(self, charge: int) -> int:
+        """The exit-counter slot of a path whose packed charge is
+        ``charge``, shared by every exit with an equal charge."""
+        slot = self._exit_slots.get(charge)
+        if slot is None:
+            slot = self._exit_slots[charge] = len(self.exit_charges)
+            self.exit_charges.append(charge)
+        return slot
+
 
 class _FunctionCompiler:
     """Lowers one GIR function to one Python generator function."""
@@ -444,13 +479,31 @@ class _FunctionCompiler:
                         regs.append(operand.name)
         self.locals_to_zero = regs
         self.own_slots = self._own_slots()
-        # The block being emitted, the packed charge of its instructions
-        # after the current one (pre-charged on block entry, not retired),
-        # and the current instruction's 1-based position in the block: it
-        # retires at step ``_step + k``.
+        # The block a call starts in: the entry, or the first block when
+        # the entry names no block (hand-built IR).
+        self.start = func.entry if func.entry in func.blocks else \
+            next(iter(func.blocks), None)
+        # Predecessor edges per block: a block with exactly one, other than
+        # the entry, is emitted inline at that edge.
+        self.preds = Counter(
+            label for ins in func.instructions()
+            if ins.opcode in (Opcode.JMP, Opcode.BR)
+            for label in ins.labels[:1 if ins.opcode == Opcode.JMP else 2]
+            if label in self.block_ids)
+        # The labels that get a dispatch arm, in emission order: every block
+        # that is no other block's inline continuation, and the blocks past
+        # the inlining cap as they are met.  ``depth`` counts the blocks the
+        # current path has inlined below its root.
+        self.arms = [label for label in func.blocks
+                     if label == self.start or self.preds[label] != 1]
+        self.depth = 0
+        # The block being emitted, the current instruction's 1-based
+        # position on its extended-block path (it retires at step
+        # ``_step + k``), and the packed charge retired on that path up to
+        # and including the current instruction.
         self.label = ""
-        self.rest = 0
         self.k = 0
+        self.done = 0
 
     def _own_slots(self) -> Dict[str, int]:
         """``{register: index}`` of every register that names one of this
@@ -483,19 +536,24 @@ class _FunctionCompiler:
                 and ins.callee not in self.mc.module.functions)
 
     def _static_charge(self, ins: Instr) -> int:
-        """The packed charge block entry pre-charges for ``ins``.  Builtin
-        calls charge per *attempt* (blocked calls retry) and are excluded —
-        their emitter charges dynamically."""
+        """The packed charge ``ins`` adds to its path.  Builtin calls charge
+        per *attempt* (blocked calls retry) and are excluded — their
+        emitter counts each attempt."""
         return 0 if self._is_builtin_call(ins) else _charge(ins.opcode)
 
     def site(self, index: int, label: Optional[str] = None,
-             rest: Optional[int] = None) -> str:
+             done: Optional[int] = None) -> str:
         """The constant of a commit site: the frame position (``label``,
-        default the current block; ``index``) and the unretired ``rest``
-        (default the current block's)."""
+        default the current block; ``index``) and the retired prefix
+        ``done`` (default the current path's, through the current
+        instruction)."""
         return self.mc.interned("K", (
             self.label if label is None else label, index,
-            self.rest if rest is None else rest))
+            self.done if done is None else done))
+
+    def emit_exit(self) -> None:
+        """Close the current path: one more count of its packed charge."""
+        self.e.line(f"_e[{self.mc.exit_slot(self.done)}] += 1")
 
     @property
     def step(self) -> str:
@@ -504,13 +562,13 @@ class _FunctionCompiler:
 
     def emit_hang(self, site: str, pc_expr) -> None:
         self.e.line(f"if {self.k} > _room:")
-        self.e.line(f"    _hang(interp, frame, {self.step}, _acc, {site}, tid, "
+        self.e.line(f"    _hang(interp, frame, {self.step}, {site}, tid, "
                     f"{pc_expr})")
 
     def emit_rebase(self, resumed: str, retired: int) -> None:
         """Re-base ``_step`` and ``_room`` on ``resumed``, the published
         ``global_step`` once other code ran, with ``retired`` instructions
-        of the current block retired."""
+        of the current path retired."""
         self.e.line(f"_step = {resumed} - {retired}" if retired
                     else f"_step = {resumed}")
         self.e.line("_room = _max_steps - _step")
@@ -527,14 +585,14 @@ class _FunctionCompiler:
 
         The resumed generator receives ``global_step``.  ``resume`` says
         what takes it: ``"rebase"`` re-bases ``_step`` and ``_room`` for the
-        block's next instruction; ``"arm"`` sets ``_step`` for the target
+        path's next instruction; ``"arm"`` sets ``_step`` for a dispatched
         block, whose entry sets ``_room``, and otherwise advances ``_step``
-        past the current block; ``"leave"`` drops it, for a CALL or RET,
+        past the current path; ``"leave"`` drops it, for a CALL or RET,
         after which code re-reads ``interp.global_step``."""
         e = self.e
         e.line(f"if _rand() < _p and "
                f"(_t := _switch(tid, {self.step})) is not None:")
-        e.line(f"    _acc = _commit(interp, frame, {self.step}, _acc, {site})")
+        e.line(f"    _commit(interp, frame, {self.step}, {site})")
         e.indent += 1
         if resume == "rebase":
             self.emit_rebase("(yield _t)", self.k)
@@ -548,18 +606,17 @@ class _FunctionCompiler:
             e.line(f"    _step += {self.k}")
 
     def emit_fail(self, idx: int, kind: str, pc: int, message: str) -> None:
-        self.e.line(f"_fail_at(interp, frame, {self.step}, _acc, "
-                    f"{self.site(idx)}, tid, {kind}, {pc}, {message!r})")
+        self.e.line(f"_fail_at(interp, frame, {self.step}, {self.site(idx)}, "
+                    f"tid, {kind}, {pc}, {message!r})")
 
     def emit_memfault_handler(self, idx: int, uid: int) -> None:
         self.e.line("except MemoryFault as _f:")
-        self.e.line(f"    _fault(interp, frame, {self.step}, _acc, "
+        self.e.line(f"    _fault(interp, frame, {self.step}, "
                     f"{self.site(idx)}, tid, {uid}, _f)")
 
     def emit_raise(self, idx: int, make_exc) -> None:
         name = self.mc.const("k", make_exc)
-        self.e.line(f"_commit(interp, frame, {self.step}, _acc, "
-                    f"{self.site(idx)})")
+        self.e.line(f"_commit(interp, frame, {self.step}, {self.site(idx)})")
         self.e.line(f"raise {name}()")
 
     def emit_before(self, ins: Instr, values=()) -> None:
@@ -604,7 +661,6 @@ class _FunctionCompiler:
             # (blocked calls re-execute, and each attempt retires).
             self._emit_builtin(bb, idx, ins)
             return
-        # The instruction's charge was pre-charged at block entry.
         self.emit_before(ins, [self.reg(o.name) for o in ins.operands
                                if isinstance(o, Register)])
         if op in (Opcode.CONST, Opcode.MOVE):
@@ -783,6 +839,8 @@ class _FunctionCompiler:
         (:meth:`_own_slots`) past its entry-block ``ALLOCA``."""
         if spec[0] != "reg" or spec[1] not in self.own_slots:
             return False
+        # The entry block is always a path's root, so there ``k`` is the
+        # instruction's 1-based position in the block.
         return self.label != self.func.entry or \
             self.k > self.own_slots[spec[1]] + 1
 
@@ -808,9 +866,26 @@ class _FunctionCompiler:
         self.finish_straight(bb, idx, ins)
 
     def _emit_arm(self, label: str) -> None:
-        """Transfer to ``label``'s block: the terminator has retired, so the
-        commit site holds the target position and nothing unretired."""
-        site = self.site(0, label=label, rest=0)
+        """Transfer to ``label``'s block once the terminator has retired.
+
+        A block whose only predecessor edge this is extends the current
+        path: its code follows here, unless the path has inlined
+        :data:`_MAX_INLINE_DEPTH` blocks already.  Any other target closes
+        the path at an exit and dispatches through ``_b``, so the commit
+        site holds the target position and nothing retired on its path."""
+        inlined = label != self.start and self.preds[label] == 1
+        if inlined and self.depth < _MAX_INLINE_DEPTH:
+            site = self.site(0, label=label)
+            self.emit_hang(site, self._block_entry_uid(label))
+            self.emit_gate(site)
+            self.depth += 1
+            self.emit_block(label, self.k, self.done)
+            self.depth -= 1
+            return
+        if inlined:  # past the cap, its one edge dispatches to its own arm
+            self.arms.append(label)
+        self.emit_exit()
+        site = self.site(0, label=label, done=0)
         self.emit_hang(site, self._block_entry_uid(label))
         self.emit_gate(site, resume="arm")
         self.e.line(f"_b = {self.block_ids[label]}")
@@ -864,8 +939,9 @@ class _FunctionCompiler:
             e.line(f"_v = {self._expr(spec)}")
         else:
             e.line("_v = 0")
-        site = self.site(idx)
-        e.line(f"_acc = _commit(interp, frame, {self.step}, _acc, {site})")
+        self.emit_exit()
+        site = self.site(idx, done=0)
+        e.line(f"_commit(interp, frame, {self.step}, {site})")
         e.line("_frames = thread.frames")
         e.line("_frames.pop()")
         e.line("_memory.stack_release(tid, frame.stack_base)")
@@ -907,7 +983,7 @@ class _FunctionCompiler:
         # The caller's position stays at the CALL until the callee returns
         # (its RET advances the index).
         site = self.site(idx)
-        e.line(f"_acc = _commit(interp, frame, {self.step}, _acc, {site})")
+        e.line(f"_commit(interp, frame, {self.step}, {site})")
         e.line("if _fc and tid in _gf:")
         e.line(f"    _fc({self.step}, tid, {ins.uid}, _CALL, {callee!r}, -1)")
         entry = self.mc.const("E", (callee, func.entry, ins.dst, ins.uid,
@@ -938,8 +1014,8 @@ class _FunctionCompiler:
         blocking = name in _BLOCKING_BUILTINS
 
         def attempt() -> None:
-            e.line(f"_acc = _commit(interp, frame, {self.step}, "
-                   f"_acc + _CALL_CHARGE, {site})")
+            e.line(f"_e[{self.mc.exit_slot(_charge(Opcode.CALL))}] += 1")
+            e.line(f"_commit(interp, frame, {self.step}, {site})")
             self.emit_before(ins)  # registers were spilled above
             e.line("try:")
             e.line(f"    interp._do_builtin(tid, thread, {iconst})")
@@ -980,6 +1056,33 @@ class _FunctionCompiler:
 
     # -- whole-function assembly ------------------------------------------
 
+    def emit_block(self, label: str, k: int, done: int) -> None:
+        """Emit ``label``'s block on a path that has retired ``k``
+        instructions, of packed charge ``done``, before it (both 0 at a
+        dispatch arm)."""
+        e = self.e
+        saved = self.label, self.k, self.done
+        bb = self.func.blocks[label]
+        self.label = label
+        if bb.instrs:
+            if not k:
+                # ``_step`` holds the step before the path: the budget left
+                # to it.
+                e.line("_room = _max_steps - _step")
+            # Whether any of the block's instructions is hooked.
+            e.line(f"_h = _preb and _preb[{bb.instrs[0].uid}]")
+        for idx, ins in enumerate(bb.instrs):
+            self.k = k + idx + 1
+            self.done = done = done + self._static_charge(ins)
+            self.emit_instr(bb, idx, ins)
+        last = bb.instrs[-1] if bb.instrs else None
+        if last is None or last.opcode not in (Opcode.JMP, Opcode.BR,
+                                               Opcode.RET):
+            # Fall-through off a block end: the decoded tier would
+            # IndexError fetching the next record; match it.
+            e.line("raise IndexError('list index out of range')")
+        self.label, self.k, self.done = saved
+
     def compile(self) -> str:
         e = self.e
         params = [self.reg(p) for p in self.func.params]
@@ -991,44 +1094,18 @@ class _FunctionCompiler:
         e.line(f"{_RUN_LOCALS} = interp._run_locals")
         e.line("_regs = frame.regs")
         e.line("_step = interp.global_step")
-        e.line("_acc = 0")
         if self.locals_to_zero:
             e.line(" = ".join(self.reg(n) for n in self.locals_to_zero)
                    + " = 0")
-        entry_id = self.block_ids.get(self.func.entry, 0)
-        e.line(f"_b = {entry_id}")
+        e.line(f"_b = {self.block_ids.get(self.start, 0)}")
         e.line("while True:")
         e.indent += 1
-        first = True
-        for label, bb in self.func.blocks.items():
-            e.line(f"{'if' if first else 'elif'} _b == "
-                   f"{self.block_ids[label]}:")
-            first = False
+        for n, label in enumerate(self.arms):
+            e.line(f"{'elif' if n else 'if'} _b == {self.block_ids[label]}:")
             e.indent += 1
-            # Pre-charge the block's whole static charge; every commit site
-            # keeps back the unretired rest, so committed accounting is
-            # exact at every observation point.
-            charges = [self._static_charge(ins) for ins in bb.instrs]
-            if any(charges):
-                e.line(f"_acc += {self.mc.interned('P', sum(charges))}")
-            if bb.instrs:
-                # ``_step`` holds the step before the block: the budget left
-                # to it, and whether any of its instructions is hooked.
-                e.line("_room = _max_steps - _step")
-                e.line(f"_h = _preb and _preb[{bb.instrs[0].uid}]")
-            self.label = label
-            for idx, ins in enumerate(bb.instrs):
-                self.rest = sum(charges[idx + 1:])
-                self.k = idx + 1
-                self.emit_instr(bb, idx, ins)
-            last = bb.instrs[-1] if bb.instrs else None
-            if last is None or last.opcode not in (Opcode.JMP, Opcode.BR,
-                                                   Opcode.RET):
-                # Fall-through off a block end: the decoded tier would
-                # IndexError fetching the next record; match it.
-                e.line("raise IndexError('list index out of range')")
+            self.emit_block(label, 0, 0)
             e.indent -= 1
-        if first:  # function with no blocks at all
+        if not self.arms:  # function with no blocks at all
             e.line("raise IndexError('list index out of range')")
         e.indent -= 2
         return "\n".join(e.lines)
@@ -1073,7 +1150,7 @@ class CompiledProgram:
     """The exec-compiled generator functions for every function of a module."""
 
     __slots__ = ("module", "epoch", "source_bytes", "functions", "params",
-                 "every_uid")
+                 "every_uid", "exit_charges")
 
     def __init__(self, module: Module) -> None:
         if not module.finalized:
@@ -1097,6 +1174,8 @@ class CompiledProgram:
                               for fname in module.functions}
             self.params = {fname: tuple(func.params)
                            for fname, func in module.functions.items()}
+            #: The packed charge of each slot of a run's exit counters.
+            self.exit_charges = tuple(mc.exit_charges)
             #: The ``_pre`` and ``_preb`` flags of runs with step
             #: subscribers, whose fan-out precedes every instruction: set
             #: at every uid.
@@ -1108,8 +1187,8 @@ class CompiledProgram:
     def start(self, interp) -> None:
         """Sample the run's instrumentation and scheduler split into the
         locals every generated function unpacks (:data:`_RUN_LOCALS`),
-        with the run's ``_switch`` (:func:`_switcher`), and zero the packed
-        charges.
+        with the run's ``_switch`` (:func:`_switcher`) and its zeroed exit
+        counters.
 
         Subscriber lists, gate objects and hooks are fixed for a run, so
         this happens once per run, like ``Interpreter._compute_dispatch``;
@@ -1122,7 +1201,7 @@ class CompiledProgram:
         draw, threshold, consult = interp.scheduler.split_pick()
         memory = interp.memory
         fires = interp._flow_fires
-        interp._charges = 0
+        interp._exits = [0] * len(self.exit_charges)
         interp._run_locals = (
             draw, threshold, _switcher(interp, consult), interp.max_steps,
             memory, memory._slots, pre, preb,
@@ -1132,12 +1211,18 @@ class CompiledProgram:
             *[_UNGATED if gate is None else gate for gate in (
                 interp._branch_gate, interp._flow_gate)],
             *_site_gates(interp),
+            interp._exits,
         )
 
-    @staticmethod
-    def settle(interp) -> None:
-        """Unpack the run's committed charges into ``interp.cost``."""
-        packed, interp._charges = interp._charges, 0
+    def settle(self, interp) -> None:
+        """Unpack the run's retired charges into ``interp.cost``: every
+        closed path, as its exit count times its packed charge (builtin
+        attempts included), and every open one, as the ``done`` of each
+        frame still on a thread's stack."""
+        packed = sum(map(mul, interp._exits, self.exit_charges))
+        for thread in interp.threads.values():
+            for frame in thread.frames:
+                packed += frame.done
         cost = interp.cost
         counts = cost.counts
         for op, shift in _FIELD_SHIFT.items():

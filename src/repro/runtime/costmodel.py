@@ -76,9 +76,10 @@ class CostModel:
     and one to ``counts`` under the opcode's value string (``"load"``,
     ...).  NOTE: both interpreter tiers do this accounting themselves —
     the decoded tier per step from each pre-decoded record's (cost, key)
-    pair, the compiled tier from packed per-opcode counters at run end
-    (``CompiledProgram.settle``) — so any change to it must be made in
-    both.
+    pair, the compiled tier at run end from its extended-block path
+    counts, builtin attempts and the frames' retired prefixes, each a
+    packed per-opcode charge (``CompiledProgram.settle``) — so any change
+    to it must be made in both.
     """
 
     base_cost: int = 0

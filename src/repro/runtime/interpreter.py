@@ -229,9 +229,9 @@ class Interpreter:
         self._sched_dirty = True
         self._runnable_cache: List[int] = []
         # Compiled-tier run state (CompiledProgram.start/settle): the
-        # packed charges committed by generated code, and the per-run
-        # locals every generated function unpacks.
-        self._charges = 0
+        # exit counters generated code bumps, and the per-run locals every
+        # generated function unpacks.
+        self._exits: List[int] = []
         self._run_locals: Optional[tuple] = None
         self._compiled = None
         if self.mode == "compiled":

@@ -35,6 +35,10 @@ class Frame:
     #: dispatch; see :mod:`repro.runtime.decoded`).  Jump/branch closures
     #: swap it directly to the pre-linked target block's records.
     dcode: Optional[list] = None
+    #: The packed charge of the instructions the frame has retired on its
+    #: current extended-block path, as of its last commit (compiled tier;
+    #: see :mod:`repro.runtime.compiled`).
+    done: int = 0
 
     def get(self, name: str) -> int:
         try:

@@ -1,20 +1,28 @@
 """Guards on the compiled tier's reach and on its generated source.
 
 A module the GIR compiler rejects silently runs on the decoded tier (the
-``CompileError`` fallback), so every corpus module must compile.  The size
-of the generated source sets what building a compiled program costs:
-Python's ``compile()`` takes nearly all of the build time, and its peak
-memory grows with the source, so the corpus total is capped.  What every
-retired instruction pays is set by the source too, so its per-instruction
-shape is checked line by line.
+``CompileError`` fallback), so every corpus module must compile, and so
+must a function nested deeper than inlining goes.  The size of the
+generated source sets what building a compiled program costs: Python's
+``compile()`` takes nearly all of the build time, and its peak memory
+grows with the source, so the corpus total is capped.  What every retired
+instruction and every block transition pays is set by the source too, so
+its shape is checked line by line.
 """
 
+import re
+
+import pytest
+
 from repro.corpus import all_bug_ids, get_bug
+from repro.lang import compile_source
 from repro.runtime.compiled import (
     _FunctionCompiler,
     _ModuleCompiler,
     compiled_program,
 )
+from repro.runtime.interpreter import Interpreter
+from tests.runtime.test_hotpath_equivalence import TIERS, _outcome_key
 
 #: Bytes of generated source for the 15 corpus modules when the cap was
 #: set, plus 5%.  Raise it only together with a measured reason.
@@ -42,22 +50,92 @@ def test_generated_source_within_budget():
         f"(budget {SOURCE_BUDGET})")
 
 
+def _compiled_functions(module):
+    """``(name, compiler, source lines)`` of every function of
+    ``module``."""
+    mc = _ModuleCompiler(module)
+    for fname, func in module.functions.items():
+        compiler = _FunctionCompiler(mc, fname, func)
+        yield fname, compiler, compiler.compile().split("\n")
+
+
+def _dispatches(compiler, lines):
+    """The target label of every ``_b = k`` line."""
+    labels = {i: label for label, i in compiler.block_ids.items()}
+    for line in lines:
+        match = re.fullmatch(r" *_b = (\d+)", line)
+        if match:
+            yield labels[int(match.group(1))]
+
+
 def test_steps_are_counted_per_block():
     """Outside its body a retired instruction runs the scheduler draw and
-    one compare against the block's step budget: no generated line tests a
-    dirty flag, refreshes the runnable set or calls ``abs``, and the only
-    statements that advance ``_step`` are block exits, each followed by
-    the jump to the next block."""
+    one compare against its path's step budget: no generated line tests a
+    dirty flag, refreshes the runnable set, calls ``abs`` or carries a
+    packed-charge accumulator, and the only statements that advance
+    ``_step`` are extended-block exits, each followed by the dispatch to
+    the next one."""
     for bug_id in all_bug_ids(include_extra=True):
-        module = get_bug(bug_id).module()
-        mc = _ModuleCompiler(module)
-        for fname, func in module.functions.items():
-            lines = [line.strip() for line in
-                     _FunctionCompiler(mc, fname, func).compile().split("\n")]
+        for fname, _, lines in _compiled_functions(
+                get_bug(bug_id).module()):
+            lines = [line.strip() for line in lines]
             where = f"{bug_id}/{fname}"
-            for banned in ("_dirty", "_refresh", "abs("):
+            for banned in ("_dirty", "_refresh", "abs(", "_acc"):
                 assert not any(banned in line for line in lines), \
                     (where, banned)
             for at, line in enumerate(lines):
                 if line.startswith("_step +="):
                     assert lines[at + 1].startswith("_b = "), (where, at)
+
+
+def test_single_predecessor_blocks_are_inlined():
+    """Every corpus function nests shallower than the inlining cap, so a
+    dispatch names only the entry or a block with zero or several
+    predecessor edges (a loop header or a join): a block with exactly
+    one runs inline at that edge, and has no arm of its own."""
+    for bug_id in all_bug_ids(include_extra=True):
+        for fname, compiler, lines in _compiled_functions(
+                get_bug(bug_id).module()):
+            for label in [*_dispatches(compiler, lines), *compiler.arms]:
+                assert label == compiler.start or \
+                    compiler.preds[label] != 1, (bug_id, fname, label)
+
+
+#: ``main`` of 150 nested ``if``s, each true arm one level deeper than the
+#: last: inlined all the way, Python would refuse the source (it allows 100
+#: levels of indentation).
+DEEP_IFS = "\n".join(
+    ["int main(int n) {", "    int s = 0;"]
+    + [f"if (n > {i}) {{ s = s + {i};" for i in range(150)]
+    + ["}" * 150, "    return s;", "}"])
+
+#: ``main`` of a chain of 200 ``else if``s: each ``else`` block is inlined
+#: at the same indentation as the last, but one emitter call deeper.
+ELSE_IFS = "\n".join(
+    ["int main(int n) {", "    int s = 0;", "    if (n == 0) { s = 1; }"]
+    + [f"    else if (n == {i}) {{ s = {i}; }}" for i in range(1, 200)]
+    + ["    return s;", "}"])
+
+
+@pytest.mark.parametrize("source, exit_value", [
+    (DEEP_IFS, lambda n: sum(range(min(n, 150)))),
+    (ELSE_IFS, lambda n: n if 0 < n < 200 else int(n == 0)),
+], ids=["nested-ifs", "else-if-chain"])
+def test_nesting_past_the_inline_cap_compiles(source, exit_value):
+    """Past :data:`_MAX_INLINE_DEPTH` blocks on a path, a single-predecessor
+    block gets an arm of its own, so the function still compiles (else it
+    would silently run on the decoded tier), and both tiers agree."""
+    module = compile_source(source)
+    compiled_program(module)  # raises CompileError if Python rejects it
+    _, compiler, lines = next(_compiled_functions(module))
+    capped = {label for label in _dispatches(compiler, lines)
+              if compiler.preds[label] == 1}
+    assert capped and capped <= set(compiler.arms)
+    for n in (0, 5, 149, 150, 199, 200):
+        got = {}
+        for mode in TIERS:
+            interp = Interpreter(module, args=[n], mode=mode)
+            assert interp.mode == mode
+            got[mode] = (_outcome_key(interp.run()), interp.cost.counts)
+        assert got["compiled"] == got["decoded"], n
+        assert got["compiled"][0][1] == exit_value(n), n
