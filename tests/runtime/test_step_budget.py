@@ -1,14 +1,16 @@
 """Step budgets, C division and frame-slot stores on both tiers.
 
-The compiled tier counts steps per basic block: ``_step`` holds the step
-before the current block, an instruction retires at ``_step + k`` for its
-1-based position ``k``, and the hang test is one compare of ``k`` against
-the budget left to the block.  A budget that runs out anywhere — inside a
-block, at its terminator, inside a callee, between the attempts of a
-blocking builtin, while another thread sleeps — must stop the run at the
-same instruction as the decoded tier does, with the same scheduler state,
-PT bytes and trap log.  The sweeps below hang each program at every step
-from 1 to one past its length.
+The compiled tier counts steps per extended block: ``_step`` holds the
+step before the current path's root, an instruction retires at ``_step +
+k`` for its 1-based position ``k`` along the path, and the hang test is
+one compare of ``k`` against the budget left to the path.  A budget that
+runs out anywhere — inside a block, at its terminator, inside a callee,
+between the attempts of a blocking builtin, while another thread sleeps —
+must stop the run at the same instruction as the decoded tier does, with
+the same scheduler state, PT bytes and trap log, and the same per-opcode
+counts: the compiled tier counts closed paths at their exits and settles
+the open ones from each live frame's retired prefix.  The sweeps below
+hang each program at every step from 1 to one past its length.
 
 The compiled tier also divides without ``abs()`` and stores into a frame's
 own stack slots without range checks; the tables below pin C's truncating
@@ -91,8 +93,9 @@ _SCHEDULERS = {
 def _run(module, mode, max_steps, scheduler, monitored, entry="main",
          args=()):
     """What a run observably leaves behind: its outcome, the scheduler's
-    state and, when ``monitored`` (full-trace PT and a watchpoint on the
-    first global), the PT bytes and the trap log."""
+    state, its per-opcode counts and, when ``monitored`` (full-trace PT
+    and a watchpoint on the first global), the PT bytes and the trap
+    log."""
     tracers = []
     if monitored:
         pt, wpu = PTEncoder(trace_on_start=True), WatchpointUnit()
@@ -102,7 +105,8 @@ def _run(module, mode, max_steps, scheduler, monitored, entry="main",
                          scheduler=scheduler, tracers=tracers,
                          max_steps=max_steps, mode=mode)
     assert interp.mode == mode
-    result = (_outcome_key(interp.run()), _state(scheduler))
+    result = (_outcome_key(interp.run()), _state(scheduler),
+              dict(interp.cost.counts))
     if monitored:
         result += ({tid: pt.raw_trace(tid) for tid in sorted(pt.buffers)},
                    list(wpu.trap_log))

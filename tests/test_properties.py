@@ -1,15 +1,18 @@
 """Whole-pipeline property tests over randomly generated MiniC programs.
 
 A hypothesis strategy generates small, deterministic, single-threaded MiniC
-programs (arithmetic, branches, bounded loops, globals, one helper call),
-and every generated program must satisfy the system-wide invariants:
+programs (arithmetic, branches, ``&&`` and ``||`` conditions, bounded loops
+with ``break`` and ``continue``, globals, one helper call), and every
+generated program must satisfy the system-wide invariants:
 
 1. it compiles and the IR verifies;
 2. execution is deterministic (same outcome twice);
 3. a full Intel-PT trace decodes to *exactly* the retired instruction
    sequence (the encoder/decoder round-trip, on arbitrary control flow);
 4. GIR assembly round-trips to an equivalently-behaving module;
-5. a recording replays to the same behaviour digest.
+5. a recording replays to the same behaviour digest;
+6. the compiled and decoded interpreter tiers agree on the outcome, the
+   per-opcode counts and the full-trace PT bytes.
 
 These catch the cross-cutting bugs unit tests miss: codegen emitting block
 shapes the PT decoder mishandles, printer/parser asymmetries, and so on.
@@ -23,6 +26,7 @@ from repro.pt import PTConfig, PTDecoder, PTEncoder
 from repro.replay import record, replay
 from repro.runtime import Interpreter, run_program
 from repro.runtime.events import Tracer
+from tests.runtime.test_hotpath_equivalence import TIERS, _outcome_key
 
 # ---------------------------------------------------------------------------
 # Program generator
@@ -49,41 +53,57 @@ def expressions(draw, depth=0):
 
 
 @st.composite
-def conditions(draw):
+def comparisons(draw):
     left = draw(expressions(depth=1))
     right = draw(expressions(depth=1))
     return f"({left} {draw(st.sampled_from(_CMP))} {right})"
 
 
 @st.composite
-def statements(draw, depth=0):
-    kind = draw(st.integers(0, 5 if depth < 2 else 2))
+def conditions(draw):
+    """A comparison, or two joined by a short-circuit ``&&`` or ``||``."""
+    first = draw(comparisons())
+    joiner = draw(st.sampled_from(["", "&&", "||"]))
+    if not joiner:
+        return first
+    return f"({first} {joiner} {draw(comparisons())})"
+
+
+@st.composite
+def statements(draw, depth=0, in_loop=False):
+    last = 5 if depth < 2 else 2
+    kind = draw(st.integers(0, last + 2 if in_loop else last))
+    if kind > last:
+        # Loop control; the loop's counter still advances on a continue.
+        word = "break" if kind == last + 1 else "continue"
+        return [f"if {draw(conditions())} {{ {word}; }}"]
     if kind in (0, 1):
         var = draw(st.sampled_from(_VARS))
         return [f"{var} = {draw(expressions())};"]
     if kind == 2:
         return [f"g = {draw(expressions())};"]
     if kind == 3:
-        body = draw(blocks(depth=depth + 1))
+        body = draw(blocks(depth=depth + 1, in_loop=in_loop))
         out = [f"if {draw(conditions())} {{"] + body + ["}"]
         if draw(st.booleans()):
-            out += ["else {"] + draw(blocks(depth=depth + 1)) + ["}"]
+            out += ["else {"] + draw(blocks(depth=depth + 1,
+                                            in_loop=in_loop)) + ["}"]
         return out
     if kind == 4:
         # Bounded loop: a fresh counter guarantees termination.
         bound = draw(st.integers(1, 5))
         var = draw(st.sampled_from(_VARS))
-        body = draw(blocks(depth=depth + 1))
+        body = draw(blocks(depth=depth + 1, in_loop=True))
         return ([f"for (int k{depth} = 0; k{depth} < {bound}; k{depth}++) {{"]
                 + body + [f"{var} = {var} + 1;", "}"])
     return [f"h({draw(expressions())});"]
 
 
 @st.composite
-def blocks(draw, depth=0):
+def blocks(draw, depth=0, in_loop=False):
     out = []
     for _ in range(draw(st.integers(1, 3))):
-        out.extend(draw(statements(depth=depth)))
+        out.extend(draw(statements(depth=depth, in_loop=in_loop)))
     return out
 
 
@@ -167,3 +187,24 @@ def test_record_replay_fidelity(source, arg):
     result = replay(module, log)
     assert result.matched
     assert result.outcome.exit_value == outcome.exit_value
+
+
+def _tier_runs(module, arg, mode):
+    """On tier ``mode``: a plain run's outcome and per-opcode counts, a
+    full-trace PT run's, and that run's PT bytes."""
+    pt = PTEncoder(PTConfig(), trace_on_start=True)
+    runs = []
+    for tracers in ([], [pt]):
+        interp = Interpreter(module, args=[arg], tracers=tracers,
+                             max_steps=100_000, mode=mode)
+        assert interp.mode == mode
+        runs.append((_outcome_key(interp.run()), interp.cost.counts))
+    return runs, {tid: pt.raw_trace(tid) for tid in sorted(pt.buffers)}
+
+
+@given(source=programs(), arg=st.integers(-5, 20))
+@settings(max_examples=40, deadline=None)
+def test_tiers_agree_on_generated_programs(source, arg):
+    module = compile_source(source)
+    compiled, decoded = (_tier_runs(module, arg, mode) for mode in TIERS)
+    assert compiled == decoded
