@@ -2,7 +2,10 @@
 
 A module the GIR compiler rejects silently runs on the decoded tier (the
 ``CompileError`` fallback), so every corpus module must compile, and so
-must a function nested deeper than inlining goes.  The size of the
+must a function nested deeper than inlining goes.  MiniC only lowers to
+structured control flow, so random GIR graphs check the inliner on the
+rest: irreducible loops, self-loops, unreachable blocks and branches
+whose arms name one block.  The size of the
 generated source sets what building a compiled program costs: Python's
 ``compile()`` takes nearly all of the build time, and its peak memory
 grows with the source, so the corpus total is capped.  What every retired
@@ -10,12 +13,15 @@ instruction and every block transition pays is set by the source too, so
 its shape is checked line by line.
 """
 
+import random
 import re
 
 import pytest
 
 from repro.corpus import all_bug_ids, get_bug
 from repro.lang import compile_source
+from repro.lang.girparser import parse_gir
+from repro.pt import PTEncoder
 from repro.runtime.compiled import (
     _FunctionCompiler,
     _ModuleCompiler,
@@ -139,3 +145,51 @@ def test_nesting_past_the_inline_cap_compiles(source, exit_value):
             got[mode] = (_outcome_key(interp.run()), interp.cost.counts)
         assert got["compiled"] == got["decoded"], n
         assert got["compiled"][0][1] == exit_value(n), n
+
+
+def _random_cfg(rng):
+    """GIR text of a ``main`` over 2–40 blocks, each with a few updates of
+    ``%y`` and the loop counter ``%c`` (a call, a print) and a random
+    terminator: a jump or a branch on ``%c`` to any block, or a return."""
+    labels = ["entry"] + [f"b{i}" for i in range(1, rng.randint(2, 40))]
+    lines = ["def h(%v) {", "entry:", "  %w = binop * %v, 3", "  ret %w",
+             "}", "def main(%x) {", "entry:", "  %c = const 0",
+             "  %y = const 1"]
+    for i, label in enumerate(labels):
+        if i:
+            lines.append(f"{label}:")
+        lines += rng.sample(["  %y = binop + %y, 2", "  %c = binop + %c, 1",
+                             "  %y = binop ^ %y, %x", "  %y = call h %y",
+                             "  call print %c"], rng.randint(0, 3))
+        end = rng.random()
+        if end < 0.15 and i:
+            lines.append("  ret %y")
+        elif end < 0.5:
+            lines.append(f"  jmp -> {rng.choice(labels)}")
+        else:
+            then = labels[min(i + 1, len(labels) - 1)] \
+                if rng.random() < 0.5 else rng.choice(labels)
+            lines += [f"  %k = binop < %c, {rng.randint(0, 12)}",
+                      f"  br %k -> {then}, {rng.choice(labels)}"]
+    return "\n".join(lines + ["}"])
+
+
+def test_random_control_flow_graphs_run_alike():
+    """Each graph runs on both tiers under a random step budget (about
+    half the runs hang, mostly mid-path), plain and with full-trace PT:
+    outcome, per-opcode counts and PT bytes must agree."""
+    rng = random.Random(29)
+    for case in range(100):
+        module = parse_gir(_random_cfg(rng))
+        arg, max_steps = rng.choice((0, 5)), rng.randint(1, 300)
+        got = {}
+        for mode in TIERS:
+            pt = PTEncoder(trace_on_start=True)
+            runs = []
+            for tracers in ([], [pt]):
+                interp = Interpreter(module, args=[arg], tracers=tracers,
+                                     max_steps=max_steps, mode=mode)
+                assert interp.mode == mode
+                runs.append((_outcome_key(interp.run()), interp.cost.counts))
+            got[mode] = runs, {tid: pt.raw_trace(tid) for tid in pt.buffers}
+        assert got["compiled"] == got["decoded"], case
